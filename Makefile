@@ -1,4 +1,4 @@
-.PHONY: all build test ci trace-smoke multiproc-smoke perf-smoke perf-guard campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test ci trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -18,7 +18,7 @@ test:
 # traced runs (one solo, one two-process) produce valid Chrome JSON
 # covering every expected GC phase kind.
 ci:
-	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perf-guard && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke
+	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perf-guard && $(MAKE) perfbench-check && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke
 
 # Trace smoke: a small pressured run known (deterministically) to exercise
 # minor, full, compacting and every BC sub-phase; `bcgc trace` re-parses
@@ -53,6 +53,20 @@ perf-smoke:
 # machine; refresh the baseline with `make perf` after intended changes.
 perf-guard:
 	./_build/default/bin/bcgc.exe bench perf --guard --perf-reps 3
+
+# Perfbench check: the host-time benchmark runs a release build, where
+# cross-module inlining is on (the dev profile's -opaque turns it off), so
+# build perfbench/main.exe the way perfbench/run.py does and require every
+# cell's outcome digest to match perfbench/expected_digests.txt byte for
+# byte. Only reads perfbench/.
+perfbench-check:
+	DUNE_CACHE=disabled dune build --root . --profile release \
+	  --build-dir .bench_build ./perfbench/main.exe
+	./.bench_build/default/perfbench/main.exe \
+	  --write-expected /tmp/bcgc-ci-perfbench-digests.txt
+	grep -v '^#' /tmp/bcgc-ci-perfbench-digests.txt > /tmp/bcgc-ci-perfbench-cells.txt
+	grep -v '^#' perfbench/expected_digests.txt \
+	  | diff - /tmp/bcgc-ci-perfbench-cells.txt
 
 # Campaign smoke: interruption drill on the 8-cell example campaign.
 # Run three cells and stop (exit 3), resume to completion, re-run the whole

@@ -4,10 +4,10 @@ let min_nursery_bytes = 32 * 1024
 
 let nursery_limit config ~mature_bytes =
   match config.Gc_common.Gc_config.nursery with
-  | Gc_common.Gc_config.Fixed n -> max n min_nursery_bytes
+  | Gc_common.Gc_config.Fixed n -> Int.max n min_nursery_bytes
   | Gc_common.Gc_config.Appel ->
       let free = config.Gc_common.Gc_config.heap_bytes - mature_bytes in
-      max (free / 2) min_nursery_bytes
+      Int.max (free / 2) min_nursery_bytes
 
 let seed_remset heap remset enqueue =
   let objects = Heapsim.Heap.objects heap in

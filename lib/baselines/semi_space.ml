@@ -170,4 +170,5 @@ let factory config heap =
     footprint_pages = (fun () -> total_pages t);
     check_invariants = (fun () -> check_invariants t);
     tuning = Collector.no_tuning;
+    debug = Collector.No_debug;
   }

@@ -131,11 +131,11 @@ let effective_heap_pages t =
   let own =
     match t.target_footprint with
     | None -> config_pages
-    | Some target -> min config_pages (max target footprint_floor_pages)
+    | Some target -> Int.min config_pages (Int.max target footprint_floor_pages)
   in
   match t.controller_cap with
   | None -> own
-  | Some cap -> min own (max cap footprint_floor_pages)
+  | Some cap -> Int.min own (Int.max cap footprint_floor_pages)
 
 let min_nursery_pages =
   Vmsim.Page.count_for_bytes Baselines.Gen_shared.min_nursery_bytes
@@ -149,10 +149,10 @@ let total_pages t = mature_pages t + Gc_common.Bump_space.used_pages t.nursery
 let nursery_limit t =
   let effective_bytes = effective_heap_pages t * Vmsim.Page.size in
   match t.config.Gc_config.nursery with
-  | Gc_config.Fixed n -> max n Baselines.Gen_shared.min_nursery_bytes
+  | Gc_config.Fixed n -> Int.max n Baselines.Gen_shared.min_nursery_bytes
   | Gc_config.Appel ->
       let free = effective_bytes - (mature_pages t * Vmsim.Page.size) in
-      max (free / 2) Baselines.Gen_shared.min_nursery_bytes
+      Int.max (free / 2) Baselines.Gen_shared.min_nursery_bytes
 
 let grow_sp t () =
   let needed = mature_pages t + Vmsim.Page.pages_per_superpage in
@@ -1434,25 +1434,7 @@ type debug = {
   handler_faults : unit -> int;
 }
 
-(* Process-wide instance registry keyed by the collector's stats record
-   (physical identity). Collectors are created concurrently once the
-   harness runs cells on the domain pool, so registration and lookup
-   take a lock; entries are immutable pairs, so readers need nothing
-   more. *)
-let debug_registry : (Gc_stats.t * debug) list ref = ref []
-
-let debug_registry_lock = Mutex.create ()
-
-let register_debug stats debug =
-  Mutex.lock debug_registry_lock;
-  debug_registry := (stats, debug) :: !debug_registry;
-  Mutex.unlock debug_registry_lock
-
-let find_debug stats =
-  Mutex.lock debug_registry_lock;
-  let r = List.find_opt (fun (s, _) -> s == stats) !debug_registry in
-  Mutex.unlock debug_registry_lock;
-  r
+type Collector.debug += Debug of debug
 
 let make_debug t =
   {
@@ -1483,9 +1465,9 @@ let make_debug t =
   }
 
 let debug_of (c : Collector.t) =
-  match find_debug c.Collector.stats with
-  | Some (_, debug) -> debug
-  | None -> invalid_arg "Bc.debug_of: not a bookmarking collector instance"
+  match c.Collector.debug with
+  | Debug debug -> debug
+  | _ -> invalid_arg "Bc.debug_of: not a bookmarking collector instance"
 
 let factory config heap =
   let opts = config.Gc_config.bc in
@@ -1571,36 +1553,33 @@ let factory config heap =
       | Gc_config.Fixed _ -> name ^ "-fixed"
     else resizing_only_name
   in
-  let collector =
-    {
-      Collector.name = display_name;
-      heap;
-      config;
-      alloc = (fun ~size ~nrefs ~kind -> alloc t ~size ~nrefs ~kind);
-      collect = (fun () -> full t);
-      stats = t.stats;
-      footprint_pages = (fun () -> total_pages t);
-      check_invariants = (fun () -> check_invariants t);
-      tuning =
-        {
-          Collector.set_target_pages =
-            (fun target ->
-              t.controller_cap <-
-                Option.map (max footprint_floor_pages) target);
-          set_notice_batch = (fun n -> t.notice_batch <- max 1 n);
-          set_relinquish_extra = (fun n -> t.relinquish_extra <- max 0 n);
-          request_failsafe =
-            (fun () ->
-              (* deferred to the next allocation's escalation ladder —
-                 forcing a collection inside the decision path would need
-                 frames the machine may not have (§3.4.3's reserve
-                 discipline applies to the controller too) *)
-              if t.opts.Gc_config.bookmarks_enabled then
-                t.failsafe_needed <- true
-              else t.gc_requested <- true);
-          target_pages = (fun () -> t.controller_cap);
-        };
-    }
-  in
-  register_debug t.stats (make_debug t);
-  collector
+  {
+    Collector.name = display_name;
+    heap;
+    config;
+    alloc = (fun ~size ~nrefs ~kind -> alloc t ~size ~nrefs ~kind);
+    collect = (fun () -> full t);
+    stats = t.stats;
+    footprint_pages = (fun () -> total_pages t);
+    check_invariants = (fun () -> check_invariants t);
+    tuning =
+      {
+        Collector.set_target_pages =
+          (fun target ->
+            t.controller_cap <-
+              Option.map (max footprint_floor_pages) target);
+        set_notice_batch = (fun n -> t.notice_batch <- max 1 n);
+        set_relinquish_extra = (fun n -> t.relinquish_extra <- max 0 n);
+        request_failsafe =
+          (fun () ->
+            (* deferred to the next allocation's escalation ladder —
+               forcing a collection inside the decision path would need
+               frames the machine may not have (§3.4.3's reserve
+               discipline applies to the controller too) *)
+            if t.opts.Gc_config.bookmarks_enabled then
+              t.failsafe_needed <- true
+            else t.gc_requested <- true);
+        target_pages = (fun () -> t.controller_cap);
+      };
+    debug = Debug (make_debug t);
+  }

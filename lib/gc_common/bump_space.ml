@@ -23,7 +23,7 @@ let used_bytes t = t.bump - t.base
 let alloc t ~bytes ~limit_bytes =
   if bytes <= 0 then invalid_arg ("Bump_space.alloc: " ^ t.name)
   else if
-    used_bytes t + bytes > min limit_bytes (capacity_bytes t)
+    used_bytes t + bytes > Int.min limit_bytes (capacity_bytes t)
   then None
   else begin
     let addr = t.bump in

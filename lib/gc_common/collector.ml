@@ -17,6 +17,10 @@ let no_tuning =
     target_pages = (fun () -> None);
   }
 
+type debug = ..
+
+type debug += No_debug
+
 type t = {
   name : string;
   heap : Heapsim.Heap.t;
@@ -27,6 +31,7 @@ type t = {
   footprint_pages : unit -> int;
   check_invariants : unit -> unit;
   tuning : tuning;
+  debug : debug;
 }
 
 type factory = Gc_config.t -> Heapsim.Heap.t -> t

@@ -38,6 +38,14 @@ type tuning = {
 
 val no_tuning : tuning
 
+type debug = ..
+(** A collector family's introspection view, for tests and examples. A
+    family that offers one adds its own constructor (see [Bc.debug_of]);
+    the others use {!No_debug}. The view travels on the collector record,
+    so it lives exactly as long as the collector does. *)
+
+type debug += No_debug
+
 type t = {
   name : string;
   heap : Heapsim.Heap.t;
@@ -55,6 +63,7 @@ type t = {
   tuning : tuning;
       (** Online-control actuators; {!no_tuning} for collectors without
           them. *)
+  debug : debug;  (** Family-specific introspection; {!No_debug} if none. *)
 }
 
 type factory = Gc_config.t -> Heapsim.Heap.t -> t

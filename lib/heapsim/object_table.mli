@@ -1,14 +1,22 @@
 (** Structure-of-arrays storage for simulated heap objects.
 
-    Each live object has a size in bytes, a simulated byte address, an
-    array of reference fields, a header with status bits (mark and
+    Each live object has a size in bytes, a simulated byte address, a
+    run of reference fields, a header with status bits (mark and
     bookmark, as in the paper's one-word Jikes header), a collector-defined
     space tag and a collector-defined scratch word. Ids of freed objects
-    are recycled. *)
+    are recycled. Reference fields of all objects share one chunked slab
+    of int slots, so allocating and writing them allocates nothing on the
+    host heap once the slab has grown.
+
+    Every accessor raises [Invalid_argument] on a dead or invalid id. *)
 
 type t
 
 val create : unit -> t
+
+val chunk_slots : int
+(** Reference slots per slab chunk. The slab grows a chunk at a time and
+    never copies one; an object may still have more fields than this. *)
 
 val alloc : t -> size:int -> nrefs:int -> kind:[ `Scalar | `Array ] -> Obj_id.t
 (** Register a new object. Its address starts unset ([-1]); the collector
@@ -32,8 +40,12 @@ val set_addr : t -> Obj_id.t -> int -> unit
 val nrefs : t -> Obj_id.t -> int
 
 val get_ref : t -> Obj_id.t -> int -> Obj_id.t
+(** [get_ref t o field] reads a reference field; a fresh field is
+    {!Obj_id.null}. Raises [Invalid_argument] unless
+    [0 <= field < nrefs t o]. *)
 
 val set_ref : t -> Obj_id.t -> int -> Obj_id.t -> unit
+(** Write a reference field; same bounds as {!get_ref}. *)
 
 val iter_refs : t -> Obj_id.t -> (int -> Obj_id.t -> unit) -> unit
 (** [iter_refs t o f] calls [f field target] for each non-null field. *)

@@ -22,6 +22,10 @@ type t = {
   mutable births : int;
 }
 
+(* A match, not [t.trace <> None]: the polymorphic compare is a C call
+   on every operation. *)
+let[@inline] tracing t = match t.trace with Some _ -> true | None -> false
+
 let emit t e = match t.trace with Some tr -> Trace.record tr e | None -> ()
 
 let birth_of t id = Hashtbl.find t.birth id
@@ -31,14 +35,14 @@ let sample_size t =
   if s.Spec.large_frac > 0.0 && Rng.float t.rng 1.0 < s.Spec.large_frac then
     los_threshold + 4 + Rng.int t.rng Vmsim.Page.size
   else begin
-    let extra = max 1 (s.Spec.mean_size - 8) in
+    let extra = Int.max 1 (s.Spec.mean_size - 8) in
     let size = 8 + Rng.int t.rng (2 * extra) in
-    min size s.Spec.max_size
+    Int.min size s.Spec.max_size
   end
 
 let sample_nrefs t =
   let mean = t.spec.Spec.nrefs_mean in
-  if mean <= 0 then 0 else min 8 (Rng.int t.rng ((2 * mean) + 1))
+  if mean <= 0 then 0 else Int.min 8 (Rng.int t.rng ((2 * mean) + 1))
 
 let sample_kind t =
   if Rng.float t.rng 1.0 < t.spec.Spec.array_frac then `Array else `Scalar
@@ -57,14 +61,14 @@ let random_window_member t =
 
 (* A recorded pointer store. *)
 let write t src field target =
-  if t.trace <> None then
+  if tracing t then
     emit t
       (Trace.Write
          { src = birth_of t src; field; target = birth_of t target });
   Heapsim.Heap.write_ref (heap t) src field target
 
 let access t id =
-  if t.trace <> None then emit t (Trace.Access (birth_of t id));
+  if tracing t then emit t (Trace.Access (birth_of t id));
   Heapsim.Heap.access (heap t) id
 
 let store_in_window t id =
@@ -76,7 +80,7 @@ let store_in_window t id =
 let alloc t ~size ~nrefs ~kind =
   let id = t.collector.Collector.alloc ~size ~nrefs ~kind in
   t.allocated_bytes <- t.allocated_bytes + size;
-  if t.trace <> None then begin
+  if tracing t then begin
     emit t (Trace.Alloc { size; nrefs; array = kind = `Array });
     Hashtbl.replace t.birth id t.births;
     t.births <- t.births + 1
@@ -121,13 +125,13 @@ let create ?trace spec collector =
       alloc t
         ~size:((slots_per_segment * Gc_common.Size_class.word) + 16)
         ~nrefs:slots_per_segment ~kind:`Array;
-    if t.trace <> None then emit t (Trace.Root (birth_of t t.segments.(i)))
+    if tracing t then emit t (Trace.Root (birth_of t t.segments.(i)))
   done;
   (* the cold immortal chain; only the most recent link is a root *)
   let n_immortal = max 1 (spec.Spec.immortal_bytes / max 8 spec.Spec.mean_size) in
   for _ = 1 to n_immortal do
     let id = alloc t ~size:(max 8 spec.Spec.mean_size) ~nrefs:1 ~kind:`Scalar in
-    if t.trace <> None then begin
+    if tracing t then begin
       emit t (Trace.Root (birth_of t id));
       if not (Vec.is_empty t.immortal) then
         emit t (Trace.Unroot (birth_of t (Vec.top t.immortal)))

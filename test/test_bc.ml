@@ -34,6 +34,21 @@ let test_debug_of_rejects_baselines () =
     (Invalid_argument "Bc.debug_of: not a bookmarking collector instance")
     (fun () -> ignore (Bc.debug_of c))
 
+(* Nothing process-wide keeps a BC instance alive: its debug view rides
+   on the collector record, so a dropped collector's heap is reclaimed.
+   Long campaigns on the domain pool build thousands of them. *)
+let test_dropped_collector_reclaimed () =
+  let heaps = Weak.create 1 in
+  let[@inline never] build () =
+    let _, c = Mini.collector "BC" in
+    ignore (Mini.alloc_list c ~n:500 ~size:64);
+    ignore (Bc.debug_of c);
+    Weak.set heaps 0 (Some c.Collector.heap)
+  in
+  build ();
+  Gc.full_major ();
+  check Alcotest.bool "heap reclaimed" false (Weak.check heaps 0)
+
 let test_eviction_creates_bookmarks () =
   let m, c, signalmem, dbg = fixture () in
   let ids = Mini.alloc_list c ~n:3000 ~size:64 in
@@ -307,6 +322,8 @@ let () =
         [
           Alcotest.test_case "debug_of rejects baselines" `Quick
             test_debug_of_rejects_baselines;
+          Alcotest.test_case "dropped collector reclaimed" `Quick
+            test_dropped_collector_reclaimed;
           Alcotest.test_case "eviction creates bookmarks" `Quick
             test_eviction_creates_bookmarks;
           Alcotest.test_case "collection avoids evicted pages" `Quick

@@ -33,11 +33,18 @@ let test_alloc_free_recycle () =
 
 let test_dead_access_rejected () =
   let t = OT.create () in
-  let a = OT.alloc t ~size:8 ~nrefs:0 ~kind:`Scalar in
+  let a = OT.alloc t ~size:8 ~nrefs:4 ~kind:`Scalar in
   OT.free t a;
-  Alcotest.check_raises "dead access"
-    (Invalid_argument (Printf.sprintf "Object_table: dead or invalid object #%d" a))
-    (fun () -> ignore (OT.size t a))
+  let dead = Invalid_argument (Printf.sprintf "Object_table: dead or invalid object #%d" a) in
+  Alcotest.check_raises "dead access" dead (fun () -> ignore (OT.size t a));
+  Alcotest.check_raises "get_ref" dead (fun () -> ignore (OT.get_ref t a 0));
+  Alcotest.check_raises "set_ref" dead (fun () -> OT.set_ref t a 0 a);
+  Alcotest.check_raises "nrefs" dead (fun () -> ignore (OT.nrefs t a));
+  Alcotest.check_raises "iter_refs" dead (fun () -> OT.iter_refs t a (fun _ _ -> ()));
+  Alcotest.check_raises "free twice" dead (fun () -> OT.free t a);
+  Alcotest.check_raises "never allocated"
+    (Invalid_argument "Object_table: dead or invalid object #99")
+    (fun () -> ignore (OT.get_ref t 99 0))
 
 let test_refs () =
   let t = OT.create () in
@@ -65,6 +72,47 @@ let test_flags () =
   OT.set_scratch t a 42;
   check Alcotest.int "space" 3 (OT.space t a);
   check Alcotest.int "scratch" 42 (OT.scratch t a)
+
+let test_field_out_of_range () =
+  let t = OT.create () in
+  let a = OT.alloc t ~size:8 ~nrefs:3 ~kind:`Scalar in
+  let next = OT.alloc t ~size:8 ~nrefs:2 ~kind:`Scalar in
+  let empty = OT.alloc t ~size:8 ~nrefs:0 ~kind:`Scalar in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "get past the end" (fun () -> ignore (OT.get_ref t a 3));
+  raises "set past the end" (fun () -> OT.set_ref t a 3 empty);
+  raises "negative field" (fun () -> ignore (OT.get_ref t a (-1)));
+  raises "no fields" (fun () -> ignore (OT.get_ref t empty 0));
+  (* a rejected store must not land in the run allocated after [a]'s *)
+  check Alcotest.bool "next object's fields still null" true
+    (List.for_all (fun f -> Heapsim.Obj_id.is_null (OT.get_ref t next f)) [ 0; 1 ])
+
+(* A freed run is recycled for the next object of the same width, which
+   must not see its previous owner's pointers. *)
+let test_recycled_run_nulled () =
+  let t = OT.create () in
+  let target = OT.alloc t ~size:8 ~nrefs:0 ~kind:`Scalar in
+  List.iter
+    (fun n ->
+      let a = OT.alloc t ~size:8 ~nrefs:n ~kind:`Array in
+      for f = 0 to n - 1 do
+        OT.set_ref t a f target
+      done;
+      OT.free t a;
+      let b = OT.alloc t ~size:8 ~nrefs:n ~kind:`Array in
+      check Alcotest.int "id recycled" a b;
+      for f = 0 to n - 1 do
+        check Alcotest.bool (Printf.sprintf "width %d field %d null" n f) true
+          (Heapsim.Obj_id.is_null (OT.get_ref t b f))
+      done;
+      OT.iter_refs t b (fun f _ ->
+          Alcotest.failf "width %d: iter_refs saw field %d" n f);
+      OT.free t b)
+    [ 1; 2; 7; 64; OT.chunk_slots + 3 ]
 
 let test_growth () =
   let t = OT.create () in
@@ -284,6 +332,102 @@ let prop_object_table_alloc_free =
       List.iter (fun (id, _) -> OT.free t id) ids;
       ok1 && OT.live_count t = 0 && OT.live_bytes t = 0)
 
+(* Random alloc/free/set/get/iter sequences against a model: a table
+   from live id to its fields. Widths run to 70 and one object is wider
+   than a slab chunk, so runs straddle chunks and recycled runs of every
+   width are reused. *)
+type ot_op =
+  | Alloc of int
+  | Free of int
+  | Set of int * int * int
+  | Get of int * int
+  | Iter of int
+
+let show_ot_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Free i -> Printf.sprintf "free %d" i
+  | Set (i, f, x) -> Printf.sprintf "set %d.%d <- %d" i f x
+  | Get (i, f) -> Printf.sprintf "get %d.%d" i f
+  | Iter i -> Printf.sprintf "iter %d" i
+
+let arb_ot_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun n -> Alloc n) (int_range 0 70));
+        (2, map (fun i -> Free i) nat);
+        (4, map3 (fun i f x -> Set (i, f, x)) nat nat nat);
+        (2, map2 (fun i f -> Get (i, f)) nat nat);
+        (1, map (fun i -> Iter i) nat);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_ot_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 300) op)
+
+let prop_object_table_model =
+  QCheck.Test.make ~name:"object table refs agree with a model" ~count:200
+    arb_ot_ops (fun ops ->
+      let t = OT.create () in
+      let model : (int, int array) Hashtbl.t = Hashtbl.create 64 in
+      let live = Repro_util.Vec.create () in
+      let alloc n =
+        let id = OT.alloc t ~size:8 ~nrefs:n ~kind:`Scalar in
+        if Hashtbl.mem model id then Alcotest.failf "id %d handed out twice" id;
+        Hashtbl.replace model id (Array.make n Heapsim.Obj_id.null);
+        Repro_util.Vec.push live id
+      in
+      let agrees id =
+        let fields = Hashtbl.find model id in
+        let seen = ref [] in
+        OT.iter_refs t id (fun f x -> seen := (f, x) :: !seen);
+        let expect = ref [] in
+        Array.iteri
+          (fun f x -> if not (Heapsim.Obj_id.is_null x) then expect := (f, x) :: !expect)
+          fields;
+        OT.nrefs t id = Array.length fields
+        && !seen = !expect
+        && Array.for_all2 ( = ) fields
+             (Array.init (Array.length fields) (OT.get_ref t id))
+      in
+      alloc (OT.chunk_slots + 5);
+      let pick i = Repro_util.Vec.get live (i mod Repro_util.Vec.length live) in
+      List.for_all
+        (fun op ->
+          let nlive = Repro_util.Vec.length live in
+          match op with
+          | Alloc n ->
+              alloc n;
+              true
+          | _ when nlive = 0 -> true
+          | Free i ->
+              let id = pick i in
+              OT.free t id;
+              Hashtbl.remove model id;
+              ignore (Repro_util.Vec.swap_remove live (i mod nlive) : int);
+              not (OT.is_live t id)
+          | Set (i, f, x) ->
+              let id = pick i in
+              let fields = Hashtbl.find model id in
+              (if Array.length fields > 0 then
+                 let target = if x mod (nlive + 1) = nlive then Heapsim.Obj_id.null else pick x in
+                 let f = f mod Array.length fields in
+                 OT.set_ref t id f target;
+                 fields.(f) <- target);
+              true
+          | Get (i, f) ->
+              let id = pick i in
+              let fields = Hashtbl.find model id in
+              Array.length fields = 0
+              || OT.get_ref t id (f mod Array.length fields)
+                 = fields.(f mod Array.length fields)
+          | Iter i -> agrees (pick i))
+        ops
+      && OT.live_count t = Hashtbl.length model
+      && Hashtbl.fold (fun id _ ok -> ok && agrees id) model true)
+
 let () =
   Alcotest.run "heapsim"
     [
@@ -291,6 +435,8 @@ let () =
         [
           Alcotest.test_case "alloc/free/recycle" `Quick test_alloc_free_recycle;
           Alcotest.test_case "dead access" `Quick test_dead_access_rejected;
+          Alcotest.test_case "field out of range" `Quick test_field_out_of_range;
+          Alcotest.test_case "recycled run nulled" `Quick test_recycled_run_nulled;
           Alcotest.test_case "refs" `Quick test_refs;
           Alcotest.test_case "flags" `Quick test_flags;
           Alcotest.test_case "growth" `Quick test_growth;
@@ -312,5 +458,6 @@ let () =
           Alcotest.test_case "roots" `Quick test_roots;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_object_table_alloc_free ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_object_table_alloc_free; prop_object_table_model ] );
     ]

@@ -175,6 +175,78 @@ let test_rng_split () =
   let ys = List.init 20 (fun _ -> Rng.int s 1_000_000) in
   check Alcotest.bool "split streams differ" true (xs <> ys)
 
+(* Known answers, drawn in this order from a fresh generator per seed.
+   Comparing two same-seed streams with each other cannot catch a change
+   to the stream itself; these pin it. *)
+type rng_kat = {
+  seed : int;
+  ints : int list;  (** [Rng.int r max_int]: every drawn bit *)
+  small : int list;  (** [Rng.int r 1000] *)
+  floats : int64 list;  (** [Int64.bits_of_float (Rng.float r 1.0)] *)
+  bools : bool list;
+  split : int list;  (** [Rng.int s max_int] for [s = Rng.split r] *)
+  after : int;  (** [Rng.int r max_int] once more, after the split *)
+}
+
+let rng_kats =
+  [
+    {
+      seed = 0;
+      ints =
+        [ 4073552104164651883; 1990071630548588925; 121904254867886419;
+          4477402844195135611 ];
+      small = [ 686; 522; 728; 735 ];
+      floats = [ 0x3fcf72bc4820e4c4L; 0x3fee77091186d196L; 0x3fd95fbb374f2c4eL ];
+      bools = [ false; true; true; true; true; true ];
+      split = [ 198626676048612474; 4546944236476200763; 3856862447703744085 ];
+      after = 943990553302029273;
+    };
+    {
+      seed = 7;
+      ints =
+        [ 1797772400223093621; 77422343148738951; 4154025436703902336;
+          2688291482075368050 ];
+      small = [ 918; 76; 949; 295 ];
+      floats = [ 0x3fc12f603d4ca830L; 0x3fda70e89da21e54L; 0x3fba82e79b05b5f8L ];
+      bools = [ false; false; false; false; false; true ];
+      split = [ 2387887439994971109; 2067882943164469713; 81580953367903902 ];
+      after = 2855189820129879949;
+    };
+    {
+      seed = 109;
+      ints =
+        [ 3227888863561052983; 4007776195768911147; 2832931844677906573;
+          2735710451711733828 ];
+      small = [ 794; 690; 149; 723 ];
+      floats = [ 0x3fe83b90e4c79c89L; 0x3fb99485b48a8b48L; 0x3fe85a0e7ec0fcd1L ];
+      bools = [ true; false; true; false; true; true ];
+      split = [ 1347595563841563003; 1256647647818350321; 2270874895998979190 ];
+      after = 694031968417136068;
+    };
+  ]
+
+let test_rng_known_answers () =
+  List.iter
+    (fun k ->
+      let r = Rng.create k.seed in
+      let draw n f = List.init n (fun _ -> f ()) in
+      let name what = Printf.sprintf "seed %d %s" k.seed what in
+      let ints = Alcotest.(list int) in
+      check ints (name "int max_int") k.ints
+        (draw (List.length k.ints) (fun () -> Rng.int r max_int));
+      check ints (name "int 1000") k.small
+        (draw (List.length k.small) (fun () -> Rng.int r 1000));
+      check Alcotest.(list int64) (name "float bits") k.floats
+        (draw (List.length k.floats) (fun () ->
+             Int64.bits_of_float (Rng.float r 1.0)));
+      check Alcotest.(list bool) (name "bool") k.bools
+        (draw (List.length k.bools) (fun () -> Rng.bool r));
+      let s = Rng.split r in
+      check ints (name "split stream") k.split
+        (draw (List.length k.split) (fun () -> Rng.int s max_int));
+      check Alcotest.int (name "after split") k.after (Rng.int r max_int))
+    rng_kats
+
 let test_rng_geometric () =
   let r = Rng.create 11 in
   let n = 20_000 in
@@ -281,6 +353,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "split" `Quick test_rng_split;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           Alcotest.test_case "geometric" `Quick test_rng_geometric;
         ] );
       ("summary", [ Alcotest.test_case "stats" `Quick test_summary ]);
