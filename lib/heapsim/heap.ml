@@ -62,34 +62,19 @@ let iter_pages t id f =
   done
 
 let place t id ~addr =
-  assert (Object_table.addr t.objects id < 0);
-  Object_table.set_addr t.objects id addr;
-  let fp = page_of_addr addr in
-  (* only the first page's slot is back-indexed; the rare multi-page
-     object still scans its tail pages' buckets on removal *)
-  Object_table.set_page_slot t.objects id (Page_map.add t.page_map ~page:fp id);
-  for page = fp + 1 to last_page t id do
-    ignore (Page_map.add t.page_map ~page id : int)
-  done
-
-(* A bucket removal swap-fills the hole from the tail: if the relocated
-   entry belongs to an object whose first page this is, its stored slot
-   must follow. *)
-let fix_moved t page moved_id slot =
-  if page_of_addr (Object_table.addr t.objects moved_id) = page then
-    Object_table.set_page_slot t.objects moved_id slot
+  let objs = t.objects in
+  assert (Object_table.addr objs id < 0);
+  Object_table.set_addr objs id addr;
+  Page_map.add t.page_map objs id ~first:(page_of_addr addr)
+    ~last:(page_of_addr (addr + Object_table.size objs id - 1))
 
 let displace t id =
-  if Object_table.addr t.objects id >= 0 then begin
-    let fp = first_page t id and lp = last_page t id in
-    Page_map.remove t.page_map ~page:fp
-      ~slot:(Object_table.page_slot t.objects id)
-      ~moved:(fix_moved t fp) id;
-    for page = fp + 1 to lp do
-      Page_map.remove t.page_map ~page ~moved:(fix_moved t page) id
-    done;
-    Object_table.set_addr t.objects id (-1);
-    Object_table.set_page_slot t.objects id (-1)
+  let objs = t.objects in
+  let addr = Object_table.addr objs id in
+  if addr >= 0 then begin
+    Page_map.remove t.page_map objs id ~first:(page_of_addr addr)
+      ~last:(page_of_addr (addr + Object_table.size objs id - 1));
+    Object_table.set_addr objs id (-1)
   end
 
 let free_object t id =

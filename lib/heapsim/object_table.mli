@@ -1,18 +1,27 @@
-(** Structure-of-arrays storage for simulated heap objects.
+(** Row storage for simulated heap objects.
 
     Each live object has a size in bytes, a simulated byte address, a
     run of reference fields, a header with status bits (mark and
     bookmark, as in the paper's one-word Jikes header), a collector-defined
-    space tag and a collector-defined scratch word. Ids of freed objects
-    are recycled. Reference fields of all objects share one chunked slab
-    of int slots, so allocating and writing them allocates nothing on the
-    host heap once the slab has grown.
+    space tag, a collector-defined scratch word and a page-map back-index.
+    Ids of freed objects are recycled.
+
+    An object's metadata is one fixed-size row in a chunk of
+    {!rows_per_chunk} rows, and the reference fields of all objects share
+    one chunked slab of slots. Chunks are byte buffers the host GC never
+    scans, and neither kind is copied once created, so allocating objects
+    and reading or writing their fields allocates nothing on the host heap
+    beyond a fresh chunk now and then.
 
     Every accessor raises [Invalid_argument] on a dead or invalid id. *)
 
 type t
 
 val create : unit -> t
+
+val rows_per_chunk : int
+(** Object rows per row chunk. The row table grows a chunk at a time and
+    never copies one. *)
 
 val chunk_slots : int
 (** Reference slots per slab chunk. The slab grows a chunk at a time and
@@ -74,8 +83,8 @@ val set_scratch : t -> Obj_id.t -> int -> unit
 
 val page_slot : t -> Obj_id.t -> int
 (** Back-index into the page map: this object's slot in its {e first}
-    page's bucket, or -1 while unplaced. Maintained by [Heap.place] /
-    [Heap.displace] so bucket removal is O(1) instead of a scan. *)
+    page's bucket, or -1 while unplaced. Maintained by {!Page_map.add}
+    and {!Page_map.remove} so bucket removal is O(1) instead of a scan. *)
 
 val set_page_slot : t -> Obj_id.t -> int -> unit
 

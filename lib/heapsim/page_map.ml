@@ -1,6 +1,6 @@
 module Vec = Repro_util.Vec
 
-(* page -> objects-with-first-page-here index, stored as a two-level
+(* page -> bucket of the objects on that page, stored as a two-level
    chunked table so sparse address spaces (first pages near 2^30) cost
    memory proportional to populated 4096-page chunks. Never-touched chunks
    alias one shared all-None sentinel, which is never written: [bucket]
@@ -43,36 +43,48 @@ let bucket t page =
       chunk.(page land chunk_mask) <- Some v;
       v
 
-let add t ~page id =
-  let v = bucket t page in
+let add t objs ~first ~last id =
+  let v = bucket t first in
+  Object_table.set_page_slot objs id (Vec.length v);
   Vec.push v id;
-  Vec.length v - 1
+  for page = first + 1 to last do
+    Vec.push (bucket t page) id
+  done
 
 let missing page id =
   invalid_arg
     (Printf.sprintf "Page_map.remove: object #%d not on page %d" id page)
 
-(* Swap-remove bucket slot [i]; when that relocates the former last
-   element, tell the caller so any stored back-index can be fixed up. *)
-let remove_slot v ~moved i =
+(* Swap-remove slot [i] of [page]'s bucket [v]. The former last element
+   fills the hole; if [page] is that object's first page, its stored
+   back-index follows it. *)
+let remove_slot objs v page i =
   ignore (Vec.swap_remove v i : int);
-  if i < Vec.length v then moved (Vec.get v i) i
+  if i < Vec.length v then begin
+    let moved = Vec.get v i in
+    if Vmsim.Page.of_addr (Object_table.addr objs moved) = page then
+      Object_table.set_page_slot objs moved i
+  end
 
-let remove t ~page ?slot ?(moved = fun _ _ -> ()) id =
+let rec scan objs v page id i =
+  if i >= Vec.length v then missing page id
+  else if Vec.get v i = id then remove_slot objs v page i
+  else scan objs v page id (i + 1)
+
+(* O(1) at a valid [hint]; otherwise (no hint, as on the non-first pages
+   of a multi-page object, or a stale one) a scan of the bucket. *)
+let remove_on t objs page ~hint id =
   let v = bucket t page in
-  match slot with
-  | Some s when s >= 0 && s < Vec.length v && Vec.get v s = id ->
-      remove_slot v ~moved s
-  | Some _ | None ->
-      (* no (valid) slot hint: linear scan, as for the non-first pages of
-         a multi-page object *)
-      let n = Vec.length v in
-      let rec find i =
-        if i >= n then missing page id
-        else if Vec.get v i = id then remove_slot v ~moved i
-        else find (i + 1)
-      in
-      find 0
+  if hint >= 0 && hint < Vec.length v && Vec.get v hint = id then
+    remove_slot objs v page hint
+  else scan objs v page id 0
+
+let remove t objs ~first ~last id =
+  remove_on t objs first ~hint:(Object_table.page_slot objs id) id;
+  for page = first + 1 to last do
+    remove_on t objs page ~hint:(-1) id
+  done;
+  Object_table.set_page_slot objs id (-1)
 
 let objects_on t page =
   if page < 0 then [||]

@@ -44,7 +44,27 @@ let test_dead_access_rejected () =
   Alcotest.check_raises "free twice" dead (fun () -> OT.free t a);
   Alcotest.check_raises "never allocated"
     (Invalid_argument "Object_table: dead or invalid object #99")
-    (fun () -> ignore (OT.get_ref t 99 0))
+    (fun () -> ignore (OT.get_ref t 99 0));
+  (* around a row-chunk boundary: two freed ids on either side of it, and
+     [next_id], the first id never handed out, whose chunk does not exist *)
+  let t = OT.create () in
+  for _ = 1 to 2 * OT.rows_per_chunk do
+    ignore (OT.alloc t ~size:8 ~nrefs:1 ~kind:`Scalar : int)
+  done;
+  OT.free t (OT.rows_per_chunk - 1);
+  OT.free t OT.rows_per_chunk;
+  check Alcotest.int "next id" (2 * OT.rows_per_chunk) (OT.capacity t);
+  List.iter
+    (fun id ->
+      let dead =
+        Invalid_argument (Printf.sprintf "Object_table: dead or invalid object #%d" id)
+      in
+      Alcotest.check_raises "dead size" dead (fun () -> ignore (OT.size t id));
+      Alcotest.check_raises "dead get_ref" dead (fun () -> ignore (OT.get_ref t id 0));
+      Alcotest.check_raises "dead set_addr" dead (fun () -> OT.set_addr t id 0);
+      Alcotest.check_raises "dead free" dead (fun () -> OT.free t id);
+      check Alcotest.bool "not live" false (OT.is_live t id))
+    [ OT.rows_per_chunk - 1; OT.rows_per_chunk; OT.capacity t ]
 
 let test_refs () =
   let t = OT.create () in
@@ -134,49 +154,68 @@ let test_address_space () =
   check Alcotest.int "aligned" 0 (r3 mod 4);
   check Alcotest.bool "no overlap" true (r3 >= 15)
 
+(* Page_map tests take their ids from a real table and give each object
+   an address on its first page: a removal reads it to tell whether a
+   relocated entry's back-index lives in that bucket. *)
+let on_pages objs m ~first ~last =
+  let id = OT.alloc objs ~size:16 ~nrefs:0 ~kind:`Scalar in
+  OT.set_addr objs id (Vmsim.Page.addr_of first);
+  PM.add m objs ~first ~last id;
+  id
+
 let test_page_map () =
+  let objs = OT.create () in
   let m = PM.create () in
-  ignore (PM.add m ~page:5 1 : int);
-  ignore (PM.add m ~page:5 2 : int);
-  ignore (PM.add m ~page:6 1 : int);
+  let a = on_pages objs m ~first:5 ~last:6 in
+  let b = on_pages objs m ~first:5 ~last:5 in
+  let c = on_pages objs m ~first:6 ~last:6 in
   check Alcotest.int "count" 2 (PM.count_on m 5);
-  PM.remove m ~page:5 1;
+  check Alcotest.int "spanning object on both pages" 2 (PM.count_on m 6);
+  PM.remove m objs ~first:5 ~last:6 a;
   check Alcotest.int "after remove" 1 (PM.count_on m 5);
-  check (Alcotest.list Alcotest.int) "snapshot" [ 2 ]
+  check (Alcotest.list Alcotest.int) "snapshot" [ b ]
     (Array.to_list (PM.objects_on m 5));
-  check Alcotest.int "other page kept" 1 (PM.count_on m 6);
+  check (Alcotest.list Alcotest.int) "other page kept" [ c ]
+    (Array.to_list (PM.objects_on m 6));
   check Alcotest.int "empty page" 0 (PM.count_on m 99);
+  while OT.capacity objs <= 9 do
+    ignore (on_pages objs m ~first:7 ~last:7 : int)
+  done;
   Alcotest.check_raises "remove missing"
     (Invalid_argument "Page_map.remove: object #9 not on page 5") (fun () ->
-      PM.remove m ~page:5 9)
+      PM.remove m objs ~first:5 ~last:5 9)
 
 let test_page_map_slots () =
+  let objs = OT.create () in
   let m = PM.create () in
-  check Alcotest.int "first slot" 0 (PM.add m ~page:3 11);
-  check Alcotest.int "second slot" 1 (PM.add m ~page:3 22);
-  check Alcotest.int "third slot" 2 (PM.add m ~page:3 33);
-  (* O(1) removal at a slot hint swap-fills from the tail and reports
-     the relocation *)
-  let moved = ref [] in
-  PM.remove m ~page:3 ~slot:0
-    ~moved:(fun id s -> moved := (id, s) :: !moved)
-    11;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "tail swap-filled the hole"
-    [ (33, 0) ]
-    !moved;
-  (* a stale hint falls back to the scan and still removes the right id;
+  let a = on_pages objs m ~first:3 ~last:3 in
+  let b = on_pages objs m ~first:3 ~last:3 in
+  let c = on_pages objs m ~first:3 ~last:3 in
+  check Alcotest.int "first slot" 0 (OT.page_slot objs a);
+  check Alcotest.int "second slot" 1 (OT.page_slot objs b);
+  check Alcotest.int "third slot" 2 (OT.page_slot objs c);
+  (* O(1) removal at the stored slot swap-fills from the tail and fixes
+     the relocated entry's back-index *)
+  PM.remove m objs ~first:3 ~last:3 a;
+  check (Alcotest.list Alcotest.int) "tail swap-filled the hole" [ c; b ]
+    (Array.to_list (PM.objects_on m 3));
+  check Alcotest.int "relocated back-index" 0 (OT.page_slot objs c);
+  check Alcotest.int "removed back-index reset" (-1) (OT.page_slot objs a);
+  (* a stale slot falls back to the scan and still removes the right id;
      removing the bucket's last element relocates nothing *)
-  moved := [];
-  PM.remove m ~page:3 ~slot:7
-    ~moved:(fun id s -> moved := (id, s) :: !moved)
-    22;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "no relocation for tail removal" [] !moved;
-  check (Alcotest.list Alcotest.int) "survivor" [ 33 ]
-    (Array.to_list (PM.objects_on m 3))
+  OT.set_page_slot objs b 7;
+  PM.remove m objs ~first:3 ~last:3 b;
+  check (Alcotest.list Alcotest.int) "survivor" [ c ]
+    (Array.to_list (PM.objects_on m 3));
+  check Alcotest.int "survivor's back-index kept" 0 (OT.page_slot objs c);
+  (* an entry relocated on a page that is not its object's first page
+     keeps the back-index into its first page's bucket *)
+  let d = on_pages objs m ~first:4 ~last:4 in
+  let span = on_pages objs m ~first:3 ~last:4 in
+  PM.remove m objs ~first:4 ~last:4 d;
+  check (Alcotest.list Alcotest.int) "spanning entry relocated" [ span ]
+    (Array.to_list (PM.objects_on m 4));
+  check Alcotest.int "first-page back-index kept" 1 (OT.page_slot objs span)
 
 (* ----------------------------------------------------------------- *)
 (* Heap                                                               *)
@@ -335,7 +374,7 @@ let prop_object_table_alloc_free =
 (* Random alloc/free/set/get/iter sequences against a model: a table
    from live id to its fields. Widths run to 70 and one object is wider
    than a slab chunk, so runs straddle chunks and recycled runs of every
-   width are reused. *)
+   width are reused; the table starts more than two row chunks full. *)
 type ot_op =
   | Alloc of int
   | Free of int
@@ -393,6 +432,11 @@ let prop_object_table_model =
              (Array.init (Array.length fields) (OT.get_ref t id))
       in
       alloc (OT.chunk_slots + 5);
+      (* past two row chunks, so ids and recycled ids cross chunk
+         boundaries *)
+      for i = 1 to (2 * OT.rows_per_chunk) + 1 do
+        alloc (i mod 3)
+      done;
       let pick i = Repro_util.Vec.get live (i mod Repro_util.Vec.length live) in
       List.for_all
         (fun op ->

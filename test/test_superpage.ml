@@ -137,6 +137,49 @@ let test_free_cell_and_recycle () =
   in
   check Alcotest.int "reused without growth" sp.Sp.index sp2.Sp.index
 
+(* Recycling's vacancy check: a superpage holding a placed object stays
+   assigned, whether the object sits on one data page or spans two, and
+   is recycled once the object is displaced and its cell freed. *)
+let test_recycle_keeps_occupied () =
+  let m, t = fixture () in
+  let heap = m.Mini.heap in
+  let place bytes =
+    let addr, sp =
+      Option.get
+        (Sp.alloc t ~bytes ~kind:Sp.Scalar ~grow:(fun () -> true)
+           ~resident:(fun _ -> true))
+    in
+    let id =
+      Heapsim.Object_table.alloc (Heapsim.Heap.objects heap) ~size:bytes
+        ~nrefs:0 ~kind:`Scalar
+    in
+    Heapsim.Heap.place heap id ~addr;
+    (id, addr, sp)
+  in
+  let placed = [ place 64; place SC.max_cell ] in
+  let _, span_addr, span_sp = List.nth placed 1 in
+  let first = Vmsim.Page.of_addr span_addr in
+  let last = Vmsim.Page.of_addr (span_addr + SC.max_cell - 1) in
+  check Alcotest.bool "spans two data pages" true
+    (first <> last
+    && List.mem first (Sp.data_pages span_sp)
+    && List.mem last (Sp.data_pages span_sp));
+  let cells () = List.map (fun (_, _, sp) -> sp.Sp.cells_total) placed in
+  let assigned = cells () in
+  check Alcotest.bool "distinct superpages" true
+    (List.for_all (fun n -> n > 0) assigned);
+  Sp.recycle_empty t ~resident:(fun _ -> true);
+  check (Alcotest.list Alcotest.int) "occupied superpages kept" assigned
+    (cells ());
+  List.iter
+    (fun (id, addr, sp) ->
+      Heapsim.Heap.displace heap id;
+      Sp.free_cell t sp ~addr)
+    placed;
+  Sp.recycle_empty t ~resident:(fun _ -> true);
+  check (Alcotest.list Alcotest.int) "vacated superpages recycled" [ 0; 0 ]
+    (cells ())
+
 let () =
   Alcotest.run "superpage"
     [
@@ -152,5 +195,7 @@ let () =
           Alcotest.test_case "cell overlap census" `Quick
             test_cells_overlapping_page;
           Alcotest.test_case "free + recycle" `Quick test_free_cell_and_recycle;
+          Alcotest.test_case "occupied superpage kept" `Quick
+            test_recycle_keeps_occupied;
         ] );
     ]
