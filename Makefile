@@ -1,4 +1,4 @@
-.PHONY: all build test test-release ci trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release ci alloc-path-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -20,15 +20,28 @@ test-release:
 	DUNE_CACHE=disabled dune runtest --root . --profile release \
 	  --build-dir .release_build
 
-# Full CI gate: everything compiles (including examples and benches), the
-# whole suite passes — test_faults runs the fault-plan smoke tests with
+# Full CI gate: everything compiles (including examples and benches), every
+# collector allocates through Gc_common.Alloc, the whole suite passes — test_faults runs the fault-plan smoke tests with
 # fixed seeds, so regressions in the degradation paths fail here — and
 # traced runs (one solo, one two-process) produce valid Chrome JSON
 # covering every expected GC phase kind. The wall-clock perf-guard runs
 # last: it depends on how busy the machine is, so a failure there must
 # not hide the deterministic checks before it.
 ci:
-	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+
+# One allocation path: Gc_common.Alloc is the only code that registers a new
+# object, so a collector under lib/baselines or lib/core that calls
+# Object_table.alloc itself fails here, named. grep exits 1 when nothing
+# matches; any other status (a match, or grep's own error) fails the target.
+alloc-path-check:
+	@files=$$(grep -rlE --include='*.ml' 'Object_table\.alloc\b' lib/baselines lib/core); \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then \
+	  echo "alloc-path-check: Object_table.alloc outside Gc_common.Alloc in:" $$files >&2; exit 1; \
+	elif [ $$status -ne 1 ]; then \
+	  echo "alloc-path-check: grep failed with status $$status" >&2; exit 1; \
+	fi
 
 # Trace smoke: a small pressured run known (deterministically) to exercise
 # minor, full, compacting and every BC sub-phase; `bcgc trace` re-parses

@@ -2,6 +2,7 @@ module Vec = Repro_util.Vec
 module Collector = Gc_common.Collector
 module Charge = Gc_common.Charge
 module Gc_stats = Gc_common.Gc_stats
+module Space_tag = Gc_common.Space_tag
 
 let name = "GenCopy"
 
@@ -41,20 +42,16 @@ let nursery_limit t =
   (* the mature space and its copy reserve both count against the budget *)
   Gen_shared.nursery_limit t.config ~mature_bytes:(2 * mature_used t)
 
-let in_young t id =
-  Heapsim.Object_table.space (Heapsim.Heap.objects t.heap) id
-  = Space_tag.nursery
-
 let copy_into t space id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
-  match Gc_common.Bump_space.alloc space ~bytes:size ~limit_bytes:(half_bytes t) with
-  | None ->
-      raise
-        (Collector.Heap_exhausted (name ^ ": mature semispace overflow"))
-  | Some addr ->
-      Trace_util.copy_object t.heap id ~new_addr:addr;
-      Heapsim.Object_table.set_space objects id Space_tag.mature
+  let addr =
+    Gc_common.Bump_space.alloc space ~bytes:size ~limit_bytes:(half_bytes t)
+  in
+  if addr < 0 then
+    raise (Collector.Heap_exhausted (name ^ ": mature semispace overflow"));
+  Trace_util.copy_object t.heap id ~new_addr:addr;
+  Heapsim.Object_table.set_space objects id Space_tag.mature
 
 let minor t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Minor
@@ -64,7 +61,6 @@ let minor t =
       let to_space = t.mature.(t.to_idx) in
       let survivors = Vec.create () in
       Gen_shared.minor_trace t.heap ~epoch:t.epoch
-        ~in_young:(in_young t)
         ~copy_young:(fun id ->
           copy_into t to_space id;
           Vec.push survivors id)
@@ -88,7 +84,7 @@ let full t =
       let new_mature = Vec.create () in
       Gen_shared.full_trace t.heap ~epoch:t.epoch
         ~in_young:(fun id ->
-          in_young t id
+          Gen_shared.in_young t.heap id
           || Heapsim.Object_table.space objects id = Space_tag.mature)
         ~copy_young:(fun id ->
           copy_into t to_space id;
@@ -116,61 +112,6 @@ let full t =
 let mature_can_absorb t =
   half_bytes t - mature_used t
   >= Gc_common.Bump_space.used_bytes t.nursery
-
-let alloc t ~size ~nrefs ~kind =
-  Collector.charge_alloc t.heap ~bytes:size;
-  Gc_stats.record_alloc t.stats ~bytes:size;
-  let objects = Heapsim.Heap.objects t.heap in
-  if size > los_threshold then begin
-    let grow ~npages =
-      total_pages t + npages <= Gc_common.Gc_config.heap_pages t.config
-    in
-    let addr =
-      match Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow with
-      | Some addr -> Some addr
-      | None ->
-          full t;
-          Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
-  else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.nursery ~bytes:size
-        ~limit_bytes:(nursery_limit t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> (
-          if mature_can_absorb t then minor t else full t;
-          match try_alloc () with
-          | Some addr -> Some addr
-          | None ->
-              full t;
-              try_alloc ())
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes" name size))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.nursery_objects id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
 
 let check_invariants t =
   let objects = Heapsim.Heap.objects t.heap in
@@ -206,24 +147,32 @@ let factory config heap =
       epoch = 0;
     }
   in
-  Heapsim.Heap.set_write_barrier heap (fun ~src ~field ~old_target:_ ~target ->
-      let objects = Heapsim.Heap.objects heap in
-      if
-        (not (Heapsim.Obj_id.is_null target))
-        && Heapsim.Object_table.space objects target = Space_tag.nursery
-        && Heapsim.Object_table.space objects src <> Space_tag.nursery
-      then Gc_common.Remset.record t.remset ~src ~field);
+  Gen_shared.install_barrier heap (Gc_common.Remset.record t.remset);
   let display_name =
     match config.Gc_common.Gc_config.nursery with
     | Gc_common.Gc_config.Appel -> name
     | Gc_common.Gc_config.Fixed _ -> fixed_nursery_name
   in
+  let full () = full t in
+  let path =
+    Gc_common.Alloc.create ~name:display_name ~heap ~config ~stats:t.stats
+      ~small:(fun bytes ->
+        Gc_common.Bump_space.alloc t.nursery ~bytes
+          ~limit_bytes:(nursery_limit t))
+      ~small_tag:Space_tag.nursery ~young:t.nursery_objects
+      ~stages:
+        [| (fun () -> if mature_can_absorb t then minor t else full ()); full |]
+      ~los:t.los ~los_above:los_threshold
+      ~los_grow:(fun ~npages ->
+        total_pages t + npages <= Gc_common.Gc_config.heap_pages config)
+      ~los_stages:[| full |] ()
+  in
   {
     Collector.name = display_name;
     heap;
     config;
-    alloc = (fun ~size ~nrefs ~kind -> alloc t ~size ~nrefs ~kind);
-    collect = (fun () -> full t);
+    alloc = (fun ~size ~nrefs ~kind -> Gc_common.Alloc.alloc path ~size ~nrefs ~kind);
+    collect = full;
     stats = t.stats;
     footprint_pages = (fun () -> total_pages t);
     check_invariants = (fun () -> check_invariants t);

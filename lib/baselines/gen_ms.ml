@@ -2,6 +2,7 @@ module Vec = Repro_util.Vec
 module Collector = Gc_common.Collector
 module Charge = Gc_common.Charge
 module Gc_stats = Gc_common.Gc_stats
+module Space_tag = Gc_common.Space_tag
 
 let name = "GenMS"
 
@@ -9,7 +10,10 @@ let doc = "generational mark-sweep, Appel-style flexible nursery"
 
 let fixed_nursery_name = "GenMS-fixed"
 
+let copy_ms_name = "CopyMS"
+
 type t = {
+  name : string;  (* display name *)
   heap : Heapsim.Heap.t;
   config : Gc_common.Gc_config.t;
   stats : Gc_stats.t;
@@ -38,22 +42,17 @@ let nursery_limit t =
   Gen_shared.nursery_limit t.config
     ~mature_bytes:(mature_pages t * Vmsim.Page.size)
 
-let in_young t id =
-  Heapsim.Object_table.space (Heapsim.Heap.objects t.heap) id
-  = Space_tag.nursery
-
 (* Evacuate a (first-visited) nursery object into a mature cell. *)
 let copy_young t id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
-  match Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:(grow_ms t) with
-  | None ->
-      raise
-        (Collector.Heap_exhausted
-           (name ^ ": mature space cannot absorb nursery survivors"))
-  | Some addr ->
-      Trace_util.copy_object t.heap id ~new_addr:addr;
-      Heapsim.Object_table.set_space objects id Space_tag.mature
+  let addr = Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:(grow_ms t) in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (t.name ^ ": mature space cannot absorb nursery survivors"));
+  Trace_util.copy_object t.heap id ~new_addr:addr;
+  Heapsim.Object_table.set_space objects id Space_tag.mature
 
 let minor t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Minor
@@ -61,7 +60,6 @@ let minor t =
       Charge.setup t.heap;
       t.epoch <- t.epoch + 1;
       Gen_shared.minor_trace t.heap ~epoch:t.epoch
-        ~in_young:(in_young t)
         ~copy_young:(copy_young t)
         ~extra_roots:(fun enqueue ->
           Gen_shared.seed_remset t.heap t.remset enqueue);
@@ -76,7 +74,7 @@ let full t =
       t.epoch <- t.epoch + 1;
       let objects = Heapsim.Heap.objects t.heap in
       Gen_shared.full_trace t.heap ~epoch:t.epoch
-        ~in_young:(in_young t)
+        ~in_young:(Gen_shared.in_young t.heap)
         ~copy_young:(fun id ->
           copy_young t id;
           (* survivors must outlive the coming sweep *)
@@ -98,59 +96,6 @@ let mature_can_absorb t =
   in
   Gc_common.Ms_space.free_bytes t.ms + growable_bytes
   >= Gc_common.Bump_space.used_bytes t.nursery
-
-let alloc t ~size ~nrefs ~kind =
-  Collector.charge_alloc t.heap ~bytes:size;
-  Gc_stats.record_alloc t.stats ~bytes:size;
-  let objects = Heapsim.Heap.objects t.heap in
-  if size > Gc_common.Ms_space.max_cell t.ms then begin
-    let grow ~npages = mature_pages t + npages <= budget_pages t in
-    let addr =
-      match Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow with
-      | Some addr -> Some addr
-      | None ->
-          full t;
-          Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
-  else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.nursery ~bytes:size
-        ~limit_bytes:(nursery_limit t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> (
-          if mature_can_absorb t then minor t else full t;
-          match try_alloc () with
-          | Some addr -> Some addr
-          | None ->
-              full t;
-              try_alloc ())
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes" name size))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.nursery_objects id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
 
 let check_invariants t =
   let objects = Heapsim.Heap.objects t.heap in
@@ -211,9 +156,18 @@ let register_cooperative t =
       on_protection_fault = (fun _ -> ());
     }
 
-let factory config heap =
+let display_name ~generational config =
+  if not generational then copy_ms_name
+  else if config.Gc_common.Gc_config.cooperative_discard then "GenMS-coop"
+  else
+    match config.Gc_common.Gc_config.nursery with
+    | Gc_common.Gc_config.Appel -> name
+    | Gc_common.Gc_config.Fixed _ -> fixed_nursery_name
+
+let make ~generational config heap =
   let t =
     {
+      name = display_name ~generational config;
       heap;
       config;
       stats = Gc_stats.create ();
@@ -227,31 +181,48 @@ let factory config heap =
       epoch = 0;
     }
   in
-  Heapsim.Heap.set_write_barrier heap (fun ~src ~field ~old_target:_ ~target ->
-      let objects = Heapsim.Heap.objects heap in
-      if
-        (not (Heapsim.Obj_id.is_null target))
-        && Heapsim.Object_table.space objects target = Space_tag.nursery
-        && Heapsim.Object_table.space objects src <> Space_tag.nursery
-      then Gc_common.Remset.record t.remset ~src ~field);
+  if generational then
+    Gen_shared.install_barrier heap (Gc_common.Remset.record t.remset);
   if config.Gc_common.Gc_config.cooperative_discard then
     register_cooperative t;
-  let display_name =
-    if config.Gc_common.Gc_config.cooperative_discard then "GenMS-coop"
-    else
-      match config.Gc_common.Gc_config.nursery with
-      | Gc_common.Gc_config.Appel -> name
-      | Gc_common.Gc_config.Fixed _ -> fixed_nursery_name
+  let full () = full t in
+  let stages =
+    if generational then
+      [| (fun () -> if mature_can_absorb t then minor t else full ()); full |]
+    else [| full |]
+  in
+  let path =
+    Gc_common.Alloc.create ~name:t.name ~heap ~config ~stats:t.stats
+      ~small:(fun bytes ->
+        Gc_common.Bump_space.alloc t.nursery ~bytes
+          ~limit_bytes:(nursery_limit t))
+      ~small_tag:Space_tag.nursery ~young:t.nursery_objects ~stages
+      ~los:t.los ~los_above:(Gc_common.Ms_space.max_cell t.ms)
+      ~los_grow:(fun ~npages -> mature_pages t + npages <= budget_pages t)
+      ~los_stages:[| full |] ()
   in
   {
-    Collector.name = display_name;
+    Collector.name = t.name;
     heap;
     config;
-    alloc = (fun ~size ~nrefs ~kind -> alloc t ~size ~nrefs ~kind);
-    collect = (fun () -> full t);
+    alloc = (fun ~size ~nrefs ~kind -> Gc_common.Alloc.alloc path ~size ~nrefs ~kind);
+    collect = full;
     stats = t.stats;
     footprint_pages = (fun () -> total_pages t);
     check_invariants = (fun () -> check_invariants t);
     tuning = Collector.no_tuning;
     debug = Collector.No_debug;
   }
+
+let factory = make ~generational:true
+
+(* "A variant of GenMS which performs only whole heap garbage
+   collections": the nursery becomes a copy space that only full
+   collections empty, so no barrier or remembered set is needed. *)
+module Copy_ms = struct
+  let name = copy_ms_name
+
+  let doc = "copying nursery over a mark-sweep old space"
+
+  let factory = make ~generational:false
+end

@@ -15,3 +15,11 @@ val doc : string
 
 val fixed_nursery_name : string
 (** Display name used for the fixed-size-nursery variant (Figure 5(b)). *)
+
+(** CopyMS (Jikes RVM): "a variant of GenMS which performs only whole
+    heap garbage collections". This is GenMS's non-generational
+    configuration. Objects are bump-allocated into the nursery, which
+    acts as a copy space; every collection is a full one that evacuates
+    survivors into the mark-sweep space. There is no write barrier and
+    no remembered set. *)
+module Copy_ms : Gc_common.Collector.S

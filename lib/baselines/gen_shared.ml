@@ -9,6 +9,20 @@ let nursery_limit config ~mature_bytes =
       let free = config.Gc_common.Gc_config.heap_bytes - mature_bytes in
       Int.max (free / 2) min_nursery_bytes
 
+let in_young heap id =
+  Heapsim.Object_table.space (Heapsim.Heap.objects heap) id
+  = Gc_common.Space_tag.nursery
+
+let install_barrier heap record =
+  let objects = Heapsim.Heap.objects heap in
+  let nursery = Gc_common.Space_tag.nursery in
+  Heapsim.Heap.set_write_barrier heap (fun ~src ~field ~old_target:_ ~target ->
+      if
+        (not (Heapsim.Obj_id.is_null target))
+        && Heapsim.Object_table.space objects target = nursery
+        && Heapsim.Object_table.space objects src <> nursery
+      then record ~src ~field)
+
 let seed_remset heap remset enqueue =
   let objects = Heapsim.Heap.objects heap in
   Gc_common.Remset.drain remset (fun ~src ~field ->
@@ -24,7 +38,7 @@ let seed_remset heap remset enqueue =
 let scan_fields objects id enqueue =
   Heapsim.Object_table.iter_refs objects id (fun _field target -> enqueue target)
 
-let minor_trace heap ~epoch ~in_young ~copy_young ~extra_roots =
+let minor_trace heap ~epoch ~copy_young ~extra_roots =
   let objects = Heapsim.Heap.objects heap in
   Gc_common.Tracer.run
     ~roots:(fun enqueue ->
@@ -33,7 +47,7 @@ let minor_trace heap ~epoch ~in_young ~copy_young ~extra_roots =
     ~visit:(fun id ~enqueue ->
       if
         Heapsim.Object_table.is_live objects id
-        && in_young id
+        && in_young heap id
         && Heapsim.Object_table.scratch objects id <> epoch
       then begin
         Heapsim.Object_table.set_scratch objects id epoch;

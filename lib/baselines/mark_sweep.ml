@@ -31,46 +31,6 @@ let collect t =
 
 let budget_pages t = Gc_common.Gc_config.heap_pages t.config
 
-let alloc_addr t ~size =
-  if size > max_cell then
-    Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow:(fun ~npages ->
-        total_pages t + npages <= budget_pages t)
-  else
-    Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:(fun () ->
-        total_pages t + 1 <= budget_pages t)
-
-let alloc t ~size ~nrefs ~kind =
-  Collector.charge_alloc t.heap ~bytes:size;
-  (* free-list allocation costs more than a bump pointer *)
-  Vmsim.Clock.advance
-    (Heapsim.Heap.clock t.heap)
-    (Heapsim.Heap.costs t.heap).Vmsim.Costs.freelist_alloc_extra_ns;
-  Gc_stats.record_alloc t.stats ~bytes:size;
-  let addr =
-    match alloc_addr t ~size with
-    | Some addr -> addr
-    | None -> (
-        collect t;
-        match alloc_addr t ~size with
-        | Some addr -> addr
-        | None ->
-            raise
-              (Collector.Heap_exhausted
-                 (Printf.sprintf "%s: cannot allocate %d bytes in %d-byte heap"
-                    name size t.config.Gc_common.Gc_config.heap_bytes)))
-  in
-  let objects = Heapsim.Heap.objects t.heap in
-  let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-  Heapsim.Heap.place t.heap id ~addr;
-  let space =
-    if size > max_cell then Space_tag.los else Space_tag.mature
-  in
-  Heapsim.Object_table.set_space objects id space;
-  if space = Space_tag.los then
-    Gc_common.Large_object_space.note_object t.los id;
-  Heapsim.Heap.touch_object t.heap ~write:true id;
-  id
-
 let check_invariants t =
   let objects = Heapsim.Heap.objects t.heap in
   Heapsim.Object_table.iter_live objects (fun id ->
@@ -87,12 +47,24 @@ let factory config heap =
       stats = Gc_stats.create ();
     }
   in
+  let collect () = collect t in
+  let grow_ms () = total_pages t + 1 <= budget_pages t in
+  let path =
+    Gc_common.Alloc.create ~name ~heap ~config ~stats:t.stats
+      (* free-list allocation costs more than a bump pointer *)
+      ~surcharge_ns:(Heapsim.Heap.costs heap).Vmsim.Costs.freelist_alloc_extra_ns
+      ~small:(fun bytes -> Gc_common.Ms_space.alloc t.ms ~bytes ~grow:grow_ms)
+      ~small_tag:Gc_common.Space_tag.mature ~stages:[| collect |] ~los:t.los
+      ~los_above:max_cell
+      ~los_grow:(fun ~npages -> total_pages t + npages <= budget_pages t)
+      ~los_stages:[| collect |] ()
+  in
   {
     Collector.name;
     heap;
     config;
-    alloc = (fun ~size ~nrefs ~kind -> alloc t ~size ~nrefs ~kind);
-    collect = (fun () -> collect t);
+    alloc = (fun ~size ~nrefs ~kind -> Gc_common.Alloc.alloc path ~size ~nrefs ~kind);
+    collect;
     stats = t.stats;
     footprint_pages = (fun () -> total_pages t);
     check_invariants = (fun () -> check_invariants t);

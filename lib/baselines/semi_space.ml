@@ -15,7 +15,7 @@ type t = {
   stats : Gc_stats.t;
   spaces : Gc_common.Bump_space.t array;
   mutable to_idx : int;
-  mutable ss_objects : Heapsim.Obj_id.t Vec.t;
+  ss_objects : Heapsim.Obj_id.t Vec.t;
   los : Gc_common.Large_object_space.t;
   mutable epoch : int;
 }
@@ -27,6 +27,9 @@ let total_pages t =
   + Gc_common.Bump_space.used_pages t.spaces.(1)
   + Gc_common.Large_object_space.pages_in_use t.los
 
+(* Every copy-space object is young, so a collection is Gen_shared's
+   whole-heap trace: young objects are evacuated into the to-space, large
+   objects are marked for the LOS sweep. *)
 let collect t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Full
     (fun () ->
@@ -37,99 +40,31 @@ let collect t =
       let to_space = t.spaces.(t.to_idx) in
       Gc_common.Bump_space.reset to_space;
       let objects = Heapsim.Heap.objects t.heap in
-      Gc_common.Tracer.run
-        ~roots:(fun enqueue -> Heapsim.Heap.iter_roots t.heap enqueue)
-        ~visit:(fun id ~enqueue ->
-          if Heapsim.Object_table.scratch objects id <> t.epoch then begin
-            Heapsim.Object_table.set_scratch objects id t.epoch;
-            if Heapsim.Object_table.space objects id = Space_tag.nursery then begin
-              let size = Heapsim.Object_table.size objects id in
-              match
-                Gc_common.Bump_space.alloc to_space ~bytes:size
-                  ~limit_bytes:(half_bytes t)
-              with
-              | None ->
-                  raise
-                    (Collector.Heap_exhausted
-                       (name ^ ": survivors overflow the copy reserve"))
-              | Some addr ->
-                  Trace_util.copy_object t.heap id ~new_addr:addr;
-                  Heapsim.Object_table.iter_refs objects id (fun _ target ->
-                      enqueue target)
-            end
-            else begin
-              (* large object: mark for the LOS sweep *)
-              Heapsim.Object_table.set_marked objects id true;
-              Charge.object_visit t.heap;
-              Heapsim.Heap.touch_object t.heap ~write:true id;
-              Heapsim.Object_table.iter_refs objects id (fun _ target ->
-                  enqueue target)
-            end
-          end);
-      (* reap unreached copy-space objects *)
-      let survivors = Vec.create () in
-      Vec.iter
+      Gen_shared.full_trace t.heap ~epoch:t.epoch
+        ~in_young:(Gen_shared.in_young t.heap)
+        ~copy_young:(fun id ->
+          let addr =
+            Gc_common.Bump_space.alloc to_space
+              ~bytes:(Heapsim.Object_table.size objects id)
+              ~limit_bytes:(half_bytes t)
+          in
+          if addr < 0 then
+            raise
+              (Collector.Heap_exhausted
+                 (name ^ ": survivors overflow the copy reserve"));
+          Trace_util.copy_object t.heap id ~new_addr:addr)
+        ~on_old:(fun id -> Heapsim.Object_table.set_marked objects id true);
+      (* reap unreached copy-space objects; the survivors stay listed, in
+         order, in the vector the allocation path pushes onto *)
+      Vec.filter_in_place
         (fun id ->
-          if Heapsim.Object_table.scratch objects id = t.epoch then
-            Vec.push survivors id
-          else Heapsim.Heap.free_object t.heap id)
+          let survived = Heapsim.Object_table.scratch objects id = t.epoch in
+          if not survived then Heapsim.Heap.free_object t.heap id;
+          survived)
         t.ss_objects;
-      t.ss_objects <- survivors;
       Gc_common.Bump_space.reset t.spaces.(from_idx);
       Gc_common.Large_object_space.sweep t.los;
       Gc_stats.note_heap_pages t.stats (total_pages t))
-
-let alloc t ~size ~nrefs ~kind =
-  Collector.charge_alloc t.heap ~bytes:size;
-  Gc_stats.record_alloc t.stats ~bytes:size;
-  let objects = Heapsim.Heap.objects t.heap in
-  if size > los_threshold then begin
-    let grow ~npages =
-      total_pages t + npages
-      <= Gc_common.Gc_config.heap_pages t.config
-    in
-    let addr =
-      match Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow with
-      | Some addr -> Some addr
-      | None ->
-          collect t;
-          Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
-  else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.spaces.(t.to_idx) ~bytes:size
-        ~limit_bytes:(half_bytes t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None ->
-          collect t;
-          try_alloc ()
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes" name size))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.ss_objects id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
 
 let check_invariants t =
   let objects = Heapsim.Heap.objects t.heap in
@@ -160,12 +95,24 @@ let factory config heap =
       epoch = 0;
     }
   in
+  let collect () = collect t in
+  let path =
+    Gc_common.Alloc.create ~name ~heap ~config ~stats:t.stats
+      ~small:(fun bytes ->
+        Gc_common.Bump_space.alloc t.spaces.(t.to_idx) ~bytes
+          ~limit_bytes:(half_bytes t))
+      ~small_tag:Gc_common.Space_tag.nursery ~young:t.ss_objects
+      ~stages:[| collect |] ~los:t.los ~los_above:los_threshold
+      ~los_grow:(fun ~npages ->
+        total_pages t + npages <= Gc_common.Gc_config.heap_pages config)
+      ~los_stages:[| collect |] ()
+  in
   {
     Collector.name;
     heap;
     config;
-    alloc = (fun ~size ~nrefs ~kind -> alloc t ~size ~nrefs ~kind);
-    collect = (fun () -> collect t);
+    alloc = (fun ~size ~nrefs ~kind -> Gc_common.Alloc.alloc path ~size ~nrefs ~kind);
+    collect;
     stats = t.stats;
     footprint_pages = (fun () -> total_pages t);
     check_invariants = (fun () -> check_invariants t);

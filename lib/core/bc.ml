@@ -4,7 +4,7 @@ module Collector = Gc_common.Collector
 module Charge = Gc_common.Charge
 module Gc_stats = Gc_common.Gc_stats
 module Gc_config = Gc_common.Gc_config
-module Space_tag = Baselines.Space_tag
+module Space_tag = Gc_common.Space_tag
 
 let name = "BC"
 
@@ -713,10 +713,6 @@ let remembered_roots t enqueue =
       then enqueue id)
     t.nursery_objects
 
-let in_young t id =
-  Heapsim.Object_table.space (Heapsim.Heap.objects t.heap) id
-  = Space_tag.nursery
-
 (* Retire the (now fully evacuated or dead) nursery: its touched pages
    become discard candidates. *)
 let retire_nursery_pages t =
@@ -774,7 +770,6 @@ let minor t =
       t.epoch <- t.epoch + 1;
       let run extra =
         Baselines.Gen_shared.minor_trace t.heap ~epoch:t.epoch
-          ~in_young:(in_young t)
           ~copy_young:(fun id -> sp_copy_young t id)
           ~extra_roots:extra
       in
@@ -1229,9 +1224,6 @@ let mature_can_absorb t =
   Superpage.free_bytes t.sp_space + growable_bytes
   >= Gc_common.Bump_space.used_bytes t.nursery
 
-(* Escalation ladder: nursery GC, full GC, compaction, growing past the
-   footprint target (at the price of paging), and finally the
-   completeness fail-safe. *)
 (* Pressure bursts overshoot the footprint estimate (evictions are
    batched), so reclaim the slack the kernel is no longer using: raise the
    target by the machine's free frames (§7 sketches this regrowth). *)
@@ -1252,8 +1244,14 @@ let full_or_compact t =
     compact t
   else full t
 
+(* Escalation ladder: nursery GC, full GC, compaction, growing past the
+   footprint target (at the price of paging), and finally the
+   completeness fail-safe. Each stage swallows its own heap exhaustion,
+   so a failed rung is followed by the next one, not by an aborted
+   allocation. *)
 let escalations t =
-  [
+  let stage f () = try f () with Collector.Heap_exhausted _ -> () in
+  Array.map stage [|
     (fun () ->
       maybe_regrow t;
       if t.failsafe_needed && t.opts.Gc_config.bookmarks_enabled then begin
@@ -1283,68 +1281,7 @@ let escalations t =
     (fun () ->
       if t.opts.Gc_config.bookmarks_enabled && t.evicted_count > 0 then
         failsafe t);
-  ]
-
-let rec run_escalations t try_alloc = function
-  | [] -> None
-  | stage :: rest -> (
-      (match stage () with
-      | () -> ()
-      | exception Collector.Heap_exhausted _ -> ());
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> run_escalations t try_alloc rest)
-
-let alloc t ~size ~nrefs ~kind =
-  Collector.charge_alloc t.heap ~bytes:size;
-  Gc_stats.record_alloc t.stats ~bytes:size;
-  let objects = Heapsim.Heap.objects t.heap in
-  if size > los_threshold then begin
-    let grow ~npages = mature_pages t + npages <= effective_heap_pages t in
-    let try_alloc () =
-      Gc_common.Large_object_space.alloc t.los ~bytes:size ~grow
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> run_escalations t try_alloc (List.tl (escalations t))
-    in
-    match addr with
-    | None -> raise (Collector.Heap_exhausted (name ^ ": large object"))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.los;
-        Gc_common.Large_object_space.note_object t.los id;
-        note_placed t id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
-  else begin
-    let try_alloc () =
-      Gc_common.Bump_space.alloc t.nursery ~bytes:size
-        ~limit_bytes:(nursery_limit t)
-    in
-    let addr =
-      match try_alloc () with
-      | Some addr -> Some addr
-      | None -> run_escalations t try_alloc (escalations t)
-    in
-    match addr with
-    | None ->
-        raise
-          (Collector.Heap_exhausted
-             (Printf.sprintf "%s: cannot allocate %d bytes in %d-byte heap"
-                name size t.config.Gc_config.heap_bytes))
-    | Some addr ->
-        let id = Heapsim.Object_table.alloc objects ~size ~nrefs ~kind in
-        Heapsim.Heap.place t.heap id ~addr;
-        Heapsim.Object_table.set_space objects id Space_tag.nursery;
-        Vec.push t.nursery_objects id;
-        note_placed t id;
-        Heapsim.Heap.touch_object t.heap ~write:true id;
-        id
-  end
+  |]
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checking (tests)                                          *)
@@ -1522,12 +1459,8 @@ let factory config heap =
     }
   in
   Superpage.set_on_acquire t.sp_space (fun sp -> track_new_superpage t sp);
-  Heapsim.Heap.set_write_barrier heap (fun ~src ~field ~old_target:_ ~target ->
-      if
-        (not (Heapsim.Obj_id.is_null target))
-        && Heapsim.Object_table.space objects target = Space_tag.nursery
-        && Heapsim.Object_table.space objects src <> Space_tag.nursery
-      then Gc_common.Write_buffer.record t.wbuf ~src ~field);
+  Baselines.Gen_shared.install_barrier heap
+    (Gc_common.Write_buffer.record t.wbuf);
   (* register for paging signals (§4.1). A signal handler must never
      take down the mutator: programming-error exceptions are swallowed,
      counted, and converted into a scheduled fail-safe collection, which
@@ -1553,11 +1486,25 @@ let factory config heap =
       | Gc_config.Fixed _ -> name ^ "-fixed"
     else resizing_only_name
   in
+  let stages = escalations t in
+  let path =
+    Gc_common.Alloc.create ~name:display_name ~heap ~config ~stats:t.stats
+      ~small:(fun bytes ->
+        Gc_common.Bump_space.alloc t.nursery ~bytes
+          ~limit_bytes:(nursery_limit t))
+      ~small_tag:Space_tag.nursery ~young:t.nursery_objects ~stages
+      ~los:t.los ~los_above:los_threshold
+      ~los_grow:(fun ~npages ->
+        mature_pages t + npages <= effective_heap_pages t)
+      (* large objects skip the nursery-first rung *)
+      ~los_stages:(Array.sub stages 1 (Array.length stages - 1))
+      ~on_placed:(note_placed t) ()
+  in
   {
     Collector.name = display_name;
     heap;
     config;
-    alloc = (fun ~size ~nrefs ~kind -> alloc t ~size ~nrefs ~kind);
+    alloc = (fun ~size ~nrefs ~kind -> Gc_common.Alloc.alloc path ~size ~nrefs ~kind);
     collect = (fun () -> full t);
     stats = t.stats;
     footprint_pages = (fun () -> total_pages t);

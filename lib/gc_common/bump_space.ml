@@ -24,11 +24,11 @@ let alloc t ~bytes ~limit_bytes =
   if bytes <= 0 then invalid_arg ("Bump_space.alloc: " ^ t.name)
   else if
     used_bytes t + bytes > Int.min limit_bytes (capacity_bytes t)
-  then None
+  then -1
   else begin
     let addr = t.bump in
     t.bump <- t.bump + bytes;
-    Some addr
+    addr
   end
 
 let reset t = t.bump <- t.base

@@ -43,8 +43,3 @@ module type S = sig
 
   val factory : factory
 end
-
-let charge_alloc heap ~bytes =
-  let costs = Heapsim.Heap.costs heap in
-  Vmsim.Clock.advance (Heapsim.Heap.clock heap)
-    (costs.Vmsim.Costs.alloc_ns + (bytes * costs.Vmsim.Costs.alloc_byte_ns))

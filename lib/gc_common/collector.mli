@@ -5,8 +5,8 @@
     present this same interface. *)
 
 exception Heap_exhausted of string
-(** Raised by [alloc] when a request cannot be satisfied even after a full
-    collection at the configured maximum heap size. *)
+(** Raised by [alloc] when a request cannot be satisfied even after the
+    collector's last escalation stage. *)
 
 type tuning = {
   set_target_pages : int option -> unit;
@@ -52,7 +52,8 @@ type t = {
   config : Gc_config.t;
   alloc : size:int -> nrefs:int -> kind:[ `Scalar | `Array ] -> Heapsim.Obj_id.t;
       (** Allocate, placing and (first-)touching the object; may trigger
-          collections. Raises {!Heap_exhausted}. *)
+          collections. Every collector answers this with its {!Alloc.t},
+          the one allocation path. Raises {!Heap_exhausted}. *)
   collect : unit -> unit;  (** Force a full collection. *)
   stats : Gc_stats.t;
   footprint_pages : unit -> int;
@@ -84,6 +85,3 @@ module type S = sig
 
   val factory : factory
 end
-
-val charge_alloc : Heapsim.Heap.t -> bytes:int -> unit
-(** Charge the mutator-side allocation cost (shared by all collectors). *)

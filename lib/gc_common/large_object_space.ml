@@ -19,7 +19,7 @@ let create heap ~name =
 
 let alloc t ~bytes ~grow =
   let npages = Vmsim.Page.count_for_bytes bytes in
-  if not (grow ~npages) then None
+  if not (grow ~npages) then -1
   else begin
     let first_page =
       Heapsim.Address_space.reserve (Heapsim.Heap.address_space t.heap) ~npages
@@ -28,7 +28,7 @@ let alloc t ~bytes ~grow =
       (Heapsim.Heap.process t.heap) ~first_page ~npages;
     Hashtbl.add t.page_ranges first_page npages;
     t.pages <- t.pages + npages;
-    Some (Vmsim.Page.addr_of first_page)
+    Vmsim.Page.addr_of first_page
   end
 
 let note_object t id = Vec.push t.objects id
@@ -42,13 +42,12 @@ let iter_objects t f = Vec.iter f t.objects
 let sweep t =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
-  let survivors = Vec.create () in
-  Vec.iter
+  Vec.filter_in_place
     (fun id ->
       Charge.object_visit heap;
       if Heapsim.Object_table.marked objects id then begin
         Heapsim.Object_table.set_marked objects id false;
-        Vec.push survivors id
+        true
       end
       else begin
         let first_page = Heapsim.Heap.first_page heap id in
@@ -56,11 +55,10 @@ let sweep t =
         Heapsim.Heap.free_object heap id;
         Vmsim.Vmm.unmap_range (Heapsim.Heap.vmm heap) ~first_page ~npages;
         Hashtbl.remove t.page_ranges first_page;
-        t.pages <- t.pages - npages
+        t.pages <- t.pages - npages;
+        false
       end)
-    t.objects;
-  Vec.clear t.objects;
-  Vec.iter (Vec.push t.objects) survivors
+    t.objects
 
 let forget_range t ~first_page =
   let npages = Hashtbl.find t.page_ranges first_page in

@@ -9,9 +9,10 @@ type t
 
 val create : Heapsim.Heap.t -> name:string -> t
 
-val alloc : t -> bytes:int -> grow:(npages:int -> bool) -> int option
-(** Allocate a fresh page range; [grow] is consulted with the number of
-    pages needed. *)
+val alloc : t -> bytes:int -> grow:(npages:int -> bool) -> int
+(** Allocate a fresh page range and return its address; [grow] is
+    consulted with the number of pages needed, and [false] makes the
+    allocation fail with [-1]. *)
 
 val note_object : t -> Heapsim.Obj_id.t -> unit
 (** Register the (placed) object so sweeps can find it. *)

@@ -121,7 +121,7 @@ let alloc t ~bytes ~grow =
             | None -> None)
       in
       match page_opt with
-      | None -> None
+      | None -> -1
       | Some pr ->
           let addr = Vec.pop pr.free in
           t.free_bytes <- t.free_bytes - Size_class.cell_size cls;
@@ -131,7 +131,7 @@ let alloc t ~bytes ~grow =
             let v = t.partial.(cls) in
             if not (Vec.is_empty v) && Vec.top v == pr then ignore (Vec.pop v)
           end;
-          Some addr)
+          addr)
 
 let sweep t =
   let heap = t.heap in

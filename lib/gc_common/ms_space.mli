@@ -14,9 +14,10 @@ val create : Heapsim.Heap.t -> name:string -> max_cell:int -> t
 
 val max_cell : t -> int
 
-val alloc : t -> bytes:int -> grow:(unit -> bool) -> int option
-(** Allocate a cell for [bytes]. When a fresh page is needed, [grow] is
-    consulted; returning [false] makes the allocation fail. *)
+val alloc : t -> bytes:int -> grow:(unit -> bool) -> int
+(** Allocate a cell for [bytes] and return its address. When a fresh page
+    is needed, [grow] is consulted; returning [false] makes the
+    allocation fail with [-1]. *)
 
 val sweep : t -> unit
 (** Touch and sweep every page: unmarked objects on this space's pages are

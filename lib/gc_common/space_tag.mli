@@ -1,7 +1,8 @@
 (** Space tags stored in each object's collector-defined space word.
 
-    Shared across collectors so tests and tracing helpers can reason about
-    object placement uniformly. *)
+    {!Alloc} tags every new object, and the collectors retag the objects
+    they move. Shared so that collectors, tracing helpers and tests read
+    object placement the same way. *)
 
 val nursery : int
 (** Bump-allocated young space (also semispace / copy space). *)

@@ -60,7 +60,7 @@ let all =
     entry ~variant:"fixed" ~doc:"GenCopy with the fixed nursery"
       ~config:fixed_nursery
       (module Baselines.Gen_copy);
-    entry ~config:plain (module Baselines.Copy_ms);
+    entry ~config:plain (module Baselines.Gen_ms.Copy_ms);
     entry ~config:plain (module Baselines.Mark_sweep);
     entry ~config:plain (module Baselines.Semi_space);
     (* BC ablations (bench targets only) *)

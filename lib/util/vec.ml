@@ -52,6 +52,17 @@ let swap_remove v i =
   v.data.(i) <- v.data.(v.len);
   x
 
+let filter_in_place p v =
+  let kept = ref 0 in
+  for i = 0 to v.len - 1 do
+    let x = v.data.(i) in
+    if p x then begin
+      v.data.(!kept) <- x;
+      incr kept
+    end
+  done;
+  v.len <- !kept
+
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)

@@ -40,6 +40,10 @@ val swap_remove : 'a t -> int -> 'a
 (** [swap_remove v i] removes index [i] in O(1) by moving the last element
     into its place, and returns the removed element. *)
 
+val filter_in_place : ('a -> bool) -> 'a t -> unit
+(** Keep the elements satisfying the predicate, in their order. The
+    predicate runs once per element, first to last. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

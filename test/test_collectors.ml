@@ -8,6 +8,8 @@ module OT = Heapsim.Object_table
 module Heap = Heapsim.Heap
 module Collector = Gc_common.Collector
 module Gc_stats = Gc_common.Gc_stats
+module Alloc = Gc_common.Alloc
+module Space_tag = Gc_common.Space_tag
 
 let check = Alcotest.check
 
@@ -208,6 +210,100 @@ let test_only_bc_compacts () =
         (Gc_stats.count stats Gc_stats.Compacting))
     [ "GenMS"; "GenCopy"; "CopyMS"; "MarkSweep"; "SemiSpace" ]
 
+(* -- the shared allocation path ---------------------------------------- *)
+
+(* A stub path on a Mini heap. Its small space fails until
+   [succeed_after] stages have run; stage [i] logs [i] and raises
+   Heap_exhausted when [i = raise_at]. *)
+let stub_path ?(raise_at = -1) ~stages ~succeed_after () =
+  let heap = (Mini.machine ()).Mini.heap in
+  let space = Gc_common.Bump_space.create heap ~name:"stub" ~npages:4 in
+  let ran = ref [] in
+  let small bytes =
+    if List.length !ran < succeed_after then -1
+    else Gc_common.Bump_space.alloc space ~bytes ~limit_bytes:max_int
+  in
+  let stage i () =
+    ran := i :: !ran;
+    if i = raise_at then raise (Collector.Heap_exhausted "stage gave up")
+  in
+  let path =
+    Alloc.create ~name:"stub" ~heap
+      ~config:(Gc_common.Gc_config.make ~heap_bytes:16384 ())
+      ~stats:(Gc_stats.create ()) ~small ~small_tag:Space_tag.nursery
+      ~stages:(Array.init stages stage)
+      ~los:(Gc_common.Large_object_space.create heap ~name:"los")
+      ~los_above:max_int
+      ~los_grow:(fun ~npages:_ -> true)
+      ~los_stages:[||] ()
+  in
+  (heap, path, fun () -> List.rev !ran)
+
+let alloc_64 path = Alloc.alloc path ~size:64 ~nrefs:0 ~kind:`Scalar
+
+let ints = Alcotest.(list int)
+
+let test_ladder_stops_at_first_success () =
+  for k = 0 to 3 do
+    let heap, path, ran = stub_path ~stages:3 ~succeed_after:k () in
+    let id = alloc_64 path in
+    check ints (Printf.sprintf "stages before success %d" k)
+      (List.init k Fun.id) (ran ());
+    check Alcotest.bool "placed" true (OT.addr (Heap.objects heap) id >= 0);
+    check Alcotest.int "small tag" Space_tag.nursery
+      (OT.space (Heap.objects heap) id)
+  done
+
+let test_ladder_exhausts_after_last_stage () =
+  let _, path, ran = stub_path ~stages:3 ~succeed_after:4 () in
+  Alcotest.check_raises "exhaustion message"
+    (Collector.Heap_exhausted "stub: cannot allocate 64 bytes in 16384-byte heap")
+    (fun () -> ignore (alloc_64 path));
+  check ints "every stage ran, in order" [ 0; 1; 2 ] (ran ())
+
+let test_stage_exhaustion_propagates () =
+  let _, path, ran = stub_path ~raise_at:1 ~stages:3 ~succeed_after:3 () in
+  Alcotest.check_raises "the stage's own exception"
+    (Collector.Heap_exhausted "stage gave up")
+    (fun () -> ignore (alloc_64 path));
+  check ints "later stages skipped" [ 0; 1 ] (ran ())
+
+(* Objects above these sizes go to the large object space. *)
+let los_threshold = function
+  | "GenMS" | "CopyMS" | "MarkSweep" -> 2048
+  | "GenCopy" | "SemiSpace" | "BC" -> 8180
+  | family -> Alcotest.failf "no LOS threshold for %s" family
+
+let test_los_routing (info : Harness.Registry.info) () =
+  let m, c = Mini.collector info.Harness.Registry.name in
+  let heap = m.Mini.heap in
+  let objects = Heap.objects heap in
+  let rooted = ref [] in
+  Heap.set_roots heap (fun f -> List.iter f !rooted);
+  let alloc size =
+    let id = c.Collector.alloc ~size ~nrefs:0 ~kind:`Array in
+    rooted := id :: !rooted;
+    id
+  in
+  let threshold = los_threshold info.Harness.Registry.family in
+  let at = alloc threshold in
+  let above = alloc (threshold + 1) in
+  let small_tag =
+    if info.Harness.Registry.family = "MarkSweep" then Space_tag.mature
+    else Space_tag.nursery
+  in
+  check Alcotest.int "threshold size stays small" small_tag
+    (OT.space objects at);
+  check Alcotest.int "one byte more goes to the LOS" Space_tag.los
+    (OT.space objects above);
+  (* only the LOS sweep frees a LOS-tagged object, so reclaiming it
+     proves the space lists it *)
+  c.Collector.collect ();
+  check Alcotest.bool "survives while reachable" true (OT.is_live objects above);
+  rooted := [];
+  c.Collector.collect ();
+  check Alcotest.bool "listed by the LOS" false (OT.is_live objects above)
+
 (* -- the nine paper benchmarks, miniaturised -------------------------- *)
 
 let test_benchmark_matrix collector spec () =
@@ -292,6 +388,21 @@ let () =
             test_fixed_nursery_collects_more_often;
           Alcotest.test_case "only BC compacts" `Quick test_only_bc_compacts;
         ] );
+      ( "alloc path",
+        [
+          Alcotest.test_case "ladder stops at first success" `Quick
+            test_ladder_stops_at_first_success;
+          Alcotest.test_case "exhausted after last stage" `Quick
+            test_ladder_exhausts_after_last_stage;
+          Alcotest.test_case "stage exception propagates" `Quick
+            test_stage_exhaustion_propagates;
+        ]
+        @ List.map
+            (fun (info : Harness.Registry.info) ->
+              Alcotest.test_case
+                (info.Harness.Registry.name ^ ": LOS routing")
+                `Quick (test_los_routing info))
+            Harness.Registry.all );
       ( "benchmarks",
         List.concat_map
           (fun collector ->
