@@ -1,4 +1,4 @@
-.PHONY: all build test test-release ci alloc-path-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release ci alloc-path-check sched-path-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -21,14 +21,15 @@ test-release:
 	  --build-dir .release_build
 
 # Full CI gate: everything compiles (including examples and benches), every
-# collector allocates through Gc_common.Alloc, the whole suite passes — test_faults runs the fault-plan smoke tests with
+# collector allocates through Gc_common.Alloc, only the scheduler starts
+# workers, the whole suite passes — test_faults runs the fault-plan smoke tests with
 # fixed seeds, so regressions in the degradation paths fail here — and
 # traced runs (one solo, one two-process) produce valid Chrome JSON
 # covering every expected GC phase kind. The wall-clock perf-guard runs
 # last: it depends on how busy the machine is, so a failure there must
 # not hide the deterministic checks before it.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls
@@ -42,6 +43,24 @@ alloc-path-check:
 	elif [ $$status -ne 1 ]; then \
 	  echo "alloc-path-check: grep failed with status $$status" >&2; exit 1; \
 	fi
+
+# One scheduler: Supervisor.run is the only scheduling loop, so only
+# supervisor.ml may fork a worker and only domain_pool.ml may spawn a domain.
+# A call to either anywhere else under lib/ or bin/ fails here, named; the
+# patterns match calls, not mentions in comments. grep exits 1 when nothing
+# matches; any other status (a match, or grep's own error) fails the target.
+sched-path-check:
+	@only_in() { \
+	  files=$$(grep -rlE --include='*.ml' --exclude="$$2" "$$1" lib bin); \
+	  status=$$?; \
+	  if [ $$status -eq 0 ]; then \
+	    echo "sched-path-check: $$3 outside $$2 in:" $$files >&2; return 1; \
+	  elif [ $$status -ne 1 ]; then \
+	    echo "sched-path-check: grep failed with status $$status" >&2; return 1; \
+	  fi; \
+	}; \
+	only_in 'Unix\.fork[[:space:]]*\(\)' supervisor.ml 'Unix.fork ()' && \
+	only_in 'Domain\.spawn[[:space:]]*\(' domain_pool.ml 'Domain.spawn ('
 
 # Trace smoke: a small pressured run known (deterministically) to exercise
 # minor, full, compacting and every BC sub-phase; `bcgc trace` re-parses

@@ -621,10 +621,11 @@ let backend_arg =
   let doc =
     "Execution backend for the cells: `fork' (supervised worker \
      processes — crash isolation, deadlines, chaos), `domains' \
-     (shared-memory pool of OCaml domains with work stealing — no \
-     per-cell fork/Marshal cost; incompatible with --chaos, and fork \
-     becomes unavailable for the rest of the process), or `seq' \
-     (inline). Default: seq at -j 1, fork otherwise."
+     (shared-memory pool of OCaml domains, each claiming the next cell \
+     from one shared cursor — no per-cell fork/Marshal cost; \
+     incompatible with --chaos, and fork becomes unavailable for the \
+     rest of the process), or `seq' (inline). Default: seq at -j 1, \
+     fork otherwise."
   in
   Arg.(
     value

@@ -724,8 +724,6 @@ let run ?(jobs = 1) ?(backend = `Fork) ?chaos ?stop_after ?(resume = false)
         Supervisor.retried = 0;
         quarantined = 0;
         chaos_kills = 0;
-        deadline_kills = 0;
-        workers_spawned = 0;
         workers_lost = 0;
       }
   in
@@ -763,9 +761,9 @@ let run ?(jobs = 1) ?(backend = `Fork) ?chaos ?stop_after ?(resume = false)
                 else ""))
         in
         let _cells, st =
-          Supervisor.run ~jobs ~backend ~force_fork:true
-            ?deadline_s:t.deadline_s ~attempts:t.retry.attempts
-            ~backoff_s:t.retry.backoff_s ?chaos ~on_result
+          Supervisor.run ~jobs ~backend ?deadline_s:t.deadline_s
+            ~attempts:t.retry.attempts ~backoff_s:t.retry.backoff_s ?chaos
+            ~on_result
             (fun c -> Run.exec c.plan)
             items
         in

@@ -139,10 +139,11 @@ val run :
     written atomically (write + rename) to {!report_path} and the
     campaign completes.
 
-    [backend] selects the execution engine (default [`Fork], which
-    forks even at [jobs = 1] for crash isolation). Under [`Domains]
-    cells run on the shared-memory domain pool: journal appends still
-    happen only in this (coordinating) domain, one writer, same fsync
-    discipline, so journals and reports come out byte-identical to a
-    forked run; [chaos] is rejected (nothing to SIGKILL) and the spec's
-    [deadline_s] is not enforced. *)
+    [backend] selects where cells run, as in {!Supervisor.run}. The
+    default is [`Fork], named explicitly, so it forks even at
+    [jobs = 1], for crash isolation. Under [`Domains] cells run on the
+    shared-memory domain pool and retry where they run: journal
+    appends still happen only in this (coordinating) domain, one
+    writer, same fsync discipline, so journals and reports come out
+    byte-identical to a forked run; [chaos] is rejected (nothing to
+    SIGKILL) and the spec's [deadline_s] is not enforced. *)

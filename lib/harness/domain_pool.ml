@@ -1,40 +1,46 @@
 (* Persistent pool of OCaml 5 domains executing experiment cells in
-   shared memory, with Chase–Lev work stealing across per-domain deques
-   (see Ws_deque). The shared-memory counterpart of the forked
-   Supervisor: no fork, no Marshal, results are ordinary heap values.
+   shared memory. The backend under Supervisor's [`Domains]: no fork, no
+   Marshal, results are ordinary heap values.
 
    Execution is round-based. The coordinator (the domain that calls
-   [run]) waits until every worker is parked, loads the per-worker
-   deques — owner-only pushes are safe precisely because the owners are
-   parked — then bumps the epoch and broadcasts. Workers drain their own
-   deque LIFO and steal FIFO from peers when empty; a round never grows
-   (cells do not spawn cells), so one clean sweep over every deque
-   proves a worker is done. Completions stream back to the coordinator
-   through a mutex-protected queue, so the [on_result] callback (the
-   campaign journal's append point) always runs in the coordinating
-   domain, in completion order — single writer, same as the fork
-   supervisor's select loop.
+   [run]) waits until every worker is parked, publishes the round — the
+   cell closure, the batch size and a fresh claim cursor — then bumps
+   the epoch and broadcasts. A worker that sees the new epoch reads
+   [t.round] under the mutex and claims cells with one fetch-and-add
+   each until the cursor passes the end. Rounds are closed (cells do not
+   spawn cells), so an exhausted cursor is conclusive. Claims run from
+   the end of the batch: sweeps put their longest cells last (a
+   campaign's jython block closes each collector), and starting there
+   keeps a long cell from being the one left running alone at the end.
 
-   Results land in a spec-order array: slot [i] is written by whichever
-   worker ran cell [i], and the completion handshake through the mutex
-   orders that write before the coordinator's read.
+   Completions stream back to the coordinator through a mutex-protected
+   queue, so the [on_result] callback (the campaign journal's append
+   point) always runs in the coordinating domain, in completion order —
+   single writer, same as the fork supervisor's select loop. Results
+   land in a spec-order array: slot [i] is written by whichever worker
+   ran cell [i], and the completion handshake through the mutex orders
+   that write before the coordinator's read.
 
-   One process-wide constraint shapes everything around this module:
-   once any domain has ever been spawned, the OCaml runtime refuses
-   [Unix.fork] for the remainder of the process — even after every
-   domain is joined. So fork-backend work must run before the first
-   [create]/[get], and [ever_created] lets the Supervisor turn the
-   runtime's late failure into an actionable error. *)
+   The round is dropped once every worker has parked again: its closure
+   captures the whole item and result arrays, and all domains share one
+   major heap, so a pool that kept it would pin the last sweep for the
+   rest of the process. *)
 
 type stats = { steals : int; executed : int array }
 
+type round = {
+  cell : int -> unit;  (* run cell [i], record its result, report it *)
+  n : int;
+  next : int Atomic.t;  (* cells claimed so far; cell [n-1-k] is claim [k] *)
+}
+
 type t = {
   jobs : int;
-  deques : (unit -> unit) Ws_deque.t array;  (* one per worker *)
   mutex : Mutex.t;
   work_ready : Condition.t;  (* workers: new epoch or shutdown *)
   progress : Condition.t;  (* coordinator: completion landed / worker parked *)
   mutable epoch : int;
+  mutable round : round option;  (* published while [run] is in progress *)
   mutable live_tasks : int;  (* cells not yet finished this round *)
   mutable idle : int;  (* workers parked awaiting an epoch *)
   mutable stopping : bool;
@@ -49,32 +55,18 @@ let jobs t = t.jobs
 
 (* --- worker side --------------------------------------------------- *)
 
-let run_task t me ~stolen task =
-  if stolen then Atomic.incr t.steals;
-  t.executed.(me) <- t.executed.(me) + 1;
-  task ()
-
-(* Drain until every deque is empty: own deque first (cheap owner pops),
-   then one stealing sweep over the peers; any successful steal restarts
-   the cycle. Rounds are closed (no task spawns tasks), so a full sweep
-   that finds nothing is conclusive. *)
-let drain t me =
-  let rec own () =
-    match Ws_deque.pop t.deques.(me) with
-    | Some task ->
-        run_task t me ~stolen:false task;
-        own ()
-    | None -> steal 0
-  and steal k =
-    if k < t.jobs - 1 then
-      let victim = (me + 1 + k) mod t.jobs in
-      match Ws_deque.steal t.deques.(victim) with
-      | Some task ->
-          run_task t me ~stolen:true task;
-          own ()
-      | None -> steal (k + 1)
+let drain t me r =
+  let rec claim () =
+    let k = Atomic.fetch_and_add r.next 1 in
+    if k < r.n then begin
+      let i = r.n - 1 - k in
+      if i mod t.jobs <> me then Atomic.incr t.steals;
+      t.executed.(me) <- t.executed.(me) + 1;
+      r.cell i;
+      claim ()
+    end
   in
-  own ()
+  claim ()
 
 let worker t me () =
   (* backtrace recording is domain-local state *)
@@ -95,30 +87,28 @@ let worker t me () =
     else begin
       seen := t.epoch;
       t.idle <- t.idle - 1;
+      (* None when this worker woke only after the round it was
+         signalled for had already finished without it *)
+      let round = t.round in
       Mutex.unlock t.mutex;
-      drain t me
+      Option.iter (drain t me) round
     end
   done
 
 (* --- coordinator side ---------------------------------------------- *)
 
-let ever = Atomic.make false
-
-let ever_created () = Atomic.get ever
-
 let create ~jobs =
   if jobs < 1 then
     invalid_arg
       (Printf.sprintf "Domain_pool.create: jobs must be >= 1 (got %d)" jobs);
-  Atomic.set ever true;
   let t =
     {
       jobs;
-      deques = Array.init jobs (fun _ -> Ws_deque.create ());
       mutex = Mutex.create ();
       work_ready = Condition.create ();
       progress = Condition.create ();
       epoch = 0;
+      round = None;
       live_tasks = 0;
       idle = 0;
       stopping = false;
@@ -139,9 +129,12 @@ let complete t idx =
   Condition.signal t.progress;
   Mutex.unlock t.mutex
 
-let default_partition i = i
+let await_parked t =
+  while t.idle < t.jobs do
+    Condition.wait t.progress t.mutex
+  done
 
-let run t ?(partition = default_partition) ?on_result f xs =
+let run t ?on_result f xs =
   let n = Array.length xs in
   let results = Array.make n None in
   if n > 0 then begin
@@ -155,25 +148,21 @@ let run t ?(partition = default_partition) ?on_result f xs =
       invalid_arg "Domain_pool.run: reentrant run on the same pool"
     end;
     t.in_run <- true;
-    (* quiesce: owner-only deque pushes below need every worker parked *)
-    while t.idle < t.jobs do
-      Condition.wait t.progress t.mutex
-    done;
+    (* publish only while every worker is parked: none may still be
+       counting into the statistics reset below *)
+    await_parked t;
     Atomic.set t.steals 0;
     Array.fill t.executed 0 t.jobs 0;
     Queue.clear t.completions;
-    for i = 0 to n - 1 do
-      let task () =
-        (match f xs.(i) with
-        | v -> results.(i) <- Some (Ok v)
-        | exception e ->
-            let bt = Printexc.get_backtrace () in
-            results.(i) <- Some (Error (e, bt)));
-        complete t i
-      in
-      let w = ((partition i mod t.jobs) + t.jobs) mod t.jobs in
-      Ws_deque.push t.deques.(w) task
-    done;
+    let cell i =
+      (match f xs.(i) with
+      | v -> results.(i) <- Some (Ok v)
+      | exception e ->
+          let bt = Printexc.get_backtrace () in
+          results.(i) <- Some (Error (e, bt)));
+      complete t i
+    in
+    t.round <- Some { cell; n; next = Atomic.make 0 };
     t.live_tasks <- n;
     t.epoch <- t.epoch + 1;
     Condition.broadcast t.work_ready;
@@ -199,10 +188,8 @@ let run t ?(partition = default_partition) ?on_result f xs =
             Mutex.lock t.mutex
       done
     done;
-    (* wait for workers to park so the next round may refill the deques *)
-    while t.idle < t.jobs do
-      Condition.wait t.progress t.mutex
-    done;
+    await_parked t;
+    t.round <- None;
     t.in_run <- false;
     Mutex.unlock t.mutex
   end;

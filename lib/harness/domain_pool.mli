@@ -1,28 +1,28 @@
 (** Persistent pool of OCaml 5 domains executing experiment cells in
-    shared memory, with work stealing across per-domain Chase–Lev
-    deques ({!Ws_deque}).
+    shared memory, handed out from one atomic cursor per round.
 
-    The shared-memory counterpart of the forked {!Supervisor} engine:
-    cells run as ordinary closures on pooled domains — no fork, no
-    Marshal, results come back as heap values in spec order. The
-    simulation is deterministic in virtual time, so a pool sweep is
-    byte-identical to a sequential or forked one; only the wall-clock
-    changes. What the pool gives up relative to fork is isolation: a
-    cell that corrupts memory or diverges takes the process with it
-    (cells are expected to contain their own failures, as {!Run.exec}
-    does), and chaos/deadline kills don't exist because a domain cannot
-    be SIGKILLed.
+    Where {!Supervisor.run}'s [`Domains] backend runs its cells: as
+    ordinary closures on pooled domains — no fork, no Marshal, results
+    come back as heap values in spec order. The simulation is
+    deterministic in virtual time, so a pool sweep is byte-identical to
+    a sequential or forked one; only the wall-clock changes. What the
+    pool gives up relative to fork is isolation: a cell that corrupts
+    memory or diverges takes the process with it (cells are expected to
+    contain their own failures, as {!Run.exec} does), and chaos/deadline
+    kills don't exist because a domain cannot be SIGKILLed.
 
     {b Fork interaction.} The OCaml runtime permanently refuses
-    [Unix.fork] once any domain has ever been spawned — joining them
-    does not restore it. Run fork-backend work before the first
-    {!create}/{!get} of the process; {!ever_created} is how the fork
-    paths detect the situation and fail with a real error. *)
+    [Unix.fork] once any domain has been spawned — joining them does not
+    restore it. Run fork-backend work before the first {!create}/{!get}
+    of the process; {!Supervisor.run} turns the runtime's refusal into
+    an [Invalid_argument] that says so. *)
 
 type t
 
 type stats = {
-  steals : int;  (** cells executed by a non-owner domain last round *)
+  steals : int;
+      (** cells of the last round run by a worker other than their
+          round-robin home, [i mod jobs] *)
   executed : int array;  (** per-worker cells executed last round *)
 }
 
@@ -34,7 +34,6 @@ val jobs : t -> int
 
 val run :
   t ->
-  ?partition:(int -> int) ->
   ?on_result:(int -> ('b, exn * string) result -> unit) ->
   ('a -> 'b) ->
   'a array ->
@@ -43,11 +42,11 @@ val run :
     per-cell results in spec (input) order. A cell whose [f] raises
     yields [Error (exn, backtrace)].
 
-    [partition i] names the worker whose deque initially receives cell
-    [i] (default: round-robin by index, taken mod the pool size) —
-    load skew is then repaired by stealing. [on_result] fires in the
-    {e coordinating} domain, in completion order, as each cell finishes:
-    the campaign journal's single-writer append point.
+    Idle workers claim cells from the end of the batch, [n-1] first.
+    [on_result] fires in the {e coordinating} domain, in completion
+    order, as each cell finishes: the campaign journal's single-writer
+    append point. The pool holds nothing of the round once [run]
+    returns.
 
     Must be called from one coordinating domain at a time; reentrant
     calls on the same pool raise [Invalid_argument]. *)
@@ -68,7 +67,3 @@ val shutdown_global : unit -> unit
 (** Shut down the shared pool, if any. Idle pooled domains are parked
     on a condition variable and cost nothing, but wall-clock-sensitive
     callers (the perf suite) shut them down anyway. *)
-
-val ever_created : unit -> bool
-(** Whether any pool was ever created in this process — from then on
-    the runtime forbids [Unix.fork], permanently. *)

@@ -1261,7 +1261,7 @@ let campaign mode =
     (List.length (Campaign.cells c))
     (get_jobs ()) journal;
   match
-    Campaign.run ~jobs:(get_jobs ())
+    Campaign.run ~jobs:(get_jobs ()) ?backend:(get_backend ())
       ~log:(fun m -> Printf.printf "%s\n%!" m)
       c
   with

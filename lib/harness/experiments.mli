@@ -18,9 +18,11 @@ val set_jobs : int -> unit
 val get_jobs : unit -> int
 
 val set_backend : Supervisor.backend option -> unit
-(** Execution backend for the sweeps ([bcgc bench --backend]): forked
-    workers, the shared-memory domain pool, or inline. [None] (the
-    default) picks per sweep — sequential at [-j 1], forked wider. *)
+(** Execution backend for the sweeps and the campaign demo ([bcgc bench
+    --backend]): forked workers, the shared-memory domain pool, or
+    inline. [None] (the default) picks per sweep — sequential at
+    [-j 1], forked wider — and leaves the campaign demo on
+    {!Campaign.run}'s own default, fork. *)
 
 val get_backend : unit -> Supervisor.backend option
 

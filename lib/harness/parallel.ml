@@ -1,45 +1,16 @@
 let default_jobs () = Domain.recommended_domain_count ()
 
-let wrap f x =
-  match f x with
-  | v -> Ok v
-  | exception e ->
-      let bt = Printexc.get_backtrace () in
-      Error
-        (if bt = "" then Printexc.to_string e
-         else Printexc.to_string e ^ "\n" ^ String.trim bt)
-
-let error_of_cell = function
-  | Supervisor.Done _ -> assert false
-  | Supervisor.Quarantined { failures; _ } ->
-      Supervisor.describe_failures failures
-
-let check_jobs ~who jobs =
-  if jobs < 1 then
-    invalid_arg (Printf.sprintf "%s: jobs must be >= 1 (got %d)" who jobs)
-
-let map ~jobs ?backend ?deadline_s ?(attempts = 1) f xs =
-  check_jobs ~who:"Parallel.map" jobs;
-  let items = Array.of_list xs in
-  let jobs = min jobs (max 1 (Array.length items)) in
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> if jobs <= 1 then `Seq else `Fork
+let map ~jobs ?backend ?deadline_s ?attempts f xs =
+  let cells, _ =
+    Supervisor.run ~jobs ?backend ?deadline_s ?attempts f (Array.of_list xs)
   in
-  if backend = `Seq && deadline_s = None && attempts = 1 then
-    (* plain in-process sweep: same results, no forks, no supervision *)
-    Array.to_list (Array.map (wrap f) items)
-  else
-    let cells, _stats =
-      Supervisor.run ~jobs ~backend ?deadline_s ~attempts f items
-    in
-    Array.to_list
-      (Array.map
-         (function
-           | Supervisor.Done { value; _ } -> Ok value
-           | Supervisor.Quarantined _ as c -> Error (error_of_cell c))
-         cells)
+  Array.to_list
+    (Array.map
+       (function
+         | Supervisor.Done { value; _ } -> Ok value
+         | Supervisor.Quarantined { failures; _ } ->
+             Error (Supervisor.describe_failures failures))
+       cells)
 
 (* Headline constructor name for a quarantined cell: the last (budget-
    exhausting) failure decides. *)
@@ -61,28 +32,20 @@ let failed_outcome failures =
     }
 
 let outcomes ~jobs ?backend ?deadline_s ?attempts plans =
-  check_jobs ~who:"Parallel.outcomes" jobs;
-  let traced = List.exists Run.Plan.traced plans in
   let backend =
     match backend with
     (* a sink filled in a forked child dies with the child's heap; the
        domain pool shares this heap, so only the fork backend downgrades *)
-    | Some `Fork when traced -> `Seq
-    | Some b -> b
-    | None -> if traced || jobs <= 1 then `Seq else `Fork
+    | (Some `Fork | None) when List.exists Run.Plan.traced plans -> Some `Seq
+    | b -> b
   in
-  let items = Array.of_list plans in
-  let jobs = min jobs (max 1 (Array.length items)) in
-  if backend = `Seq && deadline_s = None && attempts = None then
-    (* Run.exec already isolates per-cell failures; nothing to supervise *)
-    List.map Run.exec plans
-  else
-    let cells, _stats =
-      Supervisor.run ~jobs ~backend ?deadline_s ?attempts Run.exec items
-    in
-    Array.to_list
-      (Array.map
-         (function
-           | Supervisor.Done { value; _ } -> value
-           | Supervisor.Quarantined { failures; _ } -> failed_outcome failures)
-         cells)
+  let cells, _ =
+    Supervisor.run ~jobs ?backend ?deadline_s ?attempts Run.exec
+      (Array.of_list plans)
+  in
+  Array.to_list
+    (Array.map
+       (function
+         | Supervisor.Done { value; _ } -> value
+         | Supervisor.Quarantined { failures; _ } -> failed_outcome failures)
+       cells)

@@ -1,27 +1,18 @@
-(** Fork-based fan-out of independent runs across supervised Unix
-    workers.
+(** Independent runs fanned out through {!Supervisor.run}, as plain
+    results.
 
-    The whole simulation is deterministic in virtual time, so farming
-    cells of an experiment matrix out to forked worker processes and
-    marshalling the results back produces byte-identical metrics to a
-    sequential sweep — only the wall-clock changes. Results always come
-    back in input order, whatever order the workers finish in.
-
-    Since the {!Supervisor} rewrite the fan-out is a leased work queue,
-    not a strided assignment: each worker holds exactly one cell at a
-    time, so a worker that crashes, hangs past the deadline, or cuts
-    its result stream costs only that one in-flight cell — results it
-    already streamed are kept, and the failure report names the cell,
-    the worker's exit status or fatal signal, and (for in-worker
-    exceptions) the backtrace. *)
+    The whole simulation is deterministic in virtual time, so spreading
+    the cells of an experiment matrix over worker processes or pooled
+    domains produces byte-identical metrics to a sequential sweep —
+    only the wall-clock changes. Results always come back in input
+    order, whatever order the workers finish in. Scheduling, retries
+    and the choice of backend are {!Supervisor.run}'s; this module only
+    converts its cells: a quarantined cell's failure report names the
+    cell's exception and backtrace, or the worker's exit status, fatal
+    signal or blown deadline. *)
 
 val default_jobs : unit -> int
 (** Worker count matching the machine's available cores. *)
-
-val wrap : ('a -> 'b) -> 'a -> ('b, string) result
-(** Apply [f], catching any exception into [Error]; the payload is the
-    exception text plus the captured backtrace (when one was recorded),
-    so a failure threaded into [Metrics.Failed.reason] is actionable. *)
 
 val map :
   jobs:int ->
@@ -33,13 +24,13 @@ val map :
   ('b, string) result list
 (** [map ~jobs f xs] applies [f] to every item across [jobs] workers
     and returns per-item results in input order. [jobs < 1] raises
-    [Invalid_argument]. An item whose [f] raises yields [Error] with
-    the exception text and backtrace; an item whose worker dies or
-    hangs yields [Error] naming the process status or the blown
-    deadline. [deadline_s] bounds each item's wall-clock (fork backend
-    only); [attempts] retries a failed item that many times in total
-    (default 1 — no retry). [backend] picks the engine explicitly; left
-    unset, [jobs <= 1] runs sequentially in this process and anything
+    [Invalid_argument]. An item whose every attempt failed yields
+    [Error] with {!Supervisor.describe_failures}'s report: the
+    exception text and backtrace, or the process status or blown
+    deadline of a worker that died or hung. [deadline_s] bounds each
+    item's wall-clock (fork backend only); [attempts] is the number of
+    tries per item (default 1 — no retry). [backend] is as in
+    {!Supervisor.run}: left unset, one worker runs inline and anything
     wider forks.
 
     Under the fork backend [f]'s result must be marshallable (plain
@@ -61,7 +52,7 @@ val outcomes :
     diagnosis (exit status / signal / deadline, plus any backtrace), so
     matrix printers need no second error path. Plans carrying a trace
     sink never cross a fork — a sink filled in a forked child would be
-    thrown away with the child's heap — so under the (default) fork
-    backend they downgrade to a sequential in-process sweep; the
-    [`Domains] backend runs them in parallel, sinks and all, because
-    pooled domains share this heap. *)
+    thrown away with the child's heap — so under the fork backend,
+    named or defaulted, they run inline instead; the [`Domains] backend
+    runs them in parallel, sinks and all, because pooled domains share
+    this heap. *)

@@ -242,7 +242,7 @@ let bench_write_ref () = ref_bench ~write:true ()
 (* 64 deliberately short cells: small heaps, 1% volume. Short cells are
    where driver overhead dominates — the fork backend pays a worker
    spawn amortised over the sweep plus Marshal + pipe + select per
-   cell, the domain pool only a deque push/pop per cell — so this pair
+   cell, the domain pool only a cursor claim per cell — so this pair
    is the scaling story of the two engines. One op = one cell. *)
 let driver_cells = 64
 
@@ -262,17 +262,17 @@ let driver_plans () =
 
 let driver_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
-(* [force_fork] so the fork number is honest even at one core: the fork
-   backend's defining costs (spawn, Marshal, pipes, select) are paid
-   regardless of fan-out. NOTE the suite must run the fork sweep —
-   warm-ups included — before the domains sweep ever creates a pool:
-   the runtime forbids Unix.fork once any domain was spawned. The
-   [micro_benches] list order below is that ordering. *)
+(* An explicit [`Fork] forks even at one core, so the fork number is
+   honest: the fork backend's defining costs (spawn, Marshal, pipes,
+   select) are paid regardless of fan-out. NOTE the suite must run the
+   fork sweep — warm-ups included — before the domains sweep ever
+   creates a pool: the runtime forbids Unix.fork once any domain was
+   spawned. The [micro_benches] list order below is that ordering. *)
 let bench_driver_sweep ~backend () =
   let plans = driver_plans () in
   let jobs = driver_jobs () in
   let t0 = now () in
-  let cells, _ = Supervisor.run ~jobs ~backend ~force_fork:true Run.exec plans in
+  let cells, _ = Supervisor.run ~jobs ~backend Run.exec plans in
   ignore (cells : Metrics.outcome Supervisor.cell array);
   (float_of_int driver_cells, now () -. t0)
 

@@ -13,23 +13,11 @@ type 'a cell =
 type chaos = { chaos_seed : int; kill_prob : float; max_kills : int }
 
 type stats = {
-  mutable retried : int;
-  mutable quarantined : int;
-  mutable chaos_kills : int;
-  mutable deadline_kills : int;
-  mutable workers_spawned : int;
-  mutable workers_lost : int;
+  retried : int;
+  quarantined : int;
+  chaos_kills : int;
+  workers_lost : int;
 }
-
-let fresh_stats () =
-  {
-    retried = 0;
-    quarantined = 0;
-    chaos_kills = 0;
-    deadline_kills = 0;
-    workers_spawned = 0;
-    workers_lost = 0;
-  }
 
 let signal_name =
   let names =
@@ -93,10 +81,55 @@ let describe_failures = function
       in
       String.concat "\n" (head :: earlier)
 
-(* Worker-raised payload crossing the pipe: (slot name, message, backtrace). *)
-type raised = string * string * string
+let failure_of_exn e backtrace =
+  Raised
+    {
+      exn_name = Printexc.exn_slot_name e;
+      reason = Printexc.to_string e;
+      backtrace;
+    }
 
 let default_backoff_s = 0.1
+
+(* The one retry delay, wherever the retry happens: [backoff_s] after
+   the first failed attempt, doubled per further failure, capped at 8x. *)
+let backoff_delay ~backoff_s attempt =
+  Float.min
+    (backoff_s *. Float.pow 2.0 (float_of_int (attempt - 1)))
+    (backoff_s *. 8.0)
+
+(* The one retry loop, for the backends whose cells can retry where they
+   run ([`Seq] in this domain, [`Domains] on a pooled one), so a cell's
+   whole attempt history stays with the domain that ran it. A forked
+   worker that dies cannot retry its own cell: the fork coordinator
+   re-queues instead, with the same delay. *)
+let with_retries ~attempts ~backoff_s f x =
+  let rec go attempt failures =
+    match f x with
+    | v -> Done { value = v; attempts = attempt; failures = List.rev failures }
+    | exception e ->
+        let fl = failure_of_exn e (Printexc.get_backtrace ()) in
+        let failures = fl :: failures in
+        if attempt >= attempts then
+          Quarantined { attempts = attempt; failures = List.rev failures }
+        else begin
+          Unix.sleepf (backoff_delay ~backoff_s attempt);
+          go (attempt + 1) failures
+        end
+  in
+  go 1 []
+
+(* Every backend's statistics, tallied once from the settled cells: each
+   charged attempt before a cell's last one failed and was retried. *)
+let settle ?(chaos_kills = 0) ?(workers_lost = 0) cells =
+  let retried, quarantined =
+    Array.fold_left
+      (fun (r, q) -> function
+        | Done { attempts; _ } -> (r + attempts - 1, q)
+        | Quarantined { attempts; _ } -> (r + attempts - 1, q + 1))
+      (0, 0) cells
+  in
+  (cells, { retried; quarantined; chaos_kills; workers_lost })
 
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
@@ -117,12 +150,11 @@ let child_loop work_rd res_wr f (items : 'a array) =
         | None -> ()
         | Some idx when idx < 0 -> ()
         | Some idx ->
-            let r : ('b, raised) result =
+            let r : ('b, failure) result =
               match f items.(idx) with
               | v -> Ok v
               | exception e ->
-                  let bt = Printexc.get_backtrace () in
-                  Error (Printexc.exn_slot_name e, Printexc.to_string e, bt)
+                  Error (failure_of_exn e (Printexc.get_backtrace ()))
             in
             Marshal.to_channel oc (idx, r) [];
             flush oc;
@@ -143,7 +175,7 @@ type worker = {
   mutable deadline : float;  (* wall clock; infinity when idle/no limit *)
 }
 
-type decoded = Records of (int * (Obj.t, raised) result) list | Corrupt
+type decoded = Records of (int * (Obj.t, failure) result) list | Corrupt
 
 (* Pull every complete Marshal record out of the worker's byte buffer,
    leaving any partial tail in place. *)
@@ -180,138 +212,12 @@ let decode_pending w : decoded =
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Sequential fallback (jobs <= 1, no forking requested)               *)
-
-let run_sequential ~attempts ~backoff_s ~on_result f items =
-  let stats = fresh_stats () in
-  let prev = Printexc.backtrace_status () in
-  Printexc.record_backtrace true;
-  let cell_of i x =
-    let failures = ref [] in
-    let rec go attempt =
-      match f x with
-      | v ->
-          Done { value = v; attempts = attempt; failures = List.rev !failures }
-      | exception e ->
-          let fl =
-            Raised
-              {
-                exn_name = Printexc.exn_slot_name e;
-                reason = Printexc.to_string e;
-                backtrace = Printexc.get_backtrace ();
-              }
-          in
-          failures := fl :: !failures;
-          if attempt >= attempts then begin
-            stats.quarantined <- stats.quarantined + 1;
-            Quarantined { attempts = attempt; failures = List.rev !failures }
-          end
-          else begin
-            stats.retried <- stats.retried + 1;
-            Unix.sleepf
-              (Float.min
-                 (backoff_s *. Float.pow 2.0 (float_of_int (attempt - 1)))
-                 (backoff_s *. 8.0));
-            go (attempt + 1)
-          end
-    in
-    let c = go 1 in
-    on_result i c;
-    c
-  in
-  let out = Array.mapi cell_of items in
-  Printexc.record_backtrace prev;
-  (out, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Shared-memory execution on the domain pool                          *)
-
-(* Cells run as closures on pooled domains; no Marshal, no pipes. The
-   retry loop runs inside the worker (same backoff schedule as the
-   sequential path), so a cell's whole attempt history stays on one
-   domain; stats are tallied in the coordinating domain as completions
-   stream back, because [stats] is a plain mutable record. Deadlines and
-   chaos don't exist here: a domain cannot be SIGKILLed, so runaway
-   cells are bounded by plan event caps instead, and [run] rejects
-   [chaos] for this backend up front. *)
-let run_domains ~jobs ~attempts ~backoff_s ~on_result f items =
-  let stats = fresh_stats () in
-  let pool = Domain_pool.get ~jobs:(min jobs (Array.length items)) in
-  stats.workers_spawned <- Domain_pool.jobs pool;
-  let cell_of x =
-    let failures = ref [] in
-    let rec go attempt =
-      match f x with
-      | v ->
-          Done { value = v; attempts = attempt; failures = List.rev !failures }
-      | exception e ->
-          let fl =
-            Raised
-              {
-                exn_name = Printexc.exn_slot_name e;
-                reason = Printexc.to_string e;
-                backtrace = Printexc.get_backtrace ();
-              }
-          in
-          failures := fl :: !failures;
-          if attempt >= attempts then
-            Quarantined { attempts = attempt; failures = List.rev !failures }
-          else begin
-            Unix.sleepf
-              (Float.min
-                 (backoff_s *. Float.pow 2.0 (float_of_int (attempt - 1)))
-                 (backoff_s *. 8.0));
-            go (attempt + 1)
-          end
-    in
-    go 1
-  in
-  (* a pool-level Error means the retry wrapper itself raised (it never
-     should): surface it as a first-attempt quarantine, not a crash *)
-  let to_cell = function
-    | Ok c -> c
-    | Error (e, backtrace) ->
-        Quarantined
-          {
-            attempts = 1;
-            failures =
-              [
-                Raised
-                  {
-                    exn_name = Printexc.exn_slot_name e;
-                    reason = Printexc.to_string e;
-                    backtrace;
-                  };
-              ];
-          }
-  in
-  let out =
-    Domain_pool.run pool
-      ~on_result:(fun i r ->
-        let c = to_cell r in
-        (match c with
-        | Done { attempts = a; _ } -> stats.retried <- stats.retried + (a - 1)
-        | Quarantined { attempts = a; _ } ->
-            stats.retried <- stats.retried + (a - 1);
-            stats.quarantined <- stats.quarantined + 1);
-        on_result i c)
-      cell_of items
-  in
-  (Array.map to_cell out, stats)
-
-(* ------------------------------------------------------------------ *)
 (* Supervised forked execution                                         *)
 
 let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
     ~on_result f items =
-  if Domain_pool.ever_created () then
-    invalid_arg
-      "Supervisor: the fork backend is unavailable — a domain pool was \
-       already created in this process, and the OCaml runtime forbids \
-       Unix.fork from then on; run fork-backend work first or use \
-       --backend domains";
   let n = Array.length items in
-  let stats = fresh_stats () in
+  let chaos_kills = ref 0 and workers_lost = ref 0 in
   let results : 'b cell option array = Array.make n None in
   let tried = Array.make n 0 in
   let failures : failure list array = Array.make n [] in
@@ -342,21 +248,11 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
   in
   let record_failure idx fl =
     failures.(idx) <- fl :: failures.(idx);
-    if tried.(idx) >= max_attempts then begin
-      stats.quarantined <- stats.quarantined + 1;
+    if tried.(idx) >= max_attempts then
       finalize idx
         (Quarantined
            { attempts = tried.(idx); failures = List.rev failures.(idx) })
-    end
-    else begin
-      stats.retried <- stats.retried + 1;
-      let delay =
-        Float.min
-          (backoff_s *. Float.pow 2.0 (float_of_int (tried.(idx) - 1)))
-          (backoff_s *. 8.0)
-      in
-      insert_retry (now () +. delay) idx
-    end
+    else insert_retry (now () +. backoff_delay ~backoff_s tried.(idx)) idx
   in
   let record_done idx v =
     finalize idx
@@ -375,6 +271,17 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
       List.concat_map (fun w -> [ w.work_wr; w.res_rd ]) !workers
     in
     match Unix.fork () with
+    | exception Failure _ ->
+        (* OCaml 5 refuses fork for good once any domain has been spawned,
+           joined or not, so this is the first spawn: no worker exists and
+           no cell has run *)
+        List.iter close_noerr [ work_rd; work_wr; res_rd; res_wr ];
+        ignore (Sys.signal Sys.sigpipe old_sigpipe);
+        invalid_arg
+          "Supervisor: the fork backend is unavailable — a domain pool was \
+           already created in this process, and the OCaml runtime forbids \
+           Unix.fork from then on; run fork-backend work first or use \
+           --backend domains"
     | 0 ->
         close_noerr work_wr;
         close_noerr res_rd;
@@ -386,7 +293,6 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
     | pid ->
         close_noerr work_rd;
         close_noerr res_wr;
-        stats.workers_spawned <- stats.workers_spawned + 1;
         let w =
           {
             pid;
@@ -404,7 +310,7 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
     close_noerr w.work_wr;
     close_noerr w.res_rd;
     workers := List.filter (fun x -> x.pid <> w.pid) !workers;
-    stats.workers_lost <- stats.workers_lost + 1
+    incr workers_lost
   in
   let reap w =
     match Unix.waitpid [] w.pid with
@@ -420,12 +326,11 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
     match (w.in_flight, how) with
     | None, _ -> ()
     | Some idx, `Chaos ->
-        stats.chaos_kills <- stats.chaos_kills + 1;
+        incr chaos_kills;
         (* our own fault: re-queue without charging an attempt *)
         tried.(idx) <- tried.(idx) - 1;
         Queue.add idx queue
     | Some idx, `Deadline d ->
-        stats.deadline_kills <- stats.deadline_kills + 1;
         record_failure idx (Hung { deadline_s = d })
     | Some idx, `Corrupt ->
         ignore status;
@@ -460,8 +365,7 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
                 end;
                 match r with
                 | Ok v -> record_done idx (Obj.obj v)
-                | Error (exn_name, reason, backtrace) ->
-                    record_failure idx (Raised { exn_name; reason; backtrace }))
+                | Error fl -> record_failure idx fl)
               rs)
   in
   let write_lease w idx =
@@ -567,30 +471,52 @@ let run_forked ~jobs ~deadline_s ~attempts:max_attempts ~backoff_s ~chaos
       close_noerr w.res_rd)
     !workers;
   ignore (Sys.signal Sys.sigpipe old_sigpipe);
-  (Array.map (function Some c -> c | None -> assert false) results, stats)
+  settle ~chaos_kills:!chaos_kills ~workers_lost:!workers_lost
+    (Array.map (function Some c -> c | None -> assert false) results)
 
 let run ~jobs ?backend ?deadline_s ?(attempts = 1)
-    ?(backoff_s = default_backoff_s) ?chaos ?(force_fork = false)
-    ?(on_result = fun _ _ -> ()) f items =
+    ?(backoff_s = default_backoff_s) ?chaos ?(on_result = fun _ _ -> ()) f
+    items =
   if attempts < 1 then invalid_arg "Supervisor.run: attempts";
   if jobs < 1 then
     invalid_arg
       (Printf.sprintf "Supervisor.run: jobs must be >= 1 (got %d)" jobs);
-  let n = Array.length items in
-  if n = 0 then ([||], fresh_stats ())
+  let jobs = min jobs (Array.length items) in
+  let cell = with_retries ~attempts ~backoff_s f in
+  if jobs = 0 then settle [||]
   else
-    let jobs = min jobs n in
-    match Option.value backend ~default:`Fork with
-    | `Seq -> run_sequential ~attempts ~backoff_s ~on_result f items
+    match Option.value backend ~default:(if jobs = 1 then `Seq else `Fork) with
+    | `Seq ->
+        let prev = Printexc.backtrace_status () in
+        Printexc.record_backtrace true;
+        let cells =
+          Array.mapi
+            (fun i x ->
+              let c = cell x in
+              on_result i c;
+              c)
+            items
+        in
+        Printexc.record_backtrace prev;
+        settle cells
     | `Domains ->
         if chaos <> None then
           invalid_arg
             "Supervisor.run: chaos requires the fork backend (only a worker \
              process can be SIGKILLed)";
-        run_domains ~jobs ~attempts ~backoff_s ~on_result f items
+        (* [cell] catches whatever [f] raises: a pool-level Error means the
+           retry loop itself raised, and counts as a first-attempt
+           quarantine rather than a crash *)
+        let to_cell = function
+          | Ok c -> c
+          | Error (e, backtrace) ->
+              Quarantined
+                { attempts = 1; failures = [ failure_of_exn e backtrace ] }
+        in
+        Domain_pool.run (Domain_pool.get ~jobs)
+          ~on_result:(fun i r -> on_result i (to_cell r))
+          cell items
+        |> Array.map to_cell |> settle
     | `Fork ->
-        if jobs <= 1 && not force_fork then
-          run_sequential ~attempts ~backoff_s ~on_result f items
-        else
-          run_forked ~jobs ~deadline_s ~attempts ~backoff_s ~chaos ~on_result
-            f items
+        run_forked ~jobs ~deadline_s ~attempts ~backoff_s ~chaos ~on_result f
+          items

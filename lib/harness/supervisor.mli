@@ -1,37 +1,36 @@
-(** Leased work-queue supervision of forked workers.
+(** The one scheduling loop under every cell fan-out.
 
-    The engine under {!Parallel} and {!Campaign}: items are dispatched
-    to forked worker processes one lease at a time, the parent
-    [select]s on every busy worker's result pipe with a per-cell
-    wall-clock deadline, and any way a worker can misbehave — crash,
-    hang, get SIGKILLed, or cut its result stream mid-record — costs
-    only the one cell it was leased, which is retried with bounded
-    backoff on a fresh worker and quarantined only after its attempt
-    budget is spent. The queue itself never aborts.
+    The engine under {!Parallel} and {!Campaign}: {!run} checks [jobs],
+    picks the backend and owns the single retry policy — bounded
+    attempts with doubling backoff, then quarantine — so the backends
+    differ only in {e where} a cell runs: inline, on the shared
+    {!Domain_pool}, or in forked worker processes. The queue itself
+    never aborts, and results come back in input order.
 
-    Work runs in forked children, so the work function needs no
-    marshalling; only each item's {e result} crosses a pipe and must be
-    plain marshallable data. Results come back in input order.
-
-    Since the {!Domain_pool} rewrite the engine is backend-selectable:
-    the same supervision surface can run cells on a shared-memory pool
-    of OCaml 5 domains ([`Domains]) or inline ([`Seq]) instead of
-    forked workers — see {!run}. *)
+    Forked workers are leased one cell at a time; the parent [select]s
+    on every busy worker's result pipe with a per-cell wall-clock
+    deadline, and any way a worker can misbehave — crash, hang, get
+    SIGKILLed, or cut its result stream mid-record — costs only the one
+    cell it was leased, which is re-queued on a fresh worker. Work runs
+    in forked children, so the work function needs no marshalling; only
+    each item's {e result} crosses a pipe and must be plain marshallable
+    data. *)
 
 type backend = [ `Fork | `Domains | `Seq ]
-(** How cells execute. [`Fork]: supervised forked worker processes —
+(** Where cells execute. [`Fork]: supervised forked worker processes —
     crash isolation, per-cell deadlines, chaos. [`Domains]: the shared
-    {!Domain_pool} — no fork/Marshal cost, work stealing, results as
-    heap values; no kill-based supervision (deadlines and chaos are
-    rejected/ignored), and once chosen, [Unix.fork] is unavailable for
-    the rest of the process. [`Seq]: inline in this process (retries
-    still apply). All three produce byte-identical cell values — the
-    simulation runs in virtual time. *)
+    {!Domain_pool} — no fork/Marshal cost, idle workers claim the next
+    cell from one shared cursor, results as heap values; no kill-based
+    supervision (deadlines and chaos are rejected/ignored), and once
+    chosen, [Unix.fork] is unavailable for the rest of the process.
+    [`Seq]: inline in this process. Retries apply on all three, and all
+    three produce byte-identical cell values — the simulation runs in
+    virtual time. *)
 
 type failure =
   | Raised of { exn_name : string; reason : string; backtrace : string }
-      (** the work function raised inside the worker; [backtrace] is the
-          worker-side [Printexc] backtrace (possibly empty) *)
+      (** the work function raised; [backtrace] is the [Printexc]
+          backtrace recorded where the cell ran (possibly empty) *)
   | Crashed of { status : Unix.process_status }
       (** the worker process died without returning the cell — the
           status says how: nonzero exit or a signal *)
@@ -60,12 +59,10 @@ type chaos = {
     the supervisor's own doing. *)
 
 type stats = {
-  mutable retried : int;  (** failed attempts that were re-queued *)
-  mutable quarantined : int;
-  mutable chaos_kills : int;
-  mutable deadline_kills : int;
-  mutable workers_spawned : int;
-  mutable workers_lost : int;  (** died for any reason, incl. kills *)
+  retried : int;  (** failed attempts that were retried *)
+  quarantined : int;
+  chaos_kills : int;
+  workers_lost : int;  (** forked workers that died, incl. kills *)
 }
 
 val string_of_status : Unix.process_status -> string
@@ -85,37 +82,30 @@ val run :
   ?attempts:int ->
   ?backoff_s:float ->
   ?chaos:chaos ->
-  ?force_fork:bool ->
   ?on_result:(int -> 'b cell -> unit) ->
   ('a -> 'b) ->
   'a array ->
   'b cell array * stats
-(** [run ~jobs f items] computes [f items.(i)] for every [i] under
-    supervision and returns the per-cell results in input order.
-    [jobs < 1] raises [Invalid_argument] — there is no silent
-    sequential fallback.
+(** [run ~jobs f items] computes [f items.(i)] for every [i] and returns
+    the per-cell results in input order. [jobs < 1] raises
+    [Invalid_argument] — there is no silent sequential fallback — and
+    [jobs] is capped at the number of items.
 
-    [backend] selects the engine (default [`Fork], the historical
-    behaviour). [deadline_s] is the per-cell wall-clock budget
-    (default: none); [attempts] the total tries per cell (default 1);
-    [backoff_s] the base retry delay, doubled per failed attempt and
-    capped at 8x (default 0.1 s). Under [`Fork] with [jobs <= 1] and
-    [force_fork] unset the cells run sequentially in this process —
-    retries still apply, but there are no workers to supervise, so
-    [deadline_s] and [chaos] are ignored. [force_fork] keeps the forked
-    path even at [jobs = 1], for callers (the campaign runner) that
-    need deadline enforcement and crash isolation regardless of
-    fan-out.
+    [backend] selects where cells run. Left unset, it is [`Seq] when
+    [min jobs n = 1] and [`Fork] otherwise; an explicit [`Fork] always
+    forks, even for one worker. [attempts] is the total tries per cell
+    (default 1); [backoff_s] the base retry delay, doubled per failed
+    attempt and capped at 8x (default 0.1 s). Under [`Seq] and
+    [`Domains] a cell retries where it runs; a forked cell is re-queued
+    by the coordinator on a fresh worker. [deadline_s] (default: none)
+    and [chaos] act only under [`Fork]: [`Seq] ignores both, and
+    [`Domains] ignores [deadline_s] (a domain cannot be killed mid-cell
+    — bound runaway cells with [Run.Plan.with_event_cap] instead) and
+    raises [Invalid_argument] on [chaos]. [`Fork] raises
+    [Invalid_argument] when the process has already spawned a domain:
+    the OCaml runtime forbids [Unix.fork] from then on, so order
+    fork-backend work first.
 
-    Under [`Domains] the cells run on the process-wide {!Domain_pool}
-    with work stealing; retries run inside the worker domain with the
-    same backoff schedule. [chaos] raises [Invalid_argument] (nothing
-    to SIGKILL) and [deadline_s] is ignored (a domain cannot be killed
-    mid-cell — bound runaway cells with [Run.Plan.with_event_cap]
-    instead). The fork backend additionally raises if a domain pool was
-    ever created in this process: the OCaml runtime forbids [Unix.fork]
-    from that point on, so order fork-backend work first.
-
-    [on_result] fires in completion order as each cell finalises
-    (done or quarantined), always in the calling domain — the campaign
-    journal's append point. *)
+    [on_result] fires in completion order as each cell settles (done or
+    quarantined), always in the calling domain — the campaign journal's
+    append point. *)

@@ -372,80 +372,6 @@ let test_fmt () =
   check Alcotest.string "ms" "2.35" (Harness.Table.fmt_ms 2.349)
 
 (* ----------------------------------------------------------------- *)
-(* Work-stealing deque                                                 *)
-
-module Ws_deque = Harness.Ws_deque
-
-(* Single-threaded semantics: the owner pops LIFO from the bottom, a
-   thief takes FIFO from the top, and the two ends meet exactly once. *)
-let test_deque_ends () =
-  let q = Ws_deque.create () in
-  check Alcotest.bool "fresh deque empty" true (Ws_deque.is_empty q);
-  check Alcotest.bool "pop empty" true (Ws_deque.pop q = None);
-  check Alcotest.bool "steal empty" true (Ws_deque.steal q = None);
-  List.iter (Ws_deque.push q) [ 1; 2; 3; 4 ];
-  check Alcotest.int "length" 4 (Ws_deque.length q);
-  check Alcotest.bool "steal oldest" true (Ws_deque.steal q = Some 1);
-  check Alcotest.bool "pop newest" true (Ws_deque.pop q = Some 4);
-  check Alcotest.bool "steal next oldest" true (Ws_deque.steal q = Some 2);
-  check Alcotest.bool "pop last" true (Ws_deque.pop q = Some 3);
-  check Alcotest.bool "drained" true (Ws_deque.is_empty q);
-  (* reusable after reset *)
-  Ws_deque.push q 9;
-  Ws_deque.reset q;
-  check Alcotest.bool "reset empties" true (Ws_deque.pop q = None)
-
-(* Growth: push far past the initial capacity, then drain from both
-   ends; every element must come out exactly once. *)
-let test_deque_grow () =
-  let n = 1000 in
-  let q = Ws_deque.create ~capacity:16 () in
-  for i = 0 to n - 1 do
-    Ws_deque.push q i
-  done;
-  let seen = Array.make n 0 in
-  let rec go flip =
-    match if flip then Ws_deque.steal q else Ws_deque.pop q with
-    | Some v ->
-        seen.(v) <- seen.(v) + 1;
-        go (not flip)
-    | None -> ()
-  in
-  go true;
-  check Alcotest.bool "each element exactly once" true
-    (Array.for_all (fun c -> c = 1) seen)
-
-(* The satellite skew scenario at the deque level, deterministically:
-   every item in ONE deque, consumed exclusively by thief domains. The
-   owner never pops, so the thieves must drain it — and every item must
-   surface exactly once across them. *)
-let test_deque_thieves_drain () =
-  let n = 10_000 in
-  let q = Ws_deque.create () in
-  for i = 0 to n - 1 do
-    Ws_deque.push q i
-  done;
-  let thief () =
-    let mine = ref [] in
-    let rec go () =
-      match Ws_deque.steal q with
-      | Some v ->
-          mine := v :: !mine;
-          go ()
-      | None -> ()
-    in
-    go ();
-    !mine
-  in
-  let d1 = Domain.spawn thief and d2 = Domain.spawn thief in
-  let got = Domain.join d1 @ Domain.join d2 in
-  check Alcotest.bool "deque drained" true (Ws_deque.is_empty q);
-  check Alcotest.int "no item lost or duplicated" n (List.length got);
-  let sorted = List.sort compare got in
-  check Alcotest.bool "exactly 0..n-1" true
-    (List.for_all2 ( = ) sorted (List.init n Fun.id))
-
-(* ----------------------------------------------------------------- *)
 (* Domain pool                                                         *)
 
 module Domain_pool = Harness.Domain_pool
@@ -469,12 +395,13 @@ let skew_plans () =
       Harness.Run.Plan.make ~collector ~spec
         ~heap_bytes:((512 * 1024) + ((i land 3) * 16_384)))
 
-(* Work stealing under skew (the satellite test): every cell lands in
-   worker 0's deque, yet the round's results must be spec-ordered and
-   byte-identical to a sequential sweep, with the idle worker observed
-   stealing. The steal count is scheduling-dependent on a loaded box,
-   so the round retries a few times before declaring the thief idle —
-   each round re-checks byte identity regardless. *)
+(* Balancing under skew: cells of uneven cost (BC and GenMS, four heap
+   sizes) on two workers. The round's results must be spec-ordered and
+   byte-identical to a sequential sweep, with some cell observed running
+   on a worker other than its round-robin home. The steal count is
+   scheduling-dependent on a loaded box, so the round retries a few
+   times before declaring the cursor unbalanced — each round re-checks
+   byte identity regardless. *)
 let test_pool_skew () =
   let plans = skew_plans () in
   let seq = Array.map (fun p -> outcome_str (Harness.Run.exec p)) plans in
@@ -485,7 +412,6 @@ let test_pool_skew () =
       let rec round attempt =
         let out =
           Domain_pool.run pool
-            ~partition:(fun _ -> 0)
             (fun p -> outcome_str (Harness.Run.exec p))
             plans
         in
@@ -506,7 +432,7 @@ let test_pool_skew () =
           (Array.fold_left ( + ) 0 st.Domain_pool.executed);
         if st.Domain_pool.steals = 0 && attempt < 5 then round (attempt + 1)
         else
-          check Alcotest.bool "thief stole from the loaded deque" true
+          check Alcotest.bool "a cell ran away from its home worker" true
             (st.Domain_pool.steals > 0)
       in
       round 1)
@@ -598,6 +524,81 @@ let test_supervisor_domains () =
     | exception Invalid_argument _ -> true);
   Domain_pool.shutdown_global ()
 
+(* A finished round is not pinned: domains share one major heap, so
+   anything the pool kept of a round — its cell closure captures every
+   item — would live as long as the process. *)
+let test_pool_round_not_pinned () =
+  let pool = Domain_pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      let n = 16 in
+      let tracked = Weak.create n in
+      let round () =
+        let items =
+          Array.init n (fun i -> Bytes.make 4096 (Char.chr (97 + i)))
+        in
+        Array.iteri (fun i b -> Weak.set tracked i (Some b)) items;
+        ignore (Domain_pool.run pool Bytes.length items)
+      in
+      round ();
+      Gc.full_major ();
+      let kept = List.filter (Weak.check tracked) (List.init n Fun.id) in
+      check Alcotest.int "items reachable after the round" 0 (List.length kept))
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* Once a domain exists the runtime refuses Unix.fork for good: the fork
+   backend must say so, naming the way out, before any cell runs. *)
+let test_fork_refused_after_pool () =
+  ignore (Domain_pool.get ~jobs:2);
+  let ran = ref 0 in
+  let refusal =
+    match
+      Supervisor.run ~jobs:2 ~backend:`Fork
+        ~on_result:(fun _ _ -> incr ran)
+        (fun x ->
+          incr ran;
+          x)
+        (Array.init 4 Fun.id)
+    with
+    | _ -> None
+    | exception Invalid_argument m -> Some m
+  in
+  Domain_pool.shutdown_global ();
+  check Alcotest.bool "Invalid_argument naming --backend domains" true
+    (match refusal with
+    | Some m -> contains m "--backend domains"
+    | None -> false);
+  check Alcotest.int "no cell ran" 0 !ran
+
+(* `bcgc bench campaign --backend domains` runs the demo campaign's 16
+   cells on the pool instead of forking them. *)
+let test_campaign_honours_backend () =
+  let prior = Filename.get_temp_dir_name () in
+  let dir = Filename.temp_dir "bcgc-test-campaign" "" in
+  Filename.set_temp_dir_name dir;
+  Harness.Experiments.set_jobs 2;
+  Harness.Experiments.set_backend (Some `Domains);
+  Fun.protect
+    ~finally:(fun () ->
+      Harness.Experiments.set_jobs 1;
+      Harness.Experiments.set_backend None;
+      Filename.set_temp_dir_name prior;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir;
+      Domain_pool.shutdown_global ())
+    (fun () ->
+      Harness.Experiments.campaign Harness.Experiments.Quick;
+      let st = Domain_pool.last_stats (Domain_pool.get ~jobs:2) in
+      check Alcotest.int "cells executed on the pool" 16
+        (Array.fold_left ( + ) 0 st.Domain_pool.executed))
+
 (* jobs <= 0 is a one-line error everywhere, never a silent sequential
    fallback. *)
 let test_jobs_validation () =
@@ -657,12 +658,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_chart_empty;
         ] );
       ("format", [ Alcotest.test_case "fmt" `Quick test_fmt ]);
-      ( "ws_deque",
-        [
-          Alcotest.test_case "both ends" `Quick test_deque_ends;
-          Alcotest.test_case "grow" `Quick test_deque_grow;
-          Alcotest.test_case "thieves drain" `Quick test_deque_thieves_drain;
-        ] );
       ( "domain_pool",
         [
           Alcotest.test_case "skewed round steals" `Quick test_pool_skew;
@@ -672,5 +667,11 @@ let () =
           Alcotest.test_case "supervisor domains backend" `Quick
             test_supervisor_domains;
           Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
+          Alcotest.test_case "finished round not pinned" `Quick
+            test_pool_round_not_pinned;
+          Alcotest.test_case "fork refused after a pool" `Quick
+            test_fork_refused_after_pool;
+          Alcotest.test_case "bench campaign honours --backend" `Quick
+            test_campaign_honours_backend;
         ] );
     ]

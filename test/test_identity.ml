@@ -399,7 +399,7 @@ let test_backend_equivalence () =
   let seq = Array.map exec items in
   let values backend =
     let cells, _ =
-      Harness.Supervisor.run ~jobs:2 ~backend ~force_fork:true exec items
+      Harness.Supervisor.run ~jobs:2 ~backend exec items
     in
     Array.map
       (function
