@@ -1,4 +1,4 @@
-.PHONY: all build test test-release ci alloc-path-check sched-path-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release ci alloc-path-check sched-path-check bench-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -23,13 +23,13 @@ test-release:
 # Full CI gate: everything compiles (including examples and benches), every
 # collector allocates through Gc_common.Alloc, only the scheduler starts
 # workers, the whole suite passes — test_faults runs the fault-plan smoke tests with
-# fixed seeds, so regressions in the degradation paths fail here — and
-# traced runs (one solo, one two-process) produce valid Chrome JSON
+# fixed seeds, so regressions in the degradation paths fail here — the
+# quick experiment text matches its golden, and traced runs (one solo, one two-process) produce valid Chrome JSON
 # covering every expected GC phase kind. The wall-clock perf-guard runs
 # last: it depends on how busy the machine is, so a failure there must
 # not hide the deterministic checks before it.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && dune runtest && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && dune runtest && $(MAKE) bench-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls
@@ -61,6 +61,20 @@ sched-path-check:
 	}; \
 	only_in 'Unix\.fork[[:space:]]*\(\)' supervisor.ml 'Unix.fork ()' && \
 	only_in 'Domain\.spawn[[:space:]]*\(' domain_pool.ml 'Domain.spawn ('
+
+# Bench check: the quick-mode text of `bcgc bench all', `control', `slo'
+# and `trace', in that order, must match test/golden/bench_quick.txt byte
+# for byte (`campaign' prints a temp journal path and lines in completion
+# order, so it is left out). Cells run in virtual time, so the text is the
+# same at any -j. CSV_DIR and CHARTS are cleared: they add output lines.
+# A non-zero exit from bcgc fails the target too.
+bench-check:
+	rm -f /tmp/bcgc-ci-bench.txt
+	for t in all control slo trace; do \
+	  env -u CSV_DIR -u CHARTS ./_build/default/bin/bcgc.exe bench $$t \
+	    -j $(JOBS) >> /tmp/bcgc-ci-bench.txt || exit 1; \
+	done
+	diff test/golden/bench_quick.txt /tmp/bcgc-ci-bench.txt
 
 # Trace smoke: a small pressured run known (deterministically) to exercise
 # minor, full, compacting and every BC sub-phase; `bcgc trace` re-parses
@@ -177,10 +191,10 @@ perf:
 	./_build/default/bin/bcgc.exe bench perf
 
 bench:
-	JOBS=$(JOBS) dune exec bench/main.exe
+	dune exec bin/bcgc.exe -- bench all -j $(JOBS)
 
 bench-full:
-	FULL=1 JOBS=$(JOBS) dune exec bench/main.exe
+	dune exec bin/bcgc.exe -- bench all --full -j $(JOBS)
 
 examples:
 	dune exec examples/quickstart.exe

@@ -1,26 +1,9 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5) from the simulation, and offers a Bechamel suite that
-   measures the wall-clock cost of each experiment's workload kernel.
+(* Bechamel suite: one test per paper table/figure, each measuring the
+   real time of a miniature instance of that experiment's simulation
+   kernel. The tables and figures themselves come from `bcgc bench`.
 
-   Usage:
-     bench/main.exe                 -- everything, quick sweeps
-     bench/main.exe table1|fig2|fig3|fig45|fig6|fig7|ablation|multiproc|all
-     bench/main.exe bechamel        -- Bechamel microbenchmarks
-     FULL=1 bench/main.exe all      -- full (slow) sweeps
-     JOBS=8 bench/main.exe all      -- fan cells over 8 forked workers *)
+   Usage: dune exec bench/main.exe *)
 
-let mode () =
-  match Sys.getenv_opt "FULL" with
-  | Some ("1" | "true" | "yes") -> Harness.Experiments.Full
-  | Some _ | None -> Harness.Experiments.Quick
-
-let jobs () =
-  match Option.bind (Sys.getenv_opt "JOBS") int_of_string_opt with
-  | Some n -> n
-  | None -> 1
-
-(* One Bechamel test per table/figure: each measures the real time of a
-   miniature instance of that experiment's simulation kernel. *)
 let bechamel_tests () =
   let open Bechamel in
   let mini_spec volume =
@@ -78,7 +61,7 @@ let bechamel_tests () =
                 |> Harness.Run.Plan.with_process ~collector:"BC" ~spec))));
   ]
 
-let run_bechamel () =
+let () =
   let open Bechamel in
   let open Toolkit in
   let instances = Instance.[ monotonic_clock ] in
@@ -99,50 +82,3 @@ let run_bechamel () =
           Printf.printf "%-40s %12.3f ms/run\n" name (est /. 1e6)
       | Some [] | None -> Printf.printf "%-40s (no estimate)\n" name)
     results
-
-let () =
-  let m = mode () in
-  Harness.Experiments.set_jobs (jobs ());
-  let target = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  match target with
-  | "table1" -> Harness.Experiments.table1 m
-  | "fig2" -> Harness.Experiments.figure2 m
-  | "fig3" -> Harness.Experiments.figure3 m
-  | "fig4" | "fig5" | "fig45" -> Harness.Experiments.figure45 m
-  | "fig6" -> Harness.Experiments.figure6 m
-  | "fig7" -> Harness.Experiments.figure7 m
-  | "ablation" -> Harness.Experiments.ablation m
-  | "ssd" -> Harness.Experiments.ssd m
-  | "recovery" -> Harness.Experiments.recovery m
-  | "mixed" -> Harness.Experiments.mixed m
-  | "multiproc" -> Harness.Experiments.multiprocess m
-  | "faults" -> Harness.Experiments.faults m
-  | "trace" -> Harness.Experiments.trace_export m
-  | "campaign" -> Harness.Experiments.campaign m
-  | "slo" -> Harness.Experiments.slo m
-  | "all" -> Harness.Experiments.all m
-  | "bechamel" -> run_bechamel ()
-  | "perf" ->
-      (* wall-clock suite; PERF_REPS / PERF_OUT override the defaults *)
-      let reps =
-        Option.value
-          (Option.bind (Sys.getenv_opt "PERF_REPS") int_of_string_opt)
-          ~default:Harness.Perf.default_repetitions
-      in
-      let out =
-        Option.value (Sys.getenv_opt "PERF_OUT")
-          ~default:Harness.Perf.default_output
-      in
-      let r =
-        Harness.Perf.run ~repetitions:reps
-          ~progress:(fun label -> Printf.eprintf "perf: %s\n%!" label)
-          ()
-      in
-      Harness.Perf.write_file ~path:out r;
-      Format.printf "%a" Harness.Perf.pp r
-  | other ->
-      Printf.eprintf
-        "unknown target %S (try table1 fig2 fig3 fig45 fig6 fig7 ablation \
-         ssd multiproc faults trace campaign slo perf all bechamel)\n"
-        other;
-      exit 1

@@ -1,10 +1,15 @@
 (* bcgc: command-line driver for the bookmarking-collection simulator.
 
    Subcommands:
-     run     -- run one collector on one workload and print metrics
-     list    -- list collectors and workloads
-     bench   -- regenerate a paper table/figure (same as bench/main.exe)
-     minheap -- measure a workload's minimum heap for a collector *)
+     run          -- run one collector on one workload and print metrics
+     list         -- list collectors and workloads
+     minheap      -- measure a workload's minimum heap for a collector
+     bench        -- regenerate a paper table/figure, or run a study
+                     beyond the paper (the one entry point for them)
+     campaign     -- run or list a supervised, resumable campaign
+     trace        -- summarise and validate a Chrome trace
+     trace-record -- record a workload's heap-operation trace
+     trace-replay -- replay a recorded trace against a collector *)
 
 open Cmdliner
 
@@ -503,41 +508,30 @@ let bench_perf ~reps ~out ~guard =
         1
   end
 
-let bench_cmd target full jobs backend perf_reps perf_out perf_guard slo_out =
+let bench_targets = List.map fst Harness.Experiments.targets @ [ "perf" ]
+
+let bench_cmd target full jobs backend perf_reps perf_out perf_guard slo_out
+    csv_dir charts =
   if jobs < 1 then begin
     Printf.eprintf "bcgc bench: -j must be >= 1 (got %d)\n" jobs;
     2
   end
-  else begin
-  let mode =
-    if full then Harness.Experiments.Full else Harness.Experiments.Quick
-  in
-  Harness.Experiments.set_jobs jobs;
-  Harness.Experiments.set_backend backend;
-  if target = "perf" then
+  else if target = "perf" then
     bench_perf ~reps:perf_reps ~out:perf_out ~guard:perf_guard
-  else begin
-  (match target with
-  | "slo" -> Harness.Experiments.slo ?out:slo_out mode
-  | "table1" -> Harness.Experiments.table1 mode
-  | "fig2" -> Harness.Experiments.figure2 mode
-  | "fig3" -> Harness.Experiments.figure3 mode
-  | "fig4" | "fig5" | "fig45" -> Harness.Experiments.figure45 mode
-  | "fig6" -> Harness.Experiments.figure6 mode
-  | "fig7" -> Harness.Experiments.figure7 mode
-  | "ablation" -> Harness.Experiments.ablation mode
-  | "ssd" -> Harness.Experiments.ssd mode
-  | "recovery" -> Harness.Experiments.recovery mode
-  | "mixed" -> Harness.Experiments.mixed mode
-  | "multiproc" -> Harness.Experiments.multiprocess mode
-  | "faults" -> Harness.Experiments.faults mode
-  | "control" -> Harness.Experiments.control mode
-  | "trace" -> Harness.Experiments.trace_export mode
-  | "campaign" -> Harness.Experiments.campaign mode
-  | _ -> Harness.Experiments.all mode);
-  0
-  end
-  end
+  else
+    match Harness.Experiments.find target with
+    | None ->
+        Printf.eprintf "bcgc bench: unknown target %S (known: %s)\n" target
+          (String.concat " " bench_targets);
+        2
+    | Some run ->
+        let mode =
+          if full then Harness.Experiments.Full else Harness.Experiments.Quick
+        in
+        run
+          (Harness.Experiments.create ~jobs ?backend ?csv_dir ~charts ?slo_out
+             mode);
+        0
 
 (* --- supervised campaigns ------------------------------------------ *)
 
@@ -736,12 +730,19 @@ let cmd_trace_replay =
       $ pin_arg)
 
 let cmd_bench =
-  let target = Arg.(value & pos 0 string "all" & info [] ~docv:"TARGET") in
+  let target =
+    let doc =
+      Printf.sprintf "One of: %s. $(b,fig4) and $(b,fig5) also name $(b,fig45)."
+        (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") bench_targets))
+    in
+    Arg.(value & pos 0 string "all" & info [] ~docv:"TARGET" ~doc)
+  in
   let full = Arg.(value & flag & info [ "full" ]) in
   let jobs =
     let doc =
-      "Fan independent cells out over $(docv) forked workers. Results are \
-       byte-identical to -j 1 — the simulation runs in virtual time."
+      "Fan independent cells out over $(docv) workers, on the engine \
+       --backend picks. Results are byte-identical to -j 1 — the \
+       simulation runs in virtual time."
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
@@ -777,6 +778,21 @@ let cmd_bench =
     in
     Arg.(value & opt (some string) None & info [ "slo-out" ] ~docv:"FILE" ~doc)
   in
+  let csv_dir =
+    let doc =
+      "Also write each figure series as CSV, and the `trace' target's \
+       Chrome trace JSON and event CSV, into $(docv) (created when \
+       missing)."
+    in
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR" ~doc ~env:(Cmd.Env.info "CSV_DIR"))
+  in
+  let charts =
+    let doc = "Print an ASCII chart under each figure series." in
+    Arg.(value & flag & info [ "charts" ] ~doc ~env:(Cmd.Env.info "CHARTS"))
+  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
@@ -785,7 +801,7 @@ let cmd_bench =
           `control'), or the wall-clock perf suite (target `perf')")
     Term.(
       const bench_cmd $ target $ full $ jobs $ backend_arg $ perf_reps
-      $ perf_out $ perf_guard $ slo_out)
+      $ perf_out $ perf_guard $ slo_out $ csv_dir $ charts)
 
 let cmd_trace =
   let file =
@@ -815,7 +831,7 @@ let () =
     (* last-resort guard: a stray resource exception must produce a
        one-line diagnosis and a nonzero exit, never a backtrace *)
     try
-      Cmd.eval'
+      Cmd.eval' ~catch:false
         (Cmd.group info
            [
              cmd_run;

@@ -58,35 +58,58 @@ let baseline_collectors _p =
 let pressure_collectors = [ "BC"; "BC-resize"; "GenMS"; "GenCopy"; "CopyMS"; "SemiSpace" ]
 
 (* --------------------------------------------------------------- *)
-(* Parallel cell driver                                             *)
+(* The bench session and its cell runners                           *)
 
-(* Worker count for the experiment matrices (bcgc bench -j N). Cells are
-   independent machines in virtual time, so results are byte-identical
-   whatever the fan-out; every sweep below computes its whole cell list
-   first and prints afterwards, keeping the output stable too.
+(* Cells are independent machines in virtual time, so results are
+   byte-identical whatever the fan-out; every sweep below computes its
+   whole cell list first and prints afterwards, keeping the output
+   stable too. *)
+type t = {
+  mode : mode;
+  jobs : int;
+  backend : Supervisor.backend option;
+      (* None = pick per sweep: sequential at -j 1, forked wider *)
+  csv_dir : string option;
+  charts : bool;
+  slo_out : string option;
+  mutable min_heaps : int option list option;
+      (* Table 1's bisection, once per session; Fig. 2's heap axis reuses
+         it. Only the coordinating process fills it: table1 and figure2
+         run there, never inside a cell. *)
+}
 
-   Coordinator-only state, deliberately: these knobs are set once by the
-   CLI before any sweep runs, never from worker domains, so they need no
-   de-globalization for the domain-pool backend. *)
-let jobs = ref 1
-
-let set_jobs n =
-  if n < 1 then
+let create ?(jobs = 1) ?backend ?csv_dir ?(charts = false) ?slo_out mode =
+  if jobs < 1 then
     invalid_arg
-      (Printf.sprintf "Experiments.set_jobs: jobs must be >= 1 (got %d)" n);
-  jobs := n
+      (Printf.sprintf "Experiments.create: jobs must be >= 1 (got %d)" jobs);
+  { mode; jobs; backend; csv_dir; charts; slo_out; min_heaps = None }
 
-let get_jobs () = !jobs
+let run t plans = Parallel.outcomes ~jobs:t.jobs ?backend:t.backend plans
 
-(* None = pick per sweep (sequential at -j 1, forked wider), exactly the
-   pre-backend behaviour. *)
-let backend : Supervisor.backend option ref = ref None
+let map t ~fallback f xs =
+  Parallel.map ~jobs:t.jobs ?backend:t.backend f xs
+  |> List.map (function Ok v -> v | Error msg -> fallback msg)
 
-let set_backend b = backend := b
-
-let get_backend () = !backend
-
-let run_cells plans = Parallel.outcomes ~jobs:!jobs ?backend:!backend plans
+(* Two-process cells (figure 7, mixed, multiprocess): one plan, both
+   outcomes. *)
+let pairs t plans =
+  map t
+    ~fallback:(fun reason ->
+      let f =
+        Metrics.Failed
+          {
+            Metrics.reason;
+            exn_name = "Parallel.Worker_lost";
+            fault_stats = None;
+            partial = None;
+          }
+      in
+      (f, f))
+    (fun plan ->
+      match Run.exec_all plan with
+      | [ a; b ] -> (a, b)
+      | _ -> invalid_arg "Experiments.pairs: plan must have exactly two processes")
+    plans
 
 let rec chunk n = function
   | [] -> []
@@ -101,51 +124,53 @@ let rec chunk n = function
       let row, rest = take n [] xs in
       row :: chunk n rest
 
-(* Flat fan-out, reassembled into rows of [width] cells. *)
-let run_matrix ~width plans = chunk width (run_cells plans)
+(* Every sweep: the [plan] of each (row, column) cell, run through [run]
+   as one flat fan-out — rows outermost, columns innermost — and handed
+   back row by row. *)
+let grid run ~rows ~columns plan =
+  List.combine rows
+    (chunk (List.length columns)
+       (run (List.concat_map (fun r -> List.map (plan r) columns) rows)))
 
-let map_cells ~fallback f xs =
-  Parallel.map ~jobs:!jobs ?backend:!backend f xs
-  |> List.map (function Ok v -> v | Error msg -> fallback msg)
+let completed = function Metrics.Completed m -> Some m | _ -> None
 
-let lost_worker reason =
-  Metrics.Failed
-    {
-      Metrics.reason;
-      exn_name = "Parallel.Worker_lost";
-      fault_stats = None;
-      partial = None;
-    }
+let elapsed_opt o = Option.map Metrics.elapsed_s (completed o)
 
-(* Two-process cells (figure 7, mixed, multiprocess): one plan, both
-   outcomes. *)
-let run_pairs plans =
-  map_cells
-    ~fallback:(fun msg ->
-      let f = lost_worker msg in
-      (f, f))
-    (fun plan ->
-      match Run.exec_all plan with
-      | [ a; b ] -> (a, b)
-      | _ -> invalid_arg "run_pairs: plan must have exactly two processes")
-    plans
+let pause_opt o = Option.map (fun m -> m.Metrics.avg_pause_ms) (completed o)
+
+let ms ns = float_of_int ns /. 1e6
+
+let series t = Table.print_series ~csv_dir:t.csv_dir ~charts:t.charts
+
+(* A figure whose rows are [grid]'s: [label] prints each row's x value,
+   [value] projects each cell. *)
+let plot t ~title ~x_label ~columns label value results =
+  series t ~title ~x_label ~columns
+    ~rows:(List.map (fun (x, cells) -> (label x, List.map value cells)) results)
+
+let pjbb p = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume
 
 (* --------------------------------------------------------------- *)
 (* Table 1                                                          *)
 
-let min_heap_probe ~volume_scale specs =
-  map_cells
-    ~fallback:(fun _ -> None)
-    (fun spec -> Minheap.find ~volume_scale ~collector:"BC" ~spec ())
-    specs
+let min_heaps t =
+  match t.min_heaps with
+  | Some m -> m
+  | None ->
+      let volume_scale = (params t.mode).minheap_volume in
+      let m =
+        map t
+          ~fallback:(fun _ -> None)
+          (fun spec -> Minheap.find ~volume_scale ~collector:"BC" ~spec ())
+          Workload.Catalog.batch_specs
+      in
+      t.min_heaps <- Some m;
+      m
 
-let table1 mode =
-  let p = params mode in
+let table1 t =
+  let p = params t.mode in
   Printf.printf "\n== Table 1: benchmark statistics (all bytes = paper/8, %s mode) ==\n"
     p.label;
-  let min_heaps =
-    min_heap_probe ~volume_scale:p.minheap_volume Workload.Catalog.batch_specs
-  in
   let rows =
     List.map2
       (fun spec min_heap ->
@@ -162,7 +187,7 @@ let table1 mode =
                 (float_of_int b /. float_of_int spec.Spec.paper_min_heap_bytes)
           | None -> "-");
         ])
-      Workload.Catalog.batch_specs min_heaps
+      Workload.Catalog.batch_specs (min_heaps t)
   in
   Table.print_table
     ~header:
@@ -170,55 +195,38 @@ let table1 mode =
     ~rows
 
 (* --------------------------------------------------------------- *)
-(* Shared runners                                                   *)
-
-let elapsed_opt = function
-  | Metrics.Completed m -> Some (Metrics.elapsed_s m)
-  | Metrics.Exhausted _ | Metrics.Thrashed _ | Metrics.Failed _ -> None
-
-let pause_opt = function
-  | Metrics.Completed m -> Some m.Metrics.avg_pause_ms
-  | Metrics.Exhausted _ | Metrics.Thrashed _ | Metrics.Failed _ -> None
-
-(* --------------------------------------------------------------- *)
 (* Figure 2                                                         *)
 
-let figure2 mode =
-  let p = params mode in
+let figure2 t =
+  let p = params t.mode in
   let collectors = baseline_collectors p in
   (* the heap-size axis is relative to each benchmark's measured minimum
      heap (Table 1's measured column), as in the paper *)
-  let min_heaps =
+  let benches =
     List.map2
       (fun spec measured ->
-        (spec, Option.value measured ~default:spec.Spec.paper_min_heap_bytes))
-      Workload.Catalog.batch_specs
-      (min_heap_probe ~volume_scale:p.minheap_volume Workload.Catalog.batch_specs)
+        ( Spec.scale_volume spec p.suite_volume,
+          Option.value measured ~default:spec.Spec.paper_min_heap_bytes ))
+      Workload.Catalog.batch_specs (min_heaps t)
   in
-  (* one flat fan-out: multiplier × benchmark × collector *)
-  let plans =
-    List.concat_map
-      (fun mult ->
-        List.concat_map
-          (fun (spec, min_heap) ->
-            let spec = Spec.scale_volume spec p.suite_volume in
-            let heap_bytes = int_of_float (mult *. float_of_int min_heap) in
-            List.map
-              (fun collector -> Plan.make ~collector ~spec ~heap_bytes)
-              collectors)
-          min_heaps)
-      p.f2_multipliers
-  in
-  let by_mult =
-    chunk (List.length min_heaps)
-      (run_matrix ~width:(List.length collectors) plans)
+  let results =
+    grid (run t) ~rows:p.f2_multipliers
+      ~columns:
+        (List.concat_map
+           (fun bench -> List.map (fun collector -> (bench, collector)) collectors)
+           benches)
+      (fun mult ((spec, min_heap), collector) ->
+        Plan.make ~collector ~spec
+          ~heap_bytes:(int_of_float (mult *. float_of_int min_heap)))
   in
   let rows =
-    List.map2
-      (fun mult per_bench ->
+    List.map
+      (fun (mult, outcomes) ->
         (* per benchmark, elapsed per collector; then geomean of the
            ratios to BC over the benchmarks where both completed *)
-        let per_bench = List.map (List.map elapsed_opt) per_bench in
+        let per_bench =
+          chunk (List.length collectors) (List.map elapsed_opt outcomes)
+        in
         let cells =
           List.mapi
             (fun i _collector ->
@@ -235,9 +243,9 @@ let figure2 mode =
             collectors
         in
         (Printf.sprintf "%.2fx" mult, cells))
-      p.f2_multipliers by_mult
+      results
   in
-  Table.print_series
+  series t
     ~title:
       "Figure 2: geomean execution time relative to BC (no memory pressure)"
     ~x_label:"heap" ~columns:collectors ~rows
@@ -255,39 +263,25 @@ let steady_plan ~collector ~spec ~heap_bytes =
   |> Plan.with_frames frames
   |> Plan.with_pressure pressure
 
-let figure3 mode =
-  let p = params mode in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
-  let results =
-    List.combine p.f3_heap_mb
-      (run_matrix
-         ~width:(List.length pressure_collectors)
-         (List.concat_map
-            (fun heap_mb ->
-              List.map
-                (fun collector ->
-                  steady_plan ~collector ~spec ~heap_bytes:(mb heap_mb))
-                pressure_collectors)
-            p.f3_heap_mb))
+let figure3 t =
+  let p = params t.mode in
+  let spec = pjbb p in
+  let plot =
+    plot t ~x_label:"heap(MB/8)" ~columns:pressure_collectors
+      (Printf.sprintf "%.2f")
   in
-  Table.print_series
+  let results =
+    grid (run t) ~rows:p.f3_heap_mb ~columns:pressure_collectors
+      (fun heap_mb collector ->
+        steady_plan ~collector ~spec ~heap_bytes:(mb heap_mb))
+  in
+  plot
     ~title:
       "Figure 3(a): steady pressure (40% of heap available): execution time \
        (s), pseudoJBB"
-    ~x_label:"heap(MB/8)" ~columns:pressure_collectors
-    ~rows:
-      (List.map
-         (fun (heap_mb, outcomes) ->
-           (Printf.sprintf "%.2f" heap_mb, List.map elapsed_opt outcomes))
-         results);
-  Table.print_series
-    ~title:"Figure 3(b): steady pressure: average GC pause (ms), pseudoJBB"
-    ~x_label:"heap(MB/8)" ~columns:pressure_collectors
-    ~rows:
-      (List.map
-         (fun (heap_mb, outcomes) ->
-           (Printf.sprintf "%.2f" heap_mb, List.map pause_opt outcomes))
-         results)
+    elapsed_opt results;
+  plot ~title:"Figure 3(b): steady pressure: average GC pause (ms), pseudoJBB"
+    pause_opt results
 
 (* --------------------------------------------------------------- *)
 (* Figures 4, 5, 6: dynamic pressure                                *)
@@ -323,91 +317,54 @@ let dynamic_plan ?costs ?trace ~collector ~spec ~available_frac () =
   |> (match costs with None -> Fun.id | Some c -> Plan.with_costs c)
   |> match trace with None -> Fun.id | Some s -> Plan.with_trace s
 
-let dynamic_outcomes p collectors =
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
-  List.combine p.dyn_available
-    (run_matrix
-       ~width:(List.length collectors)
-       (List.concat_map
-          (fun available_frac ->
-            List.map
-              (fun collector ->
-                dynamic_plan ~collector ~spec ~available_frac ())
-              collectors)
-          p.dyn_available))
+let dynamic_outcomes t available collectors =
+  let spec = pjbb (params t.mode) in
+  grid (run t) ~rows:available ~columns:collectors
+    (fun available_frac collector ->
+      dynamic_plan ~collector ~spec ~available_frac ())
 
-let figure45 mode =
-  let p = params mode in
-  let results = dynamic_outcomes p pressure_collectors in
-  Table.print_series
-    ~title:"Figure 4: dynamic pressure: average GC pause (ms), pseudoJBB"
-    ~x_label:"avail/heap" ~columns:pressure_collectors
-    ~rows:
-      (List.map
-         (fun (frac, outcomes) ->
-           (Printf.sprintf "%.2f" frac, List.map pause_opt outcomes))
-         results);
-  Table.print_series
-    ~title:"Figure 5(a): dynamic pressure: execution time (s), pseudoJBB"
-    ~x_label:"avail/heap" ~columns:pressure_collectors
-    ~rows:
-      (List.map
-         (fun (frac, outcomes) ->
-           (Printf.sprintf "%.2f" frac, List.map elapsed_opt outcomes))
-         results);
+let figure45 t =
+  let p = params t.mode in
+  let plot = plot t ~x_label:"avail/heap" (Printf.sprintf "%.2f") in
+  let results = dynamic_outcomes t p.dyn_available pressure_collectors in
+  plot ~title:"Figure 4: dynamic pressure: average GC pause (ms), pseudoJBB"
+    ~columns:pressure_collectors pause_opt results;
+  plot ~title:"Figure 5(a): dynamic pressure: execution time (s), pseudoJBB"
+    ~columns:pressure_collectors elapsed_opt results;
   let fixed = [ "BC-fixed"; "GenMS-fixed"; "GenCopy-fixed" ] in
   (* the fixed-nursery footprint is smaller, so paging only starts at
      lower availability: extend the sweep downwards *)
-  let fixed_results =
-    dynamic_outcomes { p with dyn_available = p.dyn_available @ [ 0.28; 0.22 ] } fixed
-  in
-  Table.print_series
+  plot
     ~title:
       "Figure 5(b): dynamic pressure, fixed-size (4MB/8) nurseries: \
        execution time (s)"
-    ~x_label:"avail/heap" ~columns:fixed
-    ~rows:
-      (List.map
-         (fun (frac, outcomes) ->
-           (Printf.sprintf "%.2f" frac, List.map elapsed_opt outcomes))
-         fixed_results)
+    ~columns:fixed elapsed_opt
+    (dynamic_outcomes t (p.dyn_available @ [ 0.28; 0.22 ]) fixed)
 
-let figure6 mode =
-  let p = params mode in
+let figure6 t =
+  let p = params t.mode in
   let collectors =
     pressure_collectors @ if p.include_marksweep then [ "MarkSweep" ] else []
   in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+  let spec = pjbb p in
   let windows =
     (* log-spaced windows, 1 ms .. 100 s (virtual) *)
     List.init 11 (fun i ->
         int_of_float (1e6 *. Float.pow 10.0 (float_of_int i /. 2.0)))
   in
-  let outcome_rows =
-    run_matrix
-      ~width:(List.length collectors)
-      (List.concat_map
-         (fun (_tag, available_frac) ->
-           List.map
-             (fun collector ->
-               dynamic_plan ~collector ~spec ~available_frac ())
-             collectors)
-         p.f6_available)
-  in
-  List.iter2
-    (fun (tag, available_frac) outcomes ->
+  List.iter
+    (fun ((tag, available_frac), outcomes) ->
       let curves =
         List.map
-          (function
-            | Metrics.Completed m ->
-                Some
-                  (Bmu.curve ~pauses:m.Metrics.pauses
-                     ~total_ns:m.Metrics.elapsed_ns ~windows)
-            | Metrics.Exhausted _ | Metrics.Thrashed _ | Metrics.Failed _ ->
-                None)
+          (fun o ->
+            Option.map
+              (fun m ->
+                Bmu.curve ~pauses:m.Metrics.pauses
+                  ~total_ns:m.Metrics.elapsed_ns ~windows)
+              (completed o))
           outcomes
       in
-      Table.print_series
+      series t
         ~title:
           (Printf.sprintf
              "Figure 6 (%s pressure, %.0f%% of heap available): BMU by \
@@ -417,14 +374,14 @@ let figure6 mode =
         ~rows:
           (List.mapi
              (fun i w ->
-               ( Printf.sprintf "%.1f" (float_of_int w /. 1e6),
+               ( Printf.sprintf "%.1f" (ms w),
                  List.map
-                   (function
-                     | Some curve -> Some (snd (List.nth curve i))
-                     | None -> None)
+                   (Option.map (fun curve -> snd (List.nth curve i)))
                    curves ))
              windows))
-    p.f6_available outcome_rows
+    (grid (run t) ~rows:p.f6_available ~columns:collectors
+       (fun (_tag, available_frac) collector ->
+         dynamic_plan ~collector ~spec ~available_frac ()))
 
 (* --------------------------------------------------------------- *)
 (* Figure 7                                                         *)
@@ -439,62 +396,40 @@ let pair_plan ?(coworker : string option) ~collector ~spec ~heap_bytes ~frames
   |> Plan.with_process ~collector:coworker
        ~spec:{ spec with Spec.seed = spec.Spec.seed + 17 }
 
-let figure7 mode =
-  let p = params mode in
+let figure7 t =
+  let p = params t.mode in
   let collectors = [ "BC"; "GenMS"; "GenCopy"; "CopyMS"; "SemiSpace" ] in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+  let spec = pjbb p in
   let heap_bytes = pjbb_heap_bytes in
   let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in
   let results =
-    List.combine p.f7_available
-      (chunk (List.length collectors)
-         (run_pairs
-            (List.concat_map
-               (fun frac ->
-                 let frames =
-                   max 512
-                     (int_of_float (frac *. float_of_int (2 * heap_pages)))
-                 in
-                 List.map
-                   (fun collector ->
-                     pair_plan ~collector ~spec ~heap_bytes ~frames ())
-                   collectors)
-               p.f7_available)))
+    grid (pairs t) ~rows:p.f7_available ~columns:collectors
+      (fun frac collector ->
+        let frames =
+          max 512 (int_of_float (frac *. float_of_int (2 * heap_pages)))
+        in
+        pair_plan ~collector ~spec ~heap_bytes ~frames ())
   in
-  let elapsed_pair (a, b) =
-    match (a, b) with
-    | Metrics.Completed ma, Metrics.Completed mb ->
-        Some (Float.max (Metrics.elapsed_s ma) (Metrics.elapsed_s mb))
+  let both f = function
+    | Metrics.Completed ma, Metrics.Completed mb -> Some (f ma mb)
     | _ -> None
   in
-  let pause_pair (a, b) =
-    match (a, b) with
-    | Metrics.Completed ma, Metrics.Completed mb ->
-        Some ((ma.Metrics.avg_pause_ms +. mb.Metrics.avg_pause_ms) /. 2.0)
-    | _ -> None
+  let plot =
+    plot t ~x_label:"avail/(2*heap)" ~columns:collectors (Printf.sprintf "%.2f")
   in
-  Table.print_series
-    ~title:"Figure 7(a): two instances of pseudoJBB: total elapsed time (s)"
-    ~x_label:"avail/(2*heap)" ~columns:collectors
-    ~rows:
-      (List.map
-         (fun (frac, outcomes) ->
-           (Printf.sprintf "%.2f" frac, List.map elapsed_pair outcomes))
-         results);
-  Table.print_series
-    ~title:"Figure 7(b): two instances: average GC pause (ms)"
-    ~x_label:"avail/(2*heap)" ~columns:collectors
-    ~rows:
-      (List.map
-         (fun (frac, outcomes) ->
-           (Printf.sprintf "%.2f" frac, List.map pause_pair outcomes))
-         results)
+  plot ~title:"Figure 7(a): two instances of pseudoJBB: total elapsed time (s)"
+    (both (fun ma mb -> Float.max (Metrics.elapsed_s ma) (Metrics.elapsed_s mb)))
+    results;
+  plot ~title:"Figure 7(b): two instances: average GC pause (ms)"
+    (both (fun ma mb ->
+         (ma.Metrics.avg_pause_ms +. mb.Metrics.avg_pause_ms) /. 2.0))
+    results
 
 (* --------------------------------------------------------------- *)
 (* Ablations                                                        *)
 
-let ablation mode =
-  let p = params mode in
+let ablation t =
+  let p = params t.mode in
   (* every registered BC-family entry (canonical, variants, ablations),
      then the generational yardsticks *)
   let variants =
@@ -504,34 +439,30 @@ let ablation mode =
       Registry.all
     @ [ "GenMS"; "GenMS-coop" ]
   in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+  let spec = pjbb p in
   (* severe enough that discarding alone cannot absorb the pressure *)
   let frac = 0.38 in
-  let outcomes =
-    run_cells
-      (List.map
-         (fun collector ->
-           dynamic_plan ~collector ~spec ~available_frac:frac ())
-         variants)
+  let row collector = function
+    | Metrics.Completed m ->
+        [
+          collector;
+          Table.fmt_seconds (Metrics.elapsed_s m);
+          Table.fmt_ms m.Metrics.avg_pause_ms;
+          string_of_int m.Metrics.major_faults;
+          string_of_int m.Metrics.gc_major_faults;
+          string_of_int m.Metrics.discards;
+          string_of_int m.Metrics.relinquished;
+        ]
+    | Metrics.Exhausted msg -> [ collector; "exhausted: " ^ msg ]
+    | Metrics.Thrashed msg -> [ collector; "thrashed: " ^ msg ]
+    | Metrics.Failed f -> [ collector; "failed: " ^ f.Metrics.reason ]
   in
   let rows =
-    List.map2
-      (fun collector outcome ->
-        match outcome with
-        | Metrics.Completed m ->
-            [
-              collector;
-              Table.fmt_seconds (Metrics.elapsed_s m);
-              Table.fmt_ms m.Metrics.avg_pause_ms;
-              string_of_int m.Metrics.major_faults;
-              string_of_int m.Metrics.gc_major_faults;
-              string_of_int m.Metrics.discards;
-              string_of_int m.Metrics.relinquished;
-            ]
-        | Metrics.Exhausted msg -> [ collector; "exhausted: " ^ msg ]
-        | Metrics.Thrashed msg -> [ collector; "thrashed: " ^ msg ]
-        | Metrics.Failed f -> [ collector; "failed: " ^ f.Metrics.reason ])
-      variants outcomes
+    List.concat_map
+      (fun (collector, outcomes) -> List.map (row collector) outcomes)
+      (grid (run t) ~rows:variants ~columns:[ frac ]
+         (fun collector available_frac ->
+           dynamic_plan ~collector ~spec ~available_frac ()))
   in
   Printf.printf
     "\n== Ablations: BC variants under dynamic pressure (38%% of heap \
@@ -544,9 +475,9 @@ let ablation mode =
 (* ---------------------------------------------------------------- *)
 (* Beyond the paper: SSD swap                                         *)
 
-let ssd mode =
-  let p = params mode in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+let ssd t =
+  let p = params t.mode in
+  let spec = pjbb p in
   let collectors = [ "BC"; "GenMS"; "GenCopy"; "CopyMS" ] in
   let devices = [ ("disk(5ms)", Vmsim.Costs.default); ("ssd(80us)", Vmsim.Costs.ssd) ] in
   let combos =
@@ -555,32 +486,21 @@ let ssd mode =
         List.map (fun frac -> (tag, costs, frac)) [ 0.5; 0.4 ])
       devices
   in
-  let rows =
-    List.map2
-      (fun (tag, _, frac) outcomes ->
-        (Printf.sprintf "%s@%.2f" tag frac, List.map elapsed_opt outcomes))
-      combos
-      (run_matrix
-         ~width:(List.length collectors)
-         (List.concat_map
-            (fun (_, costs, frac) ->
-              List.map
-                (fun collector ->
-                  dynamic_plan ~costs ~collector ~spec ~available_frac:frac ())
-                collectors)
-            combos))
-  in
-  Table.print_series
+  plot t
     ~title:
       "Beyond the paper: disk vs SSD swap under dynamic pressure (s)"
-    ~x_label:"device@avail" ~columns:collectors ~rows
+    ~x_label:"device@avail" ~columns:collectors
+    (fun (tag, _, frac) -> Printf.sprintf "%s@%.2f" tag frac)
+    elapsed_opt
+    (grid (run t) ~rows:combos ~columns:collectors
+       (fun (_, costs, available_frac) collector ->
+         dynamic_plan ~costs ~collector ~spec ~available_frac ()))
 
 (* ---------------------------------------------------------------- *)
 (* Beyond the paper: recovery from a transient spike                  *)
 
-let recovery mode =
-  let p = params mode in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+let recovery t =
+  let spec = pjbb (params t.mode) in
   let heap_bytes = pjbb_heap_bytes in
   let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in
   let frames = heap_pages + 256 in
@@ -625,7 +545,7 @@ let recovery mode =
        Some (Vmsim.Clock.ns_to_s finish, after)
      with Gc_common.Collector.Heap_exhausted _ | Vmsim.Vmm.Thrashing _ -> None)
   in
-  let results = map_cells ~fallback:(fun _ -> None) run collectors in
+  let results = map t ~fallback:(fun _ -> None) run collectors in
   Printf.printf
     "\n== Beyond the paper: recovery after a transient spike (pin to 35%% \
      between 15%%-35%% progress) ==\n";
@@ -647,31 +567,29 @@ let recovery mode =
 (* ---------------------------------------------------------------- *)
 (* Beyond the paper: heterogeneous cohabitation                       *)
 
-let mixed mode =
-  let p = params mode in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+let mixed t =
+  let spec = pjbb (params t.mode) in
   let heap_bytes = pjbb_heap_bytes in
   let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in
   let frames = 2 * heap_pages * 6 / 10 in
   let pairings = [ ("BC", "BC"); ("GenMS", "GenMS"); ("BC", "GenMS") ] in
   let results =
-    run_pairs
+    pairs t
       (List.map
          (fun (a, b) ->
            pair_plan ~collector:a ~coworker:b ~spec ~heap_bytes ~frames ())
          pairings)
   in
-  let describe tag = function
-    | Metrics.Completed m ->
+  let describe tag o =
+    match completed o with
+    | Some m ->
         [
           tag;
           Table.fmt_seconds (Metrics.elapsed_s m);
           Table.fmt_ms m.Metrics.avg_pause_ms;
           string_of_int m.Metrics.major_faults;
         ]
-    | Metrics.Exhausted _ -> [ tag; "exhausted"; "-"; "-" ]
-    | Metrics.Thrashed _ -> [ tag; "thrashed"; "-"; "-" ]
-    | Metrics.Failed _ -> [ tag; "failed"; "-"; "-" ]
+    | None -> [ tag; Metrics.outcome_label o; "-"; "-" ]
   in
   Printf.printf
     "\n== Beyond the paper: two collectors sharing one machine (60%% of \
@@ -689,9 +607,9 @@ let mixed mode =
 (* ---------------------------------------------------------------- *)
 (* Multiprocess contention (§5: two JVMs competing for memory)        *)
 
-let multiprocess mode =
-  let p = params mode in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+let multiprocess t =
+  let p = params t.mode in
+  let spec = pjbb p in
   let heap_bytes = pjbb_heap_bytes in
   let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in
   (* enough physical memory for one instance to run comfortably, nothing
@@ -704,9 +622,9 @@ let multiprocess mode =
   let solo collector =
     Plan.make ~collector ~spec ~heap_bytes |> Plan.with_frames frames
   in
-  let solos = run_cells (List.map solo collectors) in
+  let solos = run t (List.map solo collectors) in
   let contended =
-    run_pairs
+    pairs t
       (List.map
          (fun collector ->
            pair_plan ~collector ~coworker:competitor ~spec ~heap_bytes
@@ -718,6 +636,7 @@ let multiprocess mode =
     | Metrics.Completed _ -> "ok"
     | o -> Metrics.outcome_label o
   in
+  let p95 o = Option.map (fun m -> m.Metrics.p95_pause_ms) (completed o) in
   let rows =
     List.map2
       (fun collector (solo_o, (victim_o, _comp_o)) ->
@@ -726,14 +645,6 @@ let multiprocess mode =
           | Some s, Some c when s > 0. -> Printf.sprintf "%.1fx" (c /. s)
           | _ -> label_of victim_o
         in
-        let p95 = function
-          | Metrics.Completed m -> Some m.Metrics.p95_pause_ms
-          | _ -> None
-        in
-        let faults = function
-          | Metrics.Completed m -> string_of_int m.Metrics.major_faults
-          | _ -> "-"
-        in
         [
           collector;
           fmt_opt Table.fmt_seconds (elapsed_opt solo_o);
@@ -741,7 +652,8 @@ let multiprocess mode =
           slowdown;
           fmt_opt Table.fmt_ms (p95 solo_o);
           fmt_opt Table.fmt_ms (p95 victim_o);
-          faults victim_o;
+          fmt_opt string_of_int
+            (Option.map (fun m -> m.Metrics.major_faults) (completed victim_o));
         ])
       collectors
       (List.combine solos contended)
@@ -771,7 +683,7 @@ let multiprocess mode =
     ]
   in
   let policy_results =
-    run_pairs
+    pairs t
       (List.map
          (fun (_, refine) ->
            refine
@@ -790,11 +702,12 @@ let multiprocess mode =
       (List.map2
          (fun (tag, _) (bc_o, comp_o) ->
            let time o = fmt_opt Table.fmt_seconds (elapsed_opt o) in
-           let p95 = function
-             | Metrics.Completed m -> Table.fmt_ms m.Metrics.p95_pause_ms
-             | o -> Metrics.outcome_label o
+           let p95_or_label o =
+             match p95 o with
+             | Some ms -> Table.fmt_ms ms
+             | None -> Metrics.outcome_label o
            in
-           [ tag; time bc_o; p95 bc_o; time comp_o; p95 comp_o ])
+           [ tag; time bc_o; p95_or_label bc_o; time comp_o; p95_or_label comp_o ])
          policies policy_results)
 
 (* ---------------------------------------------------------------- *)
@@ -815,8 +728,8 @@ let fault_spec =
     spike_count = 1;
   }
 
-let faults mode =
-  let p = params mode in
+let faults t =
+  let p = params t.mode in
   let collectors = [ "BC"; "GenMS" ] in
   let describe name outcome =
     let label = Metrics.outcome_label outcome in
@@ -839,10 +752,14 @@ let faults mode =
     in
     [ name; label; detail; injected ]
   in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        let spec = Spec.scale_volume spec p.suite_volume in
+  let results =
+    grid (run t)
+      ~rows:
+        (List.map
+           (fun spec -> Spec.scale_volume spec p.suite_volume)
+           Workload.Catalog.batch_specs)
+      ~columns:collectors
+      (fun spec collector ->
         let heap_bytes = max (2 * spec.Spec.paper_min_heap_bytes) 1_500_000 in
         let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in
         let frames = heap_pages + 192 in
@@ -850,29 +767,29 @@ let faults mode =
           Pressure.Steady
             { after_progress = 0.1; pin_pages = heap_pages * 4 / 10 }
         in
-        List.map
-          (fun collector ->
-            ( spec.Spec.name ^ "/" ^ collector,
-              Plan.make ~collector ~spec ~heap_bytes
-              |> Plan.with_frames frames
-              |> Plan.with_pressure pressure
-              |> Plan.with_faults fault_spec
-              |> Plan.with_verify ))
-          collectors)
-      Workload.Catalog.batch_specs
+        Plan.make ~collector ~spec ~heap_bytes
+        |> Plan.with_frames frames
+        |> Plan.with_pressure pressure
+        |> Plan.with_faults fault_spec
+        |> Plan.with_verify)
   in
-  let outcomes = run_cells (List.map snd cells) in
   Printf.printf
     "\n== Beyond the paper: fault injection (drop 30%% of eviction notices, \
      swap errors, 2 swap-full episodes) ==\n";
   Table.print_table
     ~header:[ "benchmark/collector"; "outcome"; "time(s)/exn"; "injected" ]
-    ~rows:(List.map2 (fun (name, _) o -> describe name o) cells outcomes);
+    ~rows:
+      (List.concat_map
+         (fun (spec, outcomes) ->
+           List.map2
+             (fun collector o -> describe (spec.Spec.name ^ "/" ^ collector) o)
+             collectors outcomes)
+         results);
   (* The same reference fault plan against a serving workload: BC and a
      GenMS coworker share one memory-tight machine, and each process
      gets its own SLO verdict — does the tail survive an unreliable
      kernel, not just complete under one? *)
-  let srv_volume = match mode with Quick -> 0.35 | Full -> 1.0 in
+  let srv_volume = match t.mode with Quick -> 0.35 | Full -> 1.0 in
   let scale_srv (s : Workload.Request.spec) =
     match
       Workload.Catalog.scale_volume (Workload.Catalog.Serving_spec s)
@@ -912,30 +829,25 @@ let faults mode =
     |> Plan.with_verify
   in
   let bc_o, gen_o =
-    match run_pairs [ srv_plan ] with
+    match pairs t [ srv_plan ] with
     | [ pair ] -> pair
     | _ -> assert false
   in
-  let serving_of = function
-    | Metrics.Completed m -> m.Metrics.serving
-    | Metrics.Exhausted _ | Metrics.Thrashed _ | Metrics.Failed _ -> None
-  in
-  let msf ns = float_of_int ns /. 1e6 in
   let srv_row pname outcome =
     let label = Metrics.outcome_label outcome in
+    let m = completed outcome in
     let injected =
-      match outcome with
-      | Metrics.Completed { Metrics.faults = Some s; _ } ->
-          Format.asprintf "%a" Faults.Fault_plan.pp_stats s
-      | _ -> "-"
+      match Option.bind m (fun m -> m.Metrics.faults) with
+      | Some s -> Format.asprintf "%a" Faults.Fault_plan.pp_stats s
+      | None -> "-"
     in
-    match serving_of outcome with
+    match Option.bind m (fun m -> m.Metrics.serving) with
     | Some s ->
         [
           pname;
           label;
-          Printf.sprintf "%.2f" (msf s.Workload.Slo.p50_ns);
-          Printf.sprintf "%.2f" (msf s.Workload.Slo.p999_ns);
+          Printf.sprintf "%.2f" (ms s.Workload.Slo.p50_ns);
+          Printf.sprintf "%.2f" (ms s.Workload.Slo.p999_ns);
           string_of_int s.Workload.Slo.violations;
           (if Workload.Slo.meets_p999 s then "meets p999"
            else "violates p999");
@@ -984,8 +896,8 @@ let control_statics = [ "off"; "static"; "static-tight" ]
 
 let control_adaptives = [ "threshold"; "pi" ]
 
-let control mode =
-  let p = params mode in
+let control t =
+  let p = params t.mode in
   (* a longer run than the fault matrix uses: the control loop needs a
      timeline — many decision windows, several collections — to react
      within. A cliff of pressure that lands and collects inside one
@@ -1002,7 +914,7 @@ let control mode =
   let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in
   let frames = heap_pages + 192 in
   let fault_plans =
-    match mode with
+    match t.mode with
     | Quick -> [ ("none", None); ("storm", Some storm_fault_spec) ]
     | Full ->
         [
@@ -1031,47 +943,30 @@ let control mode =
      controller gets several looks between pressure increments *)
   let window_ns = 1_000_000 in
   let controllers = control_statics @ control_adaptives in
-  let cells =
-    List.concat_map
-      (fun (fname, fplan) ->
-        List.concat_map
-          (fun (pname, pressure) ->
-            List.map
-              (fun controller ->
-                let plan =
-                  Plan.make ~collector:"BC" ~spec ~heap_bytes
-                  |> Plan.with_frames frames
-                  |> Plan.with_pressure pressure
-                  |> (match fplan with
-                     | None -> Fun.id
-                     | Some f -> Plan.with_faults f)
-                  |>
-                  match controller with
-                  | "off" -> Fun.id
-                  | name -> Plan.with_controller ~window_ns name
-                in
-                ((controller, fname, pname), plan))
-              controllers)
-          pressures)
-      fault_plans
+  let results =
+    grid (run t)
+      ~rows:
+        (List.concat_map
+           (fun fault_plan ->
+             List.map (fun pressure -> (fault_plan, pressure)) pressures)
+           fault_plans)
+      ~columns:controllers
+      (fun ((_, fplan), (_, pressure)) controller ->
+        Plan.make ~collector:"BC" ~spec ~heap_bytes
+        |> Plan.with_frames frames
+        |> Plan.with_pressure pressure
+        |> (match fplan with None -> Fun.id | Some f -> Plan.with_faults f)
+        |>
+        match controller with
+        | "off" -> Fun.id
+        | name -> Plan.with_controller ~window_ns name)
   in
-  let outcomes = run_cells (List.map snd cells) in
-  let tagged = List.combine (List.map fst cells) outcomes in
   (* exact nearest-rank p99 over the cell's recorded pauses — Metrics
      precomputes p50/p95/max only *)
   let p99_pause_ms (m : Metrics.t) =
-    match List.sort compare (List.map snd m.Metrics.pauses) with
-    | [] -> 0.0
-    | ds ->
-        let n = List.length ds in
-        let idx =
-          max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1)
-        in
-        float_of_int (List.nth ds idx) /. 1e6
-  in
-  let control_of = function
-    | Metrics.Completed m -> m.Metrics.control
-    | Metrics.Exhausted _ | Metrics.Thrashed _ | Metrics.Failed _ -> None
+    let ds = Array.of_list (List.map snd m.Metrics.pauses) in
+    Array.sort compare ds;
+    ms (Workload.Slo.percentile ds 0.99)
   in
   Printf.printf
     "\n== Closed-loop controllers: BC/%s, controllers x fault plans x \
@@ -1082,54 +977,47 @@ let control mode =
       [ "controller"; "faults"; "pressure"; "outcome"; "time(s)";
         "failsafe"; "p99(ms)"; "mfaults"; "peak"; "final" ]
     ~rows:
-      (List.map
-         (fun ((controller, fname, pname), outcome) ->
-           let base = [ controller; fname; pname ] in
-           match outcome with
-           | Metrics.Completed m ->
-               base
-               @ [
-                   Metrics.outcome_label outcome;
-                   Table.fmt_seconds (Metrics.elapsed_s m);
-                   string_of_int m.Metrics.failsafes;
-                   Printf.sprintf "%.2f" (p99_pause_ms m);
-                   string_of_int m.Metrics.major_faults;
-                 ]
-               @ (match control_of outcome with
-                 | Some c ->
-                     [
-                       Control.Controller.state_name
-                         c.Control.Controller.peak_state;
-                       Control.Controller.state_name
-                         c.Control.Controller.final_state;
+      (List.concat_map
+         (fun (((fname, _), (pname, _)), outcomes) ->
+           List.map2
+             (fun controller outcome ->
+               let base =
+                 [ controller; fname; pname; Metrics.outcome_label outcome ]
+               in
+               match completed outcome with
+               | Some m ->
+                   base
+                   @ [
+                       Table.fmt_seconds (Metrics.elapsed_s m);
+                       string_of_int m.Metrics.failsafes;
+                       Printf.sprintf "%.2f" (p99_pause_ms m);
+                       string_of_int m.Metrics.major_faults;
                      ]
-                 | None -> [ "-"; "-" ])
-           | o ->
-               base
-               @ [ Metrics.outcome_label o; "-"; "-"; "-"; "-"; "-"; "-" ])
-         tagged);
+                   @ (match m.Metrics.control with
+                     | Some c ->
+                         [
+                           Control.Controller.state_name
+                             c.Control.Controller.peak_state;
+                           Control.Controller.state_name
+                             c.Control.Controller.final_state;
+                         ]
+                     | None -> [ "-"; "-" ])
+               | None -> base @ [ "-"; "-"; "-"; "-"; "-"; "-" ])
+             controllers outcomes)
+         results);
   (* Verdicts. On a fault plan the adaptive controllers must earn their
      keep against every static configuration (fewer failsafe
      collections, or the same with a lower p99 pause); on the no-fault
      plan they must not cost anything (elapsed within noise of the best
      static). *)
-  let cell controller fname pname =
-    List.assoc_opt (controller, fname, pname) tagged
-  in
-  let completed = function
-    | Some (Metrics.Completed m) -> Some m
-    | _ -> None
-  in
-  let configs =
-    List.concat_map
-      (fun (fname, _) -> List.map (fun (pname, _) -> (fname, pname)) pressures)
-      fault_plans
-  in
   List.iter
-    (fun (fname, pname) ->
+    (fun (((fname, _), (pname, _)), outcomes) ->
+      let cell controller =
+        completed (List.assoc controller (List.combine controllers outcomes))
+      in
       List.iter
         (fun adaptive ->
-          match completed (cell adaptive fname pname) with
+          match cell adaptive with
           | None ->
               Printf.printf
                 "control verdict: %s did not complete on %s/%s\n" adaptive
@@ -1139,7 +1027,7 @@ let control mode =
                 let worst_ratio =
                   List.fold_left
                     (fun acc static ->
-                      match completed (cell static fname pname) with
+                      match cell static with
                       | None -> acc
                       | Some s ->
                           max acc
@@ -1159,12 +1047,12 @@ let control mode =
                     adaptive fname pname worst_ratio)
               else
                 let beats static =
-                  match completed (cell static fname pname) with
+                  match cell static with
                   | None -> true (* the static died; surviving wins *)
                   | Some s ->
-                      (* the issue's disjunction verbatim: a forced
-                         fail-safe that buys a lower tail is a win, not
-                         a tie-breaker loss *)
+                      (* either test wins: a forced fail-safe that
+                         buys a lower tail is a win, not a tie-breaker
+                         loss *)
                       a.Metrics.failsafes < s.Metrics.failsafes
                       || p99_pause_ms a < p99_pause_ms s
                 in
@@ -1180,16 +1068,15 @@ let control mode =
                      %s/%s\n"
                     adaptive fname pname)
         control_adaptives)
-    configs
+    results
 
 (* ---------------------------------------------------------------- *)
 (* Telemetry trace export                                             *)
 
-let trace_export mode =
-  let p = params mode in
-  let spec = Spec.scale_volume Workload.Benchmarks.pseudojbb p.pjbb_volume in
+let trace_export t =
+  let p = params t.mode in
+  let spec = pjbb p in
   let cells = [ ("BC", 0.4); ("GenMS", 0.4) ] in
-  let dir = Sys.getenv_opt "CSV_DIR" in
   List.iter
     (fun (collector, available_frac) ->
       let sink = Telemetry.Sink.create () in
@@ -1202,9 +1089,10 @@ let trace_export mode =
       | Metrics.Completed m -> Format.printf "%a@." Metrics.pp m
       | o -> Format.printf "%s@." (Metrics.outcome_label o));
       Format.printf "%a@?" Telemetry.Report.pp sink;
-      match dir with
+      match t.csv_dir with
       | None -> ()
       | Some dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let base =
             Printf.sprintf "%s/trace-%s-%.0f" dir collector
               (available_frac *. 100.)
@@ -1231,8 +1119,8 @@ let trace_export mode =
 (* ---------------------------------------------------------------- *)
 (* Supervised campaign demo                                           *)
 
-let campaign mode =
-  let volume = match mode with Quick -> 0.02 | Full -> 0.2 in
+let campaign t =
+  let volume = match t.mode with Quick -> 0.02 | Full -> 0.2 in
   (* temp_file creates the file; Campaign.run refuses to overwrite an
      existing journal, so take the fresh name and drop the file *)
   let journal = Filename.temp_file "bcgc-campaign" ".journal" in
@@ -1240,7 +1128,7 @@ let campaign mode =
   let c =
     {
       Campaign.name =
-        (match mode with Quick -> "demo-quick" | Full -> "demo-full");
+        (match t.mode with Quick -> "demo-quick" | Full -> "demo-full");
       collectors = [ "BC"; "GenMS" ];
       workloads = [ "_202_jess" ];
       volume;
@@ -1259,9 +1147,9 @@ let campaign mode =
   in
   Printf.printf "\n== Campaign: %d cells over %d worker(s), journal %s ==\n"
     (List.length (Campaign.cells c))
-    (get_jobs ()) journal;
+    t.jobs journal;
   match
-    Campaign.run ~jobs:(get_jobs ()) ?backend:(get_backend ())
+    Campaign.run ~jobs:t.jobs ?backend:t.backend
       ~log:(fun m -> Printf.printf "%s\n%!" m)
       c
   with
@@ -1309,11 +1197,7 @@ let slo_plan ~collector ~workload ~available_frac ~mult =
   |> Plan.with_pressure
        (Pressure.Steady { after_progress = 0.0; pin_pages = pin })
 
-let slo_summary = function
-  | Metrics.Completed m -> m.Metrics.serving
-  | Metrics.Exhausted _ | Metrics.Thrashed _ | Metrics.Failed _ -> None
-
-let ms ns = float_of_int ns /. 1e6
+let slo_summary o = Option.bind (completed o) (fun m -> m.Metrics.serving)
 
 let slo_report_schema = "bcgc-slo-report/1"
 
@@ -1343,10 +1227,10 @@ let validate_slo_report text =
       | Some s -> Error (Printf.sprintf "unexpected schema %S" s)
       | None -> Error "report has no schema field")
 
-let slo ?out mode =
-  let p = params mode in
+let slo t =
+  let p = params t.mode in
   let volume, shapes, mults, available_frac =
-    match mode with
+    match t.mode with
     | Quick -> (0.35, [ "srv_shaped"; "srv_flash" ], [ 2.0 ], 0.62)
     | Full ->
         ( 1.0,
@@ -1361,22 +1245,24 @@ let slo ?out mode =
         if volume = 1.0 then i.Workload.Catalog.params
         else Workload.Catalog.scale_volume i.Workload.Catalog.params volume
   in
-  let cells =
-    List.concat_map
-      (fun wname ->
-        let workload = workload_of wname in
-        List.concat_map
-          (fun mult ->
-            List.map
-              (fun collector ->
-                ( (wname, mult, collector),
-                  slo_plan ~collector ~workload ~available_frac ~mult ))
-              slo_collectors)
-          mults)
-      shapes
+  let results =
+    grid (run t)
+      ~rows:
+        (List.concat_map
+           (fun wname -> List.map (fun mult -> (wname, mult)) mults)
+           shapes)
+      ~columns:slo_collectors
+      (fun (wname, mult) collector ->
+        slo_plan ~collector ~workload:(workload_of wname) ~available_frac ~mult)
   in
-  let outcomes = run_cells (List.map snd cells) in
-  let tagged = List.combine (List.map fst cells) outcomes in
+  let tagged =
+    List.concat_map
+      (fun ((wname, mult), outcomes) ->
+        List.map2
+          (fun collector o -> ((wname, mult, collector), o))
+          slo_collectors outcomes)
+      results
+  in
   Printf.printf
     "\n\
      == Beyond the paper: request-serving SLO matrix (%.0f%% of heap \
@@ -1391,8 +1277,8 @@ let slo ?out mode =
     ~rows:
       (List.map
          (fun ((wname, mult, collector), outcome) ->
-           match slo_summary outcome with
-           | Some s ->
+           match completed outcome with
+           | Some ({ Metrics.serving = Some s; _ } as m) ->
                [
                  wname;
                  Printf.sprintf "%g" mult;
@@ -1403,11 +1289,9 @@ let slo ?out mode =
                  Printf.sprintf "%.0f" (ms s.Workload.Slo.slo_ns);
                  string_of_int s.Workload.Slo.violations;
                  string_of_int (List.length s.Workload.Slo.windows);
-                 (match outcome with
-                 | Metrics.Completed m -> string_of_int m.Metrics.major_faults
-                 | _ -> "-");
+                 string_of_int m.Metrics.major_faults;
                ]
-           | None ->
+           | _ ->
                [
                  wname; Printf.sprintf "%g" mult; collector;
                  "-"; "-"; "-"; "-"; "-"; "-";
@@ -1416,32 +1300,23 @@ let slo ?out mode =
          tagged);
   (* Configurations where bookmarking holds the tail under paging and a
      whole-heap baseline does not — the experiment's point. *)
-  let configs =
-    List.concat_map
-      (fun wname -> List.map (fun mult -> (wname, mult)) mults)
-      shapes
-  in
   let verdicts =
     List.filter_map
-      (fun (wname, mult) ->
-        let meets collector =
-          List.exists
-            (fun ((w, m, c), o) ->
-              w = wname && m = mult && c = collector
-              &&
+      (fun ((wname, mult), outcomes) ->
+        let holders, violators =
+          List.partition
+            (fun (_, o) ->
               match slo_summary o with
               | Some s -> Workload.Slo.meets_p999 s
               | None -> false)
-            tagged
+            (List.combine slo_collectors outcomes)
         in
-        let holders = List.filter meets slo_collectors in
-        let violators =
-          List.filter (fun c -> not (meets c)) slo_collectors
-        in
+        let holders = List.map fst holders
+        and violators = List.map fst violators in
         if List.mem "BC" holders && violators <> [] then
           Some (wname, mult, holders, violators)
         else None)
-      configs
+      results
   in
   List.iter
     (fun (wname, mult, holders, violators) ->
@@ -1452,7 +1327,7 @@ let slo ?out mode =
     verdicts;
   if verdicts = [] then
     Printf.printf "no configuration separated the collectors on p999\n";
-  match out with
+  match t.slo_out with
   | None -> ()
   | Some path ->
       let open Telemetry.Json in
@@ -1501,16 +1376,109 @@ let slo ?out mode =
       close_out oc;
       Printf.printf "wrote %s\n" path
 
-let all mode =
-  table1 mode;
-  figure2 mode;
-  figure3 mode;
-  figure45 mode;
-  figure6 mode;
-  figure7 mode;
-  ablation mode;
-  ssd mode;
-  recovery mode;
-  mixed mode;
-  multiprocess mode;
-  faults mode
+(* ---------------------------------------------------------------- *)
+(* Targets                                                            *)
+
+(* The paper's evaluation and the studies beyond it, in the order [all]
+   runs them. *)
+let paper =
+  [
+    (* Table 1: total allocation and measured minimum heap per benchmark,
+       against the paper's (scaled) numbers. *)
+    ("table1", table1);
+    (* Fig. 2: geometric mean execution time relative to BC across all
+       nine benchmarks, as a function of relative heap size, without
+       memory pressure. *)
+    ("fig2", figure2);
+    (* Fig. 3(a,b): steady memory pressure (40% of the heap available):
+       execution time and average GC pause vs heap size, pseudoJBB. *)
+    ("fig3", figure3);
+    (* Figs. 4 and 5(a,b): dynamically growing memory pressure: average
+       GC pause and execution time vs available memory, including the
+       fixed-nursery variants and BC w/Resizing-only. *)
+    ("fig45", figure45);
+    (* Fig. 6(a,b): bounded mutator utilization curves under moderate and
+       severe dynamic pressure. *)
+    ("fig6", figure6);
+    (* Fig. 7(a,b): two simultaneous instances of pseudoJBB: execution
+       time and average GC pause vs available memory. *)
+    ("fig7", figure7);
+    (* Design-choice ablations under dynamic pressure: bookmarks off,
+       aggressive discarding off, conservative clearing off, compaction
+       off, reserve sizing, fixed nursery. *)
+    ("ablation", ablation);
+    (* Beyond the paper: repeat the dynamic-pressure comparison with a
+       modern flash swap device (~80 µs faults instead of ~5 ms). The
+       memory/disk latency gap is the paper's premise; this quantifies
+       how much of BC's advantage it carries. *)
+    ("ssd", ssd);
+    (* Beyond the paper (§7's concern): a brief memory-pressure spike
+       that later releases. Compares full BC (which regrows its
+       footprint target) against a no-regrow variant and GenMS,
+       reporting the time spent after the release. *)
+    ("recovery", recovery);
+    (* Beyond the paper: heterogeneous cohabitation. Two instances share
+       one memory-tight machine in three pairings (BC+BC, GenMS+GenMS,
+       BC+GenMS) — does the cooperative collector get exploited by a
+       paging neighbour that never gives memory back? *)
+    ("mixed", mixed);
+    (* The paper's shared-machine scenario (§5) head-on: each collector
+       runs pseudoJBB solo and then again beside a competing GenMS
+       instance on one {!Machine} with 55% of the combined heaps in
+       physical memory, reporting per-process slowdown, p95 pause and
+       fault counts. A second table re-runs the BC+GenMS pairing under
+       the round-robin, proportional-share and priority scheduling
+       policies. *)
+    ("multiproc", multiprocess);
+    (* Beyond the paper: robustness matrix. Every benchmark × {BC, GenMS}
+       under a standard fault plan (≈30% of eviction notices dropped,
+       swap I/O errors, two swap-full episodes, a scripted pressure
+       spike) with the post-run invariant verifier on; prints per-cell
+       ok/degraded/failed outcomes and the injected-fault counters. A
+       second table runs the same fault plan against a serving workload
+       (BC + a GenMS coworker sharing one memory-tight machine) and
+       prints each process's request-latency percentiles and p999 SLO
+       verdict. *)
+    ("faults", faults);
+  ]
+
+let targets =
+  paper
+  @ [
+      (* Closed-loop adaptive memory control: BC on jess across every
+         registered controller (plus controller-off) × fault plans
+         (none / benign / storm) × two pressure schedules (steady,
+         ramp); prints per-cell outcome, failsafe count, p99 pause and
+         the controller's peak/final degradation state, then ["control
+         verdict:"] lines — each adaptive controller must beat every
+         static configuration on a fault plan (fewer failsafes, or equal
+         with a lower p99 pause) while staying within noise of the
+         statics with no faults. *)
+      ("control", control);
+      (* Telemetry showcase: run BC and GenMS on pseudoJBB under dynamic
+         pressure with a trace sink attached, print the per-phase
+         report, and (with a [csv_dir]) write Chrome trace JSON + event
+         CSV files — the JSON embeds the cell's {!Metrics.to_json}, the
+         single serialisation path. *)
+      ("trace", trace_export);
+      (* Beyond the paper: request-serving tail latency under paging.
+         Runs the serving workloads (shaped and flash arrival shapes in
+         [Quick]; plus diurnal and pausing, over three heap multipliers,
+         in [Full]) against {BC, GenMS, GenCopy} with 62% of the heap in
+         physical memory; prints p50/p99/p999 request latency,
+         SLO-violation counts and violation windows per cell, then the
+         configurations where BC meets the p999 bound that a whole-heap
+         collector violates. With a [slo_out] path, also writes a
+         self-validated ["bcgc-slo-report/1"] JSON report. *)
+      ("slo", slo);
+      (* Demo of the supervised {!Campaign} runner: a 16-cell sweep ({BC,
+         GenMS} × jess × two heaps × {no faults, a fault plan} × {no
+         pressure, steady pressure}) journaled to a temp file and
+         consolidated into a report, fanned over the session's jobs. *)
+      ("campaign", campaign);
+      (* Every paper entry above, in order. *)
+      ("all", fun t -> List.iter (fun (_, run) -> run t) paper);
+    ]
+
+let find name =
+  List.assoc_opt (match name with "fig4" | "fig5" -> "fig45" | n -> n) targets

@@ -37,22 +37,19 @@ let slug title =
       | _ -> '_')
     (String.lowercase_ascii title)
 
-let write_csv ~title ~header ~body =
-  match Sys.getenv_opt "CSV_DIR" with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let path = Filename.concat dir (slug title ^ ".csv") in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (String.concat "," header ^ "\n");
-          List.iter
-            (fun row -> output_string oc (String.concat "," row ^ "\n"))
-            body)
+let write_csv ~dir ~title ~header ~body =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir (slug title ^ ".csv") in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (String.concat "," header ^ "\n");
+      List.iter
+        (fun row -> output_string oc (String.concat "," row ^ "\n"))
+        body)
 
-let print_series ~title ~x_label ~columns ~rows =
+let print_series ~csv_dir ~charts ~title ~x_label ~columns ~rows =
   Printf.printf "\n== %s ==\n" title;
   let header = x_label :: columns in
   let body =
@@ -64,9 +61,6 @@ let print_series ~title ~x_label ~columns ~rows =
              cells)
       rows
   in
-  write_csv ~title ~header ~body;
+  Option.iter (fun dir -> write_csv ~dir ~title ~header ~body) csv_dir;
   print_table ~header ~rows:body;
-  match Sys.getenv_opt "CHARTS" with
-  | Some ("1" | "true" | "yes") ->
-      Chart.print ~title ~columns ~rows ()
-  | Some _ | None -> ()
+  if charts then Chart.print ~title ~columns ~rows ()

@@ -1,7 +1,7 @@
 (* End-to-end checks of the bcgc command-line interface: each subcommand
    runs against the built binary. *)
 
-let bcgc args =
+let bcgc ?(stderr = "/dev/null") args =
   (* resolve the binary relative to this test executable, so the test
      works regardless of the invocation directory *)
   let exe =
@@ -10,7 +10,7 @@ let bcgc args =
       (Filename.concat ".." (Filename.concat "bin" "bcgc.exe"))
   in
   Sys.command
-    (Filename.quote_command exe args ~stdout:"/dev/null" ~stderr:"/dev/null")
+    (Filename.quote_command exe args ~stdout:"/dev/null" ~stderr)
 
 let check = Alcotest.check
 
@@ -49,6 +49,56 @@ let test_unknown_collector_fails () =
   check Alcotest.bool "unknown collector rejected" true
     (bcgc [ "run"; "-c"; "NoSuchGC" ] <> 0)
 
+(* A mistyped bench target is a usage error, not a run of every target. *)
+let test_bench_unknown_target () =
+  check Alcotest.int "exit 2" 2 (bcgc [ "bench"; "no-such-target" ])
+
+(* An exception that escapes a subcommand gets bcgc's own one-line
+   diagnosis and exit 1, not a multi-line internal error. *)
+let test_escaped_exception_one_line () =
+  let err = Filename.temp_file "bcgc" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      check Alcotest.int "exit 1" 1
+        (bcgc ~stderr:err [ "trace-replay"; "-i"; "/nonexistent/x" ]);
+      let lines =
+        In_channel.with_open_text err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      match lines with
+      | [ line ] ->
+          check Alcotest.bool line true
+            (String.starts_with ~prefix:"bcgc: Sys_error(" line)
+      | _ -> Alcotest.failf "%d lines on stderr" (List.length lines))
+
+(* `bench trace --csv DIR` creates DIR, as the figure series do, and
+   writes a Chrome JSON and an event CSV per collector. *)
+let test_bench_trace_creates_dir () =
+  let parent = Filename.temp_dir "bcgc-test-trace" "" in
+  let dir = Filename.concat parent "fresh" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end;
+      Sys.rmdir parent)
+    (fun () ->
+      check Alcotest.int "bench trace" 0
+        (bcgc [ "bench"; "trace"; "--csv"; dir ]);
+      check
+        Alcotest.(list string)
+        "files"
+        [
+          "trace-BC-40.csv"; "trace-BC-40.json"; "trace-GenMS-40.csv";
+          "trace-GenMS-40.json";
+        ]
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
+
 let () =
   Alcotest.run "cli"
     [
@@ -61,5 +111,11 @@ let () =
           Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
           Alcotest.test_case "unknown collector" `Quick
             test_unknown_collector_fails;
+          Alcotest.test_case "unknown bench target" `Quick
+            test_bench_unknown_target;
+          Alcotest.test_case "escaped exception" `Quick
+            test_escaped_exception_one_line;
+          Alcotest.test_case "bench trace creates its dir" `Quick
+            test_bench_trace_creates_dir;
         ] );
     ]

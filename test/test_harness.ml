@@ -581,12 +581,8 @@ let test_campaign_honours_backend () =
   let prior = Filename.get_temp_dir_name () in
   let dir = Filename.temp_dir "bcgc-test-campaign" "" in
   Filename.set_temp_dir_name dir;
-  Harness.Experiments.set_jobs 2;
-  Harness.Experiments.set_backend (Some `Domains);
   Fun.protect
     ~finally:(fun () ->
-      Harness.Experiments.set_jobs 1;
-      Harness.Experiments.set_backend None;
       Filename.set_temp_dir_name prior;
       Array.iter
         (fun f -> Sys.remove (Filename.concat dir f))
@@ -594,7 +590,9 @@ let test_campaign_honours_backend () =
       Sys.rmdir dir;
       Domain_pool.shutdown_global ())
     (fun () ->
-      Harness.Experiments.campaign Harness.Experiments.Quick;
+      let open Harness.Experiments in
+      Option.get (find "campaign")
+        (create ~jobs:2 ~backend:`Domains Quick);
       let st = Domain_pool.last_stats (Domain_pool.get ~jobs:2) in
       check Alcotest.int "cells executed on the pool" 16
         (Array.fold_left ( + ) 0 st.Domain_pool.executed))
@@ -609,8 +607,9 @@ let test_jobs_validation () =
     (rejects (fun () -> Harness.Parallel.map ~jobs:0 Fun.id [ 1 ]));
   check Alcotest.bool "Parallel.outcomes" true
     (rejects (fun () -> Harness.Parallel.outcomes ~jobs:(-1) []));
-  check Alcotest.bool "Experiments.set_jobs" true
-    (rejects (fun () -> Harness.Experiments.set_jobs 0));
+  check Alcotest.bool "Experiments.create" true
+    (rejects (fun () ->
+         Harness.Experiments.create ~jobs:0 Harness.Experiments.Quick));
   check Alcotest.bool "Domain_pool.create" true
     (rejects (fun () -> Domain_pool.create ~jobs:0))
 
