@@ -50,7 +50,7 @@ let copy_into t space id =
   in
   if addr < 0 then
     raise (Collector.Heap_exhausted (name ^ ": mature semispace overflow"));
-  Trace_util.copy_object t.heap id ~new_addr:addr;
+  Gen_shared.copy_object t.heap id ~new_addr:addr;
   Heapsim.Object_table.set_space objects id Space_tag.mature
 
 let minor t =
@@ -60,12 +60,15 @@ let minor t =
       t.epoch <- t.epoch + 1;
       let to_space = t.mature.(t.to_idx) in
       let survivors = Vec.create () in
-      Gen_shared.minor_trace t.heap ~epoch:t.epoch
-        ~copy_young:(fun id ->
+      Gc_common.Tracer.run t.heap ~epoch:t.epoch
+        ~roots:(fun enqueue ->
+          Heapsim.Heap.iter_roots t.heap enqueue;
+          Gc_common.Remset.drain t.remset
+            (Gen_shared.remembered t.heap ~follow:(fun _ -> true) enqueue))
+        ~follow:(Gen_shared.in_young t.heap) ~evacuate:(fun _ -> true)
+        ~copy:(fun id ->
           copy_into t to_space id;
-          Vec.push survivors id)
-        ~extra_roots:(fun enqueue ->
-          Gen_shared.seed_remset t.heap t.remset enqueue);
+          Vec.push survivors id);
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Vec.iter (Vec.push t.mature_objects) survivors;
       Gc_common.Bump_space.reset t.nursery;
@@ -82,28 +85,28 @@ let full t =
       let to_space = t.mature.(t.to_idx) in
       Gc_common.Bump_space.reset to_space;
       let new_mature = Vec.create () in
-      Gen_shared.full_trace t.heap ~epoch:t.epoch
-        ~in_young:(fun id ->
+      Gc_common.Tracer.run t.heap ~epoch:t.epoch
+        ~roots:(Heapsim.Heap.iter_roots t.heap)
+        ~follow:(fun _ -> true)
+        ~evacuate:(fun id ->
           Gen_shared.in_young t.heap id
           || Heapsim.Object_table.space objects id = Space_tag.mature)
-        ~copy_young:(fun id ->
+        ~copy:(fun id ->
           copy_into t to_space id;
-          Vec.push new_mature id)
-        ~on_old:(fun id -> Heapsim.Object_table.set_marked objects id true);
+          Vec.push new_mature id);
+      let marked = Gc_common.Tracer.marked t.heap ~epoch:t.epoch in
       (* reap dead nursery and dead old-mature objects *)
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Vec.iter
         (fun id ->
-          if
-            Heapsim.Object_table.is_live objects id
-            && Heapsim.Object_table.scratch objects id <> t.epoch
-          then Heapsim.Heap.free_object t.heap id)
+          if Heapsim.Object_table.is_live objects id && not (marked id) then
+            Heapsim.Heap.free_object t.heap id)
         t.mature_objects;
       t.mature_objects <- new_mature;
       Gc_common.Bump_space.reset t.mature.(from_idx);
       Gc_common.Bump_space.reset t.nursery;
       Gc_common.Remset.clear t.remset;
-      Gc_common.Large_object_space.sweep t.los;
+      Gc_common.Large_object_space.sweep t.los ~keep:marked;
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
 (* Survivors of a nursery collection land in the current mature

@@ -51,7 +51,7 @@ let copy_young t id =
     raise
       (Collector.Heap_exhausted
          (t.name ^ ": mature space cannot absorb nursery survivors"));
-  Trace_util.copy_object t.heap id ~new_addr:addr;
+  Gen_shared.copy_object t.heap id ~new_addr:addr;
   Heapsim.Object_table.set_space objects id Space_tag.mature
 
 let minor t =
@@ -59,10 +59,13 @@ let minor t =
     (fun () ->
       Charge.setup t.heap;
       t.epoch <- t.epoch + 1;
-      Gen_shared.minor_trace t.heap ~epoch:t.epoch
-        ~copy_young:(copy_young t)
-        ~extra_roots:(fun enqueue ->
-          Gen_shared.seed_remset t.heap t.remset enqueue);
+      Gc_common.Tracer.run t.heap ~epoch:t.epoch
+        ~roots:(fun enqueue ->
+          Heapsim.Heap.iter_roots t.heap enqueue;
+          Gc_common.Remset.drain t.remset
+            (Gen_shared.remembered t.heap ~follow:(fun _ -> true) enqueue))
+        ~follow:(Gen_shared.in_young t.heap) ~evacuate:(fun _ -> true)
+        ~copy:(copy_young t);
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Gc_common.Bump_space.reset t.nursery;
       Gc_stats.note_heap_pages t.stats (total_pages t))
@@ -72,19 +75,17 @@ let full t =
     (fun () ->
       Charge.setup t.heap;
       t.epoch <- t.epoch + 1;
-      let objects = Heapsim.Heap.objects t.heap in
-      Gen_shared.full_trace t.heap ~epoch:t.epoch
-        ~in_young:(Gen_shared.in_young t.heap)
-        ~copy_young:(fun id ->
-          copy_young t id;
-          (* survivors must outlive the coming sweep *)
-          Heapsim.Object_table.set_marked objects id true)
-        ~on_old:(fun id -> Heapsim.Object_table.set_marked objects id true);
+      (* evacuated survivors carry the epoch too, so the sweep keeps them *)
+      Gc_common.Tracer.run t.heap ~epoch:t.epoch
+        ~roots:(Heapsim.Heap.iter_roots t.heap)
+        ~follow:(fun _ -> true) ~evacuate:(Gen_shared.in_young t.heap)
+        ~copy:(copy_young t);
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Gc_common.Bump_space.reset t.nursery;
       Gc_common.Remset.clear t.remset;
-      Gc_common.Ms_space.sweep t.ms;
-      Gc_common.Large_object_space.sweep t.los;
+      let keep = Gc_common.Tracer.marked t.heap ~epoch:t.epoch in
+      Gc_common.Ms_space.sweep t.ms ~keep;
+      Gc_common.Large_object_space.sweep t.los ~keep;
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
 (* The mature space must be able to absorb a whole nursery of survivors;
@@ -120,10 +121,8 @@ let register_cooperative t =
   let discardable page =
     Heapsim.Page_map.count_on page_map page = 0
     && Vmsim.Vmm.is_resident vmm page
-    && (let first = Gc_common.Bump_space.first_page t.nursery in
-        (page >= first
-        && page < first + Gc_common.Bump_space.npages t.nursery)
-        || Gc_common.Ms_space.owns_page t.ms page)
+    && (Gc_common.Bump_space.owns_page t.nursery page
+       || Gc_common.Ms_space.owns_page t.ms page)
   in
   let find_discardable () =
     let found = ref None in

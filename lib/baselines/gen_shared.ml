@@ -23,62 +23,30 @@ let install_barrier heap record =
         && Heapsim.Object_table.space objects src <> nursery
       then record ~src ~field)
 
-let seed_remset heap remset enqueue =
+let remembered heap ~follow enqueue ~src ~field =
   let objects = Heapsim.Heap.objects heap in
-  Gc_common.Remset.drain remset (fun ~src ~field ->
-      if
-        Heapsim.Object_table.is_live objects src
-        && field < Heapsim.Object_table.nrefs objects src
-      then begin
-        Gc_common.Charge.object_visit heap;
-        Heapsim.Heap.touch_object heap ~write:false src;
-        enqueue (Heapsim.Object_table.get_ref objects src field)
-      end)
+  if
+    Heapsim.Object_table.is_live objects src
+    && field < Heapsim.Object_table.nrefs objects src
+    && follow src
+  then begin
+    Gc_common.Charge.object_visit heap;
+    Heapsim.Heap.touch_object heap ~write:false src;
+    enqueue (Heapsim.Object_table.get_ref objects src field)
+  end
 
-let scan_fields objects id enqueue =
-  Heapsim.Object_table.iter_refs objects id (fun _field target -> enqueue target)
-
-let minor_trace heap ~epoch ~copy_young ~extra_roots =
-  let objects = Heapsim.Heap.objects heap in
-  Gc_common.Tracer.run
-    ~roots:(fun enqueue ->
-      Heapsim.Heap.iter_roots heap enqueue;
-      extra_roots enqueue)
-    ~visit:(fun id ~enqueue ->
-      if
-        Heapsim.Object_table.is_live objects id
-        && in_young heap id
-        && Heapsim.Object_table.scratch objects id <> epoch
-      then begin
-        Heapsim.Object_table.set_scratch objects id epoch;
-        copy_young id;
-        scan_fields objects id enqueue
-      end)
-
-let full_trace heap ~epoch ~in_young ~copy_young ~on_old =
-  let objects = Heapsim.Heap.objects heap in
-  Gc_common.Tracer.run
-    ~roots:(fun enqueue -> Heapsim.Heap.iter_roots heap enqueue)
-    ~visit:(fun id ~enqueue ->
-      if
-        Heapsim.Object_table.is_live objects id
-        && Heapsim.Object_table.scratch objects id <> epoch
-      then begin
-        Heapsim.Object_table.set_scratch objects id epoch;
-        if in_young id then copy_young id
-        else begin
-          Gc_common.Charge.object_visit heap;
-          Heapsim.Heap.touch_object heap ~write:true id;
-          on_old id
-        end;
-        scan_fields objects id enqueue
-      end)
+let copy_object heap id ~new_addr =
+  let bytes = Heapsim.Object_table.size (Heapsim.Heap.objects heap) id in
+  Heapsim.Heap.touch_object heap ~write:false id;
+  Heapsim.Heap.displace heap id;
+  Heapsim.Heap.place heap id ~addr:new_addr;
+  Heapsim.Heap.touch_object heap ~write:true id;
+  Gc_common.Charge.copy heap ~bytes
 
 let reap_young heap young ~epoch =
-  let objects = Heapsim.Heap.objects heap in
   Vec.iter
     (fun id ->
-      if Heapsim.Object_table.scratch objects id <> epoch then
+      if not (Gc_common.Tracer.marked heap ~epoch id) then
         Heapsim.Heap.free_object heap id)
     young;
   Vec.clear young

@@ -2,9 +2,8 @@
     whole-heap configuration, CopyMS), GenCopy, SemiSpace and BC.
 
     It holds nursery sizing, the young-space test and the old-to-young
-    write barrier, remembered-set seeding, and the two evacuation
-    traces. SemiSpace's whole heap counts as young, so one collection
-    of it is a {!full_trace}. *)
+    write barrier, the remembered-slot scan, the object copy and the
+    nursery reap. Every collection itself is one {!Gc_common.Tracer.run}. *)
 
 val min_nursery_bytes : int
 (** Lower bound on the nursery (32 KB — the paper's 256 KB scaled 1/8). *)
@@ -24,33 +23,24 @@ val install_barrier :
     into an old source is passed to the recorder (GenMS's and GenCopy's
     remembered set, BC's write buffer). *)
 
-val seed_remset :
-  Heapsim.Heap.t -> Gc_common.Remset.t -> (Heapsim.Obj_id.t -> unit) -> unit
-(** Drain remembered slots into the tracer: touches each source's pages
-    (faulting if evicted — the generational paging cost the paper
-    measures), validates the slot and enqueues its current target. *)
-
-val minor_trace :
+val remembered :
   Heapsim.Heap.t ->
-  epoch:int ->
-  copy_young:(Heapsim.Obj_id.t -> unit) ->
-  extra_roots:((Heapsim.Obj_id.t -> unit) -> unit) ->
+  follow:(Heapsim.Obj_id.t -> bool) ->
+  (Heapsim.Obj_id.t -> unit) ->
+  src:Heapsim.Obj_id.t ->
+  field:int ->
   unit
-(** Nursery collection: trace from mutator roots plus [extra_roots],
-    following only {!in_young} objects; each first-visited one is
-    evacuated with [copy_young] and its fields scanned. *)
+(** [remembered heap ~follow enqueue] is a drain callback for a
+    remembered set or write buffer: a slot whose source is live, still
+    has the field and passes [follow] has its source touched (faulting
+    if evicted — the generational paging cost the paper measures) and
+    charged, and its current target enqueued. *)
 
-val full_trace :
-  Heapsim.Heap.t ->
-  epoch:int ->
-  in_young:(Heapsim.Obj_id.t -> bool) ->
-  copy_young:(Heapsim.Obj_id.t -> unit) ->
-  on_old:(Heapsim.Obj_id.t -> unit) ->
-  unit
-(** Whole-heap trace: young objects are evacuated, old objects get
-    [on_old] (typically: set the mark bit) — both touched and charged. *)
+val copy_object : Heapsim.Heap.t -> Heapsim.Obj_id.t -> new_addr:int -> unit
+(** Move an object: touch its old pages (read) and new pages (write),
+    charge the copy, and update placement. *)
 
 val reap_young :
   Heapsim.Heap.t -> Heapsim.Obj_id.t Repro_util.Vec.t -> epoch:int -> unit
-(** Free the young objects that were not evacuated this [epoch] and clear
+(** Free the young objects the trace with [epoch] did not mark and clear
     the vector. *)

@@ -14,6 +14,7 @@ type t = {
   ms : Gc_common.Ms_space.t;
   los : Gc_common.Large_object_space.t;
   stats : Gc_stats.t;
+  mutable epoch : int;
 }
 
 let total_pages t =
@@ -24,9 +25,13 @@ let collect t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Full
     (fun () ->
       Charge.setup t.heap;
-      Trace_util.mark_all t.heap;
-      Gc_common.Ms_space.sweep t.ms;
-      Gc_common.Large_object_space.sweep t.los;
+      t.epoch <- t.epoch + 1;
+      Gc_common.Tracer.run t.heap ~epoch:t.epoch
+        ~roots:(Heapsim.Heap.iter_roots t.heap)
+        ~follow:(fun _ -> true) ~evacuate:(fun _ -> false) ~copy:ignore;
+      let keep = Gc_common.Tracer.marked t.heap ~epoch:t.epoch in
+      Gc_common.Ms_space.sweep t.ms ~keep;
+      Gc_common.Large_object_space.sweep t.los ~keep;
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
 let budget_pages t = Gc_common.Gc_config.heap_pages t.config
@@ -34,7 +39,6 @@ let budget_pages t = Gc_common.Gc_config.heap_pages t.config
 let check_invariants t =
   let objects = Heapsim.Heap.objects t.heap in
   Heapsim.Object_table.iter_live objects (fun id ->
-      assert (not (Heapsim.Object_table.marked objects id));
       assert (Heapsim.Object_table.addr objects id >= 0))
 
 let factory config heap =
@@ -45,6 +49,7 @@ let factory config heap =
       ms = Gc_common.Ms_space.create heap ~name:"ms" ~max_cell;
       los = Gc_common.Large_object_space.create heap ~name:"los";
       stats = Gc_stats.create ();
+      epoch = 0;
     }
   in
   let collect () = collect t in

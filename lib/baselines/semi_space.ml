@@ -27,9 +27,9 @@ let total_pages t =
   + Gc_common.Bump_space.used_pages t.spaces.(1)
   + Gc_common.Large_object_space.pages_in_use t.los
 
-(* Every copy-space object is young, so a collection is Gen_shared's
-   whole-heap trace: young objects are evacuated into the to-space, large
-   objects are marked for the LOS sweep. *)
+(* Every copy-space object is young, so a collection is one whole-heap
+   trace: young objects are evacuated into the to-space, large objects
+   are marked for the LOS sweep. *)
 let collect t =
   Gc_common.Pause.run t.stats t.heap Gc_stats.Full
     (fun () ->
@@ -40,9 +40,10 @@ let collect t =
       let to_space = t.spaces.(t.to_idx) in
       Gc_common.Bump_space.reset to_space;
       let objects = Heapsim.Heap.objects t.heap in
-      Gen_shared.full_trace t.heap ~epoch:t.epoch
-        ~in_young:(Gen_shared.in_young t.heap)
-        ~copy_young:(fun id ->
+      Gc_common.Tracer.run t.heap ~epoch:t.epoch
+        ~roots:(Heapsim.Heap.iter_roots t.heap)
+        ~follow:(fun _ -> true) ~evacuate:(Gen_shared.in_young t.heap)
+        ~copy:(fun id ->
           let addr =
             Gc_common.Bump_space.alloc to_space
               ~bytes:(Heapsim.Object_table.size objects id)
@@ -52,18 +53,18 @@ let collect t =
             raise
               (Collector.Heap_exhausted
                  (name ^ ": survivors overflow the copy reserve"));
-          Trace_util.copy_object t.heap id ~new_addr:addr)
-        ~on_old:(fun id -> Heapsim.Object_table.set_marked objects id true);
+          Gen_shared.copy_object t.heap id ~new_addr:addr);
+      let marked = Gc_common.Tracer.marked t.heap ~epoch:t.epoch in
       (* reap unreached copy-space objects; the survivors stay listed, in
          order, in the vector the allocation path pushes onto *)
       Vec.filter_in_place
         (fun id ->
-          let survived = Heapsim.Object_table.scratch objects id = t.epoch in
+          let survived = marked id in
           if not survived then Heapsim.Heap.free_object t.heap id;
           survived)
         t.ss_objects;
       Gc_common.Bump_space.reset t.spaces.(from_idx);
-      Gc_common.Large_object_space.sweep t.los;
+      Gc_common.Large_object_space.sweep t.los ~keep:marked;
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
 let check_invariants t =

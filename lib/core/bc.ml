@@ -96,17 +96,27 @@ type t = {
 let resident_ok t page =
   Residency.is_resident t.residency page || Bitset.mem t.discarded page
 
-let obj_resident t id =
-  let ok = ref true in
+(* Whether [ok] holds for every page the object spans. *)
+let all_pages t id ok =
+  let all = ref true in
   Heapsim.Heap.iter_pages t.heap id (fun page ->
-      if not (resident_ok t page) then ok := false);
-  !ok
+      if not (ok page) then all := false);
+  !all
+
+let obj_resident t id = all_pages t id (resident_ok t)
 
 (* Track the pages of a freshly placed object in the residency map. *)
 let note_placed t id =
   Heapsim.Heap.iter_pages t.heap id (fun page ->
       Bitset.clear t.discarded page;
       Residency.mark_resident t.residency page)
+
+(* A page left memory with its objects still on it. *)
+let note_evicted t page =
+  Residency.mark_evicted t.residency page;
+  Bitset.clear t.discarded page;
+  Superpage.note_page_evicted t.sp_space page;
+  t.evicted_count <- t.evicted_count + 1
 
 let track_new_superpage t (sp : Superpage.sp) =
   if not (Bitset.mem t.sp_seen sp.Superpage.index) then begin
@@ -192,9 +202,7 @@ let discardable t page =
   && (not (header_in_use t page))
   && (not (page_has_objects t page))
   && (Superpage.owns_page t.sp_space page
-     ||
-     let first = Gc_common.Bump_space.first_page t.nursery in
-     page >= first && page < first + Gc_common.Bump_space.npages t.nursery)
+     || Gc_common.Bump_space.owns_page t.nursery page)
 
 let discard_page t page =
   Vmsim.Vmm.madvise_dontneed (Heapsim.Heap.vmm t.heap) page;
@@ -326,10 +334,7 @@ let bookmark_and_evict t victim =
       self = !selves;
       nonsp = !nonsp;
     };
-  Residency.mark_evicted t.residency victim;
-  Bitset.clear t.discarded victim;
-  Superpage.note_page_evicted t.sp_space victim;
-  t.evicted_count <- t.evicted_count + 1;
+  note_evicted t victim;
   (* prevent the eviction race (§3.4), then surrender the page *)
   Vmsim.Vmm.mprotect vmm victim ~protect:true;
   Vmsim.Vmm.vm_relinquish vmm [ victim ]
@@ -465,14 +470,12 @@ let reconcile_with_kernel t =
   let stale = ref [] in
   Residency.iter_resident t.residency (fun page ->
       if Vmsim.Vmm.is_swapped vmm page then stale := page :: !stale);
-  let nursery_first = Gc_common.Bump_space.first_page t.nursery in
-  let nursery_limit = nursery_first + Gc_common.Bump_space.npages t.nursery in
   List.iter
     (fun page ->
       t.reconciled <- t.reconciled + 1;
       if
         header_in_use t page
-        || (page >= nursery_first && page < nursery_limit
+        || (Gc_common.Bump_space.owns_page t.nursery page
            && page_has_objects t page)
       then
         (* metadata and populated nursery pages must stay resident *)
@@ -480,12 +483,7 @@ let reconcile_with_kernel t =
       else if t.opts.Gc_config.bookmarks_enabled then
         (* late eviction protocol: reload, scan, bookmark, surrender *)
         bookmark_and_evict t page
-      else begin
-        Residency.mark_evicted t.residency page;
-        Bitset.clear t.discarded page;
-        Superpage.note_page_evicted t.sp_space page;
-        t.evicted_count <- t.evicted_count + 1
-      end)
+      else note_evicted t page)
     !stale
 
 let reconcile_with_kernel t =
@@ -516,53 +514,32 @@ let bookmark_roots t enqueue =
       t.bookmark_counts
   end
 
-(* An object is marked in the current collection cycle iff its scratch
-   word holds the cycle's epoch. Epochs never need clearing, so marks
-   left by an aborted collection cannot poison the next one (the moral
-   equivalent of flipping the mark sense per cycle, as MMTk does). *)
-let is_marked t id =
-  Heapsim.Object_table.scratch (Heapsim.Heap.objects t.heap) id = t.epoch
+let is_marked t id = Gc_common.Tracer.marked t.heap ~epoch:t.epoch id
 
-let set_mark t id =
-  Heapsim.Object_table.set_scratch (Heapsim.Heap.objects t.heap) id t.epoch
+(* One collection's trace. Objects bookmarked while it runs (a mid-GC
+   eviction) are traced in further rounds from just those objects, so the
+   eviction cannot hide connectivity; everything else is marked already. *)
+let trace t ~roots ~follow ~evacuate ~copy =
+  let run roots =
+    Gc_common.Tracer.run t.heap ~epoch:t.epoch ~roots ~follow ~evacuate ~copy
+  in
+  run roots;
+  while not (Vec.is_empty t.pending_roots) do
+    let pending = Vec.to_list t.pending_roots in
+    Vec.clear t.pending_roots;
+    run (fun enqueue -> List.iter enqueue pending)
+  done
 
 (* Full-heap marking: never follows references to evicted objects (their
    liveness is covered by bookmarks); with bookmarks disabled it behaves
    like a stock tracer and faults. *)
 let mark_heap t ~follow =
-  let objects = Heapsim.Heap.objects t.heap in
-  let trace roots =
-    Gc_common.Tracer.run ~roots ~visit:(fun id ~enqueue ->
-        if
-          Heapsim.Object_table.is_live objects id
-          && follow id
-          && not (is_marked t id)
-        then begin
-          set_mark t id;
-          Charge.object_visit t.heap;
-          Heapsim.Heap.touch_object t.heap ~write:true id;
-          Heapsim.Object_table.iter_refs objects id (fun _ target ->
-              enqueue target)
-        end)
-  in
-  trace (fun enqueue ->
-      Heapsim.Heap.iter_roots t.heap enqueue;
-      bookmark_roots t enqueue);
-  while not (Vec.is_empty t.pending_roots) do
-    let pending = Vec.to_list t.pending_roots in
-    Vec.clear t.pending_roots;
-    trace (fun enqueue -> List.iter enqueue pending)
-  done
-
-let mark_heap t ~follow =
   Gc_common.Pause.span t.heap Telemetry.Event.Mark (fun () ->
-      mark_heap t ~follow)
-
-let obj_pages_allowed heap id ~resident =
-  let ok = ref true in
-  Heapsim.Heap.iter_pages heap id (fun page ->
-      if not (resident page) then ok := false);
-  !ok
+      trace t
+        ~roots:(fun enqueue ->
+          Heapsim.Heap.iter_roots t.heap enqueue;
+          bookmark_roots t enqueue)
+        ~follow ~evacuate:(fun _ -> false) ~copy:ignore)
 
 (* Sweep the mature superpages, visiting only pages allowed by
    [resident]; evicted pages are left untouched, their objects preserved
@@ -586,7 +563,7 @@ let sweep_superpages t ~resident =
                  when every page it spans may be visited *)
               if
                 Heapsim.Heap.first_page heap id = page
-                && obj_pages_allowed heap id ~resident
+                && all_pages t id resident
                 && (not (is_marked t id))
                 && not (Heapsim.Object_table.bookmarked objects id)
               then begin
@@ -606,38 +583,20 @@ let sweep_superpages t ~resident =
   Gc_common.Pause.span t.heap Telemetry.Event.Sweep (fun () ->
       sweep_superpages t ~resident)
 
-(* Sweep the large object space in place: unmarked, unbookmarked, fully
-   visitable objects are freed; evicted ones are preserved. *)
-let sweep_los t ~resident =
-  let heap = t.heap in
-  let objects = Heapsim.Heap.objects heap in
-  let vmm = Heapsim.Heap.vmm heap in
-  let survivors = Vec.create () in
-  Gc_common.Large_object_space.iter_objects t.los (fun id ->
-      Charge.object_visit heap;
-      if
-        is_marked t id
-        || Heapsim.Object_table.bookmarked objects id
-        || not (obj_pages_allowed heap id ~resident)
-      then Vec.push survivors id
-      else begin
-        let first_page = Heapsim.Heap.first_page heap id in
-        let npages =
-          Gc_common.Large_object_space.range_pages t.los ~first_page
-        in
-        Heapsim.Heap.free_object heap id;
-        for page = first_page to first_page + npages - 1 do
-          Residency.mark_evicted t.residency page;
-          Bitset.clear t.discarded page
-        done;
-        Vmsim.Vmm.unmap_range vmm ~first_page ~npages;
-        Gc_common.Large_object_space.forget_range t.los ~first_page
-      end);
-  Gc_common.Large_object_space.replace_objects t.los survivors
-
+(* Sweep the large object space: unmarked, unbookmarked, fully visitable
+   objects are freed and their pages leave the residency view; evicted
+   ones are preserved. *)
 let sweep_los t ~resident =
   Gc_common.Pause.span t.heap Telemetry.Event.Sweep (fun () ->
-      sweep_los t ~resident)
+      let objects = Heapsim.Heap.objects t.heap in
+      Gc_common.Large_object_space.sweep t.los
+        ~on_free:(fun page ->
+          Residency.mark_evicted t.residency page;
+          Bitset.clear t.discarded page)
+        ~keep:(fun id ->
+          is_marked t id
+          || Heapsim.Object_table.bookmarked objects id
+          || not (all_pages t id resident)))
 
 (* ------------------------------------------------------------------ *)
 (* Evacuation into the mature space                                    *)
@@ -659,7 +618,7 @@ let sp_copy_young t id =
            (name ^ ": mature space cannot absorb nursery survivors"))
   | Some (addr, sp) ->
       track_new_superpage t sp;
-      Baselines.Trace_util.copy_object t.heap id ~new_addr:addr;
+      Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
       Heapsim.Object_table.set_space objects id Space_tag.mature;
       note_placed t id
 
@@ -669,20 +628,10 @@ let sp_copy_young t id =
    objects (§3.1, §3.4). *)
 let remembered_roots t enqueue =
   let objects = Heapsim.Heap.objects t.heap in
-  let follow_src src =
-    (not t.opts.Gc_config.bookmarks_enabled) || obj_resident t src
-  in
-  Gc_common.Write_buffer.drain t.wbuf (fun ~src ~field ->
-      if
-        Heapsim.Object_table.is_live objects src
-        && field < Heapsim.Object_table.nrefs objects src
-        && follow_src src
-      then begin
-        Charge.object_visit t.heap;
-        Heapsim.Heap.touch_object t.heap ~write:false src;
-        enqueue (Heapsim.Object_table.get_ref objects src field)
-      end);
+  Gc_common.Write_buffer.drain t.wbuf
+    (Baselines.Gen_shared.remembered t.heap ~follow:(follow_ok t) enqueue);
   let page_map = Heapsim.Heap.page_map t.heap in
+  let push _field target = enqueue target in
   let requeue = ref [] in
   Gc_common.Card_table.drain t.cards (fun card_addr ->
       let page = Vmsim.Page.of_addr card_addr in
@@ -699,8 +648,7 @@ let remembered_roots t enqueue =
               && a + sz > card_addr
             then begin
               Charge.object_visit t.heap;
-              Heapsim.Object_table.iter_refs objects id (fun _ target ->
-                  enqueue target)
+              Heapsim.Object_table.iter_refs objects id push
             end)
       end
       else requeue := card_addr :: !requeue);
@@ -726,26 +674,12 @@ let retire_nursery_pages t =
 let oracle_enabled =
   match Sys.getenv_opt "BC_ORACLE" with Some _ -> true | None -> false
 
-(* Debugging aid (set BC_ORACLE=1): after every collection, walk the
-   object graph from the roots and fail loudly if a reachable object was
-   freed. Far stronger than any assertion when bisecting a new bookmark
-   or compaction change; off by default because it is O(live) per GC. *)
-let oracle t tag =
-  if oracle_enabled then begin
-    let objects = Heapsim.Heap.objects t.heap in
-    let seen = Hashtbl.create 1024 in
-    let rec visit src id =
-      if id >= 0 && not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        if not (Heapsim.Object_table.is_live objects id) then
-          failwith
-            (Printf.sprintf "BC %s freed reachable #%d (from #%d)" tag id src)
-        else
-          Heapsim.Object_table.iter_refs objects id (fun _ tgt -> visit id tgt)
-      end
-    in
-    Heapsim.Heap.iter_roots t.heap (fun id -> visit (-2) id)
-  end
+(* Debugging aid (set BC_ORACLE=1): after every collection, run
+   {!Gc_common.Verify.heap}, which fails loudly if a reachable object was
+   freed or the object table, page map and VMM disagree. Far stronger than
+   any assertion when bisecting a new bookmark or compaction change; off
+   by default because it is O(live) per GC. *)
+let oracle t = if oracle_enabled then Gc_common.Verify.heap t.heap
 
 let with_gc t f =
   t.in_gc <- true;
@@ -768,21 +702,15 @@ let minor t =
       with_gc t @@ fun () ->
       Charge.setup t.heap;
       t.epoch <- t.epoch + 1;
-      let run extra =
-        Baselines.Gen_shared.minor_trace t.heap ~epoch:t.epoch
-          ~copy_young:(fun id -> sp_copy_young t id)
-          ~extra_roots:extra
-      in
-      run (remembered_roots t);
-      (* eviction during the trace may have bookmarked nursery objects *)
-      while not (Vec.is_empty t.pending_roots) do
-        let pending = Vec.to_list t.pending_roots in
-        Vec.clear t.pending_roots;
-        run (fun enqueue -> List.iter enqueue pending)
-      done;
+      trace t
+        ~roots:(fun enqueue ->
+          Heapsim.Heap.iter_roots t.heap enqueue;
+          remembered_roots t enqueue)
+        ~follow:(Baselines.Gen_shared.in_young t.heap)
+        ~evacuate:(fun _ -> true) ~copy:(sp_copy_young t);
       Baselines.Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       retire_nursery_pages t;
-      oracle t "minor";
+      oracle t;
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
 (* Evacuate marked nursery survivors after a full mark; the sweep that
@@ -838,223 +766,215 @@ let recycle_and_offer t =
           Vec.push t.empty_candidates page
         done)
 
-let full t =
-  Gc_common.Pause.run t.stats t.heap Gc_stats.Full (fun () ->
-      reload_nursery t;
-      with_gc t @@ fun () ->
-      Charge.setup t.heap;
-      reconcile_with_kernel t;
-      t.epoch <- t.epoch + 1;
-      mark_heap t ~follow:(follow_ok t);
-      let resident =
-        if t.opts.Gc_config.bookmarks_enabled then resident_ok t
-        else fun _ -> true
-      in
-      sweep_superpages t ~resident;
-      sweep_los t ~resident;
-      (* recycle what the sweep emptied before evacuating the nursery:
-         the survivors may need those superpages *)
-      recycle_and_offer t;
-      evacuate_nursery t;
-      clear_remembered t;
-      recycle_and_offer t;
-      oracle t "full";
-      Gc_stats.note_heap_pages t.stats (total_pages t))
-
 (* ------------------------------------------------------------------ *)
-(* Compacting collection (§3.2, §3.4.1)                                *)
+(* Mature collections: full (§3.4.1), compacting (§3.2, §3.4.1) and   *)
+(* the completeness fail-safe (§3.5)                                  *)
 
-let compact t =
-  Gc_common.Pause.run t.stats t.heap Gc_stats.Compacting (fun () ->
-      reload_nursery t;
-      with_gc t @@ fun () ->
-      Charge.setup t.heap;
-      reconcile_with_kernel t;
-      t.epoch <- t.epoch + 1;
-      mark_heap t ~follow:(follow_ok t);
-      let resident =
-        if t.opts.Gc_config.bookmarks_enabled then resident_ok t
-        else fun _ -> true
+type mature = Full | Compact | Failsafe
+
+(* Compaction's census and target selection, made between the mark and
+   the sweep: per (size class, kind), the superpages that cannot move
+   (incoming bookmarks, evicted pages, bookmarked residents) plus the
+   fullest others, until they can hold every marked object. Returns the
+   move pass, which runs after the sweep: epoch marks survive it, and the
+   marked objects still on non-target superpages are forwarded. *)
+let plan_compaction t ~resident =
+  let objects = Heapsim.Heap.objects t.heap in
+  let page_map = Heapsim.Heap.page_map t.heap in
+  let nsp = Superpage.sp_count t.sp_space in
+  let marked_on = Array.make (max nsp 1) 0 in
+  let dead_on = Array.make (max nsp 1) 0 in
+  let forced = Array.make (max nsp 1) false in
+  let is_target = Array.make (max nsp 1) false in
+  let nclasses = Gc_common.Size_class.count * 2 in
+  let demand = Array.make nclasses 0 in
+  let idx_of (sp : Superpage.sp) =
+    (sp.Superpage.cls * 2)
+    + match sp.Superpage.kind with Superpage.Scalar -> 0 | Superpage.Array -> 1
+  in
+  (* per-superpage census of marked and dead objects *)
+  let census (sp : Superpage.sp) f =
+    for
+      page = sp.Superpage.first_page
+      to sp.Superpage.first_page + Vmsim.Page.pages_per_superpage - 1
+    do
+      if resident page then
+        Heapsim.Page_map.iter_on page_map page (fun id ->
+            if
+              Heapsim.Heap.first_page t.heap id = page
+              && all_pages t id resident
+            then f id)
+    done
+  in
+  Superpage.iter_sps t.sp_space (fun sp ->
+      let i = sp.Superpage.index in
+      if
+        sp.Superpage.incoming > 0
+        || sp.Superpage.evicted_data_pages > 0
+      then forced.(i) <- true;
+      census sp (fun id ->
+          if is_marked t id then begin
+            marked_on.(i) <- marked_on.(i) + 1;
+            demand.(idx_of sp) <- demand.(idx_of sp) + 1;
+            if Heapsim.Object_table.bookmarked objects id then
+              forced.(i) <- true
+          end
+          else if not (Heapsim.Object_table.bookmarked objects id) then
+            dead_on.(i) <- dead_on.(i) + 1));
+  (* select the minimum target set per (class, kind) *)
+  let by_idx = Hashtbl.create 32 in
+  Superpage.iter_sps t.sp_space (fun sp ->
+      if sp.Superpage.cells_total > 0 then begin
+        let key = idx_of sp in
+        let existing =
+          Option.value (Hashtbl.find_opt by_idx key) ~default:[]
+        in
+        Hashtbl.replace by_idx key (sp :: existing)
+      end);
+  let target_pools = Hashtbl.create 32 in
+  Hashtbl.iter
+    (fun key sps ->
+      let capacity (sp : Superpage.sp) =
+        marked_on.(sp.Superpage.index)
+        + dead_on.(sp.Superpage.index)
+        + Vec.length sp.Superpage.free
       in
-      let objects = Heapsim.Heap.objects t.heap in
-      let page_map = Heapsim.Heap.page_map t.heap in
-      let nsp = Superpage.sp_count t.sp_space in
-      let marked_on = Array.make (max nsp 1) 0 in
-      let dead_on = Array.make (max nsp 1) 0 in
-      let forced = Array.make (max nsp 1) false in
-      let is_target = Array.make (max nsp 1) false in
-      let nclasses = Gc_common.Size_class.count * 2 in
-      let demand = Array.make nclasses 0 in
-      let idx_of (sp : Superpage.sp) =
-        (sp.Superpage.cls * 2)
-        + match sp.Superpage.kind with Superpage.Scalar -> 0 | Superpage.Array -> 1
+      let covered = ref 0 in
+      let pool = Vec.create () in
+      let choose sp =
+        is_target.(sp.Superpage.index) <- true;
+        Vec.push pool sp;
+        covered := !covered + capacity sp
       in
-      (* per-superpage census of marked and dead objects *)
-      let census (sp : Superpage.sp) f =
-        for
-          page = sp.Superpage.first_page
-          to sp.Superpage.first_page + Vmsim.Page.pages_per_superpage - 1
-        do
-          if resident page then
-            Heapsim.Page_map.iter_on page_map page (fun id ->
-                if
-                  Heapsim.Heap.first_page t.heap id = page
-                  && obj_pages_allowed t.heap id ~resident
-                then f id)
-        done
+      let forced_sps, others =
+        List.partition (fun (sp : Superpage.sp) -> forced.(sp.Superpage.index)) sps
       in
-      Superpage.iter_sps t.sp_space (fun sp ->
-          let i = sp.Superpage.index in
-          if
-            sp.Superpage.incoming > 0
-            || sp.Superpage.evicted_data_pages > 0
-          then forced.(i) <- true;
+      List.iter choose forced_sps;
+      let sorted =
+        List.sort
+          (fun (a : Superpage.sp) (b : Superpage.sp) ->
+            compare marked_on.(b.Superpage.index) marked_on.(a.Superpage.index))
+          others
+      in
+      List.iter
+        (fun sp -> if !covered < demand.(key) then choose sp)
+        sorted;
+      Hashtbl.replace target_pools key pool)
+    by_idx;
+  (* a cell on the first target of the class with one free *)
+  let pool_alloc key =
+    match Hashtbl.find_opt target_pools key with
+    | None -> None
+    | Some pool ->
+        let rec go i =
+          if i >= Vec.length pool then None
+          else
+            match
+              Superpage.alloc_on t.sp_space (Vec.get pool i)
+                ~resident:(resident_ok t)
+            with
+            | Some addr -> Some addr
+            | None -> go (i + 1)
+        in
+        go 0
+  in
+  (* forward marked objects off the non-target superpages *)
+  fun () ->
+    Superpage.iter_sps t.sp_space (fun sp ->
+        if (not is_target.(sp.Superpage.index)) && sp.Superpage.cells_total > 0
+        then
           census sp (fun id ->
-              if is_marked t id then begin
-                marked_on.(i) <- marked_on.(i) + 1;
-                demand.(idx_of sp) <- demand.(idx_of sp) + 1;
-                if Heapsim.Object_table.bookmarked objects id then
-                  forced.(i) <- true
-              end
-              else if not (Heapsim.Object_table.bookmarked objects id) then
-                dead_on.(i) <- dead_on.(i) + 1));
-      (* select the minimum target set per (class, kind) *)
-      let by_idx = Hashtbl.create 32 in
-      Superpage.iter_sps t.sp_space (fun sp ->
-          if sp.Superpage.cells_total > 0 then begin
-            let key = idx_of sp in
-            let existing =
-              Option.value (Hashtbl.find_opt by_idx key) ~default:[]
-            in
-            Hashtbl.replace by_idx key (sp :: existing)
-          end);
-      let target_pools = Hashtbl.create 32 in
-      Hashtbl.iter
-        (fun key sps ->
-          let capacity (sp : Superpage.sp) =
-            marked_on.(sp.Superpage.index)
-            + dead_on.(sp.Superpage.index)
-            + Vec.length sp.Superpage.free
-          in
-          let covered = ref 0 in
-          let pool = Vec.create () in
-          let choose sp =
-            is_target.(sp.Superpage.index) <- true;
-            Vec.push pool sp;
-            covered := !covered + capacity sp
-          in
-          let forced_sps, others =
-            List.partition (fun (sp : Superpage.sp) -> forced.(sp.Superpage.index)) sps
-          in
-          List.iter choose forced_sps;
-          let sorted =
-            List.sort
-              (fun (a : Superpage.sp) (b : Superpage.sp) ->
-                compare marked_on.(b.Superpage.index) marked_on.(a.Superpage.index))
-              others
-          in
-          List.iter
-            (fun sp -> if !covered < demand.(key) then choose sp)
-            sorted;
-          Hashtbl.replace target_pools key pool)
-        by_idx;
-      (* sweep the dead; epoch marks survive for the move pass *)
-      sweep_superpages t ~resident;
-      sweep_los t ~resident;
-      (* forward marked objects off the non-target superpages *)
-      let pool_alloc key =
-        match Hashtbl.find_opt target_pools key with
-        | None -> None
-        | Some pool ->
-            let rec go i =
-              if i >= Vec.length pool then None
-              else
-                match
-                  Superpage.alloc_on t.sp_space (Vec.get pool i)
-                    ~resident:(resident_ok t)
-                with
-                | Some addr -> Some addr
-                | None -> go (i + 1)
-            in
-            go 0
+              if
+                is_marked t id
+                && not (Heapsim.Object_table.bookmarked objects id)
+              then begin
+                let key = idx_of sp in
+                let addr =
+                  match pool_alloc key with
+                  | Some addr -> Some addr
+                  | None -> (
+                      (* selection shortfall: fall back to a fresh cell *)
+                      match
+                        Superpage.alloc t.sp_space
+                          ~bytes:(Heapsim.Object_table.size objects id)
+                          ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
+                          ~grow:(grow_sp t) ~resident:(resident_ok t)
+                      with
+                      | Some (addr, nsp) ->
+                          track_new_superpage t nsp;
+                          Some addr
+                      | None -> None)
+                in
+                match addr with
+                | None ->
+                    raise
+                      (Collector.Heap_exhausted
+                         (name ^ ": compaction ran out of target space"))
+                | Some addr ->
+                    Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
+                    note_placed t id
+              end))
+
+(* The fail-safe's first step: discard every bookmark and counter. Its
+   trace then rebuilds exact liveness, touching evicted pages as it goes. *)
+let forget_bookmarks t =
+  let objects = Heapsim.Heap.objects t.heap in
+  Heapsim.Object_table.iter_live objects (fun id ->
+      Heapsim.Object_table.set_bookmarked objects id false);
+  Hashtbl.reset t.bookmark_counts;
+  Superpage.iter_sps t.sp_space (fun sp -> sp.Superpage.incoming <- 0);
+  Hashtbl.reset t.ledger;
+  Hashtbl.reset t.sp_deferred;
+  Vec.clear t.nonsp_deferred;
+  t.nonsp_incoming <- 0
+
+let mature t kind =
+  let phase = if kind = Compact then Gc_stats.Compacting else Gc_stats.Full in
+  Gc_common.Pause.run t.stats t.heap phase (fun () ->
+      let collect () =
+        reload_nursery t;
+        with_gc t @@ fun () ->
+        if kind = Failsafe then begin
+          t.failsafe_count <- t.failsafe_count + 1;
+          Gc_stats.note_failsafe t.stats
+        end;
+        Charge.setup t.heap;
+        reconcile_with_kernel t;
+        if kind = Failsafe then forget_bookmarks t;
+        (* bookmarks stand in for evicted pages, which the trace and the
+           sweeps leave alone; without them, or to rebuild them, every
+           page is visited *)
+        let follow, resident =
+          if kind <> Failsafe && t.opts.Gc_config.bookmarks_enabled then
+            (obj_resident t, resident_ok t)
+          else ((fun _ -> true), fun _ -> true)
+        in
+        t.epoch <- t.epoch + 1;
+        mark_heap t ~follow;
+        let move =
+          if kind = Compact then plan_compaction t ~resident else ignore
+        in
+        sweep_superpages t ~resident;
+        sweep_los t ~resident;
+        move ();
+        (* recycle what the sweep emptied before evacuating the nursery:
+           the survivors may need those superpages *)
+        recycle_and_offer t;
+        evacuate_nursery t;
+        clear_remembered t;
+        recycle_and_offer t;
+        if kind = Failsafe then begin
+          (* not before evacuate_nursery, whose grow_sp reads the target;
+             whatever inconsistency scheduled us is now rebuilt *)
+          t.target_footprint <- None;
+          t.failsafe_needed <- false
+        end;
+        oracle t;
+        Gc_stats.note_heap_pages t.stats (total_pages t)
       in
-      Superpage.iter_sps t.sp_space (fun sp ->
-          if (not is_target.(sp.Superpage.index)) && sp.Superpage.cells_total > 0
-          then
-            census sp (fun id ->
-                if
-                  is_marked t id
-                  && not (Heapsim.Object_table.bookmarked objects id)
-                then begin
-                  let key = idx_of sp in
-                  let addr =
-                    match pool_alloc key with
-                    | Some addr -> Some addr
-                    | None -> (
-                        (* selection shortfall: fall back to a fresh cell *)
-                        match
-                          Superpage.alloc t.sp_space
-                            ~bytes:(Heapsim.Object_table.size objects id)
-                            ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
-                            ~grow:(grow_sp t) ~resident:(resident_ok t)
-                        with
-                        | Some (addr, nsp) ->
-                            track_new_superpage t nsp;
-                            Some addr
-                        | None -> None)
-                  in
-                  match addr with
-                  | None ->
-                      raise
-                        (Collector.Heap_exhausted
-                           (name ^ ": compaction ran out of target space"))
-                  | Some addr ->
-                      Baselines.Trace_util.copy_object t.heap id ~new_addr:addr;
-                      note_placed t id
-                end));
-      recycle_and_offer t;
-      evacuate_nursery t;
-      clear_remembered t;
-      recycle_and_offer t;
-      oracle t "compact";
-      Gc_stats.note_heap_pages t.stats (total_pages t))
-
-(* ------------------------------------------------------------------ *)
-(* Completeness fail-safe (§3.5)                                       *)
-
-let failsafe t =
-  Gc_common.Pause.run t.stats t.heap Gc_stats.Full (fun () ->
-      Gc_common.Pause.span t.heap Telemetry.Event.Failsafe @@ fun () ->
-      reload_nursery t;
-      with_gc t @@ fun () ->
-      t.failsafe_count <- t.failsafe_count + 1;
-      Gc_stats.note_failsafe t.stats;
-      Charge.setup t.heap;
-      reconcile_with_kernel t;
-      let objects = Heapsim.Heap.objects t.heap in
-      (* discard every bookmark and counter; the traversal below rebuilds
-         exact liveness, touching evicted pages as it goes *)
-      Heapsim.Object_table.iter_live objects (fun id ->
-          Heapsim.Object_table.set_bookmarked objects id false);
-      Hashtbl.reset t.bookmark_counts;
-      Superpage.iter_sps t.sp_space (fun sp -> sp.Superpage.incoming <- 0);
-      Hashtbl.reset t.ledger;
-      Hashtbl.reset t.sp_deferred;
-      Vec.clear t.nonsp_deferred;
-      t.nonsp_incoming <- 0;
-      let everywhere _ = true in
-      t.epoch <- t.epoch + 1;
-      mark_heap t ~follow:everywhere;
-      sweep_superpages t ~resident:everywhere;
-      sweep_los t ~resident:everywhere;
-      recycle_and_offer t;
-      evacuate_nursery t;
-      clear_remembered t;
-      t.target_footprint <- None;
-      recycle_and_offer t;
-      (* whatever inconsistency scheduled us is now rebuilt from scratch *)
-      t.failsafe_needed <- false;
-      Gc_stats.note_heap_pages t.stats (total_pages t))
+      if kind = Failsafe then
+        Gc_common.Pause.span t.heap Telemetry.Event.Failsafe collect
+      else collect ())
 
 (* ------------------------------------------------------------------ *)
 (* VM cooperation handlers (§3.3–§3.4)                                 *)
@@ -1066,14 +986,20 @@ let maybe_request_gc t =
        <= t.opts.Gc_config.reserve_pages
   then t.gc_requested <- true
 
-let in_nursery_region t page =
-  let first = Gc_common.Bump_space.first_page t.nursery in
-  page >= first && page < first + Gc_common.Bump_space.npages t.nursery
-
 let our_page t page =
-  in_nursery_region t page
+  Gc_common.Bump_space.owns_page t.nursery page
   || Superpage.owns_page t.sp_space page
   || Gc_common.Large_object_space.owns_page t.los page
+
+(* A resident page of ours that may leave memory: neither a live
+   superpage's header nor a populated nursery page. *)
+let evictable t page =
+  our_page t page
+  && (not (header_in_use t page))
+  && not
+       (Gc_common.Bump_space.owns_page t.nursery page
+       && page_has_objects t page)
+  && Residency.is_resident t.residency page
 
 (* §7: the victim's outgoing-pointer count, used to prefer evicting
    pointer-free pages (no false garbage, nothing to bookmark). Objects
@@ -1096,16 +1022,10 @@ let choose_victim t victim =
   let n = t.opts.Gc_config.pointer_aware_victims in
   if n <= 0 then victim
   else begin
-    let evictable page =
-      page = victim
-      || (our_page t page
-         && (not (header_in_use t page))
-         && (not (in_nursery_region t page && page_has_objects t page))
-         && Residency.is_resident t.residency page)
-    in
     let candidates =
       victim
-      :: List.filter evictable
+      :: List.filter
+           (fun page -> page = victim || evictable t page)
            (Vmsim.Vmm.coldest_pages (Heapsim.Heap.vmm t.heap)
               ~owner:(Heapsim.Heap.process t.heap) ~n)
     in
@@ -1139,15 +1059,9 @@ let discard_batch_extra t =
    before the kernel has to ask again. A no-op at the default of 0. *)
 let relinquish_beyond_victim t ~victim =
   if t.relinquish_extra > 0 && t.opts.Gc_config.bookmarks_enabled then begin
-    let evictable page =
-      page <> victim
-      && our_page t page
-      && (not (header_in_use t page))
-      && (not (in_nursery_region t page && page_has_objects t page))
-      && Residency.is_resident t.residency page
-    in
     let cold =
-      List.filter evictable
+      List.filter
+        (fun page -> page <> victim && evictable t page)
         (Vmsim.Vmm.coldest_pages (Heapsim.Heap.vmm t.heap)
            ~owner:(Heapsim.Heap.process t.heap)
            ~n:(2 * t.relinquish_extra))
@@ -1188,7 +1102,10 @@ let handle_eviction_notice t victim =
                collection inside the eviction path would need frames the
                machine does not have), and deal with the victim now *)
             t.gc_requested <- true;
-            if in_nursery_region t victim && page_has_objects t victim then
+            if
+              Gc_common.Bump_space.owns_page t.nursery victim
+              && page_has_objects t victim
+            then
               (* nursery pages are about to be reused: veto (§3.4). If
                  everything is vetoed the kernel's desperation pass will
                  still make progress, and the collection just requested
@@ -1202,13 +1119,9 @@ let handle_eviction_notice t victim =
               bookmark_and_evict t chosen;
               relinquish_beyond_victim t ~victim:chosen
             end
-            else begin
+            else
               (* resizing-only variant: let the page go to disk *)
-              Residency.mark_evicted t.residency victim;
-              Bitset.clear t.discarded victim;
-              Superpage.note_page_evicted t.sp_space victim;
-              t.evicted_count <- t.evicted_count + 1
-            end
+              note_evicted t victim
       end
     end
   end
@@ -1240,9 +1153,10 @@ let maybe_regrow t =
    compacting one (§2: BC "minimizes space consumption by performing
    compaction when under memory pressure"). *)
 let full_or_compact t =
-  if t.target_footprint <> None && t.opts.Gc_config.compaction_enabled then
-    compact t
-  else full t
+  mature t
+    (if t.target_footprint <> None && t.opts.Gc_config.compaction_enabled
+     then Compact
+     else Full)
 
 (* Escalation ladder: nursery GC, full GC, compaction, growing past the
    footprint target (at the price of paging), and finally the
@@ -1258,7 +1172,7 @@ let escalations t =
         (* detected inconsistency: rebuild exact liveness rather than
            trusting damaged summaries (§3.5 used as a recovery path) *)
         t.gc_requested <- false;
-        failsafe t
+        mature t Failsafe
       end
       else if t.gc_requested then begin
         t.gc_requested <- false;
@@ -1268,19 +1182,19 @@ let escalations t =
         try minor t
         with Collector.Heap_exhausted _ ->
           (* a full trace recovers the aborted nursery collection *)
-          full t
+          mature t Full
       end
       else full_or_compact t);
-    (fun () -> full t);
-    (fun () -> if t.opts.Gc_config.compaction_enabled then compact t);
+    (fun () -> mature t Full);
+    (fun () -> if t.opts.Gc_config.compaction_enabled then mature t Compact);
     (fun () ->
       if t.target_footprint <> None then begin
         t.target_footprint <- None;
-        full t
+        mature t Full
       end);
     (fun () ->
       if t.opts.Gc_config.bookmarks_enabled && t.evicted_count > 0 then
-        failsafe t);
+        mature t Failsafe);
   |]
 
 (* ------------------------------------------------------------------ *)
@@ -1290,7 +1204,7 @@ let check_invariants t =
   (* a detected-but-not-yet-repaired inconsistency is allowed to exist
      between collections; repair it before judging the invariants *)
   if t.failsafe_needed && t.opts.Gc_config.bookmarks_enabled then
-    failsafe t;
+    mature t Failsafe;
   let objects = Heapsim.Heap.objects t.heap in
   (* incoming counters equal the ledger's per-superpage totals *)
   let expected = Hashtbl.create 16 in
@@ -1505,7 +1419,7 @@ let factory config heap =
     heap;
     config;
     alloc = (fun ~size ~nrefs ~kind -> Gc_common.Alloc.alloc path ~size ~nrefs ~kind);
-    collect = (fun () -> full t);
+    collect = (fun () -> mature t Full);
     stats = t.stats;
     footprint_pages = (fun () -> total_pages t);
     check_invariants = (fun () -> check_invariants t);

@@ -42,11 +42,4 @@ let npages t = t.npages
 let used_pages t =
   if t.bump = t.base then 0 else Vmsim.Page.of_addr (t.bump - 1) - t.first_page + 1
 
-let iter_pages t f =
-  for p = t.first_page to t.first_page + t.npages - 1 do
-    f p
-  done
-
-let discard_pages t =
-  let vmm = Heapsim.Heap.vmm t.heap in
-  iter_pages t (fun p -> Vmsim.Vmm.madvise_dontneed vmm p)
+let owns_page t page = page >= t.first_page && page < t.first_page + t.npages

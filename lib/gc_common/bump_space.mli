@@ -31,8 +31,5 @@ val npages : t -> int
 val used_pages : t -> int
 (** Pages at or below the bump pointer (ever used since reset). *)
 
-val iter_pages : t -> (int -> unit) -> unit
-
-val discard_pages : t -> unit
-(** [madvise_dontneed] every page in the space (used after evacuating a
-    semispace: its contents are dead). *)
+val owns_page : t -> int -> bool
+(** Whether a page falls inside the space's range. *)

@@ -5,9 +5,6 @@ let setup heap = advance heap (Heapsim.Heap.costs heap).Vmsim.Costs.gc_setup_ns
 let object_visit heap =
   advance heap (Heapsim.Heap.costs heap).Vmsim.Costs.gc_object_ns
 
-let objects heap n =
-  advance heap (n * (Heapsim.Heap.costs heap).Vmsim.Costs.gc_object_ns)
-
 let copy heap ~bytes =
   let costs = Heapsim.Heap.costs heap in
   advance heap

@@ -6,9 +6,6 @@ val setup : Heapsim.Heap.t -> unit
 val object_visit : Heapsim.Heap.t -> unit
 (** One object marked or scanned. *)
 
-val objects : Heapsim.Heap.t -> int -> unit
-(** [n] objects visited at once. *)
-
 val copy : Heapsim.Heap.t -> bytes:int -> unit
 (** One object of [bytes] copied or compacted (includes the visit). *)
 

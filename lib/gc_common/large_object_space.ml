@@ -37,36 +37,22 @@ let owns_page t page = Hashtbl.mem t.page_ranges page
 
 let pages_in_use t = t.pages
 
-let iter_objects t f = Vec.iter f t.objects
-
-let sweep t =
+let sweep ?(on_free = fun _ -> ()) t ~keep =
   let heap = t.heap in
-  let objects = Heapsim.Heap.objects heap in
   Vec.filter_in_place
     (fun id ->
       Charge.object_visit heap;
-      if Heapsim.Object_table.marked objects id then begin
-        Heapsim.Object_table.set_marked objects id false;
-        true
-      end
-      else begin
-        let first_page = Heapsim.Heap.first_page heap id in
-        let npages = Hashtbl.find t.page_ranges first_page in
-        Heapsim.Heap.free_object heap id;
-        Vmsim.Vmm.unmap_range (Heapsim.Heap.vmm heap) ~first_page ~npages;
-        Hashtbl.remove t.page_ranges first_page;
-        t.pages <- t.pages - npages;
-        false
-      end)
+      keep id
+      || begin
+           let first_page = Heapsim.Heap.first_page heap id in
+           let npages = Hashtbl.find t.page_ranges first_page in
+           Heapsim.Heap.free_object heap id;
+           Vmsim.Vmm.unmap_range (Heapsim.Heap.vmm heap) ~first_page ~npages;
+           Hashtbl.remove t.page_ranges first_page;
+           t.pages <- t.pages - npages;
+           for page = first_page to first_page + npages - 1 do
+             on_free page
+           done;
+           false
+         end)
     t.objects
-
-let forget_range t ~first_page =
-  let npages = Hashtbl.find t.page_ranges first_page in
-  Hashtbl.remove t.page_ranges first_page;
-  t.pages <- t.pages - npages
-
-let replace_objects t survivors =
-  Vec.clear t.objects;
-  Vec.iter (Vec.push t.objects) survivors
-
-let range_pages t ~first_page = Hashtbl.find t.page_ranges first_page

@@ -17,26 +17,14 @@ val alloc : t -> bytes:int -> grow:(npages:int -> bool) -> int
 val note_object : t -> Heapsim.Obj_id.t -> unit
 (** Register the (placed) object so sweeps can find it. *)
 
-val sweep : t -> unit
-(** Free (and unmap) unmarked objects; unmark survivors. *)
+val sweep :
+  ?on_free:(int -> unit) -> t -> keep:(Heapsim.Obj_id.t -> bool) -> unit
+(** Charge a visit per object; free, and unmap the range of, each object
+    [keep] rejects, then call [on_free] on every page of that range (BC
+    drops the pages from its residency view). Survivors keep their
+    order. *)
 
 val owns_page : t -> int -> bool
 
 val pages_in_use : t -> int
 
-val iter_objects : t -> (Heapsim.Obj_id.t -> unit) -> unit
-
-(** {1 Hooks for collectors that sweep the space themselves}
-
-    BC sweeps the LOS with residency checks; these let it keep the space's
-    accounting consistent while owning the free/unmap decisions. *)
-
-val forget_range : t -> first_page:int -> unit
-(** Drop the accounting for an object range the caller freed and unmapped
-    itself. *)
-
-val replace_objects : t -> Heapsim.Obj_id.t Repro_util.Vec.t -> unit
-(** Replace the object list (after a caller-driven sweep). *)
-
-val range_pages : t -> first_page:int -> int
-(** Pages in the range starting at [first_page]. *)

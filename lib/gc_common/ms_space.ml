@@ -133,7 +133,7 @@ let alloc t ~bytes ~grow =
           end;
           addr)
 
-let sweep t =
+let sweep t ~keep =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
   let vmm = Heapsim.Heap.vmm heap in
@@ -145,9 +145,7 @@ let sweep t =
       let on_page = Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page in
       Array.iter
         (fun id ->
-          if Heapsim.Object_table.marked objects id then
-            Heapsim.Object_table.set_marked objects id false
-          else begin
+          if not (keep id) then begin
             let addr = Heapsim.Object_table.addr objects id in
             Heapsim.Heap.free_object heap id;
             Vec.push pr.free addr;

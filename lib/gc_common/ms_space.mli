@@ -19,9 +19,9 @@ val alloc : t -> bytes:int -> grow:(unit -> bool) -> int
     is needed, [grow] is consulted; returning [false] makes the
     allocation fail with [-1]. *)
 
-val sweep : t -> unit
-(** Touch and sweep every page: unmarked objects on this space's pages are
-    freed and their cells returned; marked objects are unmarked. *)
+val sweep : t -> keep:(Heapsim.Obj_id.t -> bool) -> unit
+(** Touch and sweep every page: objects on this space's pages that [keep]
+    rejects are freed and their cells returned. *)
 
 val owns_page : t -> int -> bool
 

@@ -14,4 +14,3 @@ let reserve_aligned t ~npages ~align =
   t.brk <- first + npages;
   first
 
-let next_page t = t.brk

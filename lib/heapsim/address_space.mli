@@ -14,6 +14,3 @@ val reserve : t -> npages:int -> int
 val reserve_aligned : t -> npages:int -> align:int -> int
 (** Reserve with the first page aligned to a multiple of [align] pages
     (used for superpages, located by bit-masking in the paper). *)
-
-val next_page : t -> int
-(** The next unreserved page number (the current break). *)

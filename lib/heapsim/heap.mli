@@ -39,8 +39,6 @@ val costs : t -> Vmsim.Costs.t
 
 val first_page : t -> Obj_id.t -> int
 
-val last_page : t -> Obj_id.t -> int
-
 val iter_pages : t -> Obj_id.t -> (int -> unit) -> unit
 (** Pages spanned by the object at its current address. *)
 

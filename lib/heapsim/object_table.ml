@@ -1,8 +1,6 @@
 (* Flag bits packed in a row's flags word. *)
 let flag_live = 1
 
-let flag_marked = 2
-
 let flag_bookmarked = 4
 
 let flag_array = 8
@@ -257,10 +255,6 @@ let[@inline] get_bit t id bit = get_checked t id w_flags land bit <> 0
 let[@inline] set_bit t id bit v =
   let f = get_checked t id w_flags in
   set t id w_flags (if v then f lor bit else f land lnot bit)
-
-let[@inline] marked t id = get_bit t id flag_marked
-
-let[@inline] set_marked t id v = set_bit t id flag_marked v
 
 let[@inline] bookmarked t id = get_bit t id flag_bookmarked
 

@@ -1,9 +1,9 @@
 (** Row storage for simulated heap objects.
 
     Each live object has a size in bytes, a simulated byte address, a
-    run of reference fields, a header with status bits (mark and
-    bookmark, as in the paper's one-word Jikes header), a collector-defined
-    space tag, a collector-defined scratch word and a page-map back-index.
+    run of reference fields, a header with the paper's bookmark bit, a
+    collector-defined space tag, a scratch word that holds the tracer's
+    epoch mark and a page-map back-index.
     Ids of freed objects are recycled.
 
     An object's metadata is one fixed-size row in a chunk of
@@ -61,10 +61,6 @@ val iter_refs : t -> Obj_id.t -> (int -> Obj_id.t -> unit) -> unit
 
 (** {1 Header bits} *)
 
-val marked : t -> Obj_id.t -> bool
-
-val set_marked : t -> Obj_id.t -> bool -> unit
-
 val bookmarked : t -> Obj_id.t -> bool
 
 val set_bookmarked : t -> Obj_id.t -> bool -> unit
@@ -77,7 +73,9 @@ val space : t -> Obj_id.t -> int
 val set_space : t -> Obj_id.t -> int -> unit
 
 val scratch : t -> Obj_id.t -> int
-(** Collector-defined scratch word (-1 initially; reset on {!alloc}). *)
+(** Scratch word (-1 initially; reset on {!alloc}). Only the tracer
+    reads or writes it: it holds the epoch of the last trace that marked
+    the object. *)
 
 val set_scratch : t -> Obj_id.t -> int -> unit
 

@@ -18,5 +18,3 @@ let skip t ~events ~cost_ns =
 let ns_to_ms ns = float_of_int ns /. 1e6
 
 let ns_to_s ns = float_of_int ns /. 1e9
-
-let seconds t = ns_to_s t.now_ns

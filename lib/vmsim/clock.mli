@@ -21,9 +21,6 @@ val skip : t -> events:int -> cost_ns:int -> unit
     of {!Vmm.touch_span}: runs of uniform, event-free work are charged in
     O(1) instead of O(n). *)
 
-val seconds : t -> float
-(** [now] in seconds. *)
-
 val ns_to_ms : int -> float
 
 val ns_to_s : int -> float

@@ -19,7 +19,6 @@ let name t = t.name
 
 let register t h = t.handlers <- Some h
 
-let unregister t = t.handlers <- None
 
 let handlers t = t.handlers
 

@@ -32,8 +32,6 @@ val register : t -> handlers -> unit
 (** Register paging-event handlers ("the application registers itself with
     the operating system", §4.1). At most one registration is active. *)
 
-val unregister : t -> unit
-
 val handlers : t -> handlers option
 
 val stats : t -> Vm_stats.t

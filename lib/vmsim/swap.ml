@@ -3,10 +3,7 @@ type t = {
   faults : Faults.Fault_plan.t option;
   slots : (int, unit) Hashtbl.t;
   mutable high_water : int;
-  mutable writes : int;
   mutable reads : int;
-  mutable write_errors : int;
-  mutable read_errors : int;
 }
 
 exception Full
@@ -18,10 +15,7 @@ let create ?capacity_pages ?faults () =
     faults;
     slots = Hashtbl.create 256;
     high_water = 0;
-    writes = 0;
     reads = 0;
-    write_errors = 0;
-    read_errors = 0;
   }
 
 let occupancy_pages t = Hashtbl.length t.slots
@@ -32,9 +26,7 @@ let write t page =
   | Some plan -> (
       match Faults.Fault_plan.on_swap_write plan with
       | Faults.Fault_plan.Proceed -> ()
-      | Faults.Fault_plan.Io_error ->
-          t.write_errors <- t.write_errors + 1;
-          raise Io_error
+      | Faults.Fault_plan.Io_error -> raise Io_error
       | Faults.Fault_plan.Device_full -> raise Full));
   if not (Hashtbl.mem t.slots page) then begin
     (match t.capacity_pages with
@@ -42,7 +34,6 @@ let write t page =
     | Some _ | None -> ());
     Hashtbl.add t.slots page ()
   end;
-  t.writes <- t.writes + 1;
   if occupancy_pages t > t.high_water then t.high_water <- occupancy_pages t
 
 let read t page =
@@ -53,9 +44,7 @@ let read t page =
   | Some plan -> (
       match Faults.Fault_plan.on_swap_read plan with
       | Faults.Fault_plan.Proceed | Faults.Fault_plan.Device_full -> ()
-      | Faults.Fault_plan.Io_error ->
-          t.read_errors <- t.read_errors + 1;
-          raise Io_error));
+      | Faults.Fault_plan.Io_error -> raise Io_error));
   t.reads <- t.reads + 1
 
 let drop t page = Hashtbl.remove t.slots page
@@ -64,10 +53,4 @@ let has_copy t page = Hashtbl.mem t.slots page
 
 let high_water_pages t = t.high_water
 
-let writes t = t.writes
-
 let reads t = t.reads
-
-let write_errors t = t.write_errors
-
-let read_errors t = t.read_errors

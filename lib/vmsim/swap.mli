@@ -35,12 +35,4 @@ val occupancy_pages : t -> int
 
 val high_water_pages : t -> int
 
-val writes : t -> int
-
 val reads : t -> int
-
-val write_errors : t -> int
-(** Injected write I/O errors observed by this device. *)
-
-val read_errors : t -> int
-(** Injected read I/O errors observed by this device. *)

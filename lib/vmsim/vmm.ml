@@ -682,7 +682,7 @@ let rec do_touch t ~write page =
   else invalid_arg (Printf.sprintf "Vmm.touch: page %d unmapped" page)
 
 (* Late delivery of notices the fault plan held back. Notices for pages
-   that have since been unmapped, or whose owner unregistered, are
+   that have since been unmapped, or whose owner has no handlers, are
    quietly discarded; everything else is delivered as-is — possibly
    stale, possibly a duplicate — which is exactly the unreliability the
    consumers must tolerate. *)
@@ -998,8 +998,6 @@ let coldest_pages t ~owner ~n =
   Lru.iter_inactive_from_tail t.lru consider;
   Lru.iter_active_from_tail t.lru consider;
   List.rev !acc
-
-let pending_notice_count t = Queue.length t.pending_notices
 
 (* O(materialised pages) scan, kept as the debug cross-check for the
    gauge below. Only materialised chunks are visited, so the scan stays

@@ -241,9 +241,6 @@ val trace : t -> Telemetry.Sink.t option
 val stats : t -> Vm_stats.t
 (** Global counters. Per-process counters live in {!Process.stats}. *)
 
-val pending_notice_count : t -> int
-(** Notices the fault plan has held back and not yet delivered. *)
-
 val count_resident_owned : t -> Process.t -> int
 (** Resident pages owned by a process: an O(1) read of the process's
     [Vm_stats.resident_pages] gauge, which every residency transition

@@ -50,24 +50,31 @@ let default_for_file =
   }
 
 let apply_key spec key value =
+  let key = String.trim key in
   let int () =
     match int_of_string_opt (String.trim value) with
     | Some v -> v
     | None -> failwith (Printf.sprintf "Spec.of_file: %s wants an integer" key)
+  in
+  let positive () =
+    let v = int () in
+    if v <= 0 then
+      failwith (Printf.sprintf "Spec.of_file: %s wants a positive integer" key);
+    v
   in
   let fl () =
     match float_of_string_opt (String.trim value) with
     | Some v -> v
     | None -> failwith (Printf.sprintf "Spec.of_file: %s wants a float" key)
   in
-  match String.trim key with
+  match key with
   | "name" -> { spec with name = String.trim value }
   | "total_alloc_bytes" -> { spec with total_alloc_bytes = int () }
   | "immortal_bytes" -> { spec with immortal_bytes = int () }
   | "window_bytes" -> { spec with window_bytes = int () }
   | "long_frac" -> { spec with long_frac = fl () }
   | "mean_size" -> { spec with mean_size = int () }
-  | "max_size" -> { spec with max_size = int () }
+  | "max_size" -> { spec with max_size = positive () }
   | "large_frac" -> { spec with large_frac = fl () }
   | "array_frac" -> { spec with array_frac = fl () }
   | "nrefs_mean" -> { spec with nrefs_mean = int () }

@@ -40,7 +40,8 @@ val pp : Format.formatter -> t -> unit
 
 val of_file : string -> t
 (** Load a spec from a [key = value] file (lines starting with [#] are
-    comments). Unset keys take the pseudoJBB-like defaults; unknown keys
-    raise [Failure]. Keys are the record's field names. *)
+    comments). Unset keys take the pseudoJBB-like defaults; unknown keys,
+    and a [max_size] that is not positive, raise [Failure]. Keys are the
+    record's field names. *)
 
 val to_file : t -> string -> unit

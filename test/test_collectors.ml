@@ -165,6 +165,21 @@ let test_garbage_bounded name () =
     (Printf.sprintf "%s retains %d <= %d bytes" name live_bytes bound)
     true (live_bytes <= bound)
 
+(* -- a forced collection is exact --------------------------------------- *)
+
+(* Without memory pressure nothing is bookmarked, so one forced
+   collection leaves live exactly the objects reachable from the roots: a
+   trace or sweep that keeps garbage fails here, which the retention
+   bound above is too loose to see. *)
+let test_forced_collect_exact name () =
+  let m, c = Mini.collector ~heap_bytes:(1024 * 1024) name in
+  let mutator = Workload.Mutator.create (Mini.spec ()) c in
+  Mini.drive mutator;
+  c.Collector.collect ();
+  check Alcotest.int "live objects are the reachable ones"
+    (Oracle.reachable_count m.Mini.heap)
+    (OT.live_count (Heap.objects m.Mini.heap))
+
 (* -- each collector's defining policy ------------------------------- *)
 
 let drive_small name =
@@ -376,7 +391,11 @@ let () =
       ( "garbage",
         List.concat_map
           (fun name ->
-            per_collector name [ ("bounded retention", test_garbage_bounded) ])
+            per_collector name
+              [
+                ("bounded retention", test_garbage_bounded);
+                ("exact collection", test_forced_collect_exact);
+              ])
           all_collectors );
       ( "policies",
         [

@@ -27,7 +27,7 @@ let test_alloc_free_recycle () =
   (* recycled object state is fresh *)
   check Alcotest.int "fresh addr" (-1) (OT.addr t c);
   check Alcotest.int "fresh scratch" (-1) (OT.scratch t c);
-  check Alcotest.bool "fresh unmarked" false (OT.marked t c);
+  check Alcotest.bool "fresh unbookmarked" false (OT.bookmarked t c);
   check Alcotest.bool "fresh ref null" true
     (Heapsim.Obj_id.is_null (OT.get_ref t c 0))
 
@@ -81,13 +81,10 @@ let test_refs () =
 let test_flags () =
   let t = OT.create () in
   let a = OT.alloc t ~size:8 ~nrefs:0 ~kind:`Scalar in
-  OT.set_marked t a true;
   OT.set_bookmarked t a true;
-  check Alcotest.bool "marked" true (OT.marked t a);
   check Alcotest.bool "bookmarked" true (OT.bookmarked t a);
-  OT.set_marked t a false;
-  check Alcotest.bool "unmarked" false (OT.marked t a);
-  check Alcotest.bool "bookmark independent" true (OT.bookmarked t a);
+  OT.set_bookmarked t a false;
+  check Alcotest.bool "unbookmarked" false (OT.bookmarked t a);
   OT.set_space t a 3;
   OT.set_scratch t a 42;
   check Alcotest.int "space" 3 (OT.space t a);

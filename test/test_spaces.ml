@@ -53,7 +53,7 @@ let test_ms_grow_denied () =
   let _, ms = ms_fixture () in
   check Alcotest.int "denied" (-1) (Ms.alloc ms ~bytes:64 ~grow:(fun () -> false))
 
-let test_ms_sweep_frees_unmarked () =
+let test_ms_sweep_frees_rejected () =
   let m, ms = ms_fixture () in
   let heap = m.Mini.heap in
   let objects = Heap.objects heap in
@@ -66,11 +66,9 @@ let test_ms_sweep_frees_unmarked () =
   in
   let live = place 64 in
   let dead = place 64 in
-  OT.set_marked objects live true;
   let free_before = Ms.free_bytes ms in
-  Ms.sweep ms;
-  check Alcotest.bool "live survives unmarked-for-next-cycle" true
-    (OT.is_live objects live && not (OT.marked objects live));
+  Ms.sweep ms ~keep:(fun id -> id = live);
+  check Alcotest.bool "kept survives" true (OT.is_live objects live);
   check Alcotest.bool "dead freed" false (OT.is_live objects dead);
   check Alcotest.bool "cell returned" true (Ms.free_bytes ms > free_before)
 
@@ -90,8 +88,8 @@ let test_ms_empty_page_recycled () =
   in
   ignore ids;
   let pages_before = Ms.pages_acquired ms in
-  Ms.sweep ms;
-  (* nothing marked: all dead, pages wholly empty *)
+  Ms.sweep ms ~keep:(fun _ -> false);
+  (* nothing kept: all dead, pages wholly empty *)
   let got = ref 0 in
   for _ = 1 to 10 do
     if Ms.alloc ms ~bytes:8 ~grow:(fun () -> false) >= 0 then incr got
@@ -109,7 +107,7 @@ let test_ms_owns_page () =
 (* Accounting property: alloc/sweep cycles keep free_bytes consistent
    with what a reference count says. *)
 let prop_ms_accounting =
-  QCheck.Test.make ~name:"ms_space sweep frees exactly the unmarked"
+  QCheck.Test.make ~name:"ms_space sweep frees exactly the rejected"
     ~count:50
     QCheck.(small_list (pair (int_range 8 2048) bool))
     (fun plan ->
@@ -124,12 +122,11 @@ let prop_ms_accounting =
             else begin
               let id = OT.alloc objects ~size ~nrefs:0 ~kind:`Scalar in
               Heap.place heap id ~addr;
-              if keep then OT.set_marked objects id true;
               Some (id, keep)
             end)
           plan
       in
-      Ms.sweep ms;
+      Ms.sweep ms ~keep:(fun id -> List.assoc id placed);
       List.for_all (fun (id, keep) -> OT.is_live objects id = keep) placed)
 
 (* ----------------------------------------------------------------- *)
@@ -147,14 +144,18 @@ let test_los_alloc_sweep () =
   Los.note_object los id;
   check Alcotest.int "pages for 10000 bytes" 3 (Los.pages_in_use los);
   check Alcotest.bool "owns" true (Los.owns_page los (Vmsim.Page.of_addr addr));
-  (* survives marked *)
-  OT.set_marked objects id true;
-  Los.sweep los;
-  check Alcotest.bool "marked survives" true (OT.is_live objects id);
-  (* dies unmarked, pages unmapped *)
-  Los.sweep los;
-  check Alcotest.bool "unmarked dies" false (OT.is_live objects id);
-  check Alcotest.int "pages released" 0 (Los.pages_in_use los)
+  Los.sweep los ~keep:(fun _ -> true);
+  check Alcotest.bool "kept survives" true (OT.is_live objects id);
+  (* dies rejected, pages unmapped and each passed to on_free *)
+  let freed = ref [] in
+  Los.sweep los
+    ~on_free:(fun page -> freed := page :: !freed)
+    ~keep:(fun _ -> false);
+  check Alcotest.bool "rejected dies" false (OT.is_live objects id);
+  check Alcotest.int "pages released" 0 (Los.pages_in_use los);
+  let first = Vmsim.Page.of_addr addr in
+  check (Alcotest.list Alcotest.int) "freed pages" [ first; first + 1; first + 2 ]
+    (List.rev !freed)
 
 let test_los_grow_denied () =
   let m = Mini.machine () in
@@ -255,7 +256,7 @@ let () =
         [
           Alcotest.test_case "same page" `Quick test_ms_alloc_same_page;
           Alcotest.test_case "grow denied" `Quick test_ms_grow_denied;
-          Alcotest.test_case "sweep" `Quick test_ms_sweep_frees_unmarked;
+          Alcotest.test_case "sweep" `Quick test_ms_sweep_frees_rejected;
           Alcotest.test_case "page recycling" `Quick test_ms_empty_page_recycled;
           Alcotest.test_case "ownership" `Quick test_ms_owns_page;
         ] );

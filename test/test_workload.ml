@@ -223,17 +223,26 @@ let test_spec_file_defaults_and_comments () =
         (spec.Workload.Spec.total_alloc_bytes > 0))
 
 let test_spec_file_rejects_unknown_key () =
-  let path = Filename.temp_file "bcgc" ".spec" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "bogus_key = 1\n";
-      close_out oc;
-      check Alcotest.bool "unknown key rejected" true
-        (match Workload.Spec.of_file path with
-        | (_ : Workload.Spec.t) -> false
-        | exception Failure _ -> true))
+  let rejects contents =
+    let path = Filename.temp_file "bcgc" ".spec" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out path in
+        output_string oc contents;
+        close_out oc;
+        match Workload.Spec.of_file path with
+        | (_ : Workload.Spec.t) -> None
+        | exception Failure msg -> Some msg)
+  in
+  check Alcotest.bool "unknown key rejected" true
+    (rejects "bogus_key = 1\n" <> None);
+  (* caught here, not as an Invalid_argument deep inside the run *)
+  check
+    Alcotest.(option string)
+    "non-positive max_size rejected"
+    (Some "Spec.of_file: max_size wants a positive integer")
+    (rejects "max_size = 0\n")
 
 (* ----------------------------------------------------------------- *)
 (* Traces                                                             *)
