@@ -1,4 +1,4 @@
-.PHONY: all build test test-release ci alloc-path-check sched-path-check mark-path-check bench-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release ci alloc-path-check sched-path-check mark-path-check global-check bench-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -22,14 +22,15 @@ test-release:
 
 # Full CI gate: everything compiles (including examples and benches), every
 # collector allocates through Gc_common.Alloc, only the scheduler starts
-# workers, only the tracer marks, the whole suite passes — test_faults runs the fault-plan smoke tests with
+# workers, only the tracer marks, no module holds mutable state of its
+# own, the whole suite passes — test_faults runs the fault-plan smoke tests with
 # fixed seeds, so regressions in the degradation paths fail here — the
 # quick experiment text matches its golden, and traced runs (one solo, one two-process) produce valid Chrome JSON
 # covering every expected GC phase kind. The wall-clock perf-guard runs
 # last: it depends on how busy the machine is, so a failure there must
 # not hide the deterministic checks before it.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && dune runtest && $(MAKE) bench-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && dune runtest && $(MAKE) bench-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls
@@ -75,6 +76,21 @@ mark-path-check:
 	  echo "mark-path-check: Object_table.scratch outside tracer.ml in:" $$files >&2; exit 1; \
 	elif [ $$status -ne 1 ]; then \
 	  echo "mark-path-check: grep failed with status $$status" >&2; exit 1; \
+	fi
+
+# No module state: machines run concurrently on the domain pool and OCaml 5
+# domains share one heap, so a module-level ref, Atomic or mutex under lib/
+# or bin/ would be shared by every machine in the process. The pool's own
+# global in domain_pool.ml is the one exception. A top-level binding of
+# such a value fails here, named. grep exits 1 when nothing matches; any
+# other status (a match, or grep's own error) fails the target.
+global-check:
+	@files=$$(grep -rlE --include='*.ml' --exclude=domain_pool.ml '^let [a-z_0-9]+( *:[^=]*)? *= *(ref\b|Atomic\.make|Mutex\.create)' lib bin); \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then \
+	  echo "global-check: module-level ref, Atomic or mutex in:" $$files >&2; exit 1; \
+	elif [ $$status -ne 1 ]; then \
+	  echo "global-check: grep failed with status $$status" >&2; exit 1; \
 	fi
 
 # Bench check: the quick-mode text of `bcgc bench all', `control', `slo'

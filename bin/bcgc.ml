@@ -125,6 +125,18 @@ let find_workload name =
         (String.concat ", " (Workload.Catalog.names ()));
       exit 1
 
+(* Resolve a collector name before any work starts, so a typo is one
+   line on stderr rather than a failed run or a misleading diagnosis. *)
+let check_collector name =
+  if Option.is_none (Harness.Registry.find name) then begin
+    Printf.eprintf "unknown collector %S; available: %s\n" name
+      (String.concat ", "
+         (List.map
+            (fun (i : Harness.Registry.info) -> i.Harness.Registry.name)
+            Harness.Registry.all));
+    exit 1
+  end
+
 (* For the batch-only subcommands (minheap, trace-record). *)
 let find_spec name =
   match find_workload name with
@@ -157,6 +169,8 @@ let shape_arg =
 let run_cmd collector workload spec_file shape heap_kb frames pin volume
     verbose faults fault_seed verify trace_file timeline coworker controller
     control_window =
+  check_collector collector;
+  Option.iter check_collector coworker;
   let wparams =
     Workload.Catalog.scale_volume (resolve_workload workload spec_file) volume
   in
@@ -310,6 +324,7 @@ let list_cmd () =
   0
 
 let minheap_cmd collector workload volume =
+  check_collector collector;
   let spec = find_spec workload in
   match Harness.Minheap.find ~volume_scale:volume ~collector ~spec () with
   | Some bytes ->
@@ -339,6 +354,7 @@ let trace_record_cmd workload volume heap_kb output =
   0
 
 let trace_replay_cmd collector input heap_kb frames pin =
+  check_collector collector;
   let trace = Workload.Trace.load input in
   let heap_bytes = heap_kb * 1024 in
   let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in

@@ -1440,7 +1440,6 @@ let factory config heap =
             if t.opts.Gc_config.bookmarks_enabled then
               t.failsafe_needed <- true
             else t.gc_requested <- true);
-        target_pages = (fun () -> t.controller_cap);
       };
     debug = Debug (make_debug t);
   }

@@ -5,7 +5,6 @@ type tuning = {
   set_notice_batch : int -> unit;
   set_relinquish_extra : int -> unit;
   request_failsafe : unit -> unit;
-  target_pages : unit -> int option;
 }
 
 let no_tuning =
@@ -14,7 +13,6 @@ let no_tuning =
     set_notice_batch = (fun _ -> ());
     set_relinquish_extra = (fun _ -> ());
     request_failsafe = (fun () -> ());
-    target_pages = (fun () -> None);
   }
 
 type debug = ..

@@ -28,8 +28,6 @@ type tuning = {
       (** Schedule a fail-safe collection (§3.5) at the next allocation;
           the controller watchdog's escape hatch out of a no-progress
           window. *)
-  target_pages : unit -> int option;
-      (** The current footprint target, when one is set. *)
 }
 (** Online-control actuators a collector may expose. Collectors without
     these knobs use {!no_tuning}, under which every setter is a no-op —

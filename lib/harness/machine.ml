@@ -37,7 +37,7 @@ type t = {
   address_space : Heapsim.Address_space.t;
   plan : Fault_plan.t option;
   trace : Telemetry.Sink.t option;
-  mutable policy : policy;
+  policy : policy;
   mutable procs : process list;  (* spawn order *)
 }
 
@@ -63,14 +63,6 @@ let clock t = t.clock
 let vmm t = t.vmm
 
 let address_space t = t.address_space
-
-let fault_plan t = t.plan
-
-let policy t = t.policy
-
-let set_policy t p = t.policy <- p
-
-let processes t = t.procs
 
 let spawn ?(share = 1) ?(priority = 0) t ~name ~heap_bytes =
   if share < 1 then invalid_arg "Machine.spawn: share";
@@ -176,8 +168,6 @@ let set_controller p ~window_ns c =
         prev_vm = Vmsim.Vm_stats.snapshot (Vmsim.Process.stats p.vproc);
         windows = 0;
       }
-
-let controller_instance p = Option.map (fun c -> c.ctl_c) p.control
 
 let control_summary p =
   Option.map (fun c -> Control.Controller.summary c.ctl_c) p.control

@@ -67,15 +67,6 @@ val vmm : t -> Vmsim.Vmm.t
 
 val address_space : t -> Heapsim.Address_space.t
 
-val fault_plan : t -> Faults.Fault_plan.t option
-
-val policy : t -> policy
-
-val set_policy : t -> policy -> unit
-
-val processes : t -> process list
-(** In spawn order. *)
-
 val spawn :
   ?share:int -> ?priority:int -> t -> name:string -> heap_bytes:int -> process
 (** Add a process (and its heap, over the machine's shared address
@@ -85,8 +76,6 @@ val spawn :
     {!set_collector} before the process can load a workload. *)
 
 val name : process -> string
-
-val pid : process -> int
 
 val vm_process : process -> Vmsim.Process.t
 
@@ -131,9 +120,6 @@ val finish_ns : process -> int option
 
 val window_start_ns : process -> int
 
-val allocated_bytes : process -> int
-(** Through the current workload driver; 0 before {!load}. *)
-
 val serving_summary : process -> Workload.Slo.summary option
 (** Latency percentiles and SLO-violation windows accumulated by a
     serving workload; [None] before {!load} or for batch workloads. *)
@@ -149,8 +135,6 @@ val set_controller :
     bit-identical. Requires {!set_collector} first. Each process on a
     shared machine gets its own controller instance — they compete for
     the one frame pool through their own collectors. *)
-
-val controller_instance : process -> Control.Controller.t option
 
 val control_summary : process -> Control.Controller.summary option
 (** Decision/transition counts, peak and final degradation state, and

@@ -108,27 +108,6 @@ let bench_touch_resident () =
   done;
   (float_of_int iters, now () -. t0)
 
-(* Batched resident spans: the same all-resident working set as
-   [bench_touch_resident], touched through [Vmm.touch_span] so whole
-   runs collapse into per-chunk flag stores and one clock skip. The
-   headline for the event-skipping path: it must beat the per-touch
-   ceiling above. One op = one page touched. *)
-let bench_touch_span_resident () =
-  let pages = 2048 in
-  let spans = 4_000 in
-  let clock = Vmsim.Clock.create () in
-  let vmm = Vmsim.Vmm.create ~clock ~frames:(pages + 64) () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"perf" in
-  Vmsim.Vmm.map_range vmm proc ~first_page:0 ~npages:pages;
-  for p = 0 to pages - 1 do
-    Vmsim.Vmm.touch vmm p
-  done;
-  let t0 = now () in
-  for _ = 1 to spans do
-    Vmsim.Vmm.touch_span vmm ~first_page:0 pages
-  done;
-  (float_of_int (spans * pages), now () -. t0)
-
 (* Sparse giant address spaces: map, fault in and unmap ranges with page
    numbers beyond 2^30, a fresh chunk per round. Bounds the cost of
    materialising page-table/LRU/bitset chunks on demand — the dense
@@ -145,7 +124,9 @@ let bench_sparse_map_giant () =
     (* one 8192-page stride per round: every round lands in new chunks *)
     let first_page = (1 lsl 30) + (r * 8192) in
     Vmsim.Vmm.map_range vmm proc ~first_page ~npages;
-    Vmsim.Vmm.touch_span vmm ~first_page npages;
+    for p = first_page to first_page + npages - 1 do
+      Vmsim.Vmm.touch vmm p
+    done;
     Vmsim.Vmm.unmap_range vmm ~first_page ~npages
   done;
   (float_of_int (rounds * npages), now () -. t0)
@@ -359,7 +340,6 @@ type t = {
 let micro_benches =
   [
     ("touch_resident", bench_touch_resident);
-    ("touch_span_resident", bench_touch_span_resident);
     ("touch_faulting", bench_touch_faulting);
     ("sparse_map_giant", bench_sparse_map_giant);
     ("alloc_free", bench_alloc_free);

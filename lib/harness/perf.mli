@@ -39,8 +39,8 @@ val default_output : string
 
 val required_micro : string list
 (** Microbenchmark names the suite always carries (touch_resident,
-    touch_span_resident, touch_faulting, sparse_map_giant, alloc_free,
-    read_ref, write_ref, driver_fork_sweep, driver_domains_sweep);
+    touch_faulting, sparse_map_giant, alloc_free, read_ref, write_ref,
+    driver_fork_sweep, driver_domains_sweep);
     {!validate} requires a positive median for each. *)
 
 val default_warmups : int

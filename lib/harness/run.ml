@@ -60,18 +60,6 @@ module Plan = struct
     make_workload ~collector ~workload:(Workload.Catalog.Batch_spec spec)
       ~heap_bytes
 
-  let of_workload ~collector ~workload ~heap_bytes =
-    make_workload ~collector ~workload:workload.Workload.Catalog.params
-      ~heap_bytes
-
-  let with_workload_params workload t =
-    match t.procs with
-    | p :: rest -> { t with procs = { p with workload } :: rest }
-    | [] -> assert false
-
-  let with_workload info t =
-    with_workload_params info.Workload.Catalog.params t
-
   let with_frames frames t = { t with frames = Some frames }
 
   let with_pressure pressure t = { t with pressure }
@@ -148,8 +136,6 @@ module Plan = struct
   let collector t = (primary t).collector
 
   let workload t = (primary t).workload
-
-  let workload_name t = Workload.Catalog.params_name (workload t)
 
   let spec t =
     match (primary t).workload with

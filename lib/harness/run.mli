@@ -42,17 +42,6 @@ module Plan : sig
     t
   (** {!make}, generalised over both workload families. *)
 
-  val of_workload :
-    collector:string -> workload:Workload.Catalog.info -> heap_bytes:int -> t
-  (** {!make_workload} on a registry entry — plans name workloads the
-      same way they name collectors. *)
-
-  val with_workload : Workload.Catalog.info -> t -> t
-  (** Replace the {e primary} process's workload with a registry
-      entry's. *)
-
-  val with_workload_params : Workload.Catalog.params -> t -> t
-
   val with_frames : int -> t -> t
   (** Physical memory, in pages. Default: room for every process's heap
       plus slack (4× total heap pages + 2048). *)
@@ -152,15 +141,11 @@ module Plan : sig
 
   val nprocs : t -> int
 
-  val primary : t -> proc
-
   val collector : t -> string
   (** Of the primary process. *)
 
   val workload : t -> Workload.Catalog.params
   (** Of the primary process. *)
-
-  val workload_name : t -> string
 
   val spec : t -> Workload.Spec.t
   (** Of the primary process; raises [Invalid_argument] when it runs a

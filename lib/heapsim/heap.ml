@@ -81,20 +81,17 @@ let free_object t id =
   displace t id;
   Object_table.free t.objects id
 
-(* Object accesses are the next-hottest path after Vmm.touch. Almost
-   every object fits on one page, so skip the [iter_pages] closure and
-   touch the page directly; multi-page objects take the loop. *)
+(* Object accesses are the next-hottest path after Vmm.touch. Walk the
+   object's pages directly rather than through the [iter_pages] closure;
+   almost every object fits on one page. *)
 let touch_object t ?(write = false) id =
   let objs = t.objects in
   let addr = Object_table.addr objs id in
   assert (addr >= 0);
-  let fp = page_of_addr addr in
-  let lp = page_of_addr (addr + Object_table.size objs id - 1) in
-  if fp = lp then Vmsim.Vmm.touch t.vmm ~write fp
-  else
-    (* multi-page object: a batched span — resident runs cost one clock
-       skip instead of per-page steps, bit-identical to the loop *)
-    Vmsim.Vmm.touch_span t.vmm ~write ~first_page:fp (lp - fp + 1)
+  let last = page_of_addr (addr + Object_table.size objs id - 1) in
+  for page = page_of_addr addr to last do
+    Vmsim.Vmm.touch t.vmm ~write page
+  done
 
 let set_write_barrier t barrier = t.barrier <- barrier
 

@@ -3,7 +3,3 @@ type t = int
 let null = -1
 
 let is_null id = id < 0
-
-let pp ppf id =
-  if is_null id then Format.pp_print_string ppf "null"
-  else Format.fprintf ppf "#%d" id

@@ -10,5 +10,3 @@ type t = int
 val null : t
 
 val is_null : t -> bool
-
-val pp : Format.formatter -> t -> unit

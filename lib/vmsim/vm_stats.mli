@@ -1,4 +1,4 @@
-(** Paging-event counters, kept globally and per process. *)
+(** Paging-event counters of one process (see {!Process.stats}). *)
 
 type t = {
   mutable minor_faults : int;

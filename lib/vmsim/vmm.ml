@@ -24,13 +24,7 @@ let st_swapped = 3
    memory is proportional to *touched* chunks. Never-touched chunks all
    alias one shared all-zero sentinel: reads anywhere report
    state = unmapped / owner = 0 with plain array indexing, and the
-   sentinel is NEVER written (every writer materialises first).
-
-   The chunk span is 4 KB of state per chunk and is deliberately aligned
-   with the block granularity that a future Immix/zone collector family
-   wants to reason about (Nofl's block/line layout), which is why the
-   module is exported with a first-class signature rather than kept as
-   private plumbing. *)
+   sentinel is NEVER written (every writer materialises first). *)
 module Page_table = struct
   let chunk_shift = 12
 
@@ -114,17 +108,6 @@ module Page_table = struct
       t.chunks
 end
 
-(* pid -> process side table, chunked with the same lazy strategy (256
-   pids per chunk) so thousand-process machines don't pre-size arrays. *)
-let proc_shift = 8
-
-let proc_chunk = 1 lsl proc_shift
-
-let proc_mask = proc_chunk - 1
-
-let no_procs : Process.t option array = Array.make proc_chunk None
-(* Shared sentinel chunk of the procs table. MUST never be written. *)
-
 type t = {
   clock : Clock.t;
   costs : Costs.t;
@@ -142,13 +125,14 @@ type t = {
   mutable fast_ci : int;
   mutable fast_states : Bytes.t;
   mutable fast_flags : Page_flags.set;
-  mutable procs : Process.t option array array;
+  (* pid -> process: pids are dense from 1, so pid [p] lives at index
+     [p - 1]; the array doubles when full *)
+  mutable procs : Process.t array;
   lru : Lru.t;
   mutable capacity : int;
   mutable resident : int;
   mutable pinned : int;
   mutable next_pid : int;
-  stats : Vm_stats.t;
   mutable in_reclaim : bool;
   mutable delivering : bool;
   (* true iff [pending_notices] is nonempty: the touch fast path tests
@@ -188,13 +172,12 @@ let create ?(costs = Costs.default) ?(reclaim_batch = 16) ?swap_capacity_pages
     fast_ci = -1;
     fast_states = Page_table.sentinel.Page_table.states;
     fast_flags = Page_table.sentinel.Page_table.flags;
-    procs = Array.make 1 no_procs;
+    procs = [||];
     lru = Lru.create ();
     capacity = frames;
     resident = 0;
     pinned = 0;
     next_pid = 1;
-    stats = Vm_stats.create ();
     in_reclaim = false;
     delivering = false;
     notices_pending = false;
@@ -215,26 +198,16 @@ let swap t = t.swap
 
 let page_table t = t.pt
 
-let[@inline] find_proc t pid =
-  let c = pid lsr proc_shift in
-  let chunk =
-    if c < Array.length t.procs then Array.unsafe_get t.procs c else no_procs
-  in
-  Array.unsafe_get chunk (pid land proc_mask)
-
 let create_process t ~name =
   let p = Process.create ~pid:t.next_pid ~name in
+  let i = t.next_pid - 1 in
   t.next_pid <- t.next_pid + 1;
-  let pid = Process.pid p in
-  let c = pid lsr proc_shift in
-  if c >= Array.length t.procs then begin
-    let len' = max (c + 1) (2 * Array.length t.procs) in
-    let procs' = Array.make len' no_procs in
-    Array.blit t.procs 0 procs' 0 (Array.length t.procs);
+  if i = Array.length t.procs then begin
+    let procs' = Array.make (max 1 (2 * i)) p in
+    Array.blit t.procs 0 procs' 0 i;
     t.procs <- procs'
   end;
-  if t.procs.(c) == no_procs then t.procs.(c) <- Array.make proc_chunk None;
-  t.procs.(c).(pid land proc_mask) <- Some p;
+  t.procs.(i) <- p;
   p
 
 let capacity t = t.capacity
@@ -244,8 +217,6 @@ let resident_count t = t.resident
 let free_frames t = t.capacity - t.resident
 
 let pinned_count t = t.pinned
-
-let stats t = t.stats
 
 (* {2 Page-table accessors}
 
@@ -267,7 +238,12 @@ let[@inline] set_pstate t page s =
 let[@inline] opid t page = Page_table.owner_pid t.pt page
 
 let[@inline] owner_proc t page =
-  match find_proc t (opid t page) with Some p -> p | None -> assert false
+  let pid = opid t page in
+  assert (pid >= 1 && pid < t.next_pid);
+  t.procs.(pid - 1)
+
+(* Every VM event is counted once, on the record of the page's owner. *)
+let[@inline] owner_stats t page = Process.stats (owner_proc t page)
 
 (* [info t page = None] in the old record table meant "slot never
    mapped"; that is [owner_pid = 0] here (map_range always records an
@@ -321,14 +297,13 @@ let is_protected t page = fget t page Page_flags.protected_
 
 let is_dirty t page = fget t page Page_flags.dirty
 
-(* Every residency transition funnels through here so the global count,
-   the global gauge and the owning process's gauge stay in lock-step;
+(* Every residency transition funnels through here so the machine count
+   and the owning process's gauge stay in lock-step;
    [Vm_stats.resident_pages] is what surfaces per-process residency to
    the harness without an O(pages) scan. *)
 let note_residency t page delta =
   t.resident <- t.resident + delta;
-  Vm_stats.add_resident t.stats delta;
-  Vm_stats.add_resident (Process.stats (owner_proc t page)) delta
+  Vm_stats.add_resident (owner_stats t page) delta
 
 (* Drop a page's frame without writeback. The page must be resident and
    unpinned. *)
@@ -350,13 +325,15 @@ let swap_write_retrying t page =
     | () -> true
     | exception Swap.Io_error ->
         ev_inject t Telemetry.Event.Swap_write_error page;
-        t.stats.Vm_stats.swap_retries <- t.stats.Vm_stats.swap_retries + 1;
+        let pstats = owner_stats t page in
+        pstats.Vm_stats.swap_retries <- pstats.Vm_stats.swap_retries + 1;
         (* linear backoff: each retry waits one more write-slot *)
         Clock.advance t.clock (attempt * t.costs.Costs.swap_write_ns);
         if attempt >= max_attempts then false else go (attempt + 1)
     | exception Swap.Full ->
         ev_inject t Telemetry.Event.Swap_full page;
-        t.stats.Vm_stats.swap_stalls <- t.stats.Vm_stats.swap_stalls + 1;
+        let pstats = owner_stats t page in
+        pstats.Vm_stats.swap_stalls <- pstats.Vm_stats.swap_stalls + 1;
         false
   in
   go 1
@@ -370,10 +347,9 @@ let swap_out t page =
     if fget t page Page_flags.dirty || not (fget t page Page_flags.in_swap)
     then begin
       if swap_write_retrying t page then begin
-        let pstats = Process.stats (owner_proc t page) in
+        let pstats = owner_stats t page in
         Clock.advance t.clock t.costs.Costs.swap_write_ns;
         ev t Telemetry.Event.Swap_write page (Process.pid (owner_proc t page));
-        t.stats.Vm_stats.swap_outs <- t.stats.Vm_stats.swap_outs + 1;
         pstats.Vm_stats.swap_outs <- pstats.Vm_stats.swap_outs + 1;
         fset t page Page_flags.in_swap;
         true
@@ -389,8 +365,7 @@ let swap_out t page =
     fclear t page Page_flags.referenced;
     note_residency t page (-1);
     ev t Telemetry.Event.Eviction page (Process.pid (owner_proc t page));
-    t.stats.Vm_stats.evictions <- t.stats.Vm_stats.evictions + 1;
-    let pstats = Process.stats (owner_proc t page) in
+    let pstats = owner_stats t page in
     pstats.Vm_stats.evictions <- pstats.Vm_stats.evictions + 1;
     true
   end
@@ -407,8 +382,7 @@ let swap_out t page =
 let deliver_eviction_notice t h victim =
   ev t Telemetry.Event.Eviction_notice victim
     (Process.pid (owner_proc t victim));
-  t.stats.Vm_stats.eviction_notices <- t.stats.Vm_stats.eviction_notices + 1;
-  let pstats = Process.stats (owner_proc t victim) in
+  let pstats = owner_stats t victim in
   pstats.Vm_stats.eviction_notices <- pstats.Vm_stats.eviction_notices + 1;
   h.Process.on_eviction_notice victim
 
@@ -558,9 +532,7 @@ let reclaim t ~required ~target =
               if swap_out t victim then begin
                 ev t Telemetry.Event.Forced_eviction victim
                   (Process.pid (owner_proc t victim));
-                t.stats.Vm_stats.forced_evictions <-
-                  t.stats.Vm_stats.forced_evictions + 1;
-                let pstats = Process.stats (owner_proc t victim) in
+                let pstats = owner_stats t victim in
                 pstats.Vm_stats.forced_evictions <-
                   pstats.Vm_stats.forced_evictions + 1
               end
@@ -585,23 +557,19 @@ let ensure_frame t =
       ~target:(min t.reclaim_batch (max 1 (t.capacity - t.pinned)))
 
 let count_fault t page ~major =
-  let pstats = Process.stats (owner_proc t page) in
+  let pstats = owner_stats t page in
   if major then begin
-    t.stats.Vm_stats.major_faults <- t.stats.Vm_stats.major_faults + 1;
     pstats.Vm_stats.major_faults <- pstats.Vm_stats.major_faults + 1;
-    t.stats.Vm_stats.swap_ins <- t.stats.Vm_stats.swap_ins + 1;
     pstats.Vm_stats.swap_ins <- pstats.Vm_stats.swap_ins + 1
   end
   else begin
-    t.stats.Vm_stats.minor_faults <- t.stats.Vm_stats.minor_faults + 1;
     pstats.Vm_stats.minor_faults <- pstats.Vm_stats.minor_faults + 1
   end
 
 let deliver_protection_fault t page =
   Clock.advance t.clock t.costs.Costs.protection_fault_ns;
   ev t Telemetry.Event.Protection_fault page (Process.pid (owner_proc t page));
-  t.stats.Vm_stats.protection_faults <- t.stats.Vm_stats.protection_faults + 1;
-  let pstats = Process.stats (owner_proc t page) in
+  let pstats = owner_stats t page in
   pstats.Vm_stats.protection_faults <- pstats.Vm_stats.protection_faults + 1;
   match Process.handlers (owner_proc t page) with
   | Some h -> h.Process.on_protection_fault page
@@ -617,7 +585,8 @@ let swap_read_retrying t page =
     | () -> ()
     | exception Swap.Io_error ->
         ev_inject t Telemetry.Event.Swap_read_error page;
-        t.stats.Vm_stats.swap_retries <- t.stats.Vm_stats.swap_retries + 1;
+        let pstats = owner_stats t page in
+        pstats.Vm_stats.swap_retries <- pstats.Vm_stats.swap_retries + 1;
         Clock.advance t.clock (attempt * t.costs.Costs.swap_write_ns);
         if attempt >= max_attempts then
           raise
@@ -795,105 +764,6 @@ let touch t ?(write = false) page =
   end
   else touch_miss t ~write page
 
-(* {2 Batched spans and the event-skipping clock}
-
-   [touch_span] is defined as exactly equivalent to
-
-     for page = first_page to first_page + npages - 1 do
-       Clock.advance clock cost_ns; touch t ~write page
-     done
-
-   and the equivalence is what makes the skipping invisible: a resident,
-   unprotected touch takes the fast path above, which emits no events,
-   delivers no notices and never advances the clock — so a run of such
-   touches commutes with its own clock advances. The batched form ORs the
-   flag bits per page (the only observable effect) and fast-forwards the
-   clock once by run_length * cost_ns ([Clock.skip]); the first page that
-   is faulting, protected, swapped or outside a materialised chunk falls
-   back to one per-page step, where faults interleave with clock advances
-   exactly as in the sequential definition. Pending notices are flushed at
-   the same points a per-page loop would flush them: resident fast-path
-   touches never enqueue notices, so the flag can only be raised by a
-   slow page — after which the loop re-checks per page.
-
-   [set_span_skipping false] forces the literal per-page loop; the
-   determinism test compares traces produced both ways byte-for-byte. *)
-
-(* Atomic, not a plain ref: the harness's domain-pool backend runs
-   machines concurrently in one process, and this is process-wide mode
-   state every machine reads on the touch_span hot path. It is toggled
-   only while machines are quiescent (the determinism test), so a
-   sequentially-consistent read costs nothing measurable against the
-   span bookkeeping around it. *)
-let span_skipping = Atomic.make true
-
-let set_span_skipping b = Atomic.set span_skipping b
-
-let span_skipping_enabled () = Atomic.get span_skipping
-
-let touch_span t ?(write = false) ?(cost_ns = 0) ~first_page npages =
-  if not (Atomic.get span_skipping) then
-    for page = first_page to first_page + npages - 1 do
-      if cost_ns > 0 then Clock.advance t.clock cost_ns;
-      touch t ~write page
-    done
-  else begin
-    let last = first_page + npages - 1 in
-    let p = ref first_page in
-    while !p <= last do
-      if t.notices_pending then begin
-        (* a slow page enqueued notices: take the literal per-page step so
-           the flush happens exactly where the sequential loop flushes *)
-        if cost_ns > 0 then Clock.advance t.clock cost_ns;
-        touch t ~write !p;
-        incr p
-      end
-      else begin
-        let page = !p in
-        let chunk = Page_table.chunk_of t.pt page in
-        if chunk == Page_table.sentinel then begin
-          (* never-mapped chunk: the per-page step raises, as touch would *)
-          if cost_ns > 0 then Clock.advance t.clock cost_ns;
-          touch t ~write page;
-          incr p
-        end
-        else begin
-          let states = chunk.Page_table.states
-          and flags = chunk.Page_table.flags in
-          let s0 = page land Page_table.chunk_mask in
-          let smax =
-            min (Page_table.chunk_mask) (s0 + (last - page))
-          in
-          let orbits = if write then 3 (* referenced+dirty *) else 2 in
-          (* extend the resident, unprotected run as far as it reaches *)
-          let s = ref s0 in
-          let running = ref true in
-          while !running && !s <= smax do
-            if Char.code (Bytes.unsafe_get states !s) = st_resident then begin
-              let f = Char.code (Bytes.unsafe_get flags !s) in
-              if f land 4 (* protected_ *) = 0 then begin
-                Bytes.unsafe_set flags !s (Char.unsafe_chr (f lor orbits));
-                incr s
-              end
-              else running := false
-            end
-            else running := false
-          done;
-          let run = !s - s0 in
-          if run > 0 && cost_ns > 0 then
-            Clock.skip t.clock ~events:run ~cost_ns;
-          p := page + run;
-          if !s <= smax then begin
-            (* the run stopped on a slow page still inside the span *)
-            if cost_ns > 0 then Clock.advance t.clock cost_ns;
-            touch t ~write !p;
-            incr p
-          end
-        end
-      end
-    done
-  end
-
 let unmap_range t ~first_page ~npages =
   for p = first_page to first_page + npages - 1 do
     if ever_mapped t p then begin
@@ -921,8 +791,7 @@ let madvise_dontneed t page =
         invalid_arg "Vmm.madvise_dontneed: page is pinned";
       release_frame t page;
       ev t Telemetry.Event.Discard page (Process.pid (owner_proc t page));
-      t.stats.Vm_stats.discards <- t.stats.Vm_stats.discards + 1;
-      let pstats = Process.stats (owner_proc t page) in
+      let pstats = owner_stats t page in
       pstats.Vm_stats.discards <- pstats.Vm_stats.discards + 1
     end
     else if s = st_swapped then begin
@@ -931,8 +800,7 @@ let madvise_dontneed t page =
       fclear t page Page_flags.in_swap;
       fclear t page Page_flags.dirty;
       ev t Telemetry.Event.Discard page (Process.pid (owner_proc t page));
-      t.stats.Vm_stats.discards <- t.stats.Vm_stats.discards + 1;
-      let pstats = Process.stats (owner_proc t page) in
+      let pstats = owner_stats t page in
       pstats.Vm_stats.discards <- pstats.Vm_stats.discards + 1
     end
   end
@@ -951,8 +819,7 @@ let vm_relinquish t pages =
         ignore (Lru.remove_if_present t.lru page : bool);
         Lru.push_inactive_tail t.lru page;
         ev t Telemetry.Event.Relinquish page (Process.pid (owner_proc t page));
-        t.stats.Vm_stats.relinquished <- t.stats.Vm_stats.relinquished + 1;
-        let pstats = Process.stats (owner_proc t page) in
+        let pstats = owner_stats t page in
         pstats.Vm_stats.relinquished <- pstats.Vm_stats.relinquished + 1
       end)
     pages

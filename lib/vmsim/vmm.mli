@@ -13,8 +13,10 @@
 
     The address space is backed by {!Page_table}, a sparse two-level
     chunked table: memory is proportional to the pages actually mapped,
-    so giant (2^30-page) address spaces are cheap, and runs of resident
-    touches can be batched with {!touch_span}'s event-skipping clock. *)
+    so giant (2^30-page) address spaces are cheap.
+
+    Every paging event is counted once, in the {!Vm_stats} record of the
+    process that owns the page ({!Process.stats}). *)
 
 (** The sparse two-level page table.
 
@@ -35,12 +37,10 @@
       arrays (e.g. the VMM's touch-path chunk cache) stay valid for the
       table's lifetime.
 
-    The chunk span (4096 pages) is aligned with the block granularity the
-    planned Immix/zone collector family reasons about, and the module is
-    exported so that family can reuse the table without reaching into
-    [Vmm] internals. Treat the chunk arrays as read-only outside [Vmm]:
-    like {!Page_flags.set}, they are exposed raw so hot paths can index
-    them without a cross-module call. *)
+    The module is exported for introspection and tests. Treat the chunk
+    arrays as read-only outside [Vmm]: like {!Page_flags.set}, they are
+    exposed raw so hot paths can index them without a cross-module
+    call. *)
 module Page_table : sig
   type t
 
@@ -158,31 +158,6 @@ val touch : t -> ?write:bool -> int -> unit
     fault, charging the disk penalty) and delivers protection-fault and
     made-resident upcalls as appropriate. *)
 
-val touch_span : t -> ?write:bool -> ?cost_ns:int -> first_page:int -> int -> unit
-(** [touch_span t ~first_page npages] touches [npages] consecutive pages,
-    by definition exactly equivalent to
-
-    {[ for page = first_page to first_page + npages - 1 do
-         Clock.advance (clock t) cost_ns; touch t ~write page
-       done ]}
-
-    but detecting runs of resident, unprotected pages and fast-forwarding
-    the clock by [run * cost_ns] in O(1) ({!Clock.skip}) instead of
-    stepping per touch. Resident fast-path touches emit no events, deliver
-    no notices and never advance the clock, so the batching is invisible:
-    all simulated metrics, timestamps and fault interleavings are
-    bit-identical to the per-page loop. The first faulting, protected,
-    swapped or unmapped page falls back to one per-page step.
-    [cost_ns] defaults to 0 (pure touches, no per-access charge). *)
-
-val set_span_skipping : bool -> unit
-(** Globally disable ([false]) or re-enable ([true], the default) span
-    skipping: with it off, {!touch_span} runs the literal per-page loop.
-    Exists so determinism tests can prove traces are byte-identical both
-    ways; simulation results must never depend on the setting. *)
-
-val span_skipping_enabled : unit -> bool
-
 val is_resident : t -> int -> bool
 (** [mincore]: true when the page is in a physical frame. *)
 
@@ -238,9 +213,6 @@ val trace : t -> Telemetry.Sink.t option
 
 (** {1 Statistics} *)
 
-val stats : t -> Vm_stats.t
-(** Global counters. Per-process counters live in {!Process.stats}. *)
-
 val count_resident_owned : t -> Process.t -> int
 (** Resident pages owned by a process: an O(1) read of the process's
     [Vm_stats.resident_pages] gauge, which every residency transition
@@ -249,8 +221,7 @@ val count_resident_owned : t -> Process.t -> int
 
 val page_table : t -> Page_table.t
 (** The backing sparse page table, for introspection (e.g. asserting that
-    a giant address space materialised only O(touched) chunks) and for
-    future collector families that reason at chunk granularity. Mutate it
+    a giant address space materialised only O(touched) chunks). Mutate it
     only through the [Vmm] entry points. *)
 
 val coldest_pages : t -> owner:Process.t -> n:int -> int list

@@ -53,14 +53,6 @@ let scale_volume s factor =
 
 let live_estimate_bytes s = s.cache_bytes
 
-let pp_spec ppf s =
-  Format.fprintf ppf
-    "%s: shape=%s over %.2fs, %dB/request (mean %dB), cache %dKB, slo %.1fms"
-    s.name (Shapes.to_string s.shape)
-    (Vmsim.Clock.ns_to_s s.duration_ns)
-    s.req_alloc_bytes s.req_mean_size (s.cache_bytes / 1024)
-    (float_of_int s.slo_ns /. 1e6)
-
 type t = {
   spec : spec;
   collector : Collector.t;
@@ -79,7 +71,6 @@ type t = {
   mutable arrived : int;
   mutable served : int;
   samples : (int * int) Vec.t;  (* (finish_ns, latency_ns) *)
-  hist : Telemetry.Histogram.t;
   mutable allocated_bytes : int;
   mutable ops : int;
   mutable finished : bool;
@@ -176,7 +167,6 @@ let serve t arrival_ns =
   let finish_ns = now t in
   let latency_ns = max 0 (finish_ns - arrival_ns) in
   Vec.push t.samples (finish_ns, latency_ns);
-  Telemetry.Histogram.add t.hist latency_ns;
   emit t ~ts_ns:finish_ns Telemetry.Event.Request_done t.served latency_ns;
   t.served <- t.served + 1
 
@@ -208,7 +198,6 @@ let create ?sink spec collector =
       arrived = 0;
       served = 0;
       samples = Vec.create ();
-      hist = Telemetry.Histogram.create ();
       allocated_bytes = 0;
       ops = 0;
       finished = false;
@@ -291,5 +280,3 @@ let summary t =
     ~start_ns:t.start_ns
     ~end_ns:(max (now t) (t.start_ns + 1))
     (Vec.to_array t.samples)
-
-let histogram t = t.hist

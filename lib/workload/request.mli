@@ -38,8 +38,6 @@ val scale_volume : spec -> float -> spec
 
 val live_estimate_bytes : spec -> int
 
-val pp_spec : Format.formatter -> spec -> unit
-
 type t
 
 val create : ?sink:Telemetry.Sink.t -> spec -> Gc_common.Collector.t -> t
@@ -68,7 +66,3 @@ val progress : t -> float
 
 val summary : t -> Slo.summary
 (** Percentiles and violation windows over everything served so far. *)
-
-val histogram : t -> Telemetry.Histogram.t
-(** The power-of-two latency histogram fed alongside the exact
-    samples. *)

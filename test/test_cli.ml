@@ -45,9 +45,36 @@ let test_trace_roundtrip () =
       check Alcotest.int "trace-replay" 0
         (bcgc [ "trace-replay"; "-c"; "BC"; "-i"; tmp; "--heap-kb"; "2048" ]))
 
+let stderr_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* An unknown collector name is resolved before any work: exit 1 and one
+   stderr line naming it, whichever subcommand or flag carried it. *)
 let test_unknown_collector_fails () =
   check Alcotest.bool "unknown collector rejected" true
-    (bcgc [ "run"; "-c"; "NoSuchGC" ] <> 0)
+    (bcgc [ "run"; "-c"; "NoSuchGC" ] <> 0);
+  let err = Filename.temp_file "bcgc" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let label = String.concat " " args in
+          check Alcotest.int (label ^ ": exit 1") 1 (bcgc ~stderr:err args);
+          match stderr_lines err with
+          | [ line ] ->
+              check Alcotest.bool line true
+                (String.starts_with ~prefix:"unknown collector \"NoSuchGC\""
+                   line)
+          | lines ->
+              Alcotest.failf "%s: %d lines on stderr" label
+                (List.length lines))
+        [
+          [ "minheap"; "-c"; "NoSuchGC"; "-w"; "_201_compress" ];
+          [ "run"; "--coworker"; "NoSuchGC" ];
+        ])
 
 (* A mistyped bench target is a usage error, not a run of every target. *)
 let test_bench_unknown_target () =
@@ -62,16 +89,11 @@ let test_escaped_exception_one_line () =
     (fun () ->
       check Alcotest.int "exit 1" 1
         (bcgc ~stderr:err [ "trace-replay"; "-i"; "/nonexistent/x" ]);
-      let lines =
-        In_channel.with_open_text err In_channel.input_all
-        |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "")
-      in
-      match lines with
+      match stderr_lines err with
       | [ line ] ->
           check Alcotest.bool line true
             (String.starts_with ~prefix:"bcgc: Sys_error(" line)
-      | _ -> Alcotest.failf "%d lines on stderr" (List.length lines))
+      | lines -> Alcotest.failf "%d lines on stderr" (List.length lines))
 
 (* `bench trace --csv DIR` creates DIR, as the figure series do, and
    writes a Chrome JSON and an event CSV per collector. *)

@@ -82,7 +82,7 @@ let test_drop_all_eviction_notices () =
   check Alcotest.int "every notice dropped" 0 !noticed;
   check Alcotest.bool "drops counted" true ((FP.stats plan).FP.dropped_eviction > 0);
   check Alcotest.bool "evictions proceeded anyway" true
-    ((Vmm.stats vmm).Vmsim.Vm_stats.evictions > 0)
+    ((Process.stats proc).Vmsim.Vm_stats.evictions > 0)
 
 let test_delayed_notices_flushed () =
   let vmm, proc, plan =
@@ -102,6 +102,22 @@ let test_delayed_notices_flushed () =
   check Alcotest.bool "delays counted" true ((FP.stats plan).FP.delayed > 0);
   (* late notices were queued, and subsequent touches flushed them *)
   check Alcotest.bool "late notices eventually delivered" true (!noticed > 0)
+
+(* Transient swap-write errors under tight frames: every retried write
+   is counted on the record of the process whose page was being
+   evicted. *)
+let test_swap_write_retries_counted () =
+  let vmm, proc, plan =
+    faulty_machine { FP.none with FP.swap_write_error = 0.5 } ~seed:3
+  in
+  Vmm.map_range vmm proc ~first_page:0 ~npages:32;
+  for p = 0 to 31 do
+    Vmm.touch vmm ~write:true p
+  done;
+  check Alcotest.bool "write errors injected" true
+    ((FP.stats plan).FP.swap_write_errors > 0);
+  check Alcotest.bool "retries counted on the owner" true
+    ((Process.stats proc).Vmsim.Vm_stats.swap_retries > 0)
 
 (* ----------------------------------------------------------------- *)
 (* End-to-end degradation                                             *)
@@ -194,9 +210,9 @@ let test_determinism () =
     (Format.asprintf "%a" FP.pp_stats (Option.get a.Metrics.faults))
     (Format.asprintf "%a" FP.pp_stats (Option.get b.Metrics.faults))
 
-(* Pressure spikes vs the event-skipping clock: a spike whose whole
-   [from, until) progress window falls inside one scheduling round — a
-   skipped span fast-forwarded progress right over it — must still fire:
+(* Pressure spikes vs coarse scheduling rounds: a spike whose whole
+   [from, until) progress window falls inside one scheduling round — the
+   round's slice jumped progress right over it — must still fire:
    counted in the fault stats, pages pinned for one round, then released.
    The slice here is sized so every round jumps more progress than the
    widest spike window (0.15), so without the machine's jumped-spike
@@ -271,6 +287,8 @@ let () =
             test_drop_all_eviction_notices;
           Alcotest.test_case "delayed notices flushed" `Quick
             test_delayed_notices_flushed;
+          Alcotest.test_case "swap write retries counted" `Quick
+            test_swap_write_retries_counted;
         ] );
       ( "degradation",
         [

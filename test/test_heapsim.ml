@@ -253,10 +253,18 @@ let test_spanning_object () =
   let pages = ref [] in
   Heap.iter_pages heap id (fun p -> pages := p :: !pages);
   check (Alcotest.list Alcotest.int) "iter_pages" [ first + 1; first ] !pages;
+  let vmm = m.Test_support.Mini.vmm in
   Heap.touch_object heap id;
   check Alcotest.bool "both pages resident" true
-    (Vmsim.Vmm.is_resident m.Test_support.Mini.vmm first
-    && Vmsim.Vmm.is_resident m.Test_support.Mini.vmm (first + 1))
+    (Vmsim.Vmm.is_resident vmm first && Vmsim.Vmm.is_resident vmm (first + 1));
+  let minor () =
+    (Vmsim.Process.stats m.Test_support.Mini.proc).Vmsim.Vm_stats.minor_faults
+  in
+  let before = minor () in
+  Heap.touch_object heap ~write:true id;
+  check Alcotest.bool "both pages dirty" true
+    (Vmsim.Vmm.is_dirty vmm first && Vmsim.Vmm.is_dirty vmm (first + 1));
+  check Alcotest.int "write touch adds no minor fault" before (minor ())
 
 (* Invariant behind O(1) Page_map removal: every placed object's stored
    [page_slot] names its position in its first page's bucket. *)

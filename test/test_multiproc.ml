@@ -165,9 +165,16 @@ let test_residency_attribution () =
         (Vmsim.Vmm.count_resident_owned vmm vp)
         (Vmsim.Process.stats vp).Vmsim.Vm_stats.resident_pages)
     [ pa; pb ];
-  let global = (Vmsim.Vmm.stats vmm).Vmsim.Vm_stats.resident_pages in
-  check Alcotest.int "machine gauge matches the VMM"
-    (Vmsim.Vmm.resident_count vmm) global
+  let gauges =
+    List.fold_left
+      (fun acc p ->
+        acc
+        + (Vmsim.Process.stats (Machine.vm_process p))
+            .Vmsim.Vm_stats.resident_pages)
+      0 [ pa; pb ]
+  in
+  check Alcotest.int "process gauges sum to the VMM's count"
+    (Vmsim.Vmm.resident_count vmm) gauges
 
 let test_per_process_metrics_windows () =
   match Harness.Run.exec_all (pair_plan "BC" ~frames:(4 * heap_pages)) with

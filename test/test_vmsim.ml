@@ -161,11 +161,11 @@ let test_first_touch_minor_fault () =
   Vmm.touch vmm 0;
   check Alcotest.bool "resident after touch" true (Vmm.is_resident vmm 0);
   check Alcotest.int "one minor fault" 1
-    (Vmm.stats vmm).Vm_stats.minor_faults;
+    (Process.stats proc).Vm_stats.minor_faults;
   check Alcotest.bool "minor fault charged" true (Clock.now clock > t0);
   Vmm.touch vmm 0;
   check Alcotest.int "second touch free" 1
-    (Vmm.stats vmm).Vm_stats.minor_faults
+    (Process.stats proc).Vm_stats.minor_faults
 
 let test_unmapped_touch_rejected () =
   let _, vmm, _ = machine () in
@@ -181,7 +181,7 @@ let test_eviction_and_major_fault () =
   (* only 8 frames: earlier pages must have been evicted *)
   check Alcotest.bool "capacity respected" true (Vmm.resident_count vmm <= 8);
   check Alcotest.bool "evictions happened" true
-    ((Vmm.stats vmm).Vm_stats.evictions > 0);
+    ((Process.stats proc).Vm_stats.evictions > 0);
   let swapped = ref [] in
   for p = 0 to 31 do
     if Vmm.is_swapped vmm p then swapped := p :: !swapped
@@ -193,7 +193,7 @@ let test_eviction_and_major_fault () =
   check Alcotest.bool "major fault charged disk latency" true
     (Clock.now clock - t0 >= (Vmm.costs vmm).Vmsim.Costs.major_fault_ns);
   check Alcotest.bool "major fault counted" true
-    ((Vmm.stats vmm).Vm_stats.major_faults > 0)
+    ((Process.stats proc).Vm_stats.major_faults > 0)
 
 let test_second_chance () =
   let _, vmm, proc = machine ~frames:4 ~batch:1 () in
@@ -228,7 +228,7 @@ let test_notice_delivered_to_registered () =
   done;
   check Alcotest.bool "notices delivered" true (!noticed <> []);
   check Alcotest.bool "stats count notices" true
-    ((Vmm.stats vmm).Vm_stats.eviction_notices > 0)
+    ((Process.stats proc).Vm_stats.eviction_notices > 0)
 
 let test_unregistered_gets_no_notice () =
   let _, vmm, proc = machine ~frames:4 () in
@@ -236,7 +236,7 @@ let test_unregistered_gets_no_notice () =
   for p = 0 to 15 do
     Vmm.touch vmm ~write:true p
   done;
-  check Alcotest.int "no notices" 0 (Vmm.stats vmm).Vm_stats.eviction_notices
+  check Alcotest.int "no notices" 0 (Process.stats proc).Vm_stats.eviction_notices
 
 let test_veto_by_touch () =
   let _, vmm, proc = machine ~frames:4 () in
@@ -270,7 +270,7 @@ let test_relinquish_skips_notice () =
   done;
   Vmm.vm_relinquish vmm [ 0; 1 ];
   check Alcotest.int "relinquished counted" 2
-    (Vmm.stats vmm).Vm_stats.relinquished;
+    (Process.stats proc).Vm_stats.relinquished;
   (* demanding frames evicts the surrendered pages without notices *)
   Vmm.map_range vmm proc ~first_page:100 ~npages:2;
   Vmm.touch vmm 100;
@@ -303,10 +303,10 @@ let test_madvise_dontneed () =
   Vmm.madvise_dontneed vmm 0;
   check Alcotest.int "frame freed" (resident_before - 1)
     (Vmm.resident_count vmm);
-  check Alcotest.int "discard counted" 1 (Vmm.stats vmm).Vm_stats.discards;
+  check Alcotest.int "discard counted" 1 (Process.stats proc).Vm_stats.discards;
   (* next touch is a cheap zero-fill, not a disk read *)
   Vmm.touch vmm 0;
-  check Alcotest.int "no major fault" 0 (Vmm.stats vmm).Vm_stats.major_faults
+  check Alcotest.int "no major fault" 0 (Process.stats proc).Vm_stats.major_faults
 
 let test_mprotect_upcall () =
   let _, vmm, proc = machine () in
@@ -328,7 +328,7 @@ let test_mprotect_upcall () =
   check (Alcotest.list Alcotest.int) "upcall fired" [ 0 ] !faulted;
   check Alcotest.bool "handler unprotected" false (Vmm.is_protected vmm 0);
   check Alcotest.int "protection fault counted" 1
-    (Vmm.stats vmm).Vm_stats.protection_faults
+    (Process.stats proc).Vm_stats.protection_faults
 
 let test_on_resident_fires_on_reload () =
   let _, vmm, proc = machine ~frames:4 () in
@@ -387,7 +387,7 @@ let test_desperation_overrides_veto () =
     Vmm.touch vmm ~write:true p
   done;
   check Alcotest.bool "forced evictions" true
-    ((Vmm.stats vmm).Vm_stats.forced_evictions > 0);
+    ((Process.stats proc).Vm_stats.forced_evictions > 0);
   check Alcotest.bool "capacity held" true (Vmm.resident_count vmm <= 4)
 
 let test_set_capacity_shrink () =
@@ -550,7 +550,7 @@ let test_relinquish_already_evicted () =
      view after lost notices) must be a harmless no-op *)
   Vmm.vm_relinquish vmm !swapped;
   check Alcotest.int "nothing newly relinquished" 0
-    (Vmm.stats vmm).Vm_stats.relinquished;
+    (Process.stats proc).Vm_stats.relinquished;
   List.iter
     (fun p -> check Alcotest.bool "still swapped" true (Vmm.is_swapped vmm p))
     !swapped;
@@ -572,10 +572,10 @@ let test_madvise_races_reclaim () =
     Vmm.touch vmm ~write:true p
   done;
   check Alcotest.bool "discards recorded" true
-    ((Vmm.stats vmm).Vm_stats.discards > 0);
+    ((Process.stats proc).Vm_stats.discards > 0);
   check Alcotest.bool "capacity held" true (Vmm.resident_count vmm <= 4);
   (* discarded pages need no swap copy: re-touching is a zero fill *)
-  check Alcotest.int "no major faults" 0 (Vmm.stats vmm).Vm_stats.major_faults
+  check Alcotest.int "no major faults" 0 (Process.stats proc).Vm_stats.major_faults
 
 let test_mlock_when_all_frames_pinned () =
   let _, vmm, proc = machine ~frames:4 () in
@@ -611,13 +611,13 @@ let test_swap_full_during_eviction () =
   | exception Vmm.Thrashing _ -> ()
   | exception Vmsim.Swap.Full -> Alcotest.fail "Swap.Full escaped eviction");
   check Alcotest.bool "stalls recorded" true
-    ((Vmm.stats vmm).Vm_stats.swap_stalls > 0);
+    ((Process.stats proc).Vm_stats.swap_stalls > 0);
   check Alcotest.bool "swap capacity respected" true
     (Vmsim.Swap.occupancy_pages (Vmm.swap vmm) <= 2);
   check Alcotest.bool "capacity still held" true (Vmm.resident_count vmm <= 4)
 
 (* ----------------------------------------------------------------- *)
-(* Sparse page table, giant address spaces and batched spans           *)
+(* Sparse page table and giant address spaces                        *)
 
 module Page_table = Vmm.Page_table
 
@@ -670,8 +670,9 @@ let test_giant_sparse_touch () =
     (Invalid_argument "Vmm: page -3 is unmapped") (fun () ->
       Vmm.touch vmm (-3))
 
-(* The pid side table is chunked too (256 pids per chunk): processes far
-   beyond the first chunk must still resolve as owners. *)
+(* The pid table is one array that doubles when full: 600 processes grow
+   it past 512 slots, and every pid must still resolve as its pages'
+   owner. *)
 let test_many_processes () =
   let _, vmm, _ = machine ~frames:2048 () in
   let procs =
@@ -692,75 +693,6 @@ let test_many_processes () =
               (Process.pid p) (Process.pid proc)
       | None -> Alcotest.failf "page %d has no owner" (i * 4))
     procs
-
-(* [touch_span] is specified as exactly equivalent to the per-page loop
-   with a clock advance before each touch. Drive two identical machines
-   through the same mixed schedule — resident runs, a protected page,
-   cold pages that fault under tight frames — once through [touch_span]
-   and once through the literal loop, and require every observable to
-   agree: clock, global counters, and the full per-page
-   resident/dirty/swapped map. *)
-let span_schedule base =
-  [
-    (base, 16, false, 7);
-    (base + 8, 24, true, 3);
-    (base + 16, 32, false, 11);
-    (base + 40, 24, true, 5);
-    (base, 64, false, 2);
-    (base + 62, 2, true, 0);
-  ]
-
-let span_fingerprint ~driver =
-  let clock = Clock.create () in
-  let vmm = Vmm.create ~reclaim_batch:2 ~clock ~frames:24 () in
-  let proc = Vmm.create_process vmm ~name:"p" in
-  let base = (1 lsl 30) - 16 in
-  let npages = 64 in
-  Vmm.map_range vmm proc ~first_page:base ~npages;
-  for p = base to base + 31 do
-    Vmm.touch vmm p
-  done;
-  Vmm.mprotect vmm (base + 20) ~protect:true;
-  List.iter
-    (fun (first_page, n, write, cost_ns) ->
-      driver vmm ~write ~cost_ns ~first_page n)
-    (span_schedule base);
-  let b = Buffer.create 256 in
-  let s = Vmm.stats vmm in
-  Printf.bprintf b "clock=%d resident=%d minor=%d major=%d evict=%d prot=%d\n"
-    (Clock.now clock) (Vmm.resident_count vmm) s.Vm_stats.minor_faults
-    s.Vm_stats.major_faults s.Vm_stats.evictions s.Vm_stats.protection_faults;
-  for p = base to base + npages - 1 do
-    Printf.bprintf b "%c%c%c"
-      (if Vmm.is_resident vmm p then 'r' else '-')
-      (if Vmm.is_dirty vmm p then 'd' else '-')
-      (if Vmm.is_swapped vmm p then 's' else '-')
-  done;
-  Buffer.contents b
-
-let span_driver vmm ~write ~cost_ns ~first_page n =
-  Vmm.touch_span vmm ~write ~cost_ns ~first_page n
-
-let loop_driver vmm ~write ~cost_ns ~first_page n =
-  for p = first_page to first_page + n - 1 do
-    Clock.advance (Vmm.clock vmm) cost_ns;
-    Vmm.touch vmm ~write p
-  done
-
-let test_touch_span_equivalence () =
-  let by_loop = span_fingerprint ~driver:loop_driver in
-  let by_span = span_fingerprint ~driver:span_driver in
-  check Alcotest.string "span = per-page loop" by_loop by_span;
-  (* and with skipping globally disabled, the span takes the literal
-     path — all three runs must be bit-identical *)
-  Vmm.set_span_skipping false;
-  let by_span_off =
-    Fun.protect
-      ~finally:(fun () -> Vmm.set_span_skipping true)
-      (fun () -> span_fingerprint ~driver:span_driver)
-  in
-  check Alcotest.string "span with skipping off" by_loop by_span_off;
-  check Alcotest.bool "skipping restored" true (Vmm.span_skipping_enabled ())
 
 (* Model property: a random touch/madvise/relinquish sequence keeps the
    VMM's resident count within capacity and consistent with page
@@ -864,8 +796,6 @@ let () =
           Alcotest.test_case "giant sparse touch" `Quick
             test_giant_sparse_touch;
           Alcotest.test_case "many processes" `Quick test_many_processes;
-          Alcotest.test_case "touch_span equivalence" `Quick
-            test_touch_span_equivalence;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_vmm_model ]);
     ]
