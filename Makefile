@@ -1,4 +1,4 @@
-.PHONY: all build test test-release ci alloc-path-check sched-path-check mark-path-check global-check bench-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release ci alloc-path-check sched-path-check mark-path-check global-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -25,12 +25,13 @@ test-release:
 # workers, only the tracer marks, no module holds mutable state of its
 # own, the whole suite passes — test_faults runs the fault-plan smoke tests with
 # fixed seeds, so regressions in the degradation paths fail here — the
-# quick experiment text matches its golden, and traced runs (one solo, one two-process) produce valid Chrome JSON
+# quick experiment text and the examples' output match their goldens,
+# and traced runs (one solo, one two-process) produce valid Chrome JSON
 # covering every expected GC phase kind. The wall-clock perf-guard runs
 # last: it depends on how busy the machine is, so a failure there must
 # not hide the deterministic checks before it.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && dune runtest && $(MAKE) bench-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls
@@ -106,6 +107,17 @@ bench-check:
 	    -j $(JOBS) >> /tmp/bcgc-ci-bench.txt || exit 1; \
 	done
 	diff test/golden/bench_quick.txt /tmp/bcgc-ci-bench.txt
+
+# Examples check: the five built examples, in the order the `examples'
+# target runs them, must print test/golden/examples.txt byte for byte.
+# quickstart prints Gc_stats.pp and Vm_stats.pp, so this pins the
+# counter records as users see them. A non-zero exit fails the target.
+examples-check:
+	rm -f /tmp/bcgc-ci-examples.txt
+	for e in quickstart pressure_spike multi_jvm custom_workload trace_compare; do \
+	  ./_build/default/examples/$$e.exe >> /tmp/bcgc-ci-examples.txt || exit 1; \
+	done
+	diff test/golden/examples.txt /tmp/bcgc-ci-examples.txt
 
 # Trace smoke: a small pressured run known (deterministically) to exercise
 # minor, full, compacting and every BC sub-phase; `bcgc trace` re-parses

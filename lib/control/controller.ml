@@ -5,7 +5,7 @@
    observability plus an [actuation] the harness applies through the
    collector's tuning interface (Gc_common.Collector.tuning). The
    controller itself never touches the simulation — it is a pure
-   decision function over window diffs, so it costs no virtual time and
+   decision function over window deltas, so it costs no virtual time and
    a controller whose actuations are all defaults leaves the run
    bit-identical.
 
@@ -23,35 +23,22 @@ let state_code = function
   | Emergency -> 2
   | Failsafe -> 3
 
-let state_of_code = function
-  | 0 -> Normal
-  | 1 -> Pressure
-  | 2 -> Emergency
-  | 3 -> Failsafe
-  | n -> invalid_arg (Printf.sprintf "Control.Controller.state_of_code: %d" n)
-
 let state_name = function
   | Normal -> "normal"
   | Pressure -> "pressure"
   | Emergency -> "emergency"
   | Failsafe -> "failsafe"
 
-let all_states = [ Normal; Pressure; Emergency; Failsafe ]
-
 (* One decision window's sensor readings. Counters are window deltas
-   (from Gc_stats/Vm_stats snapshot diffs); [resident_pages] and
-   [free_frames] are gauges read at the window's end. *)
+   (the live Gc_stats/Vm_stats counters less the values they held when
+   the window opened); [resident_pages] and [free_frames] are gauges read
+   at the window's end, and [p99_pause_ms] covers the window's pauses. *)
 type sample = {
-  window_ns : int;
   major_faults : int;
-  minor_faults : int;
   evictions : int;
   notices : int;
-  discards : int;
   resident_pages : int;
   free_frames : int;
-  heap_pages : int;
-  allocated_bytes : int;
   p99_pause_ms : float;
   failsafes : int;
 }
@@ -74,7 +61,7 @@ let inert_actuation =
 
 type decision = { state : state; act : actuation }
 
-type config = { heap_pages : int; frames : int; window_ns : int }
+type config = { heap_pages : int; frames : int }
 
 type summary = {
   policy : string;

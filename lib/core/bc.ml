@@ -39,7 +39,6 @@ type t = {
   wbuf : Gc_common.Write_buffer.t;
   residency : Residency.t;
   discarded : Bitset.t;  (* madvised pages: non-resident but cheap to reuse *)
-  sp_seen : Bitset.t;  (* superpage indexes whose pages are tracked *)
   ledger : (int, ledger_entry) Hashtbl.t;
       (* evicted page -> exactly which superpage counters and which
          objects' bookmark counts its eviction scan incremented. The paper
@@ -118,20 +117,19 @@ let note_evicted t page =
   Superpage.note_page_evicted t.sp_space page;
   t.evicted_count <- t.evicted_count + 1
 
+(* The superpage space's on_acquire hook: runs once for each freshly
+   mapped superpage; a recycled superpage never reaches it. *)
 let track_new_superpage t (sp : Superpage.sp) =
-  if not (Bitset.mem t.sp_seen sp.Superpage.index) then begin
-    Bitset.set t.sp_seen sp.Superpage.index;
-    for
-      page = sp.Superpage.first_page
-      to sp.Superpage.first_page + Vmsim.Page.pages_per_superpage - 1
-    do
-      Bitset.clear t.discarded page;
-      Residency.mark_resident t.residency page
-    done;
-    (* metadata write: the header page is touched and stays resident *)
-    Vmsim.Vmm.touch (Heapsim.Heap.vmm t.heap) ~write:true
-      sp.Superpage.first_page
-  end
+  for
+    page = sp.Superpage.first_page
+    to sp.Superpage.first_page + Vmsim.Page.pages_per_superpage - 1
+  do
+    Bitset.clear t.discarded page;
+    Residency.mark_resident t.residency page
+  done;
+  (* metadata write: the header page is touched and stays resident *)
+  Vmsim.Vmm.touch (Heapsim.Heap.vmm t.heap) ~write:true
+    sp.Superpage.first_page
 
 (* ------------------------------------------------------------------ *)
 (* Heap sizing (§3.3.3)                                                *)
@@ -616,8 +614,7 @@ let sp_copy_young t id =
       raise
         (Collector.Heap_exhausted
            (name ^ ": mature space cannot absorb nursery survivors"))
-  | Some (addr, sp) ->
-      track_new_superpage t sp;
+  | Some (addr, _) ->
       Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
       Heapsim.Object_table.set_space objects id Space_tag.mature;
       note_placed t id
@@ -892,18 +889,13 @@ let plan_compaction t ~resident =
                 let addr =
                   match pool_alloc key with
                   | Some addr -> Some addr
-                  | None -> (
+                  | None ->
                       (* selection shortfall: fall back to a fresh cell *)
-                      match
-                        Superpage.alloc t.sp_space
-                          ~bytes:(Heapsim.Object_table.size objects id)
-                          ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
-                          ~grow:(grow_sp t) ~resident:(resident_ok t)
-                      with
-                      | Some (addr, nsp) ->
-                          track_new_superpage t nsp;
-                          Some addr
-                      | None -> None)
+                      Option.map fst
+                        (Superpage.alloc t.sp_space
+                           ~bytes:(Heapsim.Object_table.size objects id)
+                           ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
+                           ~grow:(grow_sp t) ~resident:(resident_ok t))
                 in
                 match addr with
                 | None ->
@@ -1349,7 +1341,6 @@ let factory config heap =
       wbuf;
       residency = Residency.create ();
       discarded = Bitset.create ();
-      sp_seen = Bitset.create ();
       ledger = Hashtbl.create 64;
       bookmark_counts = Hashtbl.create 64;
       sp_deferred = Hashtbl.create 16;

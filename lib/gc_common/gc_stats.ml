@@ -125,75 +125,6 @@ let pause_percentile_ms t p =
        (fun pause -> Vmsim.Clock.ns_to_ms pause.duration_ns)
        (pauses t))
 
-(* Immutable view of a collector's counters at one instant. [Metrics]
-   consumes these rather than reaching into the mutable record, so a
-   result can be derived for any interval ([diff]) — e.g. excluding the
-   warm-up iterations — without the collector cooperating. *)
-module Snapshot = struct
-  type t = {
-    minor : int;
-    full : int;
-    compacting : int;
-    total_gc_ns : int;
-    allocated_bytes : int;
-    allocated_objects : int;
-    max_heap_pages : int;
-    gc_major_faults : int;
-    failsafes : int;
-    pauses : pause list;  (** in start-time order *)
-  }
-
-  (* [diff earlier later]: activity between the two. Counters subtract;
-     the footprint high-water and the pause suffix come from the later
-     snapshot (a high-water mark is not additive). *)
-  let diff a b =
-    {
-      minor = b.minor - a.minor;
-      full = b.full - a.full;
-      compacting = b.compacting - a.compacting;
-      total_gc_ns = b.total_gc_ns - a.total_gc_ns;
-      allocated_bytes = b.allocated_bytes - a.allocated_bytes;
-      allocated_objects = b.allocated_objects - a.allocated_objects;
-      max_heap_pages = b.max_heap_pages;
-      gc_major_faults = b.gc_major_faults - a.gc_major_faults;
-      failsafes = b.failsafes - a.failsafes;
-      pauses =
-        (let skip = List.length a.pauses in
-         List.filteri (fun i _ -> i >= skip) b.pauses);
-    }
-
-  let collections s = s.minor + s.full + s.compacting
-
-  let pause_ms s = List.map (fun p -> Vmsim.Clock.ns_to_ms p.duration_ns) s.pauses
-
-  let avg_pause_ms s =
-    match pause_ms s with
-    | [] -> 0.0
-    | ms -> List.fold_left ( +. ) 0.0 ms /. float_of_int (List.length ms)
-
-  let max_pause_ms s = List.fold_left Float.max 0.0 (pause_ms s)
-
-  let pause_percentile_ms s p = Repro_util.Summary.percentile p (pause_ms s)
-end
-
-type snapshot = Snapshot.t
-
-let snapshot t : snapshot =
-  {
-    Snapshot.minor = t.minor;
-    full = t.full;
-    compacting = t.compacting;
-    total_gc_ns = t.total_gc_ns;
-    allocated_bytes = t.allocated_bytes;
-    allocated_objects = t.allocated_objects;
-    max_heap_pages = t.max_heap_pages;
-    gc_major_faults = t.gc_major_faults;
-    failsafes = t.failsafes;
-    pauses = pauses t;
-  }
-
-let diff = Snapshot.diff
-
 let pp ppf t =
   Format.fprintf ppf
     "minor:%d full:%d compact:%d gc:%.1fms avg-pause:%.2fms max-pause:%.2fms \

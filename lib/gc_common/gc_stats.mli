@@ -54,47 +54,8 @@ val avg_pause_ms : t -> float
 val max_pause_ms : t -> float
 
 val pause_percentile_ms : t -> float -> float
-(** [pause_percentile_ms t p] for [p] in [0,1]: nearest-rank percentile of
-    pause durations in milliseconds; 0 with no pauses. *)
-
-(** {1 Snapshots}
-
-    Immutable views of the counters at one instant. Consumers derive
-    results from snapshots (and interval [diff]s) instead of reading the
-    live mutable record. *)
-
-module Snapshot : sig
-  type t = {
-    minor : int;
-    full : int;
-    compacting : int;
-    total_gc_ns : int;
-    allocated_bytes : int;
-    allocated_objects : int;
-    max_heap_pages : int;
-    gc_major_faults : int;
-    failsafes : int;
-    pauses : pause list;  (** in start-time order *)
-  }
-
-  val diff : t -> t -> t
-  (** [diff earlier later]: activity between the two snapshots. Counters
-      subtract; the footprint high-water and pause suffix come from the
-      later snapshot. *)
-
-  val collections : t -> int
-
-  val avg_pause_ms : t -> float
-
-  val max_pause_ms : t -> float
-
-  val pause_percentile_ms : t -> float -> float
-end
-
-type snapshot = Snapshot.t
-
-val snapshot : t -> snapshot
-
-val diff : snapshot -> snapshot -> snapshot
+(** [pause_percentile_ms t p] for [p] in [0,1]: the pause durations in
+    milliseconds, sorted, at index [round (p * (n - 1))] (see
+    {!Repro_util.Summary.percentile}); 0 with no pauses. *)
 
 val pp : Format.formatter -> t -> unit

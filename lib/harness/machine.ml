@@ -4,14 +4,33 @@ type policy = Round_robin | Proportional | Priority
 
 exception Budget_exceeded of string
 
-(* Per-process controller attachment: the policy instance plus the
-   snapshot pair its next window will diff against. *)
+(* Where a controller window opened: the counters its sample reports as
+   window deltas, and how many pauses had been recorded by then. *)
+type marks = {
+  major_faults : int;
+  evictions : int;
+  notices : int;
+  failsafes : int;
+  pauses : int;
+}
+
+let marks_of gc (vm : Vmsim.Vm_stats.t) =
+  {
+    major_faults = vm.major_faults;
+    evictions = vm.evictions;
+    notices = vm.eviction_notices;
+    failsafes = Gc_common.Gc_stats.failsafes gc;
+    (* each recorded pause bumps exactly one kind counter *)
+    pauses = Gc_common.Gc_stats.collections gc;
+  }
+
+(* Per-process controller attachment: the policy instance plus the marks
+   its current window opened at. *)
 type ctl = {
   ctl_c : Control.Controller.t;
   window_ns : int;
   mutable next_ns : int;
-  mutable prev_gc : Gc_common.Gc_stats.snapshot;
-  mutable prev_vm : Vmsim.Vm_stats.snapshot;
+  mutable marks : marks;
   mutable windows : int;
 }
 
@@ -152,7 +171,7 @@ let set_controller p ~window_ns c =
   if window_ns < 1 then invalid_arg "Machine.set_controller: window_ns";
   let gc =
     match p.collector with
-    | Some col -> Gc_common.Gc_stats.snapshot col.Gc_common.Collector.stats
+    | Some col -> col.Gc_common.Collector.stats
     | None ->
         invalid_arg
           (Printf.sprintf
@@ -164,8 +183,7 @@ let set_controller p ~window_ns c =
         ctl_c = c;
         window_ns;
         next_ns = Vmsim.Clock.now (Heapsim.Heap.clock p.heap) + window_ns;
-        prev_gc = gc;
-        prev_vm = Vmsim.Vm_stats.snapshot (Vmsim.Process.stats p.vproc);
+        marks = marks_of gc (Vmsim.Process.stats p.vproc);
         windows = 0;
       }
 
@@ -196,9 +214,8 @@ let run ?(pressure = Workload.Pressure.None_) ?(ops_per_slice = default_slice)
   let first_driver = driver_exn first in
   let signalmem = Workload.Signalmem.create t.vmm t.address_space in
   let ramp_start = ref None in
-  let unseen_spikes =
-    ref (match t.plan with Some p -> Fault_plan.spikes p | None -> [])
-  in
+  let spikes = match t.plan with Some p -> Fault_plan.spikes p | None -> [] in
+  let unseen_spikes = ref spikes in
   let apply_pressure () =
     (* drive the schedule off the first process's progress *)
     let prog = first_driver.Workload.Driver.progress () in
@@ -209,28 +226,34 @@ let run ?(pressure = Workload.Pressure.None_) ?(ops_per_slice = default_slice)
         | Some after when prog >= after -> ramp_start := Some now
         | Some _ | None -> ())
     | Some _ -> ());
-    let jumped =
+    (* the fault plan's scripted spikes: each pins its pages while the
+       first process's progress lies in its [from, until) window, so
+       pressure falls again when a spike closes *)
+    let spiked =
       match t.plan with
       | Some p ->
+          let pages_where keep l =
+            List.fold_left
+              (fun acc (from, until, pages) ->
+                if keep from until then acc + pages else acc)
+              0 l
+          in
           let opened, rest =
             List.partition (fun (from, _, _) -> prog >= from) !unseen_spikes
           in
           List.iter (fun _ -> Fault_plan.note_spike_applied p) opened;
           unseen_spikes := rest;
-          (* a spike whose whole [from,until) window was jumped within one
-             round — a skipped span fast-forwarded progress past it — must
-             still fire at its virtual timestamp: pin its pages for exactly
-             this round (the schedule's own due_pages sees it as already
-             receded). Next round jumped is 0 again and the pin retires. *)
-          List.fold_left
-            (fun acc (_, until, pages) ->
-              if prog >= until then acc + pages else acc)
-            0 opened
+          (* one scheduling round can carry progress past a spike's whole
+             window; such a spike must still fire at its virtual
+             timestamp, so its pages are pinned for exactly this round and
+             the next round retires the pin *)
+          pages_where (fun from until -> prog >= from && prog < until) spikes
+          + pages_where (fun _ until -> prog >= until) opened
       | None -> 0
     in
     let start_ns = Option.value !ramp_start ~default:now in
     let due =
-      jumped
+      spiked
       + Workload.Pressure.due_pages pressure ~now_ns:now ~start_ns
           ~progress:prog
     in
@@ -272,11 +295,12 @@ let run ?(pressure = Workload.Pressure.None_) ?(ops_per_slice = default_slice)
     if p.finish_ns = None then spent := !spent + ops_per_slice;
     step_slice t ~ops_per_slice p
   in
-  (* One controller decision per elapsed window per live process: diff
-     the process's stat snapshots, let the policy decide, actuate via
-     the collector's tuning interface. The controller is a virtual-time
-     observer — deciding costs nothing on the clock — so with no
-     controller attached (or an inert one) the run is bit-identical. *)
+  (* One controller decision per elapsed window per live process: sample
+     the process's counters against the window's marks, let the policy
+     decide, actuate via the collector's tuning interface. The controller
+     is a virtual-time observer — deciding costs nothing on the clock —
+     so with no controller attached (or an inert one) the run is
+     bit-identical. *)
   let control_tick () =
     List.iter
       (fun p ->
@@ -286,36 +310,30 @@ let run ?(pressure = Workload.Pressure.None_) ?(ops_per_slice = default_slice)
             let now = Vmsim.Clock.now t.clock in
             if p.finish_ns = None && now >= ctl.next_ns then begin
               let c = collector p in
-              let gc_now =
-                Gc_common.Gc_stats.snapshot c.Gc_common.Collector.stats
+              let gc = c.Gc_common.Collector.stats in
+              let vm = Vmsim.Process.stats p.vproc in
+              let m = ctl.marks in
+              let window_pauses_ms =
+                List.filteri
+                  (fun i _ -> i >= m.pauses)
+                  (Gc_common.Gc_stats.pauses gc)
+                |> List.map (fun q ->
+                       Vmsim.Clock.ns_to_ms q.Gc_common.Gc_stats.duration_ns)
               in
-              let vm_now =
-                Vmsim.Vm_stats.snapshot (Vmsim.Process.stats p.vproc)
-              in
-              let dgc = Gc_common.Gc_stats.Snapshot.diff ctl.prev_gc gc_now in
-              let dvm = Vmsim.Vm_stats.Snapshot.diff ctl.prev_vm vm_now in
-              ctl.prev_gc <- gc_now;
-              ctl.prev_vm <- vm_now;
               let sample =
                 {
-                  Control.Controller.window_ns = ctl.window_ns;
-                  major_faults = dvm.Vmsim.Vm_stats.Snapshot.major_faults;
-                  minor_faults = dvm.Vmsim.Vm_stats.Snapshot.minor_faults;
-                  evictions = dvm.Vmsim.Vm_stats.Snapshot.evictions;
-                  notices = dvm.Vmsim.Vm_stats.Snapshot.eviction_notices;
-                  discards = dvm.Vmsim.Vm_stats.Snapshot.discards;
-                  resident_pages = vm_now.Vmsim.Vm_stats.Snapshot.resident_pages;
+                  Control.Controller.major_faults =
+                    vm.Vmsim.Vm_stats.major_faults - m.major_faults;
+                  evictions = vm.Vmsim.Vm_stats.evictions - m.evictions;
+                  notices = vm.Vmsim.Vm_stats.eviction_notices - m.notices;
+                  resident_pages = vm.Vmsim.Vm_stats.resident_pages;
                   free_frames = Vmsim.Vmm.free_frames t.vmm;
-                  heap_pages =
-                    Gc_common.Gc_config.heap_pages
-                      c.Gc_common.Collector.config;
-                  allocated_bytes =
-                    dgc.Gc_common.Gc_stats.Snapshot.allocated_bytes;
                   p99_pause_ms =
-                    Gc_common.Gc_stats.Snapshot.pause_percentile_ms dgc 0.99;
-                  failsafes = dgc.Gc_common.Gc_stats.Snapshot.failsafes;
+                    Repro_util.Summary.percentile 0.99 window_pauses_ms;
+                  failsafes = Gc_common.Gc_stats.failsafes gc - m.failsafes;
                 }
               in
+              ctl.marks <- marks_of gc vm;
               let before = Control.Controller.state ctl.ctl_c in
               let d = Control.Controller.decide ctl.ctl_c sample in
               let tu = c.Gc_common.Collector.tuning in

@@ -128,8 +128,10 @@ val set_controller :
   process -> window_ns:int -> Control.Controller.t -> unit
 (** Attach an online memory controller to the process. Each elapsed
     [window_ns] of virtual time during {!run}, the controller receives a
-    windowed sample (GC/VM snapshot diffs plus residency and free-frame
-    gauges), and its decision is actuated through the collector's
+    windowed sample (the process's fault, eviction, notice and fail-safe
+    counts since the window opened, the p99 of its pauses, and the
+    residency and free-frame gauges), and its decision is actuated
+    through the collector's
     {!Gc_common.Collector.tuning} interface. Deciding costs no virtual
     time; an unattached (or inert) controller leaves the run
     bit-identical. Requires {!set_collector} first. Each process on a
@@ -147,8 +149,8 @@ val run :
   t ->
   unit
 (** Step every loaded process under the machine's policy until all have
-    finished, applying [pressure] (driven by the first process's
-    progress) between rounds. Raises [Invalid_argument] if some process
+    finished, applying [pressure] and the fault plan's scripted spikes
+    (both driven by the first process's progress) between rounds. Raises [Invalid_argument] if some process
     has no mutator loaded; propagates [Heap_exhausted] / [Thrashing] —
     on a shared machine a resource failure takes the whole box down,
     and the caller decides how to report the cohabitants.

@@ -44,56 +44,46 @@ type outcome =
 
 let elapsed_s t = Vmsim.Clock.ns_to_s t.elapsed_ns
 
-(* Derive a result purely from immutable snapshots — a cell can be built
-   for any interval by [diff]ing two snapshots, and the collector's
-   mutable counters are read exactly once. *)
-let of_snapshots ?faults ?serving ?control ~collector ~workload ~heap_bytes
-    ~gc ~vm ~start_ns ~end_ns () =
+(* The measured window's counters are read once, here, when it closes:
+   [Machine.reset_window] zeroed them when it opened. *)
+let of_run ?faults ?serving ?control ~collector ~workload ~start_ns ~end_ns ()
+    =
+  let gc = collector.Gc_common.Collector.stats in
+  let vm =
+    Vmsim.Process.stats
+      (Heapsim.Heap.process collector.Gc_common.Collector.heap)
+  in
   {
-    collector;
+    collector = collector.Gc_common.Collector.name;
     workload;
-    heap_bytes;
+    heap_bytes =
+      collector.Gc_common.Collector.config.Gc_common.Gc_config.heap_bytes;
     elapsed_ns = end_ns - start_ns;
-    gc_ns = gc.Gc_stats.Snapshot.total_gc_ns;
-    minor = gc.Gc_stats.Snapshot.minor;
-    full = gc.Gc_stats.Snapshot.full;
-    compacting = gc.Gc_stats.Snapshot.compacting;
-    failsafes = gc.Gc_stats.Snapshot.failsafes;
-    avg_pause_ms = Gc_stats.Snapshot.avg_pause_ms gc;
-    p50_pause_ms = Gc_stats.Snapshot.pause_percentile_ms gc 0.5;
-    p95_pause_ms = Gc_stats.Snapshot.pause_percentile_ms gc 0.95;
-    max_pause_ms = Gc_stats.Snapshot.max_pause_ms gc;
-    major_faults = vm.Vmsim.Vm_stats.Snapshot.major_faults;
-    gc_major_faults = gc.Gc_stats.Snapshot.gc_major_faults;
-    evictions = vm.Vmsim.Vm_stats.Snapshot.evictions;
-    discards = vm.Vmsim.Vm_stats.Snapshot.discards;
-    relinquished = vm.Vmsim.Vm_stats.Snapshot.relinquished;
-    footprint_pages = gc.Gc_stats.Snapshot.max_heap_pages;
-    resident_peak_pages = vm.Vmsim.Vm_stats.Snapshot.peak_resident_pages;
-    allocated_bytes = gc.Gc_stats.Snapshot.allocated_bytes;
+    gc_ns = Gc_stats.total_gc_ns gc;
+    minor = Gc_stats.count gc Gc_stats.Minor;
+    full = Gc_stats.count gc Gc_stats.Full;
+    compacting = Gc_stats.count gc Gc_stats.Compacting;
+    failsafes = Gc_stats.failsafes gc;
+    avg_pause_ms = Gc_stats.avg_pause_ms gc;
+    p50_pause_ms = Gc_stats.pause_percentile_ms gc 0.5;
+    p95_pause_ms = Gc_stats.pause_percentile_ms gc 0.95;
+    max_pause_ms = Gc_stats.max_pause_ms gc;
+    major_faults = vm.Vmsim.Vm_stats.major_faults;
+    gc_major_faults = Gc_stats.gc_major_faults gc;
+    evictions = vm.Vmsim.Vm_stats.evictions;
+    discards = vm.Vmsim.Vm_stats.discards;
+    relinquished = vm.Vmsim.Vm_stats.relinquished;
+    footprint_pages = Gc_stats.max_heap_pages gc;
+    resident_peak_pages = vm.Vmsim.Vm_stats.peak_resident_pages;
+    allocated_bytes = Gc_stats.allocated_bytes gc;
     pauses =
       List.map
         (fun p -> (p.Gc_stats.start_ns, p.Gc_stats.duration_ns))
-        gc.Gc_stats.Snapshot.pauses;
+        (Gc_stats.pauses gc);
     faults;
     serving;
     control;
   }
-
-let of_run ?faults ?serving ?control ~collector ~workload ~start_ns ~end_ns ()
-    =
-  let gc = Gc_stats.snapshot collector.Gc_common.Collector.stats in
-  let vm =
-    Vmsim.Vm_stats.snapshot
-      (Vmsim.Process.stats
-         (Heapsim.Heap.process collector.Gc_common.Collector.heap))
-  in
-  of_snapshots ?faults ?serving ?control
-    ~collector:collector.Gc_common.Collector.name
-    ~workload
-    ~heap_bytes:
-      collector.Gc_common.Collector.config.Gc_common.Gc_config.heap_bytes
-    ~gc ~vm ~start_ns ~end_ns ()
 
 (* How did the cell fare? "degraded" means it completed, but only under
    duress: faults were actually injected, or the collector had to fall

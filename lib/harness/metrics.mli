@@ -61,22 +61,6 @@ val outcome_label : outcome -> string
     fail-safe collections), ["exhausted"], ["thrashed"] or ["failed"] —
     the per-cell summary tag. *)
 
-val of_snapshots :
-  ?faults:Faults.Fault_plan.stats ->
-  ?serving:Workload.Slo.summary ->
-  ?control:Control.Controller.summary ->
-  collector:string ->
-  workload:string ->
-  heap_bytes:int ->
-  gc:Gc_common.Gc_stats.snapshot ->
-  vm:Vmsim.Vm_stats.snapshot ->
-  start_ns:int ->
-  end_ns:int ->
-  unit ->
-  t
-(** Build a cell purely from immutable snapshots; [diff] two snapshots
-    to measure any sub-interval of a run. *)
-
 val of_run :
   ?faults:Faults.Fault_plan.stats ->
   ?serving:Workload.Slo.summary ->
@@ -87,8 +71,9 @@ val of_run :
   end_ns:int ->
   unit ->
   t
-(** Snapshot the collector's stats (and its process's VM counters) now
-    and build the cell via {!of_snapshots}. *)
+(** Build the cell from the collector's stats and its process's VM
+    counters as they stand now: everything counted since
+    {!Machine.reset_window} opened the window. *)
 
 val to_json : t -> Telemetry.Json.t
 (** The one serialisation path for a cell: bench CSV/JSON dumps, the

@@ -201,8 +201,7 @@ module Plan = struct
       | Workload.Catalog.Batch_spec s -> spec_fields s
       | Workload.Catalog.Serving_spec s -> serving_fields s
     in
-    let rec pressure p =
-      match p with
+    let pressure = function
       | Workload.Pressure.None_ -> Buffer.add_string b "none"
       | Workload.Pressure.Steady { after_progress; pin_pages } ->
           Printf.bprintf b "steady(%.17g,%d)" after_progress pin_pages
@@ -211,15 +210,6 @@ module Plan = struct
         ->
           Printf.bprintf b "ramp(%.17g,%d,%d,%d,%d)" after_progress
             initial_pages pages_per_step step_ns max_pages
-      | Workload.Pressure.Spikes { base; spikes } ->
-          Buffer.add_string b "spikes(";
-          pressure base;
-          List.iter
-            (fun (s : Workload.Pressure.spike) ->
-              Printf.bprintf b ",[%.17g,%.17g,%d]" s.from_progress
-                s.until_progress s.pages)
-            spikes;
-          Buffer.add_char b ')'
     in
     Buffer.add_string b "bcgc-plan/1|procs=";
     List.iter
@@ -276,12 +266,6 @@ let proc_names n =
     List.init n (fun i ->
         if i < 26 then Printf.sprintf "jvm-%c" (Char.chr (Char.code 'a' + i))
         else Printf.sprintf "jvm-%d" (i + 1))
-
-let effective_pressure (p : Plan.t) plan =
-  match plan with
-  | None -> p.Plan.pressure
-  | Some fp ->
-      Workload.Pressure.with_spikes p.Plan.pressure (Fault_plan.spikes fp)
 
 let exec_all (p : Plan.t) =
   let n = Plan.nprocs p in
@@ -342,7 +326,7 @@ let exec_all (p : Plan.t) =
       (fun ((pr : Plan.proc), mp) -> Machine.load mp pr.Plan.workload)
       pairs;
     (* controllers attach after the measurement window opens, so their
-       first window diffs against the measured run's baseline (not the
+       first window counts from the measured run's baseline (not the
        warm-up residue). One instance per process. *)
     (match p.Plan.controller with
     | None -> ()
@@ -354,14 +338,12 @@ let exec_all (p : Plan.t) =
                 Control.Controller.heap_pages =
                   Vmsim.Page.count_for_bytes pr.Plan.heap_bytes;
                 frames = Plan.frames p;
-                window_ns;
               }
             in
             Machine.set_controller mp ~window_ns
               (Control.Registry.instantiate ~name:cname cfg))
           pairs);
-    Machine.run
-      ~pressure:(effective_pressure p plan)
+    Machine.run ~pressure:p.Plan.pressure
       ~ops_per_slice:p.Plan.ops_per_slice ?event_cap:p.Plan.event_cap m;
     if p.Plan.verify then
       List.iter

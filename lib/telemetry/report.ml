@@ -1,14 +1,14 @@
-(* Derived views of a sink's event stream: per-phase duration histograms,
-   per-kind counts, and an ASCII summary for the terminal. All of this is
-   computed from the retained ring (plus the exact counters), never
-   maintained online, so the emission fast path stays four array writes. *)
+(* Derived views of a sink's event stream: per-phase span counts, totals
+   and maxima, per-kind counts, and an ASCII summary for the terminal. All
+   of this is computed from the retained ring (plus the exact counters),
+   never maintained online, so the emission fast path stays four array
+   writes. *)
 
 type phase_stat = {
   phase : Event.phase;
   count : int;  (* completed spans seen in the retained window *)
   total_ns : int;
   max_ns : int;
-  hist : Histogram.t;
 }
 
 (* Pair Phase_begin/Phase_end events per phase. Spans of the same phase
@@ -26,7 +26,6 @@ let phases sink =
           count = 0;
           total_ns = 0;
           max_ns = 0;
-          hist = Histogram.create ();
         })
   in
   Sink.iter sink (fun e ->
@@ -38,7 +37,6 @@ let phases sink =
             let d = e.Event.ts_ns - open_ts.(i) in
             open_ts.(i) <- -1;
             let s = stats.(i) in
-            Histogram.add s.hist d;
             stats.(i) <-
               {
                 s with
@@ -91,6 +89,6 @@ let pp ppf sink =
           Format.fprintf ppf "  %-14s n=%-5d total=%.3fms mean=%.3fms max=%.3fms@."
             (Event.phase_name s.phase) s.count
             (float_of_int s.total_ns /. 1e6)
-            (Histogram.mean_ns s.hist /. 1e6)
+            (float_of_int s.total_ns /. float_of_int s.count /. 1e6)
             (float_of_int s.max_ns /. 1e6))
         stats

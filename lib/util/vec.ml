@@ -1,8 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
-let create ?(capacity = 0) () =
-  ignore capacity;
-  { data = [||]; len = 0 }
+let create () = { data = [||]; len = 0 }
 
 let make n x = { data = Array.make (max n 1) x; len = n }
 

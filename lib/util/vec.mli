@@ -6,8 +6,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** [create ()] is an empty vector. [capacity] pre-sizes the backing store. *)
+val create : unit -> 'a t
+(** [create ()] is an empty vector. *)
 
 val make : int -> 'a -> 'a t
 (** [make n x] is a vector of length [n] filled with [x]. *)

@@ -56,73 +56,6 @@ let reset t =
   t.swap_stalls <- 0;
   t.peak_resident_pages <- t.resident_pages
 
-(* Immutable view of the counters at one instant. Mid-run samplers
-   (telemetry gauges, per-phase attribution) take two snapshots and
-   [diff] them instead of reading mutable fields twice and risking a
-   torn pair. *)
-module Snapshot = struct
-  type t = {
-    minor_faults : int;
-    major_faults : int;
-    protection_faults : int;
-    evictions : int;
-    discards : int;
-    relinquished : int;
-    eviction_notices : int;
-    swap_ins : int;
-    swap_outs : int;
-    forced_evictions : int;
-    swap_retries : int;
-    swap_stalls : int;
-    resident_pages : int;
-    peak_resident_pages : int;
-  }
-
-  (* [diff earlier later]: counters accumulated between the two.
-     [resident_pages] is a gauge, so the diff carries its net change;
-     [peak_resident_pages] is a high-water mark, so the later snapshot
-     wins (matching [Gc_stats.diff] for [max_heap_pages]). *)
-  let diff a b =
-    {
-      minor_faults = b.minor_faults - a.minor_faults;
-      major_faults = b.major_faults - a.major_faults;
-      protection_faults = b.protection_faults - a.protection_faults;
-      evictions = b.evictions - a.evictions;
-      discards = b.discards - a.discards;
-      relinquished = b.relinquished - a.relinquished;
-      eviction_notices = b.eviction_notices - a.eviction_notices;
-      swap_ins = b.swap_ins - a.swap_ins;
-      swap_outs = b.swap_outs - a.swap_outs;
-      forced_evictions = b.forced_evictions - a.forced_evictions;
-      swap_retries = b.swap_retries - a.swap_retries;
-      swap_stalls = b.swap_stalls - a.swap_stalls;
-      resident_pages = b.resident_pages - a.resident_pages;
-      peak_resident_pages = b.peak_resident_pages;
-    }
-end
-
-type snapshot = Snapshot.t
-
-let snapshot t : snapshot =
-  {
-    Snapshot.minor_faults = t.minor_faults;
-    major_faults = t.major_faults;
-    protection_faults = t.protection_faults;
-    evictions = t.evictions;
-    discards = t.discards;
-    relinquished = t.relinquished;
-    eviction_notices = t.eviction_notices;
-    swap_ins = t.swap_ins;
-    swap_outs = t.swap_outs;
-    forced_evictions = t.forced_evictions;
-    swap_retries = t.swap_retries;
-    swap_stalls = t.swap_stalls;
-    resident_pages = t.resident_pages;
-    peak_resident_pages = t.peak_resident_pages;
-  }
-
-let diff = Snapshot.diff
-
 let pp ppf t =
   Format.fprintf ppf
     "minor:%d major:%d prot:%d evict:%d discard:%d relinq:%d notices:%d \

@@ -34,35 +34,4 @@ val reset : t -> unit
     pages are still mapped — and [peak_resident_pages] restarts from
     the current gauge value. *)
 
-(** Immutable view of the counters at one instant. *)
-module Snapshot : sig
-  type t = {
-    minor_faults : int;
-    major_faults : int;
-    protection_faults : int;
-    evictions : int;
-    discards : int;
-    relinquished : int;
-    eviction_notices : int;
-    swap_ins : int;
-    swap_outs : int;
-    forced_evictions : int;
-    swap_retries : int;
-    swap_stalls : int;
-    resident_pages : int;
-    peak_resident_pages : int;
-  }
-
-  val diff : t -> t -> t
-  (** [diff earlier later]: counters accumulated between the two.
-      [resident_pages] becomes the net gauge change; the later
-      [peak_resident_pages] wins. *)
-end
-
-type snapshot = Snapshot.t
-
-val snapshot : t -> snapshot
-
-val diff : snapshot -> snapshot -> snapshot
-
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,3 @@
-type spike = { from_progress : float; until_progress : float; pages : int }
-
 type t =
   | None_
   | Steady of { after_progress : float; pin_pages : int }
@@ -10,9 +8,8 @@ type t =
       step_ns : int;
       max_pages : int;
     }
-  | Spikes of { base : t; spikes : spike list }
 
-let rec due_pages t ~now_ns ~start_ns ~progress =
+let due_pages t ~now_ns ~start_ns ~progress =
   match t with
   | None_ -> 0
   | Steady { after_progress; pin_pages } ->
@@ -24,33 +21,12 @@ let rec due_pages t ~now_ns ~start_ns ~progress =
         let steps = (now_ns - start_ns) / step_ns in
         min max_pages (initial_pages + (steps * pages_per_step))
       end
-  | Spikes { base; spikes } ->
-      due_pages base ~now_ns ~start_ns ~progress
-      + List.fold_left
-          (fun acc s ->
-            if progress >= s.from_progress && progress < s.until_progress then
-              acc + s.pages
-            else acc)
-          0 spikes
 
-let rec after_progress = function
+let after_progress = function
   | None_ -> None
   | Steady { after_progress = p; _ } | Ramp { after_progress = p; _ } -> Some p
-  | Spikes { base; _ } -> after_progress base
 
-let with_spikes t triples =
-  match
-    List.filter_map
-      (fun (from_progress, until_progress, pages) ->
-        if pages > 0 && until_progress > from_progress then
-          Some { from_progress; until_progress; pages }
-        else None)
-      triples
-  with
-  | [] -> t
-  | spikes -> Spikes { base = t; spikes }
-
-let rec pp ppf = function
+let pp ppf = function
   | None_ -> Format.pp_print_string ppf "none"
   | Steady { after_progress; pin_pages } ->
       Format.fprintf ppf "steady(%d pages @ %.0f%%)" pin_pages
@@ -60,5 +36,3 @@ let rec pp ppf = function
         pages_per_step
         (float_of_int step_ns /. 1e6)
         max_pages
-  | Spikes { base; spikes } ->
-      Format.fprintf ppf "%a + %d spike(s)" pp base (List.length spikes)

@@ -4,10 +4,6 @@
     current virtual time and workload progress, {!due_pages} says how many
     pages [signalmem] should have pinned by now. *)
 
-type spike = { from_progress : float; until_progress : float; pages : int }
-(** A transient burst: [pages] extra pages pinned while the workload's
-    progress lies in [[from_progress, until_progress)]. *)
-
 type t =
   | None_  (** no pressure (§5.2) *)
   | Steady of { after_progress : float; pin_pages : int }
@@ -23,10 +19,6 @@ type t =
     }
       (** the dynamic schedule of §5.3.2: pin [initial_pages], then
           [pages_per_step] more every [step_ns], up to [max_pages] *)
-  | Spikes of { base : t; spikes : spike list }
-      (** [base] plus scripted transient bursts — pressure rises when a
-          spike opens and {e falls} when it closes, so the harness must
-          unpin as well as pin *)
 
 val due_pages : t -> now_ns:int -> start_ns:int -> progress:float -> int
 (** Pages that should be pinned at this instant. [progress] is the
@@ -34,11 +26,7 @@ val due_pages : t -> now_ns:int -> start_ns:int -> progress:float -> int
     first call past [after_progress] ([start_ns]). *)
 
 val after_progress : t -> float option
-(** Progress threshold at which the base schedule engages (spikes keep
-    their own windows); [None] when there is no base pressure. *)
-
-val with_spikes : t -> (float * float * int) list -> t
-(** Wrap a schedule with [(from, until, pages)] spike triples, dropping
-    empty ones; returns the schedule unchanged when none remain. *)
+(** Progress threshold at which the schedule engages; [None] when there
+    is no pressure. *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,6 +9,8 @@ module Registry = Control.Registry
 module FP = Faults.Fault_plan
 module Metrics = Harness.Metrics
 module Plan = Harness.Run.Plan
+module Machine = Harness.Machine
+module Gc_stats = Gc_common.Gc_stats
 module Json = Telemetry.Json
 
 let check = Alcotest.check
@@ -20,16 +22,11 @@ let contains hay needle =
 
 let sample ?(mf = 0) ?(notices = 0) ?(res = 500) ?(free = 500) () =
   {
-    Controller.window_ns = 1_000_000;
-    major_faults = mf;
-    minor_faults = 0;
+    Controller.major_faults = mf;
     evictions = 0;
     notices;
-    discards = 0;
     resident_pages = res;
     free_frames = free;
-    heap_pages = 768;
-    allocated_bytes = 0;
     p99_pause_ms = 0.0;
     failsafes = 0;
   }
@@ -100,7 +97,7 @@ let test_watchdog_ignores_plateau () =
 (* ----------------------------------------------------------------- *)
 (* Registry & policies                                                *)
 
-let cfg = { Controller.heap_pages = 768; frames = 960; window_ns = 1_000_000 }
+let cfg = { Controller.heap_pages = 768; frames = 960 }
 
 let test_registry () =
   check
@@ -181,13 +178,16 @@ let mini_spec =
 let storm =
   { FP.none with FP.drop_eviction = 0.4; drop_resident = 0.2; delay_notice = 0.1 }
 
+(* The storm cell: a small heap on tight frames, most of them pinned
+   from 20% progress, under lossy and late eviction notices. *)
+let heap_bytes = 1_500_000
+
+let frames = Vmsim.Page.count_for_bytes heap_bytes + 256
+
+let pressure =
+  Workload.Pressure.Steady { after_progress = 0.2; pin_pages = frames - 150 }
+
 let plan ?controller () =
-  let heap_bytes = 1_500_000 in
-  let heap_pages = Vmsim.Page.count_for_bytes heap_bytes in
-  let frames = heap_pages + 256 in
-  let pressure =
-    Workload.Pressure.Steady { after_progress = 0.2; pin_pages = frames - 150 }
-  in
   let p =
     Plan.make ~collector:"BC" ~spec:mini_spec ~heap_bytes
     |> Plan.with_frames frames
@@ -248,6 +248,59 @@ let test_off_and_inert_identical () =
     (Json.to_string (Metrics.to_json off))
     (Json.to_string (strip_control (Metrics.to_json inert)))
 
+(* Every sample carries exact window deltas: a probe policy re-reads the
+   process's live counters at each decision and checks the sample
+   against the change since its own previous call. *)
+let test_window_samples_exact () =
+  let m = Machine.create ~faults:(FP.create ~seed:7 storm) ~frames () in
+  let p = Machine.spawn m ~name:"jvm" ~heap_bytes in
+  Machine.set_collector p (Harness.Registry.instantiate_name ~name:"BC" p);
+  Machine.load_spec p mini_spec;
+  let gc = (Machine.collector p).Gc_common.Collector.stats in
+  let vm = Vmsim.Process.stats (Machine.vm_process p) in
+  let read () =
+    ( vm.Vmsim.Vm_stats.major_faults,
+      vm.Vmsim.Vm_stats.evictions,
+      vm.Vmsim.Vm_stats.eviction_notices,
+      Gc_stats.failsafes gc,
+      List.length (Gc_stats.pauses gc) )
+  in
+  let last = ref (read ()) in
+  let faulted = ref false and noticed = ref false and paused = ref false in
+  let probe (s : Controller.sample) =
+    let mf, ev, no, fs, np = !last in
+    let window_ms =
+      List.filteri (fun i _ -> i >= np) (Gc_stats.pauses gc)
+      |> List.map (fun q -> Vmsim.Clock.ns_to_ms q.Gc_stats.duration_ns)
+    in
+    check Alcotest.int "major faults"
+      (vm.Vmsim.Vm_stats.major_faults - mf)
+      s.Controller.major_faults;
+    check Alcotest.int "evictions" (vm.Vmsim.Vm_stats.evictions - ev)
+      s.Controller.evictions;
+    check Alcotest.int "notices"
+      (vm.Vmsim.Vm_stats.eviction_notices - no)
+      s.Controller.notices;
+    check Alcotest.int "failsafes" (Gc_stats.failsafes gc - fs)
+      s.Controller.failsafes;
+    check Alcotest.int "resident gauge" vm.Vmsim.Vm_stats.resident_pages
+      s.Controller.resident_pages;
+    check (Alcotest.float 0.0) "p99 of the window's pauses"
+      (Repro_util.Summary.percentile 0.99 window_ms)
+      s.Controller.p99_pause_ms;
+    if s.Controller.major_faults > 0 then faulted := true;
+    if s.Controller.notices > 0 then noticed := true;
+    if window_ms <> [] then paused := true;
+    last := read ();
+    { Controller.state = Controller.Normal; act = Controller.inert_actuation }
+  in
+  Machine.set_controller p ~window_ns:1_000_000
+    (Controller.make ~policy:"probe" ~decide:probe);
+  Machine.run ~pressure m;
+  check Alcotest.bool "a window saw a major fault" true !faulted;
+  check Alcotest.bool "a window saw a notice" true !noticed;
+  check Alcotest.bool "a window saw a pause" true !paused
+
 let () =
   Alcotest.run "control"
     [
@@ -276,5 +329,7 @@ let () =
             test_decision_trace_deterministic;
           Alcotest.test_case "off and inert identical" `Quick
             test_off_and_inert_identical;
+          Alcotest.test_case "window samples exact" `Quick
+            test_window_samples_exact;
         ] );
     ]

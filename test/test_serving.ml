@@ -1,7 +1,7 @@
 (* Request-serving workloads: shape grammar round-trips, golden
-   percentile extraction (exact nearest-rank and the power-of-two
-   histogram), SLO violation windows, open-loop arrival determinism,
-   and the serving path end-to-end over real collectors. *)
+   nearest-rank percentile extraction, SLO violation windows, open-loop
+   arrival determinism, and the serving path end-to-end over real
+   collectors. *)
 
 module Mini = Test_support.Mini
 module Shapes = Workload.Shapes
@@ -109,9 +109,7 @@ let test_shape_validate () =
 (* Golden percentile extraction                                       *)
 
 (* 1000 latencies of 1,2,...,1000 us, fed in shuffled order. Exact
-   nearest-rank percentiles are known in closed form; the power-of-two
-   histogram's conservative answers are pinned to their bucket upper
-   bounds. *)
+   nearest-rank percentiles are known in closed form. *)
 let synthetic_latencies () =
   let n = 1000 in
   let lat = Array.init n (fun i -> (i + 1) * 1_000) in
@@ -134,25 +132,6 @@ let test_percentile_golden_exact () =
   check Alcotest.int "p999" 999_000 (Slo.percentile sorted 0.999);
   check Alcotest.int "p100" 1_000_000 (Slo.percentile sorted 1.0);
   check Alcotest.int "empty" 0 (Slo.percentile [||] 0.5)
-
-let test_percentile_golden_histogram () =
-  let h = Telemetry.Histogram.create () in
-  Array.iter (Telemetry.Histogram.add h) (synthetic_latencies ());
-  (* bucket upper bounds: 500th sample lands in [2^18, 2^19) *)
-  check Alcotest.int "hist p50" 524_288 (Telemetry.Histogram.percentile_ns h 0.5);
-  (* the tail buckets saturate at the recorded max *)
-  check Alcotest.int "hist p99" 1_000_000
-    (Telemetry.Histogram.percentile_ns h 0.99);
-  check Alcotest.int "hist p999" 1_000_000
-    (Telemetry.Histogram.percentile_ns h 0.999);
-  (* conservative: bucketed never under-reports the exact percentile *)
-  let sorted = Array.init 1000 (fun i -> (i + 1) * 1_000) in
-  List.iter
-    (fun p ->
-      check Alcotest.bool (Printf.sprintf "hist upper-bounds exact at %g" p)
-        true
-        (Telemetry.Histogram.percentile_ns h p >= Slo.percentile sorted p))
-    [ 0.5; 0.9; 0.99; 0.999 ]
 
 let test_summary_of_samples () =
   let lat = synthetic_latencies () in
@@ -330,8 +309,6 @@ let () =
       ( "percentiles",
         [
           Alcotest.test_case "golden exact" `Quick test_percentile_golden_exact;
-          Alcotest.test_case "golden histogram" `Quick
-            test_percentile_golden_histogram;
           Alcotest.test_case "summary" `Quick test_summary_of_samples;
         ] );
       ( "slo windows",

@@ -1,5 +1,5 @@
 (* Telemetry subsystem: ring-buffer retention, Chrome trace JSON golden,
-   the JSON parser, snapshots, the typed registry, and the zero-overhead
+   the JSON parser, phase reports, the typed registry, and the zero-overhead
    contract — a traced-off run is bit-identical to the seed behaviour,
    and attaching a sink changes no virtual-time result. *)
 
@@ -8,9 +8,6 @@ module Sink = Telemetry.Sink
 module Json = Telemetry.Json
 module Export = Telemetry.Export
 module Report = Telemetry.Report
-module Histogram = Telemetry.Histogram
-module Gc_stats = Gc_common.Gc_stats
-module Vm_stats = Vmsim.Vm_stats
 module Metrics = Harness.Metrics
 module Registry = Harness.Registry
 
@@ -118,18 +115,7 @@ let test_json_parser () =
     [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "{}trailing"; "\"unterminated" ]
 
 (* ----------------------------------------------------------------- *)
-(* Histogram and report                                               *)
-
-let test_histogram () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 100; 1_000; 1_000_000 ];
-  check Alcotest.int "count" 3 (Histogram.count h);
-  check Alcotest.int "total" 1_001_100 (Histogram.total_ns h);
-  check Alcotest.int "max" 1_000_000 (Histogram.max_ns h);
-  check Alcotest.bool "mean" true
-    (Float.abs (Histogram.mean_ns h -. 333_700.0) < 1.0);
-  check Alcotest.bool "percentile monotone" true
-    (Histogram.percentile_ns h 0.99 >= Histogram.percentile_ns h 0.5)
+(* Report                                                             *)
 
 let test_report_phases () =
   let sink = Sink.create ~capacity:64 () in
@@ -149,56 +135,6 @@ let test_report_phases () =
   check Alcotest.bool "observed collection phases" true
     (Report.observed_collection_phases sink
     = [ Event.Minor; Event.Compacting ])
-
-(* ----------------------------------------------------------------- *)
-(* Stats snapshots                                                    *)
-
-let test_gc_stats_snapshot () =
-  let clock = Vmsim.Clock.create () in
-  let stats = Gc_stats.create () in
-  let pause kind ns =
-    Gc_stats.time_pause stats clock kind (fun () ->
-        Vmsim.Clock.advance clock ns)
-  in
-  Gc_stats.record_alloc stats ~bytes:64;
-  pause Gc_stats.Minor 1_000;
-  let s1 = Gc_stats.snapshot stats in
-  Gc_stats.record_alloc stats ~bytes:100;
-  pause Gc_stats.Full 5_000;
-  Gc_stats.note_failsafe stats;
-  let s2 = Gc_stats.snapshot stats in
-  (* snapshots are immutable views *)
-  check Alcotest.int "s1 minor" 1 s1.Gc_stats.Snapshot.minor;
-  check Alcotest.int "s1 full" 0 s1.Gc_stats.Snapshot.full;
-  let d = Gc_stats.diff s1 s2 in
-  check Alcotest.int "diff minor" 0 d.Gc_stats.Snapshot.minor;
-  check Alcotest.int "diff full" 1 d.Gc_stats.Snapshot.full;
-  check Alcotest.int "diff gc ns" 5_000 d.Gc_stats.Snapshot.total_gc_ns;
-  check Alcotest.int "diff alloc" 100 d.Gc_stats.Snapshot.allocated_bytes;
-  check Alcotest.int "diff failsafes" 1 d.Gc_stats.Snapshot.failsafes;
-  (* the pause suffix: only the full pause happened in between *)
-  check Alcotest.int "diff pauses" 1 (List.length d.Gc_stats.Snapshot.pauses);
-  (match d.Gc_stats.Snapshot.pauses with
-  | [ p ] ->
-      check Alcotest.bool "pause kind" true (p.Gc_stats.kind = Gc_stats.Full);
-      check Alcotest.int "pause duration" 5_000 p.Gc_stats.duration_ns
-  | _ -> Alcotest.fail "expected one pause");
-  check Alcotest.bool "snapshot avg pause" true
-    (Float.abs (Gc_stats.Snapshot.avg_pause_ms s2 -. 0.003) < 1e-9)
-
-let test_vm_stats_snapshot () =
-  let vs = Vm_stats.create () in
-  vs.Vm_stats.major_faults <- 3;
-  vs.Vm_stats.evictions <- 2;
-  let s1 = Vm_stats.snapshot vs in
-  vs.Vm_stats.major_faults <- 10;
-  vs.Vm_stats.discards <- 4;
-  let s2 = Vm_stats.snapshot vs in
-  check Alcotest.int "s1 immutable" 3 s1.Vm_stats.Snapshot.major_faults;
-  let d = Vm_stats.diff s1 s2 in
-  check Alcotest.int "diff major" 7 d.Vm_stats.Snapshot.major_faults;
-  check Alcotest.int "diff evictions" 0 d.Vm_stats.Snapshot.evictions;
-  check Alcotest.int "diff discards" 4 d.Vm_stats.Snapshot.discards
 
 (* ----------------------------------------------------------------- *)
 (* Typed registry                                                     *)
@@ -397,13 +333,7 @@ let () =
         ] );
       ( "report",
         [
-          Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "phase pairing" `Quick test_report_phases;
-        ] );
-      ( "snapshots",
-        [
-          Alcotest.test_case "gc stats" `Quick test_gc_stats_snapshot;
-          Alcotest.test_case "vm stats" `Quick test_vm_stats_snapshot;
         ] );
       ( "registry",
         [ Alcotest.test_case "typed info" `Quick test_registry_info ] );

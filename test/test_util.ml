@@ -270,7 +270,10 @@ let test_summary () =
   check (Alcotest.float 1e-9) "p50" 2.0
     (Summary.percentile 0.5 [ 3.0; 1.0; 2.0 ]);
   check (Alcotest.float 1e-9) "p100" 3.0
-    (Summary.percentile 1.0 [ 3.0; 1.0; 2.0 ])
+    (Summary.percentile 1.0 [ 3.0; 1.0; 2.0 ]);
+  (* index round(p(n-1)), not nearest-rank: with n = 4 the two differ *)
+  check (Alcotest.float 1e-9) "p50 of four" 3.0
+    (Summary.percentile 0.5 [ 4.0; 1.0; 3.0; 2.0 ])
 
 (* ----------------------------------------------------------------- *)
 (* Properties                                                         *)
