@@ -1,4 +1,4 @@
-.PHONY: all build test test-release ci alloc-path-check sched-path-check mark-path-check global-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release ci alloc-path-check sched-path-check mark-path-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -23,15 +23,16 @@ test-release:
 # Full CI gate: everything compiles (including examples and benches), every
 # collector allocates through Gc_common.Alloc, only the scheduler starts
 # workers, only the tracer marks, no module holds mutable state of its
-# own, the whole suite passes — test_faults runs the fault-plan smoke tests with
-# fixed seeds, so regressions in the degradation paths fail here — the
-# quick experiment text and the examples' output match their goldens,
-# and traced runs (one solo, one two-process) produce valid Chrome JSON
-# covering every expected GC phase kind. The wall-clock perf-guard runs
-# last: it depends on how busy the machine is, so a failure there must
-# not hide the deterministic checks before it.
+# own, every export has a caller, the whole suite passes — test_faults
+# runs the fault-plan smoke tests with fixed seeds, so regressions in the
+# degradation paths fail here — the quick experiment text and the
+# examples' output match their goldens, and traced runs (one solo, one
+# two-process) produce valid Chrome JSON covering every expected GC
+# phase kind. The wall-clock perf-guard runs last: it depends on how busy
+# the machine is, so a failure there must not hide the deterministic
+# checks before it.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls
@@ -94,12 +95,38 @@ global-check:
 	  echo "global-check: grep failed with status $$status" >&2; exit 1; \
 	fi
 
+# Every export has a caller: each `val' in a .mli under lib/ must appear as
+# <Module>.<name> in a .ml under lib, bin, test, examples, bench or
+# perfbench other than its own module's .ml. Only the name after the dot
+# is matched, so a dead export whose name another module also exports
+# (and someone calls) slips past: those need removing by hand. Each miss
+# fails here as `file: name'. grep exits 0 on a match and 1 on none; any
+# other status (grep's own error) fails the target.
+export-check:
+	@grep -roE --include='*.ml' "[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*" \
+	  lib bin test examples bench perfbench > /tmp/bcgc-ci-export-uses.txt; \
+	status=$$?; \
+	if [ $$status -gt 1 ]; then \
+	  echo "export-check: grep failed with status $$status" >&2; exit 1; \
+	fi; \
+	grep -rE --include='*.mli' '^ *val [a-z_]' lib > /tmp/bcgc-ci-export-vals.txt; \
+	status=$$?; \
+	if [ $$status -gt 1 ]; then \
+	  echo "export-check: grep failed with status $$status" >&2; exit 1; \
+	fi; \
+	awk -F: 'FNR == NR { name = $$2; sub(/.*\./, "", name); \
+	                     if (!((name, $$1) in seen)) { seen[name, $$1] = 1; n[name]++ }; next } \
+	         { match($$2, /val [a-z_][A-Za-z0-9_'"'"']*/); name = substr($$2, RSTART + 4, RLENGTH - 4); \
+	           own = $$1; sub(/\.mli$$/, ".ml", own); \
+	           if (n[name] - ((name, own) in seen) < 1) { print $$1 ": " name > "/dev/stderr"; bad = 1 } } \
+	         END { if (bad) print "export-check: exports above have no caller outside their own module" > "/dev/stderr"; exit bad }' \
+	  /tmp/bcgc-ci-export-uses.txt /tmp/bcgc-ci-export-vals.txt
+
 # Bench check: the quick-mode text of `bcgc bench all', `control', `slo'
 # and `trace', in that order, must match test/golden/bench_quick.txt byte
-# for byte (`campaign' prints a temp journal path and lines in completion
-# order, so it is left out). Cells run in virtual time, so the text is the
-# same at any -j. CSV_DIR and CHARTS are cleared: they add output lines.
-# A non-zero exit from bcgc fails the target too.
+# for byte. Cells run in virtual time, so the text is the same at any -j.
+# CSV_DIR and CHARTS are cleared: they add output lines. A non-zero exit
+# from bcgc fails the target too.
 bench-check:
 	rm -f /tmp/bcgc-ci-bench.txt
 	for t in all control slo trace; do \

@@ -332,7 +332,7 @@ let minheap_cmd collector workload volume =
         workload bytes (bytes / 1024);
       0
   | None ->
-      Printf.printf "%s/%s: no workable heap found\n" collector workload;
+      Printf.eprintf "%s/%s: no workable heap found\n" collector workload;
       1
 
 let trace_record_cmd workload volume heap_kb output =
@@ -657,7 +657,7 @@ let cmd_campaign =
     in
     Arg.(
       value
-      & opt int (Harness.Parallel.default_jobs ())
+      & opt int (Harness.Supervisor.default_jobs ())
       & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let journal =

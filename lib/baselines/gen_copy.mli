@@ -10,5 +10,3 @@ val factory : Gc_common.Collector.factory
 val name : string
 
 val doc : string
-
-val fixed_nursery_name : string

@@ -13,9 +13,6 @@ val name : string
 
 val doc : string
 
-val fixed_nursery_name : string
-(** Display name used for the fixed-size-nursery variant (Figure 5(b)). *)
-
 (** CopyMS (Jikes RVM): "a variant of GenMS which performs only whole
     heap garbage collections". This is GenMS's non-generational
     configuration. Objects are bump-allocated into the nursery, which

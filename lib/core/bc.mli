@@ -30,8 +30,6 @@ val name : string
 
 val doc : string
 
-val resizing_only_name : string
-
 val factory : Gc_common.Collector.factory
 (** Builds a BC instance according to [config.bc] and registers its
     paging-signal handlers on the heap's process. *)

@@ -44,8 +44,6 @@ let create ?(on_acquire = fun _ -> ()) heap =
     free_cell_bytes = 0;
   }
 
-let heap t = t.heap
-
 let set_on_acquire t f = t.on_acquire <- f
 
 let quad page = page / Vmsim.Page.pages_per_superpage

@@ -43,8 +43,6 @@ val create : ?on_acquire:(sp -> unit) -> Heapsim.Heap.t -> t
 
 val set_on_acquire : t -> (sp -> unit) -> unit
 
-val heap : t -> Heapsim.Heap.t
-
 val alloc :
   t ->
   bytes:int ->

@@ -130,7 +130,6 @@ let pp_stats ppf s =
     s.swap_full_rejections s.spikes_applied
 
 type t = {
-  seed : int;
   spec : spec;
   rng : Rng.t;  (** decision stream: one draw per decision point *)
   stats : stats;
@@ -166,7 +165,6 @@ let create ~seed spec =
   let spikes = make_spikes spec script_rng in
   let rng = Rng.split script_rng in
   {
-    seed;
     spec;
     rng;
     stats = fresh_stats ();
@@ -177,7 +175,6 @@ let create ~seed spec =
     consecutive_read_errors = 0;
   }
 
-let seed t = t.seed
 let spec t = t.spec
 let stats t = t.stats
 let spikes t = t.spikes

@@ -62,8 +62,6 @@ type t
 
 val create : seed:int -> spec -> t
 
-val seed : t -> int
-
 val spec : t -> spec
 
 val stats : t -> stats

@@ -102,8 +102,6 @@ let total_gc_ns t = t.total_gc_ns
 
 let allocated_bytes t = t.allocated_bytes
 
-let allocated_objects t = t.allocated_objects
-
 let max_heap_pages t = t.max_heap_pages
 
 let avg_pause_ms t =

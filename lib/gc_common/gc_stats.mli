@@ -45,8 +45,6 @@ val total_gc_ns : t -> int
 
 val allocated_bytes : t -> int
 
-val allocated_objects : t -> int
-
 val max_heap_pages : t -> int
 
 val avg_pause_ms : t -> float

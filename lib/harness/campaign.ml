@@ -625,15 +625,6 @@ let normalize_json j =
   | Some j' -> j'
   | None -> j
 
-let quarantined_outcome failures =
-  Metrics.Failed
-    {
-      Metrics.reason = Supervisor.describe_failures failures;
-      exn_name = "Campaign.Quarantined";
-      fault_stats = None;
-      partial = None;
-    }
-
 let take n xs =
   let rec go k acc = function
     | x :: tl when k > 0 -> go (k - 1) (x :: acc) tl
@@ -740,7 +731,7 @@ let run ?(jobs = 1) ?(backend = `Fork) ?chaos ?stop_after ?(resume = false)
             match outcome_cell with
             | Supervisor.Done { value; attempts; _ } -> (attempts, value)
             | Supervisor.Quarantined { attempts; failures } ->
-                (attempts, quarantined_outcome failures)
+                (attempts, Supervisor.failed_outcome failures)
           in
           let entry =
             {

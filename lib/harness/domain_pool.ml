@@ -51,8 +51,6 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let jobs t = t.jobs
-
 (* --- worker side --------------------------------------------------- *)
 
 let drain t me r =
@@ -217,8 +215,8 @@ let shutdown t =
 
 (* One process-wide pool reused across rounds so repeated sweeps (bench
    matrices, campaigns) don't pay domain spawns per call. Coordinator-
-   only state, like Experiments.jobs: rounds are driven from one
-   coordinating domain at a time ([run] rejects reentrancy). *)
+   only state: rounds are driven from one coordinating domain at a time
+   ([run] rejects reentrancy). *)
 let global : t option ref = ref None
 
 let get ~jobs =

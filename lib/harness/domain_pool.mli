@@ -30,8 +30,6 @@ val create : jobs:int -> t
 (** Spawn a pool of [jobs] worker domains (parked between rounds).
     @raise Invalid_argument when [jobs < 1]. *)
 
-val jobs : t -> int
-
 val run :
   t ->
   ?on_result:(int -> ('b, exn * string) result -> unit) ->
@@ -61,7 +59,7 @@ val shutdown : t -> unit
 val get : jobs:int -> t
 (** The process-wide shared pool, created on first use and recreated
     (after an orderly {!shutdown}) when [jobs] changes. Coordinator-only
-    state, like [Experiments.set_jobs]. *)
+    state: rounds are driven from one coordinating domain at a time. *)
 
 val shutdown_global : unit -> unit
 (** Shut down the shared pool, if any. Idle pooled domains are parked

@@ -84,32 +84,42 @@ let create ?(jobs = 1) ?backend ?csv_dir ?(charts = false) ?slo_out mode =
       (Printf.sprintf "Experiments.create: jobs must be >= 1 (got %d)" jobs);
   { mode; jobs; backend; csv_dir; charts; slo_out; min_heaps = None }
 
-let run t plans = Parallel.outcomes ~jobs:t.jobs ?backend:t.backend plans
+let cells t f xs =
+  fst (Supervisor.run ~jobs:t.jobs ?backend:t.backend f (Array.of_list xs))
+  |> Array.to_list
 
-let map t ~fallback f xs =
-  Parallel.map ~jobs:t.jobs ?backend:t.backend f xs
-  |> List.map (function Ok v -> v | Error msg -> fallback msg)
+(* The one plan runner: every process's outcome, per plan. A quarantined
+   plan fails on each of its processes. *)
+let outcomes t plans =
+  List.map2
+    (fun plan -> function
+      | Supervisor.Done { value; _ } -> value
+      | Supervisor.Quarantined { failures; _ } ->
+          List.map
+            (fun _ -> Supervisor.failed_outcome failures)
+            (Plan.procs plan))
+    plans
+    (cells t Run.exec_all plans)
+
+let run t plans = List.map List.hd (outcomes t plans)
 
 (* Two-process cells (figure 7, mixed, multiprocess): one plan, both
    outcomes. *)
 let pairs t plans =
-  map t
-    ~fallback:(fun reason ->
-      let f =
-        Metrics.Failed
-          {
-            Metrics.reason;
-            exn_name = "Parallel.Worker_lost";
-            fault_stats = None;
-            partial = None;
-          }
-      in
-      (f, f))
-    (fun plan ->
-      match Run.exec_all plan with
+  List.map
+    (function
       | [ a; b ] -> (a, b)
       | _ -> invalid_arg "Experiments.pairs: plan must have exactly two processes")
-    plans
+    (outcomes t plans)
+
+(* The cells that are not plans (Table 1's bisection, the recovery
+   study): a quarantined cell yields [None]. *)
+let map t f xs =
+  List.map
+    (function
+      | Supervisor.Done { value; _ } -> value
+      | Supervisor.Quarantined _ -> None)
+    (cells t f xs)
 
 let rec chunk n = function
   | [] -> []
@@ -160,7 +170,6 @@ let min_heaps t =
       let volume_scale = (params t.mode).minheap_volume in
       let m =
         map t
-          ~fallback:(fun _ -> None)
           (fun spec -> Minheap.find ~volume_scale ~collector:"BC" ~spec ())
           Workload.Catalog.batch_specs
       in
@@ -545,7 +554,7 @@ let recovery t =
        Some (Vmsim.Clock.ns_to_s finish, after)
      with Gc_common.Collector.Heap_exhausted _ | Vmsim.Vmm.Thrashing _ -> None)
   in
-  let results = map t ~fallback:(fun _ -> None) run collectors in
+  let results = map t run collectors in
   Printf.printf
     "\n== Beyond the paper: recovery after a transient spike (pin to 35%% \
      between 15%%-35%% progress) ==\n";
@@ -1117,55 +1126,6 @@ let trace_export t =
     cells
 
 (* ---------------------------------------------------------------- *)
-(* Supervised campaign demo                                           *)
-
-let campaign t =
-  let volume = match t.mode with Quick -> 0.02 | Full -> 0.2 in
-  (* temp_file creates the file; Campaign.run refuses to overwrite an
-     existing journal, so take the fresh name and drop the file *)
-  let journal = Filename.temp_file "bcgc-campaign" ".journal" in
-  Sys.remove journal;
-  let c =
-    {
-      Campaign.name =
-        (match t.mode with Quick -> "demo-quick" | Full -> "demo-full");
-      collectors = [ "BC"; "GenMS" ];
-      workloads = [ "_202_jess" ];
-      volume;
-      heap_multipliers = [ 2.0; 3.0 ];
-      fault_plans = [ "none"; "drop-evict=0.3,spikes=1" ];
-      pressures = [ "none"; "steady:300" ];
-      controllers = [ "off" ];
-      fault_seed = Run.default_fault_seed;
-      iterations = 1;
-      frames_fraction = None;
-      deadline_s = Some 120.;
-      event_cap = None;
-      retry = { Campaign.attempts = 2; backoff_s = 0.25 };
-      journal;
-    }
-  in
-  Printf.printf "\n== Campaign: %d cells over %d worker(s), journal %s ==\n"
-    (List.length (Campaign.cells c))
-    t.jobs journal;
-  match
-    Campaign.run ~jobs:t.jobs ?backend:t.backend
-      ~log:(fun m -> Printf.printf "%s\n%!" m)
-      c
-  with
-  | Ok (Campaign.Complete { report_path; summary = s }) ->
-      Printf.printf
-        "summary: %d cells — %d ok, %d degraded, %d exhausted, %d \
-         thrashed, %d failed\nreport: %s\n"
-        s.Campaign.total s.Campaign.ok s.Campaign.degraded
-        s.Campaign.exhausted s.Campaign.thrashed s.Campaign.failed
-        report_path
-  | Ok (Campaign.Interrupted _) ->
-      (* unreachable without stop_after *)
-      Printf.printf "campaign interrupted\n"
-  | Error e -> Printf.printf "campaign error: %s\n" e
-
-(* ---------------------------------------------------------------- *)
 (* Beyond the paper: request-serving SLO matrix                       *)
 
 let slo_collectors = [ "BC"; "GenMS"; "GenCopy" ]
@@ -1471,11 +1431,6 @@ let targets =
          collector violates. With a [slo_out] path, also writes a
          self-validated ["bcgc-slo-report/1"] JSON report. *)
       ("slo", slo);
-      (* Demo of the supervised {!Campaign} runner: a 16-cell sweep ({BC,
-         GenMS} × jess × two heaps × {no faults, a fault plan} × {no
-         pressure, steady pressure}) journaled to a temp file and
-         consolidated into a report, fanned over the session's jobs. *)
-      ("campaign", campaign);
       (* Every paper entry above, in order. *)
       ("all", fun t -> List.iter (fun (_, run) -> run t) paper);
     ]

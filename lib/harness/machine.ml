@@ -135,8 +135,6 @@ let load p workload =
   p.finish_ns <- None;
   p.driver <- Some (Workload.Catalog.driver ?sink:p.trace workload c)
 
-let load_spec p spec = load p (Workload.Catalog.Batch_spec spec)
-
 let warm_up p ~iterations ~ops_per_slice workload =
   let c = collector p in
   for i = 2 to iterations do
@@ -241,7 +239,10 @@ let run ?(pressure = Workload.Pressure.None_) ?(ops_per_slice = default_slice)
           let opened, rest =
             List.partition (fun (from, _, _) -> prog >= from) !unseen_spikes
           in
-          List.iter (fun _ -> Fault_plan.note_spike_applied p) opened;
+          List.iter
+            (fun (_, _, pages) ->
+              if pages > 0 then Fault_plan.note_spike_applied p)
+            opened;
           unseen_spikes := rest;
           (* one scheduling round can carry progress past a spike's whole
              window; such a spike must still fire at its virtual

@@ -95,9 +95,6 @@ val load : process -> Workload.Catalog.params -> unit
     machine's telemetry sink for per-request events. May be called
     again to run a second workload on the same (warmed) process. *)
 
-val load_spec : process -> Workload.Spec.t -> unit
-(** [load] on a bare batch spec. *)
-
 val warm_up :
   process ->
   iterations:int ->

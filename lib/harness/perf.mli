@@ -37,24 +37,15 @@ val default_repetitions : int
 val default_output : string
 (** ["BENCH_perf.json"]. *)
 
-val required_micro : string list
-(** Microbenchmark names the suite always carries (touch_resident,
-    touch_faulting, sparse_map_giant, alloc_free, read_ref, write_ref,
-    driver_fork_sweep, driver_domains_sweep);
-    {!validate} requires a positive median for each. *)
-
-val default_warmups : int
-(** Unrecorded warm-up passes before the timed repetitions (2): the
-    first pass still pays one-time process costs — inline caches, major
-    heap growth to the working set — which is what made single-warm-up
-    [write_ref] samples flaky. *)
-
 val run : ?repetitions:int -> ?progress:(string -> unit) -> unit -> t
-(** Run the whole suite: {!default_warmups} warm-up passes plus
+(** Run the whole suite: two unrecorded warm-up passes plus
     [repetitions] measured repetitions of every microbenchmark, then
     the per-collector full collection and reclaim-storm wall times for
-    each headline registry entry. [progress] is called with a label as
-    each benchmark starts.
+    each headline registry entry. Two warm-ups because the first pass
+    still pays one-time process costs — inline caches, major heap
+    growth to the working set — which made single-warm-up [write_ref]
+    samples flaky. [progress] is called with a label as each benchmark
+    starts.
 
     The driver sweeps run 64 short experiment cells through
     {!Supervisor.run} on the fork backend and then on the domain pool
@@ -71,34 +62,29 @@ val pp : Format.formatter -> t -> unit
 
 val validate : Telemetry.Json.t -> (unit, string) Stdlib.result
 (** Check a parsed [BENCH_perf.json] carries the schema tag, at least
-    one repetition, a positive median for every required microbenchmark
-    and both wall-time medians for every collector — the keys later PRs
-    compare. *)
+    one repetition, a positive median for every microbenchmark the
+    suite carries (touch_resident, touch_faulting, sparse_map_giant,
+    alloc_free, read_ref, write_ref, driver_fork_sweep,
+    driver_domains_sweep) and both wall-time medians for every
+    collector — the keys later PRs compare. *)
 
 val validate_file : string -> (unit, string) Stdlib.result
 
 val default_guard_tolerance : float
-(** Allowed median regression before {!guard} fails (0.20 = 20%). *)
-
-val guard :
-  ?tolerance:float ->
-  baseline:Telemetry.Json.t ->
-  t ->
-  (unit, string list) Stdlib.result
-(** Compare a fresh run against a parsed baseline [BENCH_perf.json].
-    Fails when a micro's {e best} fresh sample drops more than
-    [tolerance] below the baseline median, or a collector wall-time's
-    best (shortest) sample rises more than [tolerance] above it —
-    best-vs-median because a genuine regression slows every sample
-    while a transient load burst slows only some. Benchmarks present on
-    only one side are skipped, so the guard survives suite additions
-    and retirements. [Error] leads with a one-line summary naming every
-    benchmark that tripped, followed by one line per regression. *)
+(** Allowed median regression before {!guard_file} fails (0.20 = 20%). *)
 
 val guard_file :
   ?tolerance:float ->
   baseline_path:string ->
   t ->
   (unit, string list) Stdlib.result
-(** {!guard} against a baseline file; the file must parse and
-    {!validate}. *)
+(** Compare a fresh run against a baseline [BENCH_perf.json], which
+    must parse and {!validate}. Fails when a micro's {e best} fresh
+    sample drops more than [tolerance] below the baseline median, or a
+    collector wall-time's best (shortest) sample rises more than
+    [tolerance] above it — best-vs-median because a genuine regression
+    slows every sample while a transient load burst slows only some.
+    Benchmarks present on only one side are skipped, so the guard
+    survives suite additions and retirements. [Error] leads with a
+    one-line summary naming every benchmark that tripped, followed by
+    one line per regression. *)

@@ -30,10 +30,6 @@ val names : string list
 val ablation_names : string list
 (** BC ablation variants (bench targets only). Derived from {!all}. *)
 
-val fixed_nursery_bytes : int
-(** Nursery size used by the "-fixed" variants (the paper's 4 MB,
-    scaled: 512 KB). *)
-
 val create : name:string -> heap_bytes:int -> Heapsim.Heap.t -> Gc_common.Collector.t
 (** Instantiate a collector by name with an appropriate configuration.
     Raises [Invalid_argument] on unknown names. *)

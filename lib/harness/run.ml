@@ -129,35 +129,6 @@ module Plan = struct
 
   let procs t = t.procs
 
-  let nprocs t = List.length t.procs
-
-  let primary t = List.hd t.procs
-
-  let collector t = (primary t).collector
-
-  let workload t = (primary t).workload
-
-  let spec t =
-    match (primary t).workload with
-    | Workload.Catalog.Batch_spec s -> s
-    | Workload.Catalog.Serving_spec s ->
-        invalid_arg
-          (Printf.sprintf
-             "Plan.spec: %S is a serving workload; use Plan.workload"
-             s.Workload.Request.name)
-
-  let heap_bytes t = (primary t).heap_bytes
-
-  let iterations t = t.iterations
-
-  let traced t = t.trace <> None
-
-  let event_cap t = t.event_cap
-
-  let address_base t = t.address_base
-
-  let controller t = t.controller
-
   (* Frames needed to run without any physical-memory pressure: room for
      every process's heap plus slack. *)
   let frames t =
@@ -268,7 +239,7 @@ let proc_names n =
         else Printf.sprintf "jvm-%d" (i + 1))
 
 let exec_all (p : Plan.t) =
-  let n = Plan.nprocs p in
+  let n = List.length p.Plan.procs in
   let plan = Option.map (Fault_plan.create ~seed:p.Plan.fault_seed) p.Plan.faults in
   let m =
     Machine.create ~costs:p.Plan.costs ?faults:plan ?trace:p.Plan.trace

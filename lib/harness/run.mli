@@ -139,32 +139,6 @@ module Plan : sig
   val procs : t -> proc list
   (** Primary first, in scheduling order. *)
 
-  val nprocs : t -> int
-
-  val collector : t -> string
-  (** Of the primary process. *)
-
-  val workload : t -> Workload.Catalog.params
-  (** Of the primary process. *)
-
-  val spec : t -> Workload.Spec.t
-  (** Of the primary process; raises [Invalid_argument] when it runs a
-      serving workload — use {!workload}. *)
-
-  val heap_bytes : t -> int
-  (** Of the primary process. *)
-
-  val iterations : t -> int
-
-  val traced : t -> bool
-
-  val event_cap : t -> int option
-
-  val address_base : t -> int option
-
-  val controller : t -> (string * int) option
-  (** Policy name and decision window, when one is attached. *)
-
   val frames : t -> int
   (** The explicit frame count, or the ample default. *)
 

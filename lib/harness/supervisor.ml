@@ -81,6 +81,25 @@ let describe_failures = function
       in
       String.concat "\n" (head :: earlier)
 
+(* A quarantined cell as a matrix cell: the last attempt's exception,
+   or the way its worker was lost, names it. *)
+let failed_outcome failures =
+  let exn_name =
+    match List.rev failures with
+    | Raised { exn_name; _ } :: _ -> exn_name
+    | Crashed _ :: _ -> "Supervisor.Crashed"
+    | Hung _ :: _ -> "Supervisor.Hung"
+    | Truncated :: _ -> "Supervisor.Truncated"
+    | [] -> "Supervisor.Quarantined"
+  in
+  Metrics.Failed
+    {
+      Metrics.reason = describe_failures failures;
+      exn_name;
+      fault_stats = None;
+      partial = None;
+    }
+
 let failure_of_exn e backtrace =
   Raised
     {
@@ -88,6 +107,8 @@ let failure_of_exn e backtrace =
       reason = Printexc.to_string e;
       backtrace;
     }
+
+let default_jobs () = Domain.recommended_domain_count ()
 
 let default_backoff_s = 0.1
 

@@ -1,11 +1,11 @@
 (** The one scheduling loop under every cell fan-out.
 
-    The engine under {!Parallel} and {!Campaign}: {!run} checks [jobs],
-    picks the backend and owns the single retry policy — bounded
-    attempts with doubling backoff, then quarantine — so the backends
-    differ only in {e where} a cell runs: inline, on the shared
-    {!Domain_pool}, or in forked worker processes. The queue itself
-    never aborts, and results come back in input order.
+    The engine under every sweep of {!Experiments} and {!Campaign}:
+    {!run} checks [jobs], picks the backend and owns the single retry
+    policy — bounded attempts with doubling backoff, then quarantine —
+    so the backends differ only in {e where} a cell runs: inline, on
+    the shared {!Domain_pool}, or in forked worker processes. The queue
+    itself never aborts, and results come back in input order.
 
     Forked workers are leased one cell at a time; the parent [select]s
     on every busy worker's result pipe with a per-cell wall-clock
@@ -65,15 +65,19 @@ type stats = {
   workers_lost : int;  (** forked workers that died, incl. kills *)
 }
 
-val string_of_status : Unix.process_status -> string
-(** ["exited with code 9"], ["killed by signal SIGKILL"], ... *)
-
-val describe_failure : failure -> string
-
 val describe_failures : failure list -> string
 (** Multi-line: the most recent failure first, earlier attempts
-    indented under it — the string {!Parallel} and campaign quarantine
-    reports thread into [Metrics.Failed.reason]. *)
+    indented under it. *)
+
+val failed_outcome : failure list -> Metrics.outcome
+(** A quarantined cell's failures as the one [Metrics.Failed] every
+    sweep and campaign report prints: [reason] is {!describe_failures},
+    and [exn_name] is the exception the last attempt raised or, when
+    its worker was lost, the failure's kind ([Supervisor.Crashed],
+    [Supervisor.Hung], [Supervisor.Truncated]). *)
+
+val default_jobs : unit -> int
+(** Worker count matching the machine's available cores. *)
 
 val run :
   jobs:int ->
@@ -105,6 +109,12 @@ val run :
     [Invalid_argument] when the process has already spawned a domain:
     the OCaml runtime forbids [Unix.fork] from then on, so order
     fork-backend work first.
+
+    Under [`Fork], [f] runs on the worker's copy of the heap, so its
+    mutations never reach the parent: a trace sink made in the parent
+    and filled by [f] stays empty there. Under [`Domains] and [`Seq]
+    results are ordinary heap values and cells share this process's
+    memory.
 
     [on_result] fires in completion order as each cell settles (done or
     quarantined), always in the calling domain — the campaign journal's

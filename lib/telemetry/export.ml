@@ -28,7 +28,8 @@ let chrome_event (e : Event.t) =
         ("tid", Json.int e.Event.b);
       ]
   in
-  let instant cat args =
+  (* instants sit on the payload's owner pid unless told otherwise *)
+  let instant ?(pid = e.Event.b) cat args =
     Json.Obj
       [
         ("name", Json.Str (instant_name e));
@@ -36,18 +37,19 @@ let chrome_event (e : Event.t) =
         ("ph", Json.Str "i");
         ("s", Json.Str "t");
         ("ts", Json.Num (us_of_ns e.Event.ts_ns));
-        ("pid", Json.int e.Event.b);
-        ("tid", Json.int e.Event.b);
+        ("pid", Json.int pid);
+        ("tid", Json.int pid);
         ("args", Json.Obj args);
       ]
   in
-  let counter name args =
+  (* counters are machine-wide tracks on pid 0 unless told otherwise *)
+  let counter ?(pid = 0) name args =
     Json.Obj
       [
         ("name", Json.Str name);
         ("ph", Json.Str "C");
         ("ts", Json.Num (us_of_ns e.Event.ts_ns));
-        ("pid", Json.int 0);
+        ("pid", Json.int pid);
         ("args", Json.Obj args);
       ]
   in
@@ -62,68 +64,21 @@ let chrome_event (e : Event.t) =
       counter "frames"
         [ ("resident", Json.int e.Event.a); ("free", Json.int e.Event.b) ]
   | Event.Proc_progress ->
-      (* per-process counter track: pid comes from the payload, unlike the
-         machine-wide counters which live on pid 0 *)
-      Json.Obj
-        [
-          ("name", Json.Str "proc-allocated");
-          ("ph", Json.Str "C");
-          ("ts", Json.Num (us_of_ns e.Event.ts_ns));
-          ("pid", Json.int e.Event.a);
-          ("args", Json.Obj [ ("bytes", Json.int e.Event.b) ]);
-        ]
+      (* a per-process counter track: a carries the pid *)
+      counter ~pid:e.Event.a "proc-allocated" [ ("bytes", Json.int e.Event.b) ]
   | Event.Fault_injected -> instant "fault" [ ("page", Json.int e.Event.b) ]
   | Event.Request_arrival -> instant "srv" [ ("req", Json.int e.Event.a) ]
   | Event.Request_done ->
       (* b carries the latency, not a pid: book it on pid 0 *)
-      Json.Obj
-        [
-          ("name", Json.Str "request-done");
-          ("cat", Json.Str "srv");
-          ("ph", Json.Str "i");
-          ("s", Json.Str "t");
-          ("ts", Json.Num (us_of_ns e.Event.ts_ns));
-          ("pid", Json.int 0);
-          ("tid", Json.int 0);
-          ( "args",
-            Json.Obj
-              [
-                ("req", Json.int e.Event.a);
-                ("latency_ns", Json.int e.Event.b);
-              ] );
-        ]
+      instant ~pid:0 "srv"
+        [ ("req", Json.int e.Event.a); ("latency_ns", Json.int e.Event.b) ]
   | Event.Control_decision ->
       (* a carries the state code, b the window index: book on pid 0 *)
-      Json.Obj
-        [
-          ("name", Json.Str "control-decision");
-          ("cat", Json.Str "ctl");
-          ("ph", Json.Str "i");
-          ("s", Json.Str "t");
-          ("ts", Json.Num (us_of_ns e.Event.ts_ns));
-          ("pid", Json.int 0);
-          ("tid", Json.int 0);
-          ( "args",
-            Json.Obj
-              [
-                ("state", Json.int e.Event.a);
-                ("window", Json.int e.Event.b);
-              ] );
-        ]
+      instant ~pid:0 "ctl"
+        [ ("state", Json.int e.Event.a); ("window", Json.int e.Event.b) ]
   | Event.Control_state_change ->
-      Json.Obj
-        [
-          ("name", Json.Str "control-state-change");
-          ("cat", Json.Str "ctl");
-          ("ph", Json.Str "i");
-          ("s", Json.Str "t");
-          ("ts", Json.Num (us_of_ns e.Event.ts_ns));
-          ("pid", Json.int 0);
-          ("tid", Json.int 0);
-          ( "args",
-            Json.Obj
-              [ ("from", Json.int e.Event.a); ("to", Json.int e.Event.b) ] );
-        ]
+      instant ~pid:0 "ctl"
+        [ ("from", Json.int e.Event.a); ("to", Json.int e.Event.b) ]
   | Event.Eviction_notice | Event.Made_resident | Event.Major_fault
   | Event.Minor_fault | Event.Protection_fault | Event.Eviction
   | Event.Forced_eviction | Event.Discard | Event.Relinquish

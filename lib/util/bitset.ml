@@ -86,8 +86,6 @@ let cardinal t =
     t.chunks;
   !acc
 
-let capacity t = Array.length t.chunks * chunk_bits
-
 let reset t =
   (* Drop materialised chunks back to the sentinel, keeping root capacity. *)
   Array.fill t.chunks 0 (Array.length t.chunks) zero_chunk

@@ -20,9 +20,6 @@ val mem : t -> int -> bool
 val cardinal : t -> int
 (** Number of set bits (O(words)). *)
 
-val capacity : t -> int
-(** Current capacity in bits; indices below this are stored explicitly. *)
-
 val reset : t -> unit
 (** Clear every bit, keeping capacity. *)
 

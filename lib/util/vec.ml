@@ -2,8 +2,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let make n x = { data = Array.make (max n 1) x; len = n }
-
 let length v = v.len
 
 let is_empty v = v.len = 0

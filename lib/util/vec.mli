@@ -9,9 +9,6 @@ type 'a t
 val create : unit -> 'a t
 (** [create ()] is an empty vector. *)
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector of length [n] filled with [x]. *)
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool

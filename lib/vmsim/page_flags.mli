@@ -54,6 +54,4 @@ val put : set -> int -> int -> bool -> unit
 (** [put b page bit v] sets or clears. *)
 
 val byte : set -> int -> int
-(** The raw packed byte (for saving/restoring a page's whole state). *)
-
-val set_byte : set -> int -> int -> unit
+(** The raw packed byte: every flag of the page at once. *)

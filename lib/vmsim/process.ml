@@ -15,8 +15,6 @@ let create ~pid ~name = { pid; name; handlers = None; stats = Vm_stats.create ()
 
 let pid t = t.pid
 
-let name t = t.name
-
 let register t h = t.handlers <- Some h
 
 

@@ -26,8 +26,6 @@ val create : pid:int -> name:string -> t
 
 val pid : t -> int
 
-val name : t -> string
-
 val register : t -> handlers -> unit
 (** Register paging-event handlers ("the application registers itself with
     the operating system", §4.1). At most one registration is active. *)

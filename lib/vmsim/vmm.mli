@@ -53,12 +53,6 @@ module Page_table : sig
   val chunk_shift : int
   (** [page lsr chunk_shift] is the chunk index. *)
 
-  val chunk_pages : int
-  (** Pages per chunk ([1 lsl chunk_shift] = 4096). *)
-
-  val chunk_mask : int
-  (** [page land chunk_mask] is the index within the chunk. *)
-
   val sentinel : chunk
   (** The shared all-zero chunk that never-materialised slots alias. *)
 
@@ -71,19 +65,11 @@ module Page_table : sig
   val owner_pid : t -> int -> int
   (** Owning pid, or 0 if the page was never mapped. *)
 
-  val flag : t -> int -> int -> bool
-  (** [flag t page bit] tests a {!Page_flags} bit; false wherever the
-      sentinel answers. *)
-
   val chunk_of : t -> int -> chunk
   (** The chunk covering a page — possibly {!sentinel}. Total for every
       [int], so lookups need no bounds check of their own. *)
 
   val is_materialized : t -> int -> bool
-
-  val materialize : t -> int -> chunk
-  (** The chunk covering a page, materialising (and growing the root) as
-      needed. *)
 
   val map : t -> page:int -> pid:int -> unit
   (** Low-level mapping: stamp the page untouched with the given owner,
@@ -93,8 +79,8 @@ module Page_table : sig
 
   val materialized_chunks : t -> int
   (** Number of materialised chunks — the table's real memory footprint
-      ([materialized_chunks * chunk_pages] pages of metadata) regardless
-      of how high the page numbers reach. *)
+      ([1 lsl chunk_shift] pages of metadata each) regardless of how
+      high the page numbers reach. *)
 
   val iter_chunks : t -> (chunk_index:int -> chunk -> unit) -> unit
   (** Iterate materialised chunks in address order; sentinel (never

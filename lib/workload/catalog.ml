@@ -11,8 +11,6 @@ type info = {
   family : family;
   doc : string;
   params : params;
-  factory :
-    ?sink:Telemetry.Sink.t -> Gc_common.Collector.t -> Driver.t;
 }
 
 let family_name = function Batch -> "batch" | Serving -> "serving"
@@ -36,14 +34,6 @@ let base_heap_bytes = function
   | Batch_spec s -> s.Spec.paper_min_heap_bytes
   | Serving_spec s -> s.Request.base_heap_bytes
 
-let live_estimate_bytes = function
-  | Batch_spec s -> Spec.live_estimate_bytes s
-  | Serving_spec s -> Request.live_estimate_bytes s
-
-let seed = function
-  | Batch_spec s -> s.Spec.seed
-  | Serving_spec s -> s.Request.seed
-
 let with_shape shape = function
   | Serving_spec s -> Serving_spec { s with Request.shape }
   | Batch_spec _ ->
@@ -62,7 +52,6 @@ let make ?(doc = "") params =
     family = family_of_params params;
     doc;
     params;
-    factory = (fun ?sink c -> driver ?sink params c);
   }
 
 let of_batch ?doc s = make ?doc (Batch_spec s)

@@ -4,8 +4,7 @@
 
     Batch workloads are the nine Table 1 specs; serving workloads are
     the request-serving family, one per load shape. Lookups return
-    options — no bare [Not_found] — and every entry carries a factory
-    building the machine-facing {!Driver}. *)
+    options — no bare [Not_found]. *)
 
 type family = Batch | Serving
 
@@ -16,12 +15,7 @@ type info = {
   family : family;
   doc : string;
   params : params;
-  factory : ?sink:Telemetry.Sink.t -> Gc_common.Collector.t -> Driver.t;
-      (** instantiate the workload over a collector; [sink] receives
-          per-request telemetry (serving only) *)
 }
-
-val family_name : family -> string
 
 val family_of_params : params -> family
 
@@ -38,36 +32,20 @@ val base_heap_bytes : params -> int
 (** The unit for relative-heap-size sweeps: Table 1's minimum heap for
     batch, the calibrated baseline for serving. *)
 
-val live_estimate_bytes : params -> int
-
-val seed : params -> int
-
 val with_shape : Shapes.t -> params -> params
 (** Override a serving workload's load shape (the campaign grammar's
     [name\@shape]); raises [Invalid_argument] on a batch workload. *)
 
 val driver :
   ?sink:Telemetry.Sink.t -> params -> Gc_common.Collector.t -> Driver.t
-(** What {!info.factory} closes over, usable on bare params. *)
-
-val make : ?doc:string -> params -> info
-(** Wrap ad-hoc params (e.g. a spec file) as a registry entry. *)
-
-val of_batch : ?doc:string -> Spec.t -> info
-
-val of_serving : ?doc:string -> Request.spec -> info
+(** The machine-facing {!Driver}: the workload instantiated over a
+    collector; [sink] receives per-request telemetry (serving only). *)
 
 (** {1 The registered workloads} *)
 
 val srv_fixed : Request.spec
 
-val srv_rampup : Request.spec
-
-val srv_pausing : Request.spec
-
 val srv_shaped : Request.spec
-
-val srv_diurnal : Request.spec
 
 val srv_flash : Request.spec
 

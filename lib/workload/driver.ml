@@ -5,9 +5,7 @@
 
 type t = {
   step : ops:int -> bool;
-  finished : unit -> bool;
   allocated_bytes : unit -> int;
-  ops_done : unit -> int;
   progress : unit -> float;
   serving : unit -> Slo.summary option;
 }
@@ -18,9 +16,7 @@ let of_mutator m =
   in
   {
     step = (fun ~ops -> Mutator.step m ~ops);
-    finished = (fun () -> Mutator.finished m);
     allocated_bytes = (fun () -> Mutator.allocated_bytes m);
-    ops_done = (fun () -> Mutator.ops_done m);
     progress =
       (fun () ->
         float_of_int (Mutator.allocated_bytes m) /. float_of_int total);
@@ -30,9 +26,7 @@ let of_mutator m =
 let of_request r =
   {
     step = (fun ~ops -> Request.step r ~ops);
-    finished = (fun () -> Request.finished r);
     allocated_bytes = (fun () -> Request.allocated_bytes r);
-    ops_done = (fun () -> Request.ops_done r);
     progress = (fun () -> Request.progress r);
     serving = (fun () -> Some (Request.summary r));
   }

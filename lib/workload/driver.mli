@@ -4,9 +4,7 @@
 
 type t = {
   step : ops:int -> bool;
-  finished : unit -> bool;
   allocated_bytes : unit -> int;
-  ops_done : unit -> int;
   progress : unit -> float;
       (** batch: allocated / total; serving: elapsed fraction of the
           arrival window — what the pressure schedules key on *)

@@ -25,14 +25,3 @@ let due_pages t ~now_ns ~start_ns ~progress =
 let after_progress = function
   | None_ -> None
   | Steady { after_progress = p; _ } | Ramp { after_progress = p; _ } -> Some p
-
-let pp ppf = function
-  | None_ -> Format.pp_print_string ppf "none"
-  | Steady { after_progress; pin_pages } ->
-      Format.fprintf ppf "steady(%d pages @ %.0f%%)" pin_pages
-        (100.0 *. after_progress)
-  | Ramp { initial_pages; pages_per_step; step_ns; max_pages; _ } ->
-      Format.fprintf ppf "ramp(%d + %d/%.0fms -> %d pages)" initial_pages
-        pages_per_step
-        (float_of_int step_ns /. 1e6)
-        max_pages

@@ -28,5 +28,3 @@ val due_pages : t -> now_ns:int -> start_ns:int -> progress:float -> int
 val after_progress : t -> float option
 (** Progress threshold at which the schedule engages; [None] when there
     is no pressure. *)
-
-val pp : Format.formatter -> t -> unit

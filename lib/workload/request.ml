@@ -51,8 +51,6 @@ let scale_volume s factor =
       max 1_000_000 (int_of_float (float_of_int s.duration_ns *. factor));
   }
 
-let live_estimate_bytes s = s.cache_bytes
-
 type t = {
   spec : spec;
   collector : Collector.t;

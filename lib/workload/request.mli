@@ -29,14 +29,9 @@ type spec = {
   seed : int;
 }
 
-val validate : spec -> unit
-(** Raises [Invalid_argument] on out-of-range fields. *)
-
 val scale_volume : spec -> float -> spec
 (** Stretch the arrival window (more requests, same live set) — the
     serving analogue of {!Spec.scale_volume}. *)
-
-val live_estimate_bytes : spec -> int
 
 type t
 
@@ -44,7 +39,7 @@ val create : ?sink:Telemetry.Sink.t -> spec -> Gc_common.Collector.t -> t
 (** Install roots, build the cache (unmeasured warm-up), open the
     serving window at the current virtual time and schedule the first
     arrival. [sink] receives [Request_arrival] / [Request_done]
-    events. *)
+    events. Raises [Invalid_argument] on an out-of-range spec field. *)
 
 val step : t -> ops:int -> bool
 (** Run up to [ops] scheduler steps — each serves one queued request,

@@ -177,5 +177,3 @@ let of_string s =
   in
   (try validate t with Invalid_argument m -> failwith m);
   t
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -43,5 +43,3 @@ val to_string : t -> string
 val of_string : string -> t
 (** Parse the {!to_string} grammar; raises [Failure] with a message
     naming the offending field. *)
-
-val pp : Format.formatter -> t -> unit

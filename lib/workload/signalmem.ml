@@ -57,5 +57,3 @@ let unpin_all t =
   step_event t ~delta:(-released)
 
 let pinned_pages t = Vec.length t.pinned
-
-let process t = t.proc

@@ -22,5 +22,3 @@ val unpin_pages : t -> int -> unit
 val unpin_all : t -> unit
 
 val pinned_pages : t -> int
-
-val process : t -> Vmsim.Process.t

@@ -34,9 +34,6 @@ val percentile : int array -> float -> int
     ascending-sorted array: the smallest sample such that at least [p]
     of the samples are [<=] it. 0 on an empty array. *)
 
-val default_window_ns : int
-(** 100 ms of virtual time. *)
-
 val of_samples :
   slo_ns:int ->
   ?window_ns:int ->
@@ -45,8 +42,10 @@ val of_samples :
   (int * int) array ->
   summary
 (** [of_samples ~slo_ns ~start_ns ~end_ns samples] summarises
-    [(finish_ns, latency_ns)] pairs (any order) over the run interval.
-    Raises [Invalid_argument] on non-positive [slo_ns]/[window_ns]. *)
+    [(finish_ns, latency_ns)] pairs (any order) over the run interval,
+    in violation windows of [window_ns] (default 100 ms of virtual
+    time). Raises [Invalid_argument] on non-positive
+    [slo_ns]/[window_ns]. *)
 
 val meets_p999 : summary -> bool
 (** Did the tail hold: [p999_ns <= slo_ns]. *)

@@ -26,8 +26,6 @@ val record : t -> event -> unit
 
 val length : t -> int
 
-val iter : t -> (event -> unit) -> unit
-
 val nth : t -> int -> event
 
 (** {1 Serialization} *)

@@ -6,7 +6,6 @@
 
 module Campaign = Harness.Campaign
 module Supervisor = Harness.Supervisor
-module Parallel = Harness.Parallel
 module Metrics = Harness.Metrics
 module Plan = Harness.Run.Plan
 module Json = Telemetry.Json
@@ -69,9 +68,13 @@ let test_digest_ignores_trace () =
 (* ----------------------------------------------------------------- *)
 (* Supervisor failure attribution                                     *)
 
-let quarantined_reason = function
-  | Supervisor.Quarantined { failures; _ } ->
-      Supervisor.describe_failures failures
+(* A quarantined cell as every sweep and campaign report prints it: the
+   failed outcome's exception name and reason. *)
+let quarantined = function
+  | Supervisor.Quarantined { failures; _ } -> (
+      match Supervisor.failed_outcome failures with
+      | Metrics.Failed f -> (f.Metrics.exn_name, f.Metrics.reason)
+      | _ -> Alcotest.fail "a quarantined cell must read as failed")
   | Supervisor.Done _ -> Alcotest.fail "expected a quarantined cell"
 
 let test_crash_attribution () =
@@ -88,9 +91,12 @@ let test_crash_attribution () =
       | Supervisor.Done { value; _ } ->
           check Alcotest.int "streamed results kept" (i * 10) value
       | Supervisor.Quarantined _ ->
+          let name, reason = quarantined c in
           check Alcotest.int "only the in-flight cell is charged" 2 i;
+          check Alcotest.string "named by how the worker was lost"
+            "Supervisor.Crashed" name;
           check Alcotest.bool "reason names the signal" true
-            (contains (quarantined_reason c) "SIGKILL"))
+            (contains reason "SIGKILL"))
     cells;
   check Alcotest.bool "a worker loss was recorded" true
     (stats.Supervisor.workers_lost >= 1)
@@ -99,33 +105,40 @@ let test_exit_code_attribution () =
   let f x = if x = 1 then Unix._exit 9 else x in
   let cells, _ = Supervisor.run ~jobs:2 f [| 0; 1; 2 |] in
   check Alcotest.bool "exit status lands in the failure reason" true
-    (contains (quarantined_reason cells.(1)) "exited with code 9")
+    (contains (snd (quarantined cells.(1))) "exited with code 9")
 
 let test_raise_carries_backtrace () =
   let f x = if x = 1 then failwith "boom-in-worker" else x in
   let cells, _ = Supervisor.run ~jobs:2 f [| 0; 1 |] in
-  let reason = quarantined_reason cells.(1) in
+  let name, reason = quarantined cells.(1) in
   check Alcotest.bool "raised exception message survives the pipe" true
     (contains reason "boom-in-worker");
   check Alcotest.bool "constructor name survives too" true
-    (contains reason "Failure")
+    (contains reason "Failure");
+  check Alcotest.string "and names the failed outcome" "Failure" name
 
-(* Satellite: a worker stuck in SIGSTOP must not stall the parallel
-   driver past the configured deadline. *)
+(* A worker stuck in SIGSTOP must not stall the supervisor past the
+   configured deadline. *)
 let test_sigstop_bounded_by_deadline () =
   let f x =
     if x = 1 then Unix.kill (Unix.getpid ()) Sys.sigstop;
     x + 100
   in
   let t0 = Unix.gettimeofday () in
-  let results = Parallel.map ~jobs:2 ~deadline_s:1.0 f [ 0; 1; 2 ] in
+  let cells, _ = Supervisor.run ~jobs:2 ~deadline_s:1.0 f [| 0; 1; 2 |] in
   let elapsed = Unix.gettimeofday () -. t0 in
   check Alcotest.bool "returned well before a hang would" true (elapsed < 20.);
-  (match results with
-  | [ Ok 100; Error e; Ok 102 ] ->
+  match cells with
+  | [|
+   Supervisor.Done { value = 100; _ };
+   stopped;
+   Supervisor.Done { value = 102; _ };
+  |] ->
+      let name, reason = quarantined stopped in
+      check Alcotest.string "named a hang" "Supervisor.Hung" name;
       check Alcotest.bool "stalled cell reports the deadline" true
-        (contains e "deadline")
-  | _ -> Alcotest.fail "expected exactly the stopped cell to fail")
+        (contains reason "deadline")
+  | _ -> Alcotest.fail "expected exactly the stopped cell to fail"
 
 let test_retry_recovers () =
   let marker = Filename.temp_file "bcgc-test-retry" ".marker" in

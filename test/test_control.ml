@@ -255,7 +255,7 @@ let test_window_samples_exact () =
   let m = Machine.create ~faults:(FP.create ~seed:7 storm) ~frames () in
   let p = Machine.spawn m ~name:"jvm" ~heap_bytes in
   Machine.set_collector p (Harness.Registry.instantiate_name ~name:"BC" p);
-  Machine.load_spec p mini_spec;
+  Machine.load p (Workload.Catalog.Batch_spec mini_spec);
   let gc = (Machine.collector p).Gc_common.Collector.stats in
   let vm = Vmsim.Process.stats (Machine.vm_process p) in
   let read () =

@@ -263,6 +263,24 @@ let test_spikes_fire_inside_skipped_spans () =
          a)
        0 steps)
 
+(* A spike that pins no page is no injected fault: the cell stays "ok"
+   and no spike is counted. *)
+let test_zero_page_spikes_not_counted () =
+  let plan =
+    Harness.Run.Plan.make ~collector:"BC"
+      ~spec:(Workload.Spec.scale_volume Workload.Benchmarks.jess 0.36)
+      ~heap_bytes:(3072 * 1024)
+    |> Harness.Run.Plan.with_frames 960
+    |> Harness.Run.Plan.with_faults
+         { FP.none with FP.spike_count = 2; spike_pages = 0 }
+  in
+  match Harness.Run.exec plan with
+  | Metrics.Completed m as o ->
+      check Alcotest.string "outcome ok" "ok" (Metrics.outcome_label o);
+      check Alcotest.int "no spike applied" 0
+        (Option.get m.Metrics.faults).FP.spikes_applied
+  | o -> Alcotest.failf "run did not complete: %s" (Metrics.outcome_label o)
+
 let test_different_seed_differs () =
   let stats_for seed =
     match Harness.Run.exec (pressured_setup ~faults:degradation_plan ~fault_seed:seed ()) with
@@ -298,6 +316,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "spikes fire inside skipped spans" `Quick
             test_spikes_fire_inside_skipped_spans;
+          Alcotest.test_case "zero-page spikes not counted" `Quick
+            test_zero_page_spikes_not_counted;
           Alcotest.test_case "seed sensitivity" `Quick test_different_seed_differs;
         ] );
     ]

@@ -575,38 +575,12 @@ let test_fork_refused_after_pool () =
     | None -> false);
   check Alcotest.int "no cell ran" 0 !ran
 
-(* `bcgc bench campaign --backend domains` runs the demo campaign's 16
-   cells on the pool instead of forking them. *)
-let test_campaign_honours_backend () =
-  let prior = Filename.get_temp_dir_name () in
-  let dir = Filename.temp_dir "bcgc-test-campaign" "" in
-  Filename.set_temp_dir_name dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Filename.set_temp_dir_name prior;
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir;
-      Domain_pool.shutdown_global ())
-    (fun () ->
-      let open Harness.Experiments in
-      Option.get (find "campaign")
-        (create ~jobs:2 ~backend:`Domains Quick);
-      let st = Domain_pool.last_stats (Domain_pool.get ~jobs:2) in
-      check Alcotest.int "cells executed on the pool" 16
-        (Array.fold_left ( + ) 0 st.Domain_pool.executed))
-
 (* jobs <= 0 is a one-line error everywhere, never a silent sequential
    fallback. *)
 let test_jobs_validation () =
   let rejects f = match f () with _ -> false | exception Invalid_argument _ -> true in
   check Alcotest.bool "Supervisor.run" true
     (rejects (fun () -> Supervisor.run ~jobs:0 Fun.id [| 1 |]));
-  check Alcotest.bool "Parallel.map" true
-    (rejects (fun () -> Harness.Parallel.map ~jobs:0 Fun.id [ 1 ]));
-  check Alcotest.bool "Parallel.outcomes" true
-    (rejects (fun () -> Harness.Parallel.outcomes ~jobs:(-1) []));
   check Alcotest.bool "Experiments.create" true
     (rejects (fun () ->
          Harness.Experiments.create ~jobs:0 Harness.Experiments.Quick));
@@ -670,7 +644,5 @@ let () =
             test_pool_round_not_pinned;
           Alcotest.test_case "fork refused after a pool" `Quick
             test_fork_refused_after_pool;
-          Alcotest.test_case "bench campaign honours --backend" `Quick
-            test_campaign_honours_backend;
         ] );
     ]

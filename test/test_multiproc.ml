@@ -55,28 +55,39 @@ let test_policies_deterministic () =
     (once Machine.Priority = once Machine.Priority)
 
 (* ----------------------------------------------------------------- *)
-(* Parallel driver: forked fan-out must be byte-identical             *)
+(* Forked fan-out must be byte-identical to a sequential sweep        *)
 
 let sweep_plans () =
   List.map
     (fun collector -> Plan.make ~collector ~spec:mini_spec ~heap_bytes)
     [ "BC"; "GenMS"; "GenCopy"; "CopyMS"; "SemiSpace"; "MarkSweep" ]
 
+let values cells =
+  Array.map
+    (function
+      | Harness.Supervisor.Done { value; _ } -> Some value
+      | Harness.Supervisor.Quarantined _ -> None)
+    cells
+
 let test_parallel_matches_sequential () =
-  let seq = Harness.Parallel.outcomes ~jobs:1 (sweep_plans ()) in
-  let par = Harness.Parallel.outcomes ~jobs:3 (sweep_plans ()) in
-  check Alcotest.int "same number of cells" (List.length seq) (List.length par);
+  let sweep jobs =
+    values
+      (fst
+         (Harness.Supervisor.run ~jobs Harness.Run.exec
+            (Array.of_list (sweep_plans ()))))
+  in
+  let seq = sweep 1 and par = sweep 3 in
+  check Alcotest.int "same number of cells" (Array.length seq) (Array.length par);
   check Alcotest.bool "forked results identical to sequential" true (seq = par)
 
 let test_parallel_isolates_failures () =
-  let boom : int list = [ 0; 1; 2; 3 ] in
-  let results =
-    Harness.Parallel.map ~jobs:2
+  let cells, _ =
+    Harness.Supervisor.run ~jobs:2
       (fun i -> if i = 2 then failwith "cell exploded" else i * 10)
-      boom
+      [| 0; 1; 2; 3 |]
   in
   check Alcotest.bool "good cells survive a bad one" true
-    (List.map Result.to_option results = [ Some 0; Some 10; None; Some 30 ])
+    (values cells = [| Some 0; Some 10; None; Some 30 |])
 
 (* ----------------------------------------------------------------- *)
 (* Contention (§5): BC stays flat, the baseline page-storms           *)
@@ -151,7 +162,7 @@ let test_residency_attribution () =
   let spawn name =
     let p = Machine.spawn machine ~name ~heap_bytes in
     ignore (Harness.Registry.instantiate_name ~name:"BC" p);
-    Machine.load_spec p mini_spec;
+    Machine.load p (Workload.Catalog.Batch_spec mini_spec);
     p
   in
   let pa = spawn "jvm-a" and pb = spawn "jvm-b" in
