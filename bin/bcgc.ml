@@ -339,7 +339,7 @@ let trace_record_cmd workload volume heap_kb output =
   let spec = Workload.Spec.scale_volume (find_spec workload) volume in
   let m_clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock:m_clock ~frames:(4 * heap_kb / 4 + 2048) () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"record" in
+  let proc = Vmsim.Vmm.create_process vmm in
   let heap = Heapsim.Heap.create vmm proc in
   let c = Harness.Registry.create ~name:"MarkSweep" ~heap_bytes:(heap_kb * 1024) heap in
   let trace = Workload.Trace.create () in
@@ -363,7 +363,7 @@ let trace_replay_cmd collector input heap_kb frames pin =
   in
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"replay" in
+  let proc = Vmsim.Vmm.create_process vmm in
   let heap = Heapsim.Heap.create vmm proc in
   let c = Harness.Registry.create ~name:collector ~heap_bytes heap in
   let signalmem =

@@ -8,7 +8,7 @@ let () =
   (* a machine: virtual clock, a VMM with 2048 page frames (8 MB) *)
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames:2048 () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"app" in
+  let proc = Vmsim.Vmm.create_process vmm in
   let heap = Heapsim.Heap.create vmm proc in
 
   (* the bookmarking collector with a 4 MB heap *)

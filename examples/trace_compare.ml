@@ -7,7 +7,7 @@
 let record () =
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames:8192 () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"record" in
+  let proc = Vmsim.Vmm.create_process vmm in
   let heap = Heapsim.Heap.create vmm proc in
   let c =
     Harness.Registry.create ~name:"MarkSweep" ~heap_bytes:(8 * 1024 * 1024)
@@ -29,7 +29,7 @@ let replay_exn trace collector =
   let frames = heap_pages + 128 in
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:collector in
+  let proc = Vmsim.Vmm.create_process vmm in
   let heap = Heapsim.Heap.create vmm proc in
   let c = Harness.Registry.create ~name:collector ~heap_bytes heap in
   let signalmem =

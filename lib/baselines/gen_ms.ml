@@ -42,11 +42,13 @@ let nursery_limit t =
   Gen_shared.nursery_limit t.config
     ~mature_bytes:(mature_pages t * Vmsim.Page.size)
 
-(* Evacuate a (first-visited) nursery object into a mature cell. *)
-let copy_young t id =
+(* Evacuate a (first-visited) nursery object into a mature cell. A
+   collection builds the copier once, [copy_young t ~grow:(grow_ms t)],
+   and applies it to each survivor. *)
+let copy_young t ~grow id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
-  let addr = Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow:(grow_ms t) in
+  let addr = Gc_common.Ms_space.alloc t.ms ~bytes:size ~grow in
   if addr < 0 then
     raise
       (Collector.Heap_exhausted
@@ -65,7 +67,7 @@ let minor t =
           Gc_common.Remset.drain t.remset
             (Gen_shared.remembered t.heap ~follow:(fun _ -> true) enqueue))
         ~follow:(Gen_shared.in_young t.heap) ~evacuate:(fun _ -> true)
-        ~copy:(copy_young t);
+        ~copy:(copy_young t ~grow:(grow_ms t));
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Gc_common.Bump_space.reset t.nursery;
       Gc_stats.note_heap_pages t.stats (total_pages t))
@@ -79,7 +81,7 @@ let full t =
       Gc_common.Tracer.run t.heap ~epoch:t.epoch
         ~roots:(Heapsim.Heap.iter_roots t.heap)
         ~follow:(fun _ -> true) ~evacuate:(Gen_shared.in_young t.heap)
-        ~copy:(copy_young t);
+        ~copy:(copy_young t ~grow:(grow_ms t));
       Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       Gc_common.Bump_space.reset t.nursery;
       Gc_common.Remset.clear t.remset;

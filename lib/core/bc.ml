@@ -51,6 +51,10 @@ type t = {
          The paper stores only the bit and clears approximately; exact
          counts keep clearing sound in every interleaving. *)
   empty_candidates : int Vec.t;
+  on_page : Heapsim.Obj_id.t Vec.t;
+      (* a page scan's copy of the page's objects (sweep, eviction and
+         reload scans). A scan fills it after touching the page: the
+         touch can deliver eviction notices, whose scans refill it. *)
   pending_roots : Heapsim.Obj_id.t Vec.t;
       (* objects bookmarked while a trace is running; re-seeded so mid-GC
          evictions cannot hide connectivity *)
@@ -95,20 +99,44 @@ type t = {
 let resident_ok t page =
   Residency.is_resident t.residency page || Bitset.mem t.discarded page
 
+(* The object predicates below run once per marked, swept, scanned or
+   placed object, so they walk the object's pages in loops, as
+   [Heap.touch_object] does, and build no closure. *)
+
+(* Whether [ok] holds for every page from [page] to [last]. *)
+let rec pages_ok ok page last =
+  page > last || (ok page && pages_ok ok (page + 1) last)
+
+(* [pages_ok (resident_ok t)] without the partial application. *)
+let rec pages_resident t page last =
+  page > last || (resident_ok t page && pages_resident t (page + 1) last)
+
+(* The placed object's address, and its last page. *)
+let placed_addr t id =
+  let addr = Heapsim.Object_table.addr (Heapsim.Heap.objects t.heap) id in
+  assert (addr >= 0);
+  addr
+
+let last_page t id addr =
+  Vmsim.Page.of_addr
+    (addr + Heapsim.Object_table.size (Heapsim.Heap.objects t.heap) id - 1)
+
 (* Whether [ok] holds for every page the object spans. *)
 let all_pages t id ok =
-  let all = ref true in
-  Heapsim.Heap.iter_pages t.heap id (fun page ->
-      if not (ok page) then all := false);
-  !all
+  let addr = placed_addr t id in
+  pages_ok ok (Vmsim.Page.of_addr addr) (last_page t id addr)
 
-let obj_resident t id = all_pages t id (resident_ok t)
+let obj_resident t id =
+  let addr = placed_addr t id in
+  pages_resident t (Vmsim.Page.of_addr addr) (last_page t id addr)
 
 (* Track the pages of a freshly placed object in the residency map. *)
 let note_placed t id =
-  Heapsim.Heap.iter_pages t.heap id (fun page ->
-      Bitset.clear t.discarded page;
-      Residency.mark_resident t.residency page)
+  let addr = placed_addr t id in
+  for page = Vmsim.Page.of_addr addr to last_page t id addr do
+    Bitset.clear t.discarded page;
+    Residency.mark_resident t.residency page
+  done
 
 (* A page left memory with its objects still on it. *)
 let note_evicted t page =
@@ -277,39 +305,42 @@ let bookmark_and_evict t victim =
   let counted = ref [] in
   let selves = ref [] in
   let nonsp = ref false in
-  let on_page = Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) victim in
-  Array.iter
-    (fun id ->
-      Charge.object_visit heap;
-      Heapsim.Object_table.iter_refs objects id (fun _field target ->
-          (* stale references out of floating garbage may dangle *)
-          if Heapsim.Object_table.is_live objects target then begin
-            (* counters live in always-resident superpage headers, so they
-               are updated for every target — even non-resident ones; the
-               bookmark bit lives in the target's own header and is only
-               set when that is resident (conservative page bookmarks plus
-               the counter cover the rest) *)
-            (match Superpage.sp_of_addr t.sp_space
-                     (Heapsim.Object_table.addr objects target)
-             with
-            | Some tsp when not (Hashtbl.mem incremented tsp.Superpage.index)
-              ->
-                Hashtbl.add incremented tsp.Superpage.index tsp;
-                tsp.Superpage.incoming <- tsp.Superpage.incoming + 1
-            | Some _ -> ()
-            | None ->
-                (* nursery / LOS target: one global cover per victim page
-                   keeps their conservative self-bookmarks deferred *)
-                if not (obj_resident t target) then nonsp := true);
-            if obj_resident t target then begin
-              bookmark_ref t target;
-              counted := target :: !counted
-            end
-          end);
-      (* conservative bookmark on the evictee itself *)
-      bookmark_ref t id;
-      selves := id :: !selves)
-    on_page;
+  let visit_ref _field target =
+    (* stale references out of floating garbage may dangle *)
+    if Heapsim.Object_table.is_live objects target then begin
+      let resident = obj_resident t target in
+      (* counters live in always-resident superpage headers, so they
+         are updated for every target — even non-resident ones; the
+         bookmark bit lives in the target's own header and is only
+         set when that is resident (conservative page bookmarks plus
+         the counter cover the rest) *)
+      (match Superpage.sp_of_addr t.sp_space
+               (Heapsim.Object_table.addr objects target)
+       with
+      | Some tsp when not (Hashtbl.mem incremented tsp.Superpage.index) ->
+          Hashtbl.add incremented tsp.Superpage.index tsp;
+          tsp.Superpage.incoming <- tsp.Superpage.incoming + 1
+      | Some _ -> ()
+      | None ->
+          (* nursery / LOS target: one global cover per victim page
+             keeps their conservative self-bookmarks deferred *)
+          if not resident then nonsp := true);
+      if resident then begin
+        bookmark_ref t target;
+        counted := target :: !counted
+      end
+    end
+  in
+  let on_page = t.on_page in
+  Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) victim on_page;
+  for i = 0 to Vec.length on_page - 1 do
+    let id = Vec.get on_page i in
+    Charge.object_visit heap;
+    Heapsim.Object_table.iter_refs objects id visit_ref;
+    (* conservative bookmark on the evictee itself *)
+    bookmark_ref t id;
+    selves := id :: !selves
+  done;
   if !nonsp then t.nonsp_incoming <- t.nonsp_incoming + 1;
   (match Hashtbl.find_opt t.ledger victim with
   | None -> ()
@@ -361,18 +392,17 @@ let page_reloaded t page =
       Residency.mark_resident t.residency page;
       Bitset.clear t.discarded page;
       Superpage.note_page_resident t.sp_space page ~resident:(resident_ok t);
-      let on_page =
-        Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page
-      in
-      Array.iter
-        (fun id ->
-          Charge.object_visit heap;
-          (* the page's pointers may include old-to-young edges whose
-             bookmarks we are about to release: re-remember them *)
-          if Heapsim.Object_table.nrefs objects id > 0 then
-            Gc_common.Card_table.mark_addr t.cards
-              (Heapsim.Object_table.addr objects id))
-        on_page
+      let on_page = t.on_page in
+      Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page on_page;
+      for i = 0 to Vec.length on_page - 1 do
+        let id = Vec.get on_page i in
+        Charge.object_visit heap;
+        (* the page's pointers may include old-to-young edges whose
+           bookmarks we are about to release: re-remember them *)
+        if Heapsim.Object_table.nrefs objects id > 0 then
+          Gc_common.Card_table.mark_addr t.cards
+            (Heapsim.Object_table.addr objects id)
+      done
     end;
     if Vmsim.Vmm.is_protected vmm page then
       (* protection-fault race window (§3.4), or the normal unprotect on
@@ -547,6 +577,7 @@ let sweep_superpages t ~resident =
   let objects = Heapsim.Heap.objects heap in
   let page_map = Heapsim.Heap.page_map heap in
   let vmm = Heapsim.Heap.vmm heap in
+  let on_page = t.on_page in
   Superpage.iter_sps t.sp_space (fun sp ->
       for
         page = sp.Superpage.first_page
@@ -555,21 +586,24 @@ let sweep_superpages t ~resident =
         if resident page && Heapsim.Page_map.count_on page_map page > 0 then begin
           Charge.page_sweep heap;
           Vmsim.Vmm.touch vmm ~write:true page;
-          Array.iter
-            (fun id ->
-              (* process each object from its first page only, and only
-                 when every page it spans may be visited *)
-              if
-                Heapsim.Heap.first_page heap id = page
-                && all_pages t id resident
-                && (not (is_marked t id))
-                && not (Heapsim.Object_table.bookmarked objects id)
-              then begin
-                let addr = Heapsim.Object_table.addr objects id in
-                Heapsim.Heap.free_object heap id;
-                Superpage.free_cell t.sp_space sp ~addr
-              end)
-            (Heapsim.Page_map.objects_on page_map page);
+          (* each free swap-removes an entry from the page's bucket, so
+             the sweep walks a copy *)
+          Heapsim.Page_map.objects_on page_map page on_page;
+          for i = 0 to Vec.length on_page - 1 do
+            let id = Vec.get on_page i in
+            (* process each object from its first page only, and only
+               when every page it spans may be visited *)
+            if
+              Heapsim.Heap.first_page heap id = page
+              && all_pages t id resident
+              && (not (is_marked t id))
+              && not (Heapsim.Object_table.bookmarked objects id)
+            then begin
+              let addr = Heapsim.Object_table.addr objects id in
+              Heapsim.Heap.free_object heap id;
+              Superpage.free_cell t.sp_space sp ~addr
+            end
+          done;
           if
             Heapsim.Page_map.count_on page_map page = 0
             && page <> sp.Superpage.first_page
@@ -601,23 +635,21 @@ let sweep_los t ~resident =
 
 let sp_kind_of = function `Scalar -> Superpage.Scalar | `Array -> Superpage.Array
 
-(* Copy one nursery object into a mature cell. *)
-let sp_copy_young t id =
+(* Copy one nursery object into a mature cell. A collection builds the
+   copier once, [sp_copy_young t ~grow:(grow_sp t) ~resident:(resident_ok t)],
+   and applies it to each survivor. *)
+let sp_copy_young t ~grow ~resident id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
   let kind = sp_kind_of (Heapsim.Object_table.kind objects id) in
-  match
-    Superpage.alloc t.sp_space ~bytes:size ~kind ~grow:(grow_sp t)
-      ~resident:(resident_ok t)
-  with
-  | None ->
-      raise
-        (Collector.Heap_exhausted
-           (name ^ ": mature space cannot absorb nursery survivors"))
-  | Some (addr, _) ->
-      Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
-      Heapsim.Object_table.set_space objects id Space_tag.mature;
-      note_placed t id
+  let addr = Superpage.alloc t.sp_space ~bytes:size ~kind ~grow ~resident in
+  if addr < 0 then
+    raise
+      (Collector.Heap_exhausted
+         (name ^ ": mature space cannot absorb nursery survivors"));
+  Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
+  Heapsim.Object_table.set_space objects id Space_tag.mature;
+  note_placed t id
 
 (* Seeds for a nursery collection: the filtered write buffer, the card
    table (skipping — and re-marking — cards on evicted pages; their
@@ -704,7 +736,8 @@ let minor t =
           Heapsim.Heap.iter_roots t.heap enqueue;
           remembered_roots t enqueue)
         ~follow:(Baselines.Gen_shared.in_young t.heap)
-        ~evacuate:(fun _ -> true) ~copy:(sp_copy_young t);
+        ~evacuate:(fun _ -> true)
+        ~copy:(sp_copy_young t ~grow:(grow_sp t) ~resident:(resident_ok t));
       Baselines.Gen_shared.reap_young t.heap t.nursery_objects ~epoch:t.epoch;
       retire_nursery_pages t;
       oracle t;
@@ -727,11 +760,12 @@ let evacuate_nursery t =
         Heapsim.Heap.free_object t.heap id)
     t.nursery_objects;
   Vec.clear t.nursery_objects;
+  let copy = sp_copy_young t ~grow:(grow_sp t) ~resident:(resident_ok t) in
   let n = Vec.length keep in
   let i = ref 0 in
   (try
      while !i < n do
-       sp_copy_young t (Vec.get keep !i);
+       copy (Vec.get keep !i);
        incr i
      done
    with e ->
@@ -768,6 +802,14 @@ let recycle_and_offer t =
 (* the completeness fail-safe (§3.5)                                  *)
 
 type mature = Full | Compact | Failsafe
+
+(* A cell on the first superpage of [pool], from its [i]th on, that has a
+   usable free one; -1 when none has. *)
+let rec alloc_in_pool sp_space pool i ~resident =
+  if i >= Vec.length pool then -1
+  else
+    let addr = Superpage.alloc_on sp_space (Vec.get pool i) ~resident in
+    if addr >= 0 then addr else alloc_in_pool sp_space pool (i + 1) ~resident
 
 (* Compaction's census and target selection, made between the mark and
    the sweep: per (size class, kind), the superpages that cannot move
@@ -828,7 +870,8 @@ let plan_compaction t ~resident =
         in
         Hashtbl.replace by_idx key (sp :: existing)
       end);
-  let target_pools = Hashtbl.create 32 in
+  let no_pool = Vec.create () in
+  let target_pools = Array.make nclasses no_pool in
   Hashtbl.iter
     (fun key sps ->
       let capacity (sp : Superpage.sp) =
@@ -856,27 +899,11 @@ let plan_compaction t ~resident =
       List.iter
         (fun sp -> if !covered < demand.(key) then choose sp)
         sorted;
-      Hashtbl.replace target_pools key pool)
+      target_pools.(key) <- pool)
     by_idx;
-  (* a cell on the first target of the class with one free *)
-  let pool_alloc key =
-    match Hashtbl.find_opt target_pools key with
-    | None -> None
-    | Some pool ->
-        let rec go i =
-          if i >= Vec.length pool then None
-          else
-            match
-              Superpage.alloc_on t.sp_space (Vec.get pool i)
-                ~resident:(resident_ok t)
-            with
-            | Some addr -> Some addr
-            | None -> go (i + 1)
-        in
-        go 0
-  in
   (* forward marked objects off the non-target superpages *)
   fun () ->
+    let grow = grow_sp t and usable = resident_ok t in
     Superpage.iter_sps t.sp_space (fun sp ->
         if (not is_target.(sp.Superpage.index)) && sp.Superpage.cells_total > 0
         then
@@ -885,26 +912,25 @@ let plan_compaction t ~resident =
                 is_marked t id
                 && not (Heapsim.Object_table.bookmarked objects id)
               then begin
-                let key = idx_of sp in
                 let addr =
-                  match pool_alloc key with
-                  | Some addr -> Some addr
-                  | None ->
-                      (* selection shortfall: fall back to a fresh cell *)
-                      Option.map fst
-                        (Superpage.alloc t.sp_space
-                           ~bytes:(Heapsim.Object_table.size objects id)
-                           ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
-                           ~grow:(grow_sp t) ~resident:(resident_ok t))
+                  alloc_in_pool t.sp_space target_pools.(idx_of sp) 0
+                    ~resident:usable
                 in
-                match addr with
-                | None ->
-                    raise
-                      (Collector.Heap_exhausted
-                         (name ^ ": compaction ran out of target space"))
-                | Some addr ->
-                    Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
-                    note_placed t id
+                let addr =
+                  if addr >= 0 then addr
+                  else
+                    (* selection shortfall: fall back to a fresh cell *)
+                    Superpage.alloc t.sp_space
+                      ~bytes:(Heapsim.Object_table.size objects id)
+                      ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
+                      ~grow ~resident:usable
+                in
+                if addr < 0 then
+                  raise
+                    (Collector.Heap_exhausted
+                       (name ^ ": compaction ran out of target space"));
+                Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
+                note_placed t id
               end))
 
 (* The fail-safe's first step: discard every bookmark and counter. Its
@@ -1347,6 +1373,7 @@ let factory config heap =
       nonsp_deferred = Vec.create ();
       nonsp_incoming = 0;
       empty_candidates = Vec.create ();
+      on_page = Vec.create ();
       pending_roots = Vec.create ();
       target_footprint = None;
       controller_cap = None;

@@ -127,72 +127,72 @@ let acquire t cls kind ~grow =
   end
   else None
 
-let rec pop_partial t idx cls =
+(* Whether a superpage of class [cls] with a free cell tops partial list
+   [idx], dropping stale entries above it. *)
+let rec has_partial t idx cls =
   let v = t.partial.(idx) in
-  if Vec.is_empty v then None
+  (not (Vec.is_empty v))
+  &&
+  let sp = Vec.top v in
+  if sp.cls <> cls || partial_idx sp.cls sp.kind <> idx || Vec.is_empty sp.free
+  then begin
+    ignore (Vec.pop v);
+    sp.on_partial <- false;
+    has_partial t idx cls
+  end
+  else true
+
+(* Whether [resident] holds for every page from [page] to [last]. *)
+let rec pages_ok resident page last =
+  page > last || (resident page && pages_ok resident (page + 1) last)
+
+let cell_usable ~resident ~cell addr =
+  pages_ok resident (Vmsim.Page.of_addr addr)
+    (Vmsim.Page.of_addr (addr + cell - 1))
+
+(* Pop a free cell whose pages are all usable, parking others on
+   [blocked]; -1 once none is left. *)
+let rec pop_usable_cell t sp ~resident =
+  if Vec.is_empty sp.free then -1
   else begin
-    let sp = Vec.top v in
-    if sp.cls <> cls || partial_idx sp.cls sp.kind <> idx || Vec.is_empty sp.free
-    then begin
-      ignore (Vec.pop v);
-      sp.on_partial <- false;
-      pop_partial t idx cls
+    let cell = cell_size sp in
+    let addr = Vec.pop sp.free in
+    t.free_cell_bytes <- t.free_cell_bytes - cell;
+    if cell_usable ~resident ~cell addr then addr
+    else begin
+      Vec.push sp.blocked addr;
+      pop_usable_cell t sp ~resident
     end
-    else Some sp
   end
 
-(* Pop a free cell whose pages are all usable; park others on [blocked]. *)
-let pop_usable_cell t sp ~resident =
-  let cell = cell_size sp in
-  let cell_ok addr =
-    let rec ok page =
-      page > Vmsim.Page.of_addr (addr + cell - 1) || (resident page && ok (page + 1))
-    in
-    ok (Vmsim.Page.of_addr addr)
-  in
-  let rec loop () =
-    if Vec.is_empty sp.free then None
+(* A cell from the superpages on partial list [idx], acquiring one when
+   the list runs dry. *)
+let rec alloc_in t idx cls kind ~grow ~resident =
+  if has_partial t idx cls then begin
+    let sp = Vec.top t.partial.(idx) in
+    let addr = pop_usable_cell t sp ~resident in
+    if addr >= 0 then addr
     else begin
-      let addr = Vec.pop sp.free in
-      if cell_ok addr then begin
-        t.free_cell_bytes <- t.free_cell_bytes - cell;
-        Some addr
-      end
-      else begin
-        Vec.push sp.blocked addr;
-        t.free_cell_bytes <- t.free_cell_bytes - cell;
-        loop ()
-      end
+      (* every remaining free cell was blocked *)
+      ignore (Vec.pop t.partial.(idx));
+      sp.on_partial <- false;
+      alloc_in t idx cls kind ~grow ~resident
     end
-  in
-  loop ()
+  end
+  else
+    match acquire t cls kind ~grow with
+    | None -> -1
+    | Some sp ->
+        sp.on_partial <- true;
+        Vec.push t.partial.(idx) sp;
+        alloc_in t idx cls kind ~grow ~resident
 
 let alloc t ~bytes ~kind ~grow ~resident =
-  match Gc_common.Size_class.class_of_size bytes with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Superpage.alloc: %d bytes belongs in the LOS" bytes)
-  | Some cls ->
-      let idx = partial_idx cls kind in
-      let rec from_partial () =
-        match pop_partial t idx cls with
-        | None -> (
-            match acquire t cls kind ~grow with
-            | None -> None
-            | Some sp ->
-                sp.on_partial <- true;
-                Vec.push t.partial.(idx) sp;
-                from_partial ())
-        | Some sp -> (
-            match pop_usable_cell t sp ~resident with
-            | Some addr -> Some (addr, sp)
-            | None ->
-                (* every remaining free cell was blocked *)
-                ignore (Vec.pop t.partial.(idx));
-                sp.on_partial <- false;
-                from_partial ())
-      in
-      from_partial ()
+  let cls = Gc_common.Size_class.class_of_size bytes in
+  if cls < 0 then
+    invalid_arg
+      (Printf.sprintf "Superpage.alloc: %d bytes belongs in the LOS" bytes);
+  alloc_in t (partial_idx cls kind) cls kind ~grow ~resident
 
 let alloc_on t sp ~resident = pop_usable_cell t sp ~resident
 
@@ -253,18 +253,11 @@ let note_page_resident t page ~resident =
         sp.evicted_data_pages <- sp.evicted_data_pages - 1;
       (* un-park blocked cells that are now fully usable *)
       let cell = cell_size sp in
-      let cell_ok addr =
-        let rec ok page =
-          page > Vmsim.Page.of_addr (addr + cell - 1)
-          || (resident page && ok (page + 1))
-        in
-        ok (Vmsim.Page.of_addr addr)
-      in
       let kept = ref 0 in
       let n = Vec.length sp.blocked in
       for i = 0 to n - 1 do
         let a = Vec.get sp.blocked i in
-        if cell_ok a then free_cell t sp ~addr:a
+        if cell_usable ~resident ~cell a then free_cell t sp ~addr:a
         else begin
           Vec.set sp.blocked !kept a;
           incr kept
@@ -304,7 +297,7 @@ let recycle_empty t ~resident =
       if
         sp.cells_total > 0 && sp.incoming = 0 && sp.evicted_data_pages = 0
         && vacant t sp
-        && List.for_all resident (data_pages sp)
+        && pages_ok resident (sp.first_page + 1) (sp.first_page + 3)
       then begin
         t.free_cell_bytes <-
           t.free_cell_bytes - (Vec.length sp.free * cell_size sp);

@@ -16,6 +16,7 @@ type t = {
   empty_pool : page_rec Vec.t;
   page_recs : (int, page_rec) Hashtbl.t;
   pages : int Vec.t;  (* acquisition order *)
+  on_page : Heapsim.Obj_id.t Vec.t;  (* the sweep's copy of a page's objects *)
   mutable free_bytes : int;
 }
 
@@ -30,6 +31,7 @@ let create heap ~name ~max_cell =
     empty_pool = Vec.create ();
     page_recs = Hashtbl.create 64;
     pages = Vec.create ();
+    on_page = Vec.create ();
     free_bytes = 0;
   }
 
@@ -87,71 +89,72 @@ let acquire_page t cls ~grow =
   end
   else None
 
-(* Pop a page with a free cell for [cls], dropping stale entries. *)
-let rec pop_partial t cls =
+(* Whether a page with a free cell for [cls] tops its partial list,
+   dropping stale entries above it. *)
+let rec has_partial t cls =
   let v = t.partial.(cls) in
-  if Vec.is_empty v then None
-  else begin
-    let pr = Vec.top v in
-    if pr.cls <> cls || Vec.is_empty pr.free then begin
-      ignore (Vec.pop v);
-      pr.on_partial <- false;
-      pop_partial t cls
-    end
-    else Some pr
+  (not (Vec.is_empty v))
+  &&
+  let pr = Vec.top v in
+  if pr.cls <> cls || Vec.is_empty pr.free then begin
+    ignore (Vec.pop v);
+    pr.on_partial <- false;
+    has_partial t cls
   end
+  else true
+
+(* Put a freshly acquired page for [cls] on top of its partial list. *)
+let push_acquired t cls ~grow =
+  match acquire_page t cls ~grow with
+  | Some pr ->
+      pr.on_partial <- true;
+      Vec.push t.partial.(cls) pr;
+      true
+  | None -> false
 
 let alloc t ~bytes ~grow =
   if bytes > t.max_cell then
     invalid_arg
       (Printf.sprintf "Ms_space.alloc(%s): %d bytes exceeds max cell %d"
          t.name bytes t.max_cell);
-  match Size_class.class_of_size bytes with
-  | None -> assert false
-  | Some cls -> (
-      let page_opt =
-        match pop_partial t cls with
-        | Some pr -> Some pr
-        | None -> (
-            match acquire_page t cls ~grow with
-            | Some pr ->
-                pr.on_partial <- true;
-                Vec.push t.partial.(cls) pr;
-                Some pr
-            | None -> None)
-      in
-      match page_opt with
-      | None -> -1
-      | Some pr ->
-          let addr = Vec.pop pr.free in
-          t.free_bytes <- t.free_bytes - Size_class.cell_size cls;
-          if Vec.is_empty pr.free then begin
-            (* drop from the partial list lazily via the flag *)
-            pr.on_partial <- false;
-            let v = t.partial.(cls) in
-            if not (Vec.is_empty v) && Vec.top v == pr then ignore (Vec.pop v)
-          end;
-          addr)
+  let cls = Size_class.class_of_size bytes in
+  assert (cls >= 0);
+  if not (has_partial t cls || push_acquired t cls ~grow) then -1
+  else begin
+    let v = t.partial.(cls) in
+    let pr = Vec.top v in
+    let addr = Vec.pop pr.free in
+    t.free_bytes <- t.free_bytes - Size_class.cell_size cls;
+    if Vec.is_empty pr.free then begin
+      (* drop from the partial list lazily via the flag *)
+      pr.on_partial <- false;
+      ignore (Vec.pop v)
+    end;
+    addr
+  end
 
+(* Each free swap-removes an entry from the page's bucket, so the sweep
+   walks a copy of it. *)
 let sweep t ~keep =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
   let vmm = Heapsim.Heap.vmm heap in
+  let on_page = t.on_page in
   Vec.iter
     (fun page ->
       Charge.page_sweep heap;
       Vmsim.Vmm.touch vmm ~write:true page;
       let pr = Hashtbl.find t.page_recs page in
-      let on_page = Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page in
-      Array.iter
-        (fun id ->
-          if not (keep id) then begin
-            let addr = Heapsim.Object_table.addr objects id in
-            Heapsim.Heap.free_object heap id;
-            Vec.push pr.free addr;
-            t.free_bytes <- t.free_bytes + Size_class.cell_size pr.cls
-          end)
-        on_page;
+      Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page on_page;
+      for i = 0 to Vec.length on_page - 1 do
+        let id = Vec.get on_page i in
+        if not (keep id) then begin
+          let addr = Heapsim.Object_table.addr objects id in
+          Heapsim.Heap.free_object heap id;
+          Vec.push pr.free addr;
+          t.free_bytes <- t.free_bytes + Size_class.cell_size pr.cls
+        end
+      done;
       if Vec.length pr.free = pr.cells_total && pr.cells_total > 0 then begin
         (* wholly empty: recycle to any class *)
         t.free_bytes <-

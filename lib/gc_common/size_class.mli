@@ -25,8 +25,8 @@ val count : int
 val small_count : int
 (** Number of one-size-per-class small classes (sizes 8..64). *)
 
-val class_of_size : int -> int option
-(** Index of the smallest class whose cell fits [size]; [None] above
+val class_of_size : int -> int
+(** Index of the smallest class whose cell fits [size]; [-1] above
     {!max_cell}. O(1). *)
 
 val cell_size : int -> int

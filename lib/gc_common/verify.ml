@@ -8,12 +8,13 @@ let fail fmt = Printf.ksprintf (fun msg -> failwith ("verify: " ^ msg)) fmt
 let check_placements heap =
   let objects = Heap.objects heap in
   let page_map = Heap.page_map heap in
+  let on_page = Repro_util.Vec.create () in
   Object_table.iter_live objects (fun id ->
       let addr = Object_table.addr objects id in
       if addr < 0 then fail "live object #%d has no placement" id;
       Heap.iter_pages heap id (fun page ->
-          if not (Array.exists (( = ) id) (Page_map.objects_on page_map page))
-          then
+          Page_map.objects_on page_map page on_page;
+          if not (Repro_util.Vec.exists (Int.equal id) on_page) then
             fail "live object #%d spans page %d but is not in the page map"
               id page))
 

@@ -85,7 +85,7 @@ let address_space t = t.address_space
 
 let spawn ?(share = 1) ?(priority = 0) t ~name ~heap_bytes =
   if share < 1 then invalid_arg "Machine.spawn: share";
-  let vproc = Vmsim.Vmm.create_process t.vmm ~name in
+  let vproc = Vmsim.Vmm.create_process t.vmm in
   let heap =
     Heapsim.Heap.create_with t.vmm vproc ~address_space:t.address_space
   in

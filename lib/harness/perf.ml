@@ -94,7 +94,7 @@ let bench_touch_resident () =
   let iters = 2_000_000 in
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames:(pages + 64) () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"perf" in
+  let proc = Vmsim.Vmm.create_process vmm in
   Vmsim.Vmm.map_range vmm proc ~first_page:0 ~npages:pages;
   for p = 0 to pages - 1 do
     Vmsim.Vmm.touch vmm p
@@ -118,7 +118,7 @@ let bench_sparse_map_giant () =
   let rounds = 400 in
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames:(npages + 64) () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"perf" in
+  let proc = Vmsim.Vmm.create_process vmm in
   let t0 = now () in
   for r = 0 to rounds - 1 do
     (* one 8192-page stride per round: every round lands in new chunks *)
@@ -140,7 +140,7 @@ let bench_touch_faulting () =
   let iters = 60_000 in
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"perf" in
+  let proc = Vmsim.Vmm.create_process vmm in
   Vmsim.Vmm.map_range vmm proc ~first_page:0 ~npages:pages;
   let p = ref 0 in
   let t0 = now () in
@@ -157,7 +157,7 @@ let bench_touch_faulting () =
 let perf_heap ~npages =
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames:(npages + 64) () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"perf" in
+  let proc = Vmsim.Vmm.create_process vmm in
   Vmsim.Vmm.map_range vmm proc ~first_page:0 ~npages;
   Heapsim.Heap.create vmm proc
 
@@ -283,7 +283,7 @@ let bench_full_collection ~collector () =
   let vmm =
     Vmsim.Vmm.create ~clock ~frames:((4 * heap_pages) + 2048) ()
   in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"perf" in
+  let proc = Vmsim.Vmm.create_process vmm in
   let heap = Heapsim.Heap.create vmm proc in
   let c = Registry.create ~name:collector ~heap_bytes heap in
   let mutator = Workload.Mutator.create perf_spec c in

@@ -83,14 +83,17 @@ let free_object t id =
 
 (* Object accesses are the next-hottest path after Vmm.touch. Walk the
    object's pages directly rather than through the [iter_pages] closure;
-   almost every object fits on one page. *)
+   almost every object fits on one page. [~write] goes on as a constant:
+   passing the variable on would box a fresh [Some write] per page where
+   -opaque keeps [Vmm.touch]'s wrapper from being inlined. *)
 let touch_object t ?(write = false) id =
   let objs = t.objects in
   let addr = Object_table.addr objs id in
   assert (addr >= 0);
   let last = page_of_addr (addr + Object_table.size objs id - 1) in
   for page = page_of_addr addr to last do
-    Vmsim.Vmm.touch t.vmm ~write page
+    if write then Vmsim.Vmm.touch t.vmm ~write:true page
+    else Vmsim.Vmm.touch t.vmm ~write:false page
   done
 
 let set_write_barrier t barrier = t.barrier <- barrier

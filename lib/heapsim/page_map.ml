@@ -86,9 +86,15 @@ let remove t objs ~first ~last id =
   done;
   Object_table.set_page_slot objs id (-1)
 
-let objects_on t page =
-  if page < 0 then [||]
-  else match slot_of t page with None -> [||] | Some v -> Vec.to_array v
+let objects_on t page buf =
+  Vec.clear buf;
+  if page >= 0 then
+    match slot_of t page with
+    | None -> ()
+    | Some v ->
+        for i = 0 to Vec.length v - 1 do
+          Vec.push buf (Vec.get v i)
+        done
 
 let count_on t page =
   if page < 0 then 0

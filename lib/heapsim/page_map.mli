@@ -31,9 +31,11 @@ val remove : t -> Object_table.t -> first:int -> last:int -> Obj_id.t -> unit
 
     Raises [Invalid_argument] when the object is missing from a page. *)
 
-val objects_on : t -> int -> Obj_id.t array
-(** Snapshot of the objects registered on a page (safe to mutate the map
-    while iterating the snapshot). *)
+val objects_on : t -> int -> Obj_id.t Repro_util.Vec.t -> unit
+(** [objects_on t page buf] replaces the contents of [buf] with the
+    objects registered on [page], in bucket order. [buf] is a copy, so the
+    map may change while the caller iterates it; page scans keep one
+    buffer per space and refill it for each page. *)
 
 val count_on : t -> int -> int
 

@@ -6,12 +6,11 @@ type handlers = {
 
 type t = {
   pid : int;
-  name : string;
   mutable handlers : handlers option;
   stats : Vm_stats.t;
 }
 
-let create ~pid ~name = { pid; name; handlers = None; stats = Vm_stats.create () }
+let create ~pid = { pid; handlers = None; stats = Vm_stats.create () }
 
 let pid t = t.pid
 

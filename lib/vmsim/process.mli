@@ -22,7 +22,7 @@ type handlers = {
           is expected to unprotect it. *)
 }
 
-val create : pid:int -> name:string -> t
+val create : pid:int -> t
 
 val pid : t -> int
 

@@ -198,8 +198,8 @@ let swap t = t.swap
 
 let page_table t = t.pt
 
-let create_process t ~name =
-  let p = Process.create ~pid:t.next_pid ~name in
+let create_process t =
+  let p = Process.create ~pid:t.next_pid in
   let i = t.next_pid - 1 in
   t.next_pid <- t.next_pid + 1;
   if i = Array.length t.procs then begin

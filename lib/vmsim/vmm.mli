@@ -118,7 +118,7 @@ val create :
     delivered at the next top-level {!touch}. Protection-fault upcalls are
     never faulted: they model synchronous hardware traps. *)
 
-val create_process : t -> name:string -> Process.t
+val create_process : t -> Process.t
 
 val clock : t -> Clock.t
 

@@ -11,7 +11,7 @@ let create vmm address_space =
   {
     vmm;
     address_space;
-    proc = Vmsim.Vmm.create_process vmm ~name:"signalmem";
+    proc = Vmsim.Vmm.create_process vmm;
     pinned = Vec.create ();
   }
 

@@ -8,7 +8,7 @@ type machine = {
 let machine ?(frames = 4096) () =
   let clock = Vmsim.Clock.create () in
   let vmm = Vmsim.Vmm.create ~clock ~frames () in
-  let proc = Vmsim.Vmm.create_process vmm ~name:"test" in
+  let proc = Vmsim.Vmm.create_process vmm in
   let heap = Heapsim.Heap.create vmm proc in
   { clock; vmm; proc; heap }
 

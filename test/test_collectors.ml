@@ -180,6 +180,37 @@ let test_forced_collect_exact name () =
     (Oracle.reachable_count m.Mini.heap)
     (OT.live_count (Heap.objects m.Mini.heap))
 
+(* -- a steady collection allocates O(1) host words ------------------------ *)
+
+(* With the heap at a steady state (two forced collections behind it), a
+   further one still visits every live object, and no per-object step
+   may allocate on the host: the whole collection allocates fewer minor
+   words than a quarter of the live objects. BC_ORACLE=1 verifies the
+   heap after every BC collection, which allocates per object by design,
+   so the check is skipped there. *)
+let test_steady_collect_allocates_o1 name () =
+  if Sys.getenv_opt "BC_ORACLE" <> None then Alcotest.skip ();
+  let m, c = Mini.collector ~heap_bytes:(4 * 1024 * 1024) name in
+  let spec =
+    {
+      (Mini.spec ~volume:2_400_000 ()) with
+      Workload.Spec.immortal_bytes = 400_000;
+      window_bytes = 240_000;
+    }
+  in
+  let mutator = Workload.Mutator.create spec c in
+  Mini.drive mutator;
+  c.Collector.collect ();
+  c.Collector.collect ();
+  let live = OT.live_count (Heap.objects m.Mini.heap) in
+  let before = Gc.minor_words () in
+  c.Collector.collect ();
+  let words = int_of_float (Gc.minor_words () -. before) in
+  check Alcotest.bool
+    (Printf.sprintf "%s: %d host words for %d live objects" name words live)
+    true
+    (words < live / 4)
+
 (* -- each collector's defining policy ------------------------------- *)
 
 let drive_small name =
@@ -395,6 +426,8 @@ let () =
               [
                 ("bounded retention", test_garbage_bounded);
                 ("exact collection", test_forced_collect_exact);
+                ("steady collection allocates O(1)",
+                  test_steady_collect_allocates_o1);
               ])
           all_collectors );
       ( "policies",

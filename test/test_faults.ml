@@ -61,7 +61,7 @@ let faulty_machine ?(frames = 4) plan_spec ~seed =
   let clock = Clock.create () in
   let plan = FP.create ~seed plan_spec in
   let vmm = Vmm.create ~reclaim_batch:1 ~faults:plan ~clock ~frames () in
-  let proc = Vmm.create_process vmm ~name:"p" in
+  let proc = Vmm.create_process vmm in
   (vmm, proc, plan)
 
 let test_drop_all_eviction_notices () =

@@ -160,6 +160,11 @@ let on_pages objs m ~first ~last =
   PM.add m objs ~first ~last id;
   id
 
+(* The buffer form of [PM.objects_on], read back as a list. *)
+let objects_on ?(buf = Repro_util.Vec.create ()) m page =
+  PM.objects_on m page buf;
+  Repro_util.Vec.to_list buf
+
 let test_page_map () =
   let objs = OT.create () in
   let m = PM.create () in
@@ -170,10 +175,8 @@ let test_page_map () =
   check Alcotest.int "spanning object on both pages" 2 (PM.count_on m 6);
   PM.remove m objs ~first:5 ~last:6 a;
   check Alcotest.int "after remove" 1 (PM.count_on m 5);
-  check (Alcotest.list Alcotest.int) "snapshot" [ b ]
-    (Array.to_list (PM.objects_on m 5));
-  check (Alcotest.list Alcotest.int) "other page kept" [ c ]
-    (Array.to_list (PM.objects_on m 6));
+  check (Alcotest.list Alcotest.int) "snapshot" [ b ] (objects_on m 5);
+  check (Alcotest.list Alcotest.int) "other page kept" [ c ] (objects_on m 6);
   check Alcotest.int "empty page" 0 (PM.count_on m 99);
   while OT.capacity objs <= 9 do
     ignore (on_pages objs m ~first:7 ~last:7 : int)
@@ -185,9 +188,14 @@ let test_page_map () =
 let test_page_map_slots () =
   let objs = OT.create () in
   let m = PM.create () in
+  (* one buffer for every read: each fill replaces what the last left *)
+  let buf = Repro_util.Vec.create () in
+  let objects_on = objects_on ~buf in
   let a = on_pages objs m ~first:3 ~last:3 in
   let b = on_pages objs m ~first:3 ~last:3 in
   let c = on_pages objs m ~first:3 ~last:3 in
+  check (Alcotest.list Alcotest.int) "bucket order" [ a; b; c ]
+    (objects_on m 3);
   check Alcotest.int "first slot" 0 (OT.page_slot objs a);
   check Alcotest.int "second slot" 1 (OT.page_slot objs b);
   check Alcotest.int "third slot" 2 (OT.page_slot objs c);
@@ -195,24 +203,31 @@ let test_page_map_slots () =
      the relocated entry's back-index *)
   PM.remove m objs ~first:3 ~last:3 a;
   check (Alcotest.list Alcotest.int) "tail swap-filled the hole" [ c; b ]
-    (Array.to_list (PM.objects_on m 3));
+    (objects_on m 3);
   check Alcotest.int "relocated back-index" 0 (OT.page_slot objs c);
   check Alcotest.int "removed back-index reset" (-1) (OT.page_slot objs a);
   (* a stale slot falls back to the scan and still removes the right id;
      removing the bucket's last element relocates nothing *)
   OT.set_page_slot objs b 7;
   PM.remove m objs ~first:3 ~last:3 b;
-  check (Alcotest.list Alcotest.int) "survivor" [ c ]
-    (Array.to_list (PM.objects_on m 3));
+  check (Alcotest.list Alcotest.int) "survivor" [ c ] (objects_on m 3);
   check Alcotest.int "survivor's back-index kept" 0 (OT.page_slot objs c);
   (* an entry relocated on a page that is not its object's first page
      keeps the back-index into its first page's bucket *)
   let d = on_pages objs m ~first:4 ~last:4 in
+  let e = on_pages objs m ~first:4 ~last:4 in
   let span = on_pages objs m ~first:3 ~last:4 in
   PM.remove m objs ~first:4 ~last:4 d;
-  check (Alcotest.list Alcotest.int) "spanning entry relocated" [ span ]
-    (Array.to_list (PM.objects_on m 4));
-  check Alcotest.int "first-page back-index kept" 1 (OT.page_slot objs span)
+  check (Alcotest.list Alcotest.int) "spanning entry relocated" [ span; e ]
+    (objects_on m 4);
+  check Alcotest.int "first-page back-index kept" 1 (OT.page_slot objs span);
+  check Alcotest.int "unmoved back-index kept" 1 (OT.page_slot objs e);
+  (* a shorter bucket, an empty page and a negative page leave nothing of
+     the previous fill behind *)
+  check (Alcotest.list Alcotest.int) "refill" [ c; span ] (objects_on m 3);
+  check (Alcotest.list Alcotest.int) "empty page" [] (objects_on m 99);
+  ignore (objects_on m 4 : int list);
+  check (Alcotest.list Alcotest.int) "negative page" [] (objects_on m (-1))
 
 (* ----------------------------------------------------------------- *)
 (* Heap                                                               *)
@@ -270,13 +285,13 @@ let test_spanning_object () =
    [page_slot] names its position in its first page's bucket. *)
 let page_slot_invariant heap page =
   let objects = Heap.objects heap in
-  Array.iteri
+  List.iteri
     (fun slot id ->
       if Heap.first_page heap id = page then
         check Alcotest.int
           (Printf.sprintf "back-index of #%d" id)
           slot (OT.page_slot objects id))
-    (PM.objects_on (Heap.page_map heap) page)
+    (objects_on (Heap.page_map heap) page)
 
 let test_page_slot_fixup () =
   let m = fixture () in
@@ -328,7 +343,7 @@ let test_page_slot_spanning () =
   check Alcotest.int "span gone from head page" 0
     (PM.count_on (Heap.page_map heap) first);
   check (Alcotest.list Alcotest.int) "tail page keeps neighbour" [ small ]
-    (Array.to_list (PM.objects_on (Heap.page_map heap) (first + 1)));
+    (objects_on (Heap.page_map heap) (first + 1));
   page_slot_invariant heap (first + 1)
 
 let test_write_barrier_hook () =

@@ -10,6 +10,16 @@ let fixture () =
   let m = Mini.machine () in
   (m, Sp.create m.Mini.heap)
 
+let anywhere _ = true
+
+let nowhere _ = false
+
+(* A cell that must be granted, with the superpage that holds it. *)
+let alloc_sp t ~bytes ~kind ~grow ~resident =
+  let addr = Sp.alloc t ~bytes ~kind ~grow ~resident in
+  if addr < 0 then Alcotest.fail "alloc failed";
+  (addr, Option.get (Sp.sp_of_addr t addr))
+
 let test_geometry () =
   check Alcotest.int "header bytes" 24 Sp.header_bytes;
   check Alcotest.int "usable" (16384 - 24) Sp.usable_bytes;
@@ -20,32 +30,28 @@ let test_geometry () =
 
 let test_alloc_alignment_and_ownership () =
   let _, t = fixture () in
-  match Sp.alloc t ~bytes:100 ~kind:Sp.Scalar ~grow:(fun () -> true)
-          ~resident:(fun _ -> true)
-  with
-  | None -> Alcotest.fail "alloc failed"
-  | Some (addr, sp) ->
-      check Alcotest.int "superpage aligned" 0
-        (sp.Sp.first_page mod Vmsim.Page.pages_per_superpage);
-      check Alcotest.bool "addr above header" true
-        (addr >= Vmsim.Page.addr_of sp.Sp.first_page + Sp.header_bytes);
-      check Alcotest.bool "owns its pages" true
-        (Sp.owns_page t sp.Sp.first_page
-        && Sp.owns_page t (sp.Sp.first_page + 3));
-      check Alcotest.bool "header page identified" true
-        (Sp.is_header_page t sp.Sp.first_page);
-      check Alcotest.bool "data page not header" false
-        (Sp.is_header_page t (sp.Sp.first_page + 1));
-      check (Alcotest.list Alcotest.int) "data pages"
-        [ sp.Sp.first_page + 1; sp.Sp.first_page + 2; sp.Sp.first_page + 3 ]
-        (Sp.data_pages sp)
+  let addr, sp =
+    alloc_sp t ~bytes:100 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      ~resident:anywhere
+  in
+  check Alcotest.int "superpage aligned" 0
+    (sp.Sp.first_page mod Vmsim.Page.pages_per_superpage);
+  check Alcotest.bool "addr above header" true
+    (addr >= Vmsim.Page.addr_of sp.Sp.first_page + Sp.header_bytes);
+  check Alcotest.bool "owns its pages" true
+    (Sp.owns_page t sp.Sp.first_page && Sp.owns_page t (sp.Sp.first_page + 3));
+  check Alcotest.bool "header page identified" true
+    (Sp.is_header_page t sp.Sp.first_page);
+  check Alcotest.bool "data page not header" false
+    (Sp.is_header_page t (sp.Sp.first_page + 1));
+  check (Alcotest.list Alcotest.int) "data pages"
+    [ sp.Sp.first_page + 1; sp.Sp.first_page + 2; sp.Sp.first_page + 3 ]
+    (Sp.data_pages sp)
 
 let test_scalar_array_segregation () =
   let _, t = fixture () in
   let alloc kind =
-    Option.get
-      (Sp.alloc t ~bytes:64 ~kind ~grow:(fun () -> true)
-         ~resident:(fun _ -> true))
+    alloc_sp t ~bytes:64 ~kind ~grow:(fun () -> true) ~resident:anywhere
   in
   let _, sp_scalar = alloc Sp.Scalar in
   let _, sp_array = alloc Sp.Array in
@@ -58,34 +64,51 @@ let test_scalar_array_segregation () =
 
 let test_grow_denied () =
   let _, t = fixture () in
-  check Alcotest.bool "denied" true
+  check Alcotest.int "denied" (-1)
     (Sp.alloc t ~bytes:64 ~kind:Sp.Scalar ~grow:(fun () -> false)
-       ~resident:(fun _ -> true)
-    = None)
+       ~resident:anywhere);
+  (* with every free cell blocked, a superpage has none to give *)
+  let _, sp =
+    alloc_sp t ~bytes:4096 ~kind:Sp.Array ~grow:(fun () -> true)
+      ~resident:anywhere
+  in
+  check Alcotest.int "alloc_on: every cell blocked" (-1)
+    (Sp.alloc_on t sp ~resident:nowhere);
+  check Alcotest.bool "its free cells parked" true
+    (Repro_util.Vec.is_empty sp.Sp.free
+    && not (Repro_util.Vec.is_empty sp.Sp.blocked));
+  (* ... and alloc, refused a fresh superpage, fails with them *)
+  let _, sp =
+    alloc_sp t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      ~resident:anywhere
+  in
+  check Alcotest.int "alloc: every cell blocked" (-1)
+    (Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> false)
+       ~resident:nowhere);
+  check Alcotest.bool "cells parked, superpage off its partial list" true
+    (Repro_util.Vec.is_empty sp.Sp.free && not sp.Sp.on_partial)
 
 let test_blocked_cells () =
   let _, t = fixture () in
   (* cells on "non-resident" pages are parked, not handed out *)
   let blocked_page = ref (-1) in
   let resident p = p <> !blocked_page in
-  let addr, sp =
-    Option.get
-      (Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
-         ~resident)
+  let _, sp =
+    alloc_sp t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true) ~resident
   in
-  ignore addr;
   (* block the superpage's middle data page and allocate until exhausted *)
   blocked_page := sp.Sp.first_page + 2;
   let rec drain n =
-    match
+    let a =
       Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> false) ~resident
-    with
-    | Some (a, _) ->
-        check Alcotest.bool "never hands out a blocked cell" true
-          (Vmsim.Page.of_addr a <> !blocked_page
-          && Vmsim.Page.of_addr (a + 4095) <> !blocked_page);
-        drain (n + 1)
-    | None -> n
+    in
+    if a < 0 then n
+    else begin
+      check Alcotest.bool "never hands out a blocked cell" true
+        (Vmsim.Page.of_addr a <> !blocked_page
+        && Vmsim.Page.of_addr (a + 4095) <> !blocked_page);
+      drain (n + 1)
+    end
   in
   ignore (drain 0);
   check Alcotest.bool "some cells parked" true
@@ -101,9 +124,8 @@ let test_blocked_cells () =
 let test_cells_overlapping_page () =
   let _, t = fixture () in
   let _, sp =
-    Option.get
-      (Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
-         ~resident:(fun _ -> true))
+    alloc_sp t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      ~resident:anywhere
   in
   (* every data page overlaps at least one cell; the total with overlaps
      is at least the cell count *)
@@ -120,9 +142,8 @@ let test_free_cell_and_recycle () =
   let m, t = fixture () in
   ignore m;
   let addr, sp =
-    Option.get
-      (Sp.alloc t ~bytes:64 ~kind:Sp.Scalar ~grow:(fun () -> true)
-         ~resident:(fun _ -> true))
+    alloc_sp t ~bytes:64 ~kind:Sp.Scalar ~grow:(fun () -> true)
+      ~resident:anywhere
   in
   let before = Sp.free_bytes t in
   Sp.free_cell t sp ~addr;
@@ -131,9 +152,8 @@ let test_free_cell_and_recycle () =
   check Alcotest.int "empty superpage recycled" 0 sp.Sp.cells_total;
   (* reassignable to a different class *)
   let _, sp2 =
-    Option.get
-      (Sp.alloc t ~bytes:2048 ~kind:Sp.Array ~grow:(fun () -> false)
-         ~resident:(fun _ -> true))
+    alloc_sp t ~bytes:2048 ~kind:Sp.Array ~grow:(fun () -> false)
+      ~resident:anywhere
   in
   check Alcotest.int "reused without growth" sp.Sp.index sp2.Sp.index
 
@@ -145,9 +165,8 @@ let test_recycle_keeps_occupied () =
   let heap = m.Mini.heap in
   let place bytes =
     let addr, sp =
-      Option.get
-        (Sp.alloc t ~bytes ~kind:Sp.Scalar ~grow:(fun () -> true)
-           ~resident:(fun _ -> true))
+      alloc_sp t ~bytes ~kind:Sp.Scalar ~grow:(fun () -> true)
+        ~resident:anywhere
     in
     let id =
       Heapsim.Object_table.alloc (Heapsim.Heap.objects heap) ~size:bytes

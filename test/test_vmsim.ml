@@ -150,7 +150,7 @@ let test_page_flags_grow () =
 let machine ?(frames = 64) ?(batch = 2) () =
   let clock = Clock.create () in
   let vmm = Vmm.create ~reclaim_batch:batch ~clock ~frames () in
-  let proc = Vmm.create_process vmm ~name:"p" in
+  let proc = Vmm.create_process vmm in
   (clock, vmm, proc)
 
 let test_first_touch_minor_fault () =
@@ -425,7 +425,7 @@ let test_unmap_swapped_drops_copy () =
 
 let test_count_resident_owned () =
   let _, vmm, proc = machine () in
-  let other = Vmm.create_process vmm ~name:"other" in
+  let other = Vmm.create_process vmm in
   Vmm.map_range vmm proc ~first_page:0 ~npages:2;
   Vmm.map_range vmm other ~first_page:10 ~npages:2;
   Vmm.touch vmm 0;
@@ -438,7 +438,7 @@ let test_count_resident_owned () =
    builds). *)
 let test_resident_gauge_tracks_churn () =
   let _, vmm, proc = machine ~frames:4 () in
-  let other = Vmm.create_process vmm ~name:"other" in
+  let other = Vmm.create_process vmm in
   Vmm.map_range vmm proc ~first_page:0 ~npages:6;
   Vmm.map_range vmm other ~first_page:10 ~npages:2;
   let agree msg =
@@ -469,7 +469,7 @@ let test_resident_gauge_tracks_churn () =
 
 let test_coldest_pages () =
   let _, vmm, proc = machine ~frames:32 () in
-  let other = Vmm.create_process vmm ~name:"other" in
+  let other = Vmm.create_process vmm in
   Vmm.map_range vmm proc ~first_page:0 ~npages:4;
   Vmm.map_range vmm other ~first_page:10 ~npages:2;
   List.iter (fun p -> Vmm.touch vmm p) [ 0; 1; 10; 2; 11; 3 ];
@@ -600,7 +600,7 @@ let test_swap_full_during_eviction () =
   let vmm =
     Vmm.create ~reclaim_batch:1 ~swap_capacity_pages:2 ~clock ~frames:4 ()
   in
-  let proc = Vmm.create_process vmm ~name:"p" in
+  let proc = Vmm.create_process vmm in
   Vmm.map_range vmm proc ~first_page:0 ~npages:16;
   (match
      for p = 0 to 15 do
@@ -676,8 +676,7 @@ let test_giant_sparse_touch () =
 let test_many_processes () =
   let _, vmm, _ = machine ~frames:2048 () in
   let procs =
-    List.init 600 (fun i ->
-        Vmm.create_process vmm ~name:(Printf.sprintf "p%d" i))
+    List.init 600 (fun _ -> Vmm.create_process vmm)
   in
   List.iteri
     (fun i proc ->
