@@ -14,8 +14,10 @@ test:
 
 # The whole suite again, compiled as the release build is, into its own
 # build directory: the dev profile passes -opaque, which turns off the
-# cross-module inlining that Heapsim.Object_table's unchecked row and
-# slab accesses are written for.
+# cross-module inlining that Heapsim.Object_table's unchecked loads from
+# its 32-byte rows and 32-bit slab slots are written for, and
+# test_heapsim's guard on the host words those rows cost must hold in
+# both builds.
 test-release:
 	DUNE_CACHE=disabled dune runtest --root . --profile release \
 	  --build-dir .release_build

@@ -1,4 +1,3 @@
-module Vec = Repro_util.Vec
 module Rng = Repro_util.Rng
 module Collector = Gc_common.Collector
 
@@ -13,7 +12,8 @@ type t = {
   segments : Heapsim.Obj_id.t array;
   window_slots : int;
   mutable ring_pos : int;
-  immortal : Heapsim.Obj_id.t Vec.t;
+  immortal : Heapsim.Obj_id.t array;  (* the chain, oldest first *)
+  mutable n_immortal : int;  (* links allocated so far *)
   mutable allocated_bytes : int;
   mutable ops : int;
   mutable finished : bool;
@@ -89,6 +89,7 @@ let alloc t ~size ~nrefs ~kind =
 
 let create ?trace spec collector =
   let rng = Rng.create spec.Spec.seed in
+  let n_immortal = max 1 (spec.Spec.immortal_bytes / max 8 spec.Spec.mean_size) in
   let window_slots =
     max slots_per_segment
       (spec.Spec.window_bytes / max 8 spec.Spec.mean_size)
@@ -102,7 +103,8 @@ let create ?trace spec collector =
       segments = Array.make nsegments Heapsim.Obj_id.null;
       window_slots = nsegments * slots_per_segment;
       ring_pos = 0;
-      immortal = Vec.create ();
+      immortal = Array.make n_immortal Heapsim.Obj_id.null;
+      n_immortal = 0;
       allocated_bytes = 0;
       ops = 0;
       finished = false;
@@ -118,7 +120,7 @@ let create ?trace spec collector =
       Array.iter
         (fun id -> if not (Heapsim.Obj_id.is_null id) then f id)
         t.segments;
-      if not (Vec.is_empty t.immortal) then f (Vec.top t.immortal));
+      if t.n_immortal > 0 then f t.immortal.(t.n_immortal - 1));
   (* window segments: rooted arrays of reference slots *)
   for i = 0 to nsegments - 1 do
     t.segments.(i) <-
@@ -128,17 +130,15 @@ let create ?trace spec collector =
     if tracing t then emit t (Trace.Root (birth_of t t.segments.(i)))
   done;
   (* the cold immortal chain; only the most recent link is a root *)
-  let n_immortal = max 1 (spec.Spec.immortal_bytes / max 8 spec.Spec.mean_size) in
-  for _ = 1 to n_immortal do
+  for i = 0 to n_immortal - 1 do
     let id = alloc t ~size:(max 8 spec.Spec.mean_size) ~nrefs:1 ~kind:`Scalar in
     if tracing t then begin
       emit t (Trace.Root (birth_of t id));
-      if not (Vec.is_empty t.immortal) then
-        emit t (Trace.Unroot (birth_of t (Vec.top t.immortal)))
+      if i > 0 then emit t (Trace.Unroot (birth_of t t.immortal.(i - 1)))
     end;
-    if not (Vec.is_empty t.immortal) then
-      write t id 0 (Vec.top t.immortal);
-    Vec.push t.immortal id
+    if i > 0 then write t id 0 t.immortal.(i - 1);
+    t.immortal.(i) <- id;
+    t.n_immortal <- i + 1
   done;
   t
 
@@ -151,8 +151,8 @@ let one_op t =
   for field = 0 to nrefs - 1 do
     if Rng.float t.rng 1.0 < 0.5 then begin
       let target =
-        if Rng.float t.rng 1.0 < 0.1 && not (Vec.is_empty t.immortal) then
-          Vec.get t.immortal (Rng.int t.rng (Vec.length t.immortal))
+        if Rng.float t.rng 1.0 < 0.1 && t.n_immortal > 0 then
+          t.immortal.(Rng.int t.rng t.n_immortal)
         else random_window_member t
       in
       if not (Heapsim.Obj_id.is_null target) then write t id field target
@@ -177,9 +177,9 @@ let one_op t =
   for _ = 1 to accesses do
     if
       Rng.float t.rng 1.0 < s.Spec.cold_access_frac
-      && not (Vec.is_empty t.immortal)
+      && t.n_immortal > 0
     then
-      access t (Vec.get t.immortal (Rng.int t.rng (Vec.length t.immortal)))
+      access t t.immortal.(Rng.int t.rng t.n_immortal)
     else begin
       let target = random_window_member t in
       if not (Heapsim.Obj_id.is_null target) then access t target

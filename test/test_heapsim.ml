@@ -5,6 +5,14 @@ module Heap = Heapsim.Heap
 
 let check = Alcotest.check
 
+let max31 = (1 lsl 31) - 1
+
+(* [f ()] raises [Invalid_argument]. *)
+let raises what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" what
+  | exception Invalid_argument _ -> ()
+
 (* ----------------------------------------------------------------- *)
 (* Object_table                                                       *)
 
@@ -95,11 +103,6 @@ let test_field_out_of_range () =
   let a = OT.alloc t ~size:8 ~nrefs:3 ~kind:`Scalar in
   let next = OT.alloc t ~size:8 ~nrefs:2 ~kind:`Scalar in
   let empty = OT.alloc t ~size:8 ~nrefs:0 ~kind:`Scalar in
-  let raises what f =
-    match f () with
-    | () -> Alcotest.failf "%s: no exception" what
-    | exception Invalid_argument _ -> ()
-  in
   raises "get past the end" (fun () -> ignore (OT.get_ref t a 3));
   raises "set past the end" (fun () -> OT.set_ref t a 3 empty);
   raises "negative field" (fun () -> ignore (OT.get_ref t a (-1)));
@@ -137,6 +140,115 @@ let test_growth () =
     ~kind:(if i mod 2 = 0 then `Scalar else `Array)) in
   check Alcotest.int "live" 5000 (OT.live_count t);
   List.iteri (fun i id -> assert (OT.kind t id = if i mod 2 = 0 then `Scalar else `Array)) ids
+
+(* Every row field at the edges of its width: a 64-bit address at and
+   above 2^32, up to page 2^30 of a sparse space; scratch and page-slot
+   words at -1 and 2^31 - 1; a 16-bit space tag; a size of 2^31 - 1.
+   One past an edge raises and stores nothing. *)
+let test_row_field_widths () =
+  let t = OT.create () in
+  let a = OT.alloc t ~size:max31 ~nrefs:1 ~kind:`Array in
+  check Alcotest.int "size 2^31 - 1" max31 (OT.size t a);
+  check Alcotest.int "live bytes" max31 (OT.live_bytes t);
+  raises "size 2^31" (fun () -> OT.alloc t ~size:(max31 + 1) ~nrefs:0 ~kind:`Scalar);
+  raises "nrefs 2^31" (fun () -> OT.alloc t ~size:8 ~nrefs:(max31 + 1) ~kind:`Scalar);
+  check Alcotest.int "rejected allocs leave no row" 1 (OT.capacity t);
+  check Alcotest.int "rejected allocs leave no bytes" max31 (OT.live_bytes t);
+  let high_page = Vmsim.Page.addr_of (1 lsl 30) in
+  List.iter
+    (fun v ->
+      OT.set_addr t a v;
+      check Alcotest.int (Printf.sprintf "addr %d" v) v (OT.addr t a))
+    [ 1 lsl 32; (1 lsl 32) + 4095; high_page; high_page + Vmsim.Page.size - 1; -1 ];
+  List.iter
+    (fun v ->
+      OT.set_scratch t a v;
+      OT.set_page_slot t a v;
+      check Alcotest.int (Printf.sprintf "scratch %d" v) v (OT.scratch t a);
+      check Alcotest.int (Printf.sprintf "page slot %d" v) v (OT.page_slot t a))
+    [ -1; max31; 0 ];
+  OT.set_space t a 0xffff;
+  OT.set_bookmarked t a true;
+  raises "scratch 2^31" (fun () -> OT.set_scratch t a (max31 + 1));
+  raises "page slot below -2^31" (fun () -> OT.set_page_slot t a (-max31 - 2));
+  raises "space 2^16" (fun () -> OT.set_space t a 0x10000);
+  raises "space -1" (fun () -> OT.set_space t a (-1));
+  raises "ref target 2^31" (fun () -> OT.set_ref t a 0 (max31 + 1));
+  check Alcotest.int "scratch kept" 0 (OT.scratch t a);
+  check Alcotest.int "page slot kept" 0 (OT.page_slot t a);
+  check Alcotest.int "space kept" 0xffff (OT.space t a);
+  check Alcotest.bool "ref kept" true (Heapsim.Obj_id.is_null (OT.get_ref t a 0));
+  (* the flags and the space tag share a word *)
+  check Alcotest.bool "bookmarked beside space" true (OT.bookmarked t a);
+  check Alcotest.bool "kind beside space" true (OT.kind t a = `Array);
+  check Alcotest.int "size beside the rest" max31 (OT.size t a);
+  (* fresh runs come off the slab top, so after a run of [chunk_slots - 2]
+     slots the next five straddle the first chunk boundary *)
+  let t = OT.create () in
+  let wide = OT.alloc t ~size:8 ~nrefs:(OT.chunk_slots - 2) ~kind:`Array in
+  let b = OT.alloc t ~size:8 ~nrefs:5 ~kind:`Array in
+  for f = 0 to 4 do
+    check Alcotest.bool (Printf.sprintf "straddling field %d null" f) true
+      (Heapsim.Obj_id.is_null (OT.get_ref t b f))
+  done;
+  OT.set_ref t b 1 wide;
+  OT.set_ref t b 4 max31;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "straddling run" [ (4, max31); (1, wide) ]
+    (let seen = ref [] in
+     OT.iter_refs t b (fun f x -> seen := (f, x) :: !seen);
+     !seen)
+
+(* Host words [f] allocates: minor words plus the words allocated
+   straight into the major heap (major words less promoted ones, which
+   were counted as minor words). [Gc.minor_words] counts the current
+   minor heap at once, where [Gc.counters] and [Gc.quick_stat] lag until
+   the next minor collection; [Gc.counters]' major words count a direct
+   major allocation at once, where [Gc.quick_stat]'s may lag until the
+   next major slice. *)
+let host_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)
+
+(* A row is 32 bytes and a reference slot 4, so a two-field object costs
+   5 host words of chunk, plus a little for the chunks' headers and root
+   arrays. A freed id is threaded through its dead row and a freed run
+   through its first slot, so freeing costs nothing, nor does reusing
+   them. Holds in the dev build (cross-module calls not inlined) and in
+   the release build alike. *)
+let test_alloc_free_host_words () =
+  let n = 8 * OT.rows_per_chunk in
+  let t = OT.create () in
+  let ids = Array.make n Heapsim.Obj_id.null in
+  let alloc_all () =
+    for i = 0 to n - 1 do
+      ids.(i) <- OT.alloc t ~size:16 ~nrefs:2 ~kind:`Scalar
+    done
+  in
+  let free_all () =
+    for i = 0 to n - 1 do
+      OT.free t ids.(i)
+    done
+  in
+  let per_object words = words /. float_of_int n in
+  let fresh = host_words alloc_all in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f host words for %d allocations (%.2f each, at most 5.5)"
+       fresh n (per_object fresh))
+    true
+    (per_object fresh <= 5.5);
+  List.iter
+    (fun (what, f) ->
+      let words = host_words f in
+      check Alcotest.bool
+        (Printf.sprintf "%.0f host words for %d %s" words n what)
+        true (words = 0.))
+    [ ("frees", free_all); ("reallocations", alloc_all); ("second frees", free_all) ]
 
 (* ----------------------------------------------------------------- *)
 (* Address_space and Page_map                                         *)
@@ -391,34 +503,40 @@ let prop_object_table_alloc_free =
       List.iter (fun (id, _) -> OT.free t id) ids;
       ok1 && OT.live_count t = 0 && OT.live_bytes t = 0)
 
-(* Random alloc/free/set/get/iter sequences against a model: a table
-   from live id to its fields. Widths run to 70 and one object is wider
-   than a slab chunk, so runs straddle chunks and recycled runs of every
-   width are reused; the table starts more than two row chunks full. *)
+(* Random alloc/free/set/get/iter/row sequences against a model: a table
+   from live id to its row and fields, and the stack of freed ids, whose
+   top every allocation must reuse before a fresh id. Widths run to 70
+   and one object is wider than a slab chunk, so runs straddle chunks and
+   recycled runs of every width are reused; the table starts more than
+   two row chunks full. Sizes and row values reach both ends of their
+   widths. *)
 type ot_op =
-  | Alloc of int
+  | Alloc of int * int
   | Free of int
   | Set of int * int * int
   | Get of int * int
   | Iter of int
+  | Row of int * int
 
 let show_ot_op = function
-  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Alloc (n, s) -> Printf.sprintf "alloc %d (%d)" n s
   | Free i -> Printf.sprintf "free %d" i
   | Set (i, f, x) -> Printf.sprintf "set %d.%d <- %d" i f x
   | Get (i, f) -> Printf.sprintf "get %d.%d" i f
   | Iter i -> Printf.sprintf "iter %d" i
+  | Row (i, x) -> Printf.sprintf "row %d (%d)" i x
 
 let arb_ot_ops =
   let open QCheck.Gen in
   let op =
     frequency
       [
-        (3, map (fun n -> Alloc n) (int_range 0 70));
+        (3, map2 (fun n s -> Alloc (n, s)) (int_range 0 70) nat);
         (2, map (fun i -> Free i) nat);
         (4, map3 (fun i f x -> Set (i, f, x)) nat nat nat);
         (2, map2 (fun i f -> Get (i, f)) nat nat);
         (1, map (fun i -> Iter i) nat);
+        (2, map2 (fun i x -> Row (i, x)) nat nat);
       ]
   in
   QCheck.make
@@ -426,55 +544,104 @@ let arb_ot_ops =
     ~shrink:QCheck.Shrink.list
     (list_size (int_range 1 300) op)
 
+type ot_row = {
+  fields : int array;
+  size : int;
+  kind : [ `Scalar | `Array ];
+  mutable addr : int;
+  mutable space : int;
+  mutable scratch : int;
+  mutable page_slot : int;
+  mutable bookmarked : bool;
+}
+
+(* A value in [lo, hi] chosen by [seed]: one end, the other, or one in
+   between. *)
+let in_range seed lo hi =
+  match seed mod 4 with
+  | 0 -> lo
+  | 1 -> hi
+  | _ -> lo + (seed * 7919 mod (hi - lo + 1))
+
 let prop_object_table_model =
   QCheck.Test.make ~name:"object table refs agree with a model" ~count:200
     arb_ot_ops (fun ops ->
       let t = OT.create () in
-      let model : (int, int array) Hashtbl.t = Hashtbl.create 64 in
+      let model : (int, ot_row) Hashtbl.t = Hashtbl.create 64 in
       let live = Repro_util.Vec.create () in
-      let alloc n =
-        let id = OT.alloc t ~size:8 ~nrefs:n ~kind:`Scalar in
-        if Hashtbl.mem model id then Alcotest.failf "id %d handed out twice" id;
-        Hashtbl.replace model id (Array.make n Heapsim.Obj_id.null);
+      let freed = ref [] and fresh = ref 0 in
+      let alloc n s =
+        let size = in_range s 1 max31 in
+        let kind = if s mod 3 = 0 then `Array else `Scalar in
+        let expect =
+          match !freed with
+          | id :: rest ->
+              freed := rest;
+              id
+          | [] ->
+              incr fresh;
+              !fresh - 1
+        in
+        let id = OT.alloc t ~size ~nrefs:n ~kind in
+        if id <> expect then Alcotest.failf "alloc handed out #%d, not #%d" id expect;
+        Hashtbl.replace model id
+          {
+            fields = Array.make n Heapsim.Obj_id.null;
+            size;
+            kind;
+            addr = -1;
+            space = 0;
+            scratch = -1;
+            page_slot = -1;
+            bookmarked = false;
+          };
         Repro_util.Vec.push live id
       in
       let agrees id =
-        let fields = Hashtbl.find model id in
+        let r = Hashtbl.find model id in
         let seen = ref [] in
         OT.iter_refs t id (fun f x -> seen := (f, x) :: !seen);
         let expect = ref [] in
         Array.iteri
           (fun f x -> if not (Heapsim.Obj_id.is_null x) then expect := (f, x) :: !expect)
-          fields;
-        OT.nrefs t id = Array.length fields
+          r.fields;
+        OT.nrefs t id = Array.length r.fields
         && !seen = !expect
-        && Array.for_all2 ( = ) fields
-             (Array.init (Array.length fields) (OT.get_ref t id))
+        && Array.for_all2 ( = ) r.fields
+             (Array.init (Array.length r.fields) (OT.get_ref t id))
+        && OT.size t id = r.size
+        && OT.kind t id = r.kind
+        && OT.addr t id = r.addr
+        && OT.space t id = r.space
+        && OT.scratch t id = r.scratch
+        && OT.page_slot t id = r.page_slot
+        && OT.bookmarked t id = r.bookmarked
       in
-      alloc (OT.chunk_slots + 5);
+      alloc (OT.chunk_slots + 5) 0;
       (* past two row chunks, so ids and recycled ids cross chunk
          boundaries *)
       for i = 1 to (2 * OT.rows_per_chunk) + 1 do
-        alloc (i mod 3)
+        alloc (i mod 3) i
       done;
       let pick i = Repro_util.Vec.get live (i mod Repro_util.Vec.length live) in
       List.for_all
         (fun op ->
           let nlive = Repro_util.Vec.length live in
           match op with
-          | Alloc n ->
-              alloc n;
+          | Alloc (n, s) ->
+              alloc n s;
               true
           | _ when nlive = 0 -> true
           | Free i ->
               let id = pick i in
               OT.free t id;
               Hashtbl.remove model id;
+              freed := id :: !freed;
               ignore (Repro_util.Vec.swap_remove live (i mod nlive) : int);
               not (OT.is_live t id)
           | Set (i, f, x) ->
               let id = pick i in
-              let fields = Hashtbl.find model id in
+              let fields = (Hashtbl.find model id).fields in
               (if Array.length fields > 0 then
                  let target = if x mod (nlive + 1) = nlive then Heapsim.Obj_id.null else pick x in
                  let f = f mod Array.length fields in
@@ -483,13 +650,29 @@ let prop_object_table_model =
               true
           | Get (i, f) ->
               let id = pick i in
-              let fields = Hashtbl.find model id in
+              let fields = (Hashtbl.find model id).fields in
               Array.length fields = 0
               || OT.get_ref t id (f mod Array.length fields)
                  = fields.(f mod Array.length fields)
-          | Iter i -> agrees (pick i))
+          | Iter i -> agrees (pick i)
+          | Row (i, x) ->
+              let id = pick i in
+              let r = Hashtbl.find model id in
+              r.addr <- in_range x (-1) (Vmsim.Page.addr_of (1 lsl 30));
+              r.space <- in_range (x + 1) 0 0xffff;
+              r.scratch <- in_range (x + 2) (-1) max31;
+              r.page_slot <- in_range (x + 3) (-1) max31;
+              r.bookmarked <- x land 1 = 1;
+              OT.set_addr t id r.addr;
+              OT.set_space t id r.space;
+              OT.set_scratch t id r.scratch;
+              OT.set_page_slot t id r.page_slot;
+              OT.set_bookmarked t id r.bookmarked;
+              agrees id)
         ops
       && OT.live_count t = Hashtbl.length model
+      && OT.live_bytes t = Hashtbl.fold (fun _ r acc -> acc + r.size) model 0
+      && OT.capacity t = !fresh
       && Hashtbl.fold (fun id _ ok -> ok && agrees id) model true)
 
 let () =
@@ -504,6 +687,9 @@ let () =
           Alcotest.test_case "refs" `Quick test_refs;
           Alcotest.test_case "flags" `Quick test_flags;
           Alcotest.test_case "growth" `Quick test_growth;
+          Alcotest.test_case "row fields at their widths" `Quick test_row_field_widths;
+          Alcotest.test_case "alloc and free host words" `Quick
+            test_alloc_free_host_words;
         ] );
       ( "layout",
         [
