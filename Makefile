@@ -1,4 +1,4 @@
-.PHONY: all build test test-release ci alloc-path-check sched-path-check mark-path-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release oracle-check ci alloc-path-check sched-path-check mark-path-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -22,19 +22,30 @@ test-release:
 	DUNE_CACHE=disabled dune runtest --root . --profile release \
 	  --build-dir .release_build
 
+# Oracle check: the whole suite again with BC_ORACLE=1, under which BC
+# runs Gc_common.Verify.heap after every collection, so the page-index
+# rule (every object on an indexed page in each bucket it spans, at the
+# slot its page_slot names; every object on an unindexed page wholly
+# inside its range) and the rest of Verify hold after every BC collection
+# in the suite. ROADMAP item 3's differential liveness oracle replaces
+# this target when BC_ORACLE goes.
+oracle-check:
+	BC_ORACLE=1 dune runtest --force
+
 # Full CI gate: everything compiles (including examples and benches), every
 # collector allocates through Gc_common.Alloc, only the scheduler starts
 # workers, only the tracer marks, no module holds mutable state of its
 # own, every export has a caller, the whole suite passes — test_faults
 # runs the fault-plan smoke tests with fixed seeds, so regressions in the
 # degradation paths fail here — the quick experiment text and the
-# examples' output match their goldens, and traced runs (one solo, one
+# examples' output match their goldens, traced runs (one solo, one
 # two-process) produce valid Chrome JSON covering every expected GC
-# phase kind. The wall-clock perf-guard runs last: it depends on how busy
-# the machine is, so a failure there must not hide the deterministic
-# checks before it.
+# phase kind, and the suite passes again in the release profile and
+# with the heap verified after every BC collection. The wall-clock
+# perf-guard runs last: it depends on how busy the machine is, so a
+# failure there must not hide the deterministic checks before it.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) oracle-check && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls

@@ -136,12 +136,16 @@ let factory config heap =
       heap;
       config;
       stats = Gc_stats.create ();
-      nursery = Gc_common.Bump_space.create heap ~name:"nursery" ~npages:pages;
+      nursery =
+        Gc_common.Bump_space.create heap ~name:"nursery" ~npages:pages
+          ~indexed:false;
       nursery_objects = Vec.create ();
       mature =
         [|
-          Gc_common.Bump_space.create heap ~name:"mature0" ~npages:half_pages;
-          Gc_common.Bump_space.create heap ~name:"mature1" ~npages:half_pages;
+          Gc_common.Bump_space.create heap ~name:"mature0" ~npages:half_pages
+            ~indexed:false;
+          Gc_common.Bump_space.create heap ~name:"mature1" ~npages:half_pages
+            ~indexed:false;
         |];
       to_idx = 0;
       mature_objects = Vec.create ();

@@ -172,9 +172,11 @@ let make ~generational config heap =
       heap;
       config;
       stats = Gc_stats.create ();
+      (* only the cooperative discard test reads nursery pages *)
       nursery =
         Gc_common.Bump_space.create heap ~name:"nursery"
-          ~npages:(Gc_common.Gc_config.heap_pages config);
+          ~npages:(Gc_common.Gc_config.heap_pages config)
+          ~indexed:config.Gc_common.Gc_config.cooperative_discard;
       nursery_objects = Vec.create ();
       ms = Gc_common.Ms_space.create heap ~name:"ms" ~max_cell:Mark_sweep.max_cell;
       los = Gc_common.Large_object_space.create heap ~name:"los";

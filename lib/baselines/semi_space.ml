@@ -87,8 +87,10 @@ let factory config heap =
       stats = Gc_stats.create ();
       spaces =
         [|
-          Gc_common.Bump_space.create heap ~name:"ss0" ~npages:half_pages;
-          Gc_common.Bump_space.create heap ~name:"ss1" ~npages:half_pages;
+          Gc_common.Bump_space.create heap ~name:"ss0" ~npages:half_pages
+            ~indexed:false;
+          Gc_common.Bump_space.create heap ~name:"ss1" ~npages:half_pages
+            ~indexed:false;
         |];
       to_idx = 0;
       ss_objects = Vec.create ();

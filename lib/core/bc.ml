@@ -1358,7 +1358,7 @@ let factory config heap =
       stats = Gc_stats.create ();
       nursery =
         Gc_common.Bump_space.create heap ~name:"nursery"
-          ~npages:(Gc_config.heap_pages config);
+          ~npages:(Gc_config.heap_pages config) ~indexed:true;
       nursery_objects = Vec.create ();
       sp_space = Superpage.create heap;
 

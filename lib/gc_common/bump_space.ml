@@ -7,12 +7,15 @@ type t = {
   mutable bump : int;
 }
 
-let create heap ~name ~npages =
+let create heap ~name ~npages ~indexed =
   let first_page =
     Heapsim.Address_space.reserve (Heapsim.Heap.address_space heap) ~npages
   in
   Vmsim.Vmm.map_range (Heapsim.Heap.vmm heap) (Heapsim.Heap.process heap)
     ~first_page ~npages;
+  if not indexed then
+    Heapsim.Page_map.unindex_range (Heapsim.Heap.page_map heap)
+      ~first:first_page ~npages;
   let base = Vmsim.Page.addr_of first_page in
   { heap; name; first_page; npages; base; bump = base }
 

@@ -6,8 +6,15 @@
 
 type t
 
-val create : Heapsim.Heap.t -> name:string -> npages:int -> t
-(** Reserve and map [npages] pages. *)
+val create : Heapsim.Heap.t -> name:string -> npages:int -> indexed:bool -> t
+(** Reserve and map [npages] pages. With [~indexed:false] the range is
+    registered with the heap's page map as unindexed
+    ({!Heapsim.Page_map.unindex_range}): placing, moving and freeing an
+    object there skips the page map, and a page-map read of one of its
+    pages raises. Pass [true] only when some code reads the space's
+    pages through the page map (BC's nursery, GenMS-coop's). No object
+    can straddle the space's end, since {!alloc} never passes its
+    capacity. *)
 
 val alloc : t -> bytes:int -> limit_bytes:int -> int
 (** Bump-allocate [bytes] and return their address; [-1] if the

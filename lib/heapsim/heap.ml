@@ -61,19 +61,25 @@ let iter_pages t id f =
     f page
   done
 
+(* An object on an unindexed page lies wholly inside its range, so its
+   first page decides for all of them. *)
 let place t id ~addr =
   let objs = t.objects in
   assert (Object_table.addr objs id < 0);
   Object_table.set_addr objs id addr;
-  Page_map.add t.page_map objs id ~first:(page_of_addr addr)
-    ~last:(page_of_addr (addr + Object_table.size objs id - 1))
+  let first = page_of_addr addr in
+  if Page_map.indexed t.page_map first then
+    Page_map.add t.page_map objs id ~first
+      ~last:(page_of_addr (addr + Object_table.size objs id - 1))
 
 let displace t id =
   let objs = t.objects in
   let addr = Object_table.addr objs id in
   if addr >= 0 then begin
-    Page_map.remove t.page_map objs id ~first:(page_of_addr addr)
-      ~last:(page_of_addr (addr + Object_table.size objs id - 1));
+    let first = page_of_addr addr in
+    if Page_map.indexed t.page_map first then
+      Page_map.remove t.page_map objs id ~first
+        ~last:(page_of_addr (addr + Object_table.size objs id - 1));
     Object_table.set_addr objs id (-1)
   end
 

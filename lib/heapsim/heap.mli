@@ -43,11 +43,14 @@ val iter_pages : t -> Obj_id.t -> (int -> unit) -> unit
 (** Pages spanned by the object at its current address. *)
 
 val place : t -> Obj_id.t -> addr:int -> unit
-(** Set the object's address and register it in the page map. The object
+(** Set the object's address and, when its first page is indexed,
+    register it in the page map ({!Page_map.add}); on an unindexed page
+    (see {!Page_map.unindex_range}) only the address is set. The object
     must be unplaced (fresh or displaced). *)
 
 val displace : t -> Obj_id.t -> unit
-(** Remove the object from the page map, keeping it alive (pre-move). *)
+(** Clear the object's address, keeping it alive (pre-move), and remove
+    it from the page map when its first page is indexed. *)
 
 val free_object : t -> Obj_id.t -> unit
 (** Displace (if placed) and recycle the object. *)

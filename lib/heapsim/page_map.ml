@@ -4,7 +4,10 @@ module Vec = Repro_util.Vec
    chunked table so sparse address spaces (first pages near 2^30) cost
    memory proportional to populated 4096-page chunks. Never-touched chunks
    alias one shared all-None sentinel, which is never written: [bucket]
-   materialises a private chunk before inserting. *)
+   materialises a private chunk before inserting.
+
+   [unindexed] holds the registered unindexed ranges as flat
+   [first; last] page pairs; most heaps have none. *)
 
 let chunk_shift = 12
 
@@ -14,9 +17,45 @@ let chunk_mask = chunk_pages - 1
 
 let sentinel : int Vec.t option array = Array.make chunk_pages None
 
-type t = { mutable chunks : int Vec.t option array array }
+type t = {
+  mutable chunks : int Vec.t option array array;
+  mutable unindexed : int array;
+}
 
-let create () = { chunks = Array.make 1 sentinel }
+let create () = { chunks = Array.make 1 sentinel; unindexed = [||] }
+
+let unindex_range t ~first ~npages =
+  if first < 0 || npages < 1 then
+    invalid_arg
+      (Printf.sprintf "Page_map.unindex_range: first %d, npages %d" first
+         npages);
+  t.unindexed <- Array.append t.unindexed [| first; first + npages - 1 |]
+
+(* Offset of the [first] of the unindexed pair holding [page], or -1.
+   The annotation keeps the compares on ints: left polymorphic, each
+   would be a C call. *)
+let rec range_at (r : int array) (page : int) i =
+  if i >= Array.length r then -1
+  else if page >= r.(i) && page <= r.(i + 1) then i
+  else range_at r page (i + 2)
+
+let[@inline] indexed t page =
+  Array.length t.unindexed = 0 || range_at t.unindexed page 0 < 0
+
+let unindexed_range t page =
+  let r = t.unindexed in
+  let i = range_at r page 0 in
+  if i < 0 then None else Some (r.(i), r.(i + 1))
+
+(* The readers' guard: a bucket on an unindexed page is empty because
+   nothing is registered there, not because the page holds no objects.
+   The test is inlined into each reader and the raise kept out of line,
+   so a heap with no unindexed range pays one length check per read. *)
+let[@inline never] unindexed_read reader page =
+  invalid_arg (Printf.sprintf "Page_map.%s: page %d is unindexed" reader page)
+
+let[@inline] check_indexed t page reader =
+  if not (indexed t page) then unindexed_read reader page
 
 let ensure t page =
   let c = page lsr chunk_shift in
@@ -88,18 +127,28 @@ let remove t objs ~first ~last id =
 
 let objects_on t page buf =
   Vec.clear buf;
-  if page >= 0 then
+  if page >= 0 then begin
+    check_indexed t page "objects_on";
     match slot_of t page with
     | None -> ()
     | Some v ->
         for i = 0 to Vec.length v - 1 do
           Vec.push buf (Vec.get v i)
         done
+  end
 
 let count_on t page =
   if page < 0 then 0
-  else match slot_of t page with None -> 0 | Some v -> Vec.length v
+  else begin
+    check_indexed t page "count_on";
+    match slot_of t page with None -> 0 | Some v -> Vec.length v
+  end
 
+(* [Vec.iter] fixes its bound at entry and a swap-remove writes only the
+   vacated slot and the length, so removing the visited entry (or an
+   earlier one) leaves every later entry where the loop will read it. *)
 let iter_on t page f =
-  if page >= 0 then
+  if page >= 0 then begin
+    check_indexed t page "iter_on";
     match slot_of t page with None -> () | Some v -> Vec.iter f v
+  end

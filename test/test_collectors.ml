@@ -6,6 +6,7 @@ module Mini = Test_support.Mini
 module Oracle = Test_support.Oracle
 module OT = Heapsim.Object_table
 module Heap = Heapsim.Heap
+module PM = Heapsim.Page_map
 module Collector = Gc_common.Collector
 module Gc_stats = Gc_common.Gc_stats
 module Alloc = Gc_common.Alloc
@@ -211,6 +212,121 @@ let test_steady_collect_allocates_o1 name () =
     true
     (words < live / 4)
 
+(* -- the heap verifier, mid-run and on planted faults -------------------- *)
+
+(* Collectors whose bump-pointer spaces keep no page index. *)
+let unindexed_collectors =
+  [ "SemiSpace"; "GenCopy"; "GenCopy-fixed"; "GenMS"; "GenMS-fixed"; "CopyMS" ]
+
+(* Mutator slices alternate with forced collections, and Verify.heap runs
+   after each, so it checks the page index mid-run with objects in the
+   nursery: indexed pages everywhere (BC, MarkSweep, GenMS-coop, every
+   mark-sweep and LOS page) and unindexed ones exactly where a collector
+   leaves its bump-pointer spaces out. *)
+let test_verify_mid_run name () =
+  let m, c = Mini.collector ~heap_bytes:(1024 * 1024) name in
+  let heap = m.Mini.heap in
+  let objects = Heap.objects heap in
+  let mutator = Workload.Mutator.create (Mini.spec ()) c in
+  let saw_unindexed = ref false in
+  let verify () =
+    Gc_common.Verify.heap heap;
+    OT.iter_live objects (fun id ->
+        if not (PM.indexed (Heap.page_map heap) (Heap.first_page heap id))
+        then saw_unindexed := true)
+  in
+  Mini.drive mutator ~between:(fun slice ->
+      verify ();
+      if slice mod 4 = 3 then begin
+        c.Collector.collect ();
+        verify ()
+      end);
+  verify ();
+  check Alcotest.bool
+    (name ^ ": objects on unindexed pages")
+    (List.mem name unindexed_collectors)
+    !saw_unindexed
+
+(* A fault planted in a verified heap fails Verify.heap with one line
+   naming the object and the page. *)
+let planted_failure ~plant =
+  let m, c = Mini.collector "MarkSweep" in
+  let heap = m.Mini.heap in
+  let ids = Mini.alloc_list c ~n:8 ~size:64 in
+  Gc_common.Verify.heap heap;
+  let id = List.nth ids 3 in
+  plant heap id;
+  match Gc_common.Verify.heap heap with
+  | () -> Alcotest.failf "verify passed over a fault planted on #%d" id
+  | exception Failure msg -> (msg, id, Heap.first_page heap id)
+
+let test_verify_stale_slot () =
+  let msg, id, page =
+    planted_failure ~plant:(fun heap id ->
+        OT.set_page_slot (Heap.objects heap) id 99)
+  in
+  check Alcotest.string "stale page_slot"
+    (Printf.sprintf
+       "verify: live object #%d has page_slot 99 but is at slot 3 on page %d"
+       id page)
+    msg
+
+let test_verify_duplicate_entry () =
+  let msg, id, page =
+    planted_failure ~plant:(fun heap id ->
+        let page = Heap.first_page heap id in
+        PM.add (Heap.page_map heap) (Heap.objects heap) ~first:page ~last:page
+          id)
+  in
+  check Alcotest.string "duplicate entry"
+    (Printf.sprintf "verify: page %d lists object #%d twice" page id)
+    msg
+
+let test_verify_missing_entry () =
+  let msg, id, page =
+    planted_failure ~plant:(fun heap id ->
+        let page = Heap.first_page heap id in
+        PM.remove (Heap.page_map heap) (Heap.objects heap) ~first:page
+          ~last:page id)
+  in
+  check Alcotest.string "missing entry"
+    (Printf.sprintf
+       "verify: live object #%d spans page %d but is not in the page map" id
+       page)
+    msg
+
+(* An object must not cross between an indexed and an unindexed page:
+   one pair of mapped pages, the first or the second unindexed, and an
+   object straddling them. *)
+let test_verify_range_crossing () =
+  let straddle ~unindex_second =
+    let m = Mini.machine () in
+    let heap = m.Mini.heap in
+    let first = Heapsim.Address_space.reserve (Heap.address_space heap) ~npages:2 in
+    Vmsim.Vmm.map_range m.Mini.vmm m.Mini.proc ~first_page:first ~npages:2;
+    PM.unindex_range (Heap.page_map heap)
+      ~first:(if unindex_second then first + 1 else first)
+      ~npages:1;
+    let id = OT.alloc (Heap.objects heap) ~size:200 ~nrefs:0 ~kind:`Scalar in
+    Heap.place heap id ~addr:(Vmsim.Page.addr_of (first + 1) - 100);
+    match Gc_common.Verify.heap heap with
+    | () -> Alcotest.fail "verify passed over a straddling object"
+    | exception Failure msg -> (msg, id, first)
+  in
+  let msg, id, page = straddle ~unindex_second:false in
+  check Alcotest.string "runs past an unindexed range"
+    (Printf.sprintf
+       "verify: live object #%d on unindexed page %d runs past its range to \
+        page %d"
+       id page (page + 1))
+    msg;
+  let msg, id, page = straddle ~unindex_second:true in
+  check Alcotest.string "runs into an unindexed range"
+    (Printf.sprintf
+       "verify: live object #%d on indexed page %d spans unindexed page %d" id
+       page (page + 1))
+    msg
+
 (* -- each collector's defining policy ------------------------------- *)
 
 let drive_small name =
@@ -263,7 +379,9 @@ let test_only_bc_compacts () =
    Heap_exhausted when [i = raise_at]. *)
 let stub_path ?(raise_at = -1) ~stages ~succeed_after () =
   let heap = (Mini.machine ()).Mini.heap in
-  let space = Gc_common.Bump_space.create heap ~name:"stub" ~npages:4 in
+  let space =
+    Gc_common.Bump_space.create heap ~name:"stub" ~npages:4 ~indexed:true
+  in
   let ran = ref [] in
   let small bytes =
     if List.length !ran < succeed_after then -1
@@ -430,6 +548,19 @@ let () =
                   test_steady_collect_allocates_o1);
               ])
           all_collectors );
+      ( "verify",
+        List.concat_map
+          (fun name -> per_collector name [ ("mid-run", test_verify_mid_run) ])
+          all_collectors
+        @ [
+            Alcotest.test_case "stale page slot" `Quick test_verify_stale_slot;
+            Alcotest.test_case "duplicate entry" `Quick
+              test_verify_duplicate_entry;
+            Alcotest.test_case "missing entry" `Quick
+              test_verify_missing_entry;
+            Alcotest.test_case "object crosses a range" `Quick
+              test_verify_range_crossing;
+          ] );
       ( "policies",
         [
           Alcotest.test_case "whole-heap only" `Quick

@@ -341,6 +341,69 @@ let test_page_map_slots () =
   ignore (objects_on m 4 : int list);
   check (Alcotest.list Alcotest.int) "negative page" [] (objects_on m (-1))
 
+(* [iter_on]'s contract: the callback may remove the entry it visits (BC's
+   compaction moves each visited object off the page). Removing every
+   second visited entry, the visits are still the bucket at entry, once
+   each and in order, and exactly the other entries stay. *)
+let test_page_map_iter_removes () =
+  let objs = OT.create () in
+  let m = PM.create () in
+  let ids = List.init 7 (fun _ -> on_pages objs m ~first:3 ~last:3) in
+  let span = on_pages objs m ~first:2 ~last:3 in
+  let at_entry = objects_on m 3 in
+  check (Alcotest.list Alcotest.int) "bucket at entry" (ids @ [ span ])
+    at_entry;
+  let visited = ref [] and kept = ref [] in
+  PM.iter_on m 3 (fun id ->
+      visited := id :: !visited;
+      if List.length !visited mod 2 = 1 then
+        PM.remove m objs ~first:(if id = span then 2 else 3) ~last:3 id
+      else kept := id :: !kept);
+  check (Alcotest.list Alcotest.int) "visits the bucket at entry" at_entry
+    (List.rev !visited);
+  check (Alcotest.list Alcotest.int) "the unremoved entries stay"
+    (List.sort compare !kept)
+    (List.sort compare (objects_on m 3));
+  List.iteri
+    (fun slot id ->
+      if id <> span then
+        check Alcotest.int
+          (Printf.sprintf "back-index of #%d" id)
+          slot (OT.page_slot objs id))
+    (objects_on m 3)
+
+(* An unindexed range keeps no buckets: readers raise there, and
+   elsewhere nothing changes. *)
+let test_page_map_unindexed () =
+  let m = PM.create () in
+  check Alcotest.bool "indexed before any range" true (PM.indexed m 5);
+  PM.unindex_range m ~first:10 ~npages:4;
+  PM.unindex_range m ~first:20 ~npages:1;
+  List.iter
+    (fun (page, want) ->
+      check Alcotest.bool (Printf.sprintf "page %d indexed" page) want
+        (PM.indexed m page))
+    [ (9, true); (10, false); (13, false); (14, true); (20, false); (21, true) ];
+  check
+    Alcotest.(option (pair int int))
+    "range of 12" (Some (10, 13)) (PM.unindexed_range m 12);
+  check Alcotest.(option (pair int int)) "range of 20" (Some (20, 20))
+    (PM.unindexed_range m 20);
+  check Alcotest.(option (pair int int)) "indexed page" None
+    (PM.unindexed_range m 14);
+  Alcotest.check_raises "count_on"
+    (Invalid_argument "Page_map.count_on: page 11 is unindexed") (fun () ->
+      ignore (PM.count_on m 11 : int));
+  Alcotest.check_raises "objects_on"
+    (Invalid_argument "Page_map.objects_on: page 20 is unindexed") (fun () ->
+      PM.objects_on m 20 (Repro_util.Vec.create ()));
+  Alcotest.check_raises "iter_on"
+    (Invalid_argument "Page_map.iter_on: page 13 is unindexed") (fun () ->
+      PM.iter_on m 13 ignore);
+  check Alcotest.int "negative page" 0 (PM.count_on m (-1));
+  check Alcotest.int "indexed neighbour" 0 (PM.count_on m 14);
+  raises "empty range" (fun () -> PM.unindex_range m ~first:30 ~npages:0)
+
 (* ----------------------------------------------------------------- *)
 (* Heap                                                               *)
 
@@ -363,6 +426,40 @@ let test_place_displace () =
   Heap.displace heap id;
   check Alcotest.int "displaced" 0 (PM.count_on (Heap.page_map heap) first);
   check Alcotest.int "addr reset" (-1) (OT.addr objects id)
+
+(* On an unindexed page, place and displace set and clear the address
+   only; an indexed page beside it is registered as before. *)
+let test_place_unindexed () =
+  let m = fixture () in
+  let heap = m.Test_support.Mini.heap in
+  let objects = Heap.objects heap in
+  let first = AS.reserve (Heap.address_space heap) ~npages:2 in
+  Vmsim.Vmm.map_range m.Test_support.Mini.vmm m.Test_support.Mini.proc
+    ~first_page:first ~npages:2;
+  PM.unindex_range (Heap.page_map heap) ~first ~npages:1;
+  let quiet = OT.alloc objects ~size:100 ~nrefs:0 ~kind:`Scalar in
+  let listed = OT.alloc objects ~size:100 ~nrefs:0 ~kind:`Scalar in
+  Heap.place heap quiet ~addr:(Vmsim.Page.addr_of first);
+  Heap.place heap listed ~addr:(Vmsim.Page.addr_of (first + 1));
+  check Alcotest.int "address set" (Vmsim.Page.addr_of first)
+    (OT.addr objects quiet);
+  check Alcotest.int "no back-index" (-1) (OT.page_slot objects quiet);
+  check Alcotest.int "indexed neighbour listed" 1
+    (PM.count_on (Heap.page_map heap) (first + 1));
+  raises "unindexed page read" (fun () ->
+      PM.count_on (Heap.page_map heap) first);
+  Heap.displace heap quiet;
+  check Alcotest.int "address cleared" (-1) (OT.addr objects quiet);
+  (* a move between the two kinds of page keeps the map exact *)
+  Heap.displace heap listed;
+  Heap.place heap listed ~addr:(Vmsim.Page.addr_of first + 200);
+  check Alcotest.int "moved off the indexed page" 0
+    (PM.count_on (Heap.page_map heap) (first + 1));
+  Heap.displace heap listed;
+  Heap.place heap listed ~addr:(Vmsim.Page.addr_of (first + 1) + 64);
+  check (Alcotest.list Alcotest.int) "moved back" [ listed ]
+    (objects_on (Heap.page_map heap) (first + 1));
+  check Alcotest.int "back-index restored" 0 (OT.page_slot objects listed)
 
 let test_spanning_object () =
   let m = fixture () in
@@ -696,7 +793,12 @@ let () =
           Alcotest.test_case "address space" `Quick test_address_space;
           Alcotest.test_case "page map" `Quick test_page_map;
           Alcotest.test_case "page map slots" `Quick test_page_map_slots;
+          Alcotest.test_case "page map iter removes" `Quick
+            test_page_map_iter_removes;
+          Alcotest.test_case "page map unindexed" `Quick
+            test_page_map_unindexed;
           Alcotest.test_case "place/displace" `Quick test_place_displace;
+          Alcotest.test_case "place unindexed" `Quick test_place_unindexed;
           Alcotest.test_case "spanning object" `Quick test_spanning_object;
           Alcotest.test_case "page slot fixup" `Quick test_page_slot_fixup;
           Alcotest.test_case "page slot spanning" `Quick

@@ -12,7 +12,7 @@ let check = Alcotest.check
 
 let test_bump_basic () =
   let m = Mini.machine () in
-  let b = Bump.create m.Mini.heap ~name:"b" ~npages:4 in
+  let b = Bump.create m.Mini.heap ~name:"b" ~npages:4 ~indexed:true in
   check Alcotest.int "capacity" (4 * 4096) (Bump.capacity_bytes b);
   let x = Bump.alloc b ~bytes:100 ~limit_bytes:max_int in
   let y = Bump.alloc b ~bytes:100 ~limit_bytes:max_int in
@@ -24,7 +24,7 @@ let test_bump_basic () =
 
 let test_bump_limit () =
   let m = Mini.machine () in
-  let b = Bump.create m.Mini.heap ~name:"b" ~npages:4 in
+  let b = Bump.create m.Mini.heap ~name:"b" ~npages:4 ~indexed:true in
   check Alcotest.int "limit enforced" (-1)
     (Bump.alloc b ~bytes:300 ~limit_bytes:200);
   check Alcotest.int "capacity enforced" (-1)
