@@ -17,7 +17,7 @@ type t = {
   config : Gc_common.Gc_config.t;
   stats : Gc_stats.t;
   nursery : Gc_common.Bump_space.t;
-  nursery_objects : Heapsim.Obj_id.t Vec.t;
+  nursery_objects : Heapsim.Id_list.t;
   mature : Gc_common.Bump_space.t array;
   mutable to_idx : int;
   mutable mature_objects : Heapsim.Obj_id.t Vec.t;
@@ -139,7 +139,7 @@ let factory config heap =
       nursery =
         Gc_common.Bump_space.create heap ~name:"nursery" ~npages:pages
           ~indexed:false;
-      nursery_objects = Vec.create ();
+      nursery_objects = Heapsim.Id_list.create ();
       mature =
         [|
           Gc_common.Bump_space.create heap ~name:"mature0" ~npages:half_pages

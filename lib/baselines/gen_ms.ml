@@ -1,4 +1,3 @@
-module Vec = Repro_util.Vec
 module Collector = Gc_common.Collector
 module Charge = Gc_common.Charge
 module Gc_stats = Gc_common.Gc_stats
@@ -18,7 +17,7 @@ type t = {
   config : Gc_common.Gc_config.t;
   stats : Gc_stats.t;
   nursery : Gc_common.Bump_space.t;
-  nursery_objects : Heapsim.Obj_id.t Vec.t;
+  nursery_objects : Heapsim.Id_list.t;
   ms : Gc_common.Ms_space.t;
   los : Gc_common.Large_object_space.t;
   remset : Gc_common.Remset.t;
@@ -102,7 +101,7 @@ let mature_can_absorb t =
 
 let check_invariants t =
   let objects = Heapsim.Heap.objects t.heap in
-  Vec.iter
+  Heapsim.Id_list.iter
     (fun id ->
       if Heapsim.Object_table.is_live objects id then
         assert (
@@ -177,7 +176,7 @@ let make ~generational config heap =
         Gc_common.Bump_space.create heap ~name:"nursery"
           ~npages:(Gc_common.Gc_config.heap_pages config)
           ~indexed:config.Gc_common.Gc_config.cooperative_discard;
-      nursery_objects = Vec.create ();
+      nursery_objects = Heapsim.Id_list.create ();
       ms = Gc_common.Ms_space.create heap ~name:"ms" ~max_cell:Mark_sweep.max_cell;
       los = Gc_common.Large_object_space.create heap ~name:"los";
       remset = Gc_common.Remset.create ();

@@ -1,5 +1,3 @@
-module Vec = Repro_util.Vec
-
 let min_nursery_bytes = 32 * 1024
 
 let nursery_limit config ~mature_bytes =
@@ -44,9 +42,9 @@ let copy_object heap id ~new_addr =
   Gc_common.Charge.copy heap ~bytes
 
 let reap_young heap young ~epoch =
-  Vec.iter
+  Heapsim.Id_list.iter
     (fun id ->
       if not (Gc_common.Tracer.marked heap ~epoch id) then
         Heapsim.Heap.free_object heap id)
     young;
-  Vec.clear young
+  Heapsim.Id_list.clear young

@@ -40,7 +40,6 @@ val copy_object : Heapsim.Heap.t -> Heapsim.Obj_id.t -> new_addr:int -> unit
 (** Move an object: touch its old pages (read) and new pages (write),
     charge the copy, and update placement. *)
 
-val reap_young :
-  Heapsim.Heap.t -> Heapsim.Obj_id.t Repro_util.Vec.t -> epoch:int -> unit
+val reap_young : Heapsim.Heap.t -> Heapsim.Id_list.t -> epoch:int -> unit
 (** Free the young objects the trace with [epoch] did not mark and clear
-    the vector. *)
+    the list. *)

@@ -1,4 +1,3 @@
-module Vec = Repro_util.Vec
 module Collector = Gc_common.Collector
 module Charge = Gc_common.Charge
 module Gc_stats = Gc_common.Gc_stats
@@ -15,7 +14,7 @@ type t = {
   stats : Gc_stats.t;
   spaces : Gc_common.Bump_space.t array;
   mutable to_idx : int;
-  ss_objects : Heapsim.Obj_id.t Vec.t;
+  ss_objects : Heapsim.Id_list.t;
   los : Gc_common.Large_object_space.t;
   mutable epoch : int;
 }
@@ -56,8 +55,8 @@ let collect t =
           Gen_shared.copy_object t.heap id ~new_addr:addr);
       let marked = Gc_common.Tracer.marked t.heap ~epoch:t.epoch in
       (* reap unreached copy-space objects; the survivors stay listed, in
-         order, in the vector the allocation path pushes onto *)
-      Vec.filter_in_place
+         order, in the young list the allocation path pushes onto *)
+      Heapsim.Id_list.filter_in_place
         (fun id ->
           let survived = marked id in
           if not survived then Heapsim.Heap.free_object t.heap id;
@@ -70,7 +69,7 @@ let collect t =
 let check_invariants t =
   let objects = Heapsim.Heap.objects t.heap in
   let to_space = t.spaces.(t.to_idx) in
-  Vec.iter
+  Heapsim.Id_list.iter
     (fun id ->
       if Heapsim.Object_table.is_live objects id then
         assert
@@ -93,7 +92,7 @@ let factory config heap =
             ~indexed:false;
         |];
       to_idx = 0;
-      ss_objects = Vec.create ();
+      ss_objects = Heapsim.Id_list.create ();
       los = Gc_common.Large_object_space.create heap ~name:"los";
       epoch = 0;
     }

@@ -32,7 +32,7 @@ type t = {
   opts : Gc_config.bc_opts;
   stats : Gc_stats.t;
   nursery : Gc_common.Bump_space.t;
-  nursery_objects : Heapsim.Obj_id.t Vec.t;
+  nursery_objects : Heapsim.Id_list.t;
   sp_space : Superpage.t;
   los : Gc_common.Large_object_space.t;
   cards : Gc_common.Card_table.t;
@@ -682,7 +682,7 @@ let remembered_roots t enqueue =
       end
       else requeue := card_addr :: !requeue);
   List.iter (Gc_common.Card_table.mark_addr t.cards) !requeue;
-  Vec.iter
+  Heapsim.Id_list.iter
     (fun id ->
       if
         Heapsim.Object_table.is_live objects id
@@ -750,7 +750,7 @@ let minor t =
 let evacuate_nursery t =
   let objects = Heapsim.Heap.objects t.heap in
   let keep = Vec.create () in
-  Vec.iter
+  Heapsim.Id_list.iter
     (fun id ->
       if
         Heapsim.Object_table.is_live objects id
@@ -759,7 +759,7 @@ let evacuate_nursery t =
       else if Heapsim.Object_table.is_live objects id then
         Heapsim.Heap.free_object t.heap id)
     t.nursery_objects;
-  Vec.clear t.nursery_objects;
+  Heapsim.Id_list.clear t.nursery_objects;
   let copy = sp_copy_young t ~grow:(grow_sp t) ~resident:(resident_ok t) in
   let n = Vec.length keep in
   let i = ref 0 in
@@ -771,7 +771,7 @@ let evacuate_nursery t =
    with e ->
      (* the rest are still nursery residents *)
      for j = !i to n - 1 do
-       Vec.push t.nursery_objects (Vec.get keep j)
+       Heapsim.Id_list.push t.nursery_objects (Vec.get keep j)
      done;
      raise e);
   retire_nursery_pages t
@@ -877,7 +877,7 @@ let plan_compaction t ~resident =
       let capacity (sp : Superpage.sp) =
         marked_on.(sp.Superpage.index)
         + dead_on.(sp.Superpage.index)
-        + Vec.length sp.Superpage.free
+        + Superpage.free_count sp
       in
       let covered = ref 0 in
       let pool = Vec.create () in
@@ -1263,7 +1263,7 @@ let check_invariants t =
   Superpage.iter_sps t.sp_space (fun sp ->
       if sp.Superpage.cells_total > 0 then begin
         let occupied = Superpage.live_count t.sp_space sp in
-        let free = Vec.length sp.Superpage.free in
+        let free = Superpage.free_count sp in
         let blocked = Vec.length sp.Superpage.blocked in
         if free + blocked + occupied > sp.Superpage.cells_total then
           failwith
@@ -1359,7 +1359,7 @@ let factory config heap =
       nursery =
         Gc_common.Bump_space.create heap ~name:"nursery"
           ~npages:(Gc_config.heap_pages config) ~indexed:true;
-      nursery_objects = Vec.create ();
+      nursery_objects = Heapsim.Id_list.create ();
       sp_space = Superpage.create heap;
 
       los = Gc_common.Large_object_space.create heap ~name:"los";

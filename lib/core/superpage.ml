@@ -8,6 +8,7 @@ type sp = {
   mutable cls : int;
   mutable kind : kind;
   mutable cells_total : int;
+  mutable fresh : int;
   free : int Vec.t;
   blocked : int Vec.t;
   mutable on_partial : bool;
@@ -74,19 +75,21 @@ let cell_size sp = Gc_common.Size_class.cell_size sp.cls
 
 let base_addr sp = Vmsim.Page.addr_of sp.first_page + header_bytes
 
-(* Carve an empty superpage into cells of the given class and kind. *)
+let free_count sp = Vec.length sp.free + sp.fresh
+
+(* Carve an empty superpage into cells of the given class and kind. The
+   cells are handed out from the [fresh] count, highest address first,
+   once [free] is empty: the order a free list filled with every cell in
+   address order at carve time would pop them in, with no list. *)
 let assign_class t sp cls kind =
   let cell = Gc_common.Size_class.cell_size cls in
   let ncells = usable_bytes / cell in
   sp.cls <- cls;
   sp.kind <- kind;
   sp.cells_total <- ncells;
+  sp.fresh <- ncells;
   Vec.clear sp.free;
   Vec.clear sp.blocked;
-  let base = base_addr sp in
-  for i = 0 to ncells - 1 do
-    Vec.push sp.free (base + (i * cell))
-  done;
   t.free_cell_bytes <- t.free_cell_bytes + (ncells * cell)
 
 let acquire t cls kind ~grow =
@@ -112,6 +115,7 @@ let acquire t cls kind ~grow =
         cls;
         kind;
         cells_total = 0;
+        fresh = 0;
         free = Vec.create ();
         blocked = Vec.create ();
         on_partial = false;
@@ -134,7 +138,7 @@ let rec has_partial t idx cls =
   (not (Vec.is_empty v))
   &&
   let sp = Vec.top v in
-  if sp.cls <> cls || partial_idx sp.cls sp.kind <> idx || Vec.is_empty sp.free
+  if sp.cls <> cls || partial_idx sp.cls sp.kind <> idx || free_count sp = 0
   then begin
     ignore (Vec.pop v);
     sp.on_partial <- false;
@@ -150,13 +154,22 @@ let cell_usable ~resident ~cell addr =
   pages_ok resident (Vmsim.Page.of_addr addr)
     (Vmsim.Page.of_addr (addr + cell - 1))
 
+(* The next free cell: the last one given back, else the highest fresh
+   one. *)
+let take_cell sp ~cell =
+  if Vec.is_empty sp.free then begin
+    sp.fresh <- sp.fresh - 1;
+    base_addr sp + (sp.fresh * cell)
+  end
+  else Vec.pop sp.free
+
 (* Pop a free cell whose pages are all usable, parking others on
    [blocked]; -1 once none is left. *)
 let rec pop_usable_cell t sp ~resident =
-  if Vec.is_empty sp.free then -1
+  if free_count sp = 0 then -1
   else begin
     let cell = cell_size sp in
-    let addr = Vec.pop sp.free in
+    let addr = take_cell sp ~cell in
     t.free_cell_bytes <- t.free_cell_bytes - cell;
     if cell_usable ~resident ~cell addr then addr
     else begin
@@ -219,15 +232,36 @@ let cells_overlapping_page sp page =
     !n
   end
 
+(* Turn the fresh cells into [free] entries below the returned ones, in
+   address order: the list a carve-time fill would have left. *)
+let list_fresh sp ~cell =
+  let n = sp.fresh and returned = Vec.length sp.free in
+  for _ = 1 to n do
+    Vec.push sp.free 0
+  done;
+  for i = returned - 1 downto 0 do
+    Vec.set sp.free (i + n) (Vec.get sp.free i)
+  done;
+  let base = base_addr sp in
+  for i = 0 to n - 1 do
+    Vec.set sp.free i (base + (i * cell))
+  done;
+  sp.fresh <- 0
+
 let note_page_evicted t page =
   match sp_of_page t page with
   | None -> ()
   | Some sp ->
       sp.evicted_data_pages <- sp.evicted_data_pages + 1;
-      (* park free cells overlapping the now-evicted page *)
+      (* park free cells overlapping the now-evicted page; the fresh
+         cells are the lowest [fresh] of the superpage, so they are
+         listed only when some of them must be parked *)
       let cell = cell_size sp in
       let lo = Vmsim.Page.addr_of page in
       let hi = lo + Vmsim.Page.size - 1 in
+      let base = base_addr sp in
+      if sp.fresh > 0 && base <= hi && base + (sp.fresh * cell) - 1 >= lo then
+        list_fresh sp ~cell;
       let kept = ref 0 in
       let n = Vec.length sp.free in
       for i = 0 to n - 1 do
@@ -299,10 +333,10 @@ let recycle_empty t ~resident =
         && vacant t sp
         && pages_ok resident (sp.first_page + 1) (sp.first_page + 3)
       then begin
-        t.free_cell_bytes <-
-          t.free_cell_bytes - (Vec.length sp.free * cell_size sp);
+        t.free_cell_bytes <- t.free_cell_bytes - (free_count sp * cell_size sp);
         Vec.clear sp.free;
         Vec.clear sp.blocked;
+        sp.fresh <- 0;
         sp.cells_total <- 0;
         sp.on_partial <- false;
         Vec.push t.empty_pool sp

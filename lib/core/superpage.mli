@@ -9,8 +9,11 @@
     at opposite ends, so BC segregates them to locate objects on a page).
 
     Cells are carved from the remaining bytes and may span pages within
-    the superpage. Cells whose pages are not resident are never handed
-    out; they are parked on a blocked list until the page reloads. *)
+    the superpage. Carving writes no list: the cells are handed out from
+    a [fresh] count, highest address first, and only cells given back
+    later sit on the [free] list, which is popped before the fresh ones.
+    Cells whose pages are not resident are never handed out; they are
+    parked on a blocked list until the page reloads. *)
 
 type kind = Scalar | Array
 
@@ -20,7 +23,13 @@ type sp = {
   mutable cls : int;
   mutable kind : kind;
   mutable cells_total : int;
-  free : int Repro_util.Vec.t;  (** free cell addresses (resident) *)
+  mutable fresh : int;
+      (** how many cells have not been handed out since the carve: the
+          lowest [fresh] cells, all free *)
+  free : int Repro_util.Vec.t;
+      (** addresses of cells given back since the carve (by a sweep, a
+          compaction or a reload), free and resident, popped last in
+          first out before any fresh cell *)
   blocked : int Repro_util.Vec.t;  (** free cells on non-resident pages *)
   mutable on_partial : bool;
   mutable incoming : int;  (** # evicted pages with pointers into this sp *)
@@ -59,6 +68,9 @@ val alloc :
 val free_cell : t -> sp -> addr:int -> unit
 (** Return a cell to its superpage's free list. *)
 
+val free_count : sp -> int
+(** Allocatable free cells: the [free] list plus the [fresh] count. *)
+
 val alloc_on : t -> sp -> resident:(int -> bool) -> int
 (** Pop a usable cell from a specific superpage (compaction targets), or
     [-1] when every free cell on it is blocked. *)
@@ -85,7 +97,10 @@ val free_bytes : t -> int
     superpages. *)
 
 val note_page_evicted : t -> int -> unit
-(** Track an evicted data page; also parks free cells overlapping it. *)
+(** Track an evicted data page; also parks free cells overlapping it.
+    When a fresh cell overlaps it, the fresh cells first join [free], in
+    address order below the cells given back, so the pop order is the
+    same as if they had been listed at the carve. *)
 
 val note_page_resident : t -> int -> resident:(int -> bool) -> unit
 (** Track a reloaded data page and un-park blocked cells that are now

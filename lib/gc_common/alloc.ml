@@ -1,5 +1,3 @@
-module Vec = Repro_util.Vec
-
 type t = {
   name : string;
   heap : Heapsim.Heap.t;
@@ -8,7 +6,7 @@ type t = {
   surcharge_ns : int;
   small : int -> int;
   small_tag : int;
-  young : Heapsim.Obj_id.t Vec.t option;
+  young : Heapsim.Id_list.t option;
   stages : (unit -> unit) array;
   los : Large_object_space.t;
   los_above : int;
@@ -78,7 +76,7 @@ let alloc t ~size ~nrefs ~kind =
   end
   else begin
     Heapsim.Object_table.set_space objects id t.small_tag;
-    match t.young with Some young -> Vec.push young id | None -> ()
+    match t.young with Some young -> Heapsim.Id_list.push young id | None -> ()
   end;
   (match t.on_placed with Some f -> f id | None -> ());
   Heapsim.Heap.touch_object heap ~write:true id;

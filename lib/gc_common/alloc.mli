@@ -30,7 +30,7 @@ val create :
   ?surcharge_ns:int ->
   small:(int -> int) ->
   small_tag:int ->
-  ?young:Heapsim.Obj_id.t Repro_util.Vec.t ->
+  ?young:Heapsim.Id_list.t ->
   stages:(unit -> unit) array ->
   los:Large_object_space.t ->
   los_above:int ->
@@ -49,7 +49,10 @@ val create :
       once per call: MarkSweep's free-list cost over a bump pointer.
     - [small bytes] returns an address in the small-object space, or
       [-1]. Objects get the tag [small_tag] and, when given, are pushed
-      onto [young].
+      onto [young], the collector's young list. It is an
+      {!Heapsim.Id_list}, whose chunks are never copied and outlive
+      each collection's clear, so the push allocates on the host heap
+      only when the list outgrows every chunk it has had.
     - [stages] are the small branch's escalation stages, [los_stages]
       the large branch's. A stage's own exceptions propagate: a
       collector whose stages must not abort the ladder catches them

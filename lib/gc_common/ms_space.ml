@@ -1,10 +1,16 @@
 module Vec = Repro_util.Vec
 
+(* A page's free cells are its lowest [fresh] cells, never handed out
+   since the carve, and the cells a sweep gave back, listed in [free].
+   [free] is popped first and the fresh cells then go highest address
+   first: the order a [free] list filled with every cell in address order
+   at carve time would pop them in, without writing the list. *)
 type page_rec = {
   page : int;
   mutable cls : int;
   mutable cells_total : int;
-  free : int Vec.t;  (* free cell addresses *)
+  mutable fresh : int;
+  free : int Vec.t;  (* returned cell addresses *)
   mutable on_partial : bool;
 }
 
@@ -45,17 +51,15 @@ let free_bytes t = t.free_bytes
 
 let iter_pages t f = Vec.iter f t.pages
 
+let free_count pr = Vec.length pr.free + pr.fresh
+
 (* Carve a page into cells of class [cls]. *)
 let assign_class pr cls =
-  let cell = Size_class.cell_size cls in
-  let ncells = Vmsim.Page.size / cell in
+  let ncells = Vmsim.Page.size / Size_class.cell_size cls in
   pr.cls <- cls;
   pr.cells_total <- ncells;
-  Vec.clear pr.free;
-  let base = Vmsim.Page.addr_of pr.page in
-  for i = 0 to ncells - 1 do
-    Vec.push pr.free (base + (i * cell))
-  done
+  pr.fresh <- ncells;
+  Vec.clear pr.free
 
 let acquire_page t cls ~grow =
   if not (Vec.is_empty t.empty_pool) then begin
@@ -77,6 +81,7 @@ let acquire_page t cls ~grow =
         page = first_page;
         cls;
         cells_total = 0;
+        fresh = 0;
         free = Vec.create ();
         on_partial = false;
       }
@@ -96,7 +101,7 @@ let rec has_partial t cls =
   (not (Vec.is_empty v))
   &&
   let pr = Vec.top v in
-  if pr.cls <> cls || Vec.is_empty pr.free then begin
+  if pr.cls <> cls || free_count pr = 0 then begin
     ignore (Vec.pop v);
     pr.on_partial <- false;
     has_partial t cls
@@ -123,9 +128,16 @@ let alloc t ~bytes ~grow =
   else begin
     let v = t.partial.(cls) in
     let pr = Vec.top v in
-    let addr = Vec.pop pr.free in
-    t.free_bytes <- t.free_bytes - Size_class.cell_size cls;
-    if Vec.is_empty pr.free then begin
+    let cell = Size_class.cell_size cls in
+    let addr =
+      if Vec.is_empty pr.free then begin
+        pr.fresh <- pr.fresh - 1;
+        Vmsim.Page.addr_of pr.page + (pr.fresh * cell)
+      end
+      else Vec.pop pr.free
+    in
+    t.free_bytes <- t.free_bytes - cell;
+    if free_count pr = 0 then begin
       (* drop from the partial list lazily via the flag *)
       pr.on_partial <- false;
       ignore (Vec.pop v)
@@ -155,18 +167,19 @@ let sweep t ~keep =
           t.free_bytes <- t.free_bytes + Size_class.cell_size pr.cls
         end
       done;
-      if Vec.length pr.free = pr.cells_total && pr.cells_total > 0 then begin
+      if free_count pr = pr.cells_total && pr.cells_total > 0 then begin
         (* wholly empty: recycle to any class *)
         t.free_bytes <-
           t.free_bytes
           - (pr.cells_total * Size_class.cell_size pr.cls)
           + Vmsim.Page.size;
         Vec.clear pr.free;
+        pr.fresh <- 0;
         pr.cells_total <- 0;
         pr.on_partial <- false;
         Vec.push t.empty_pool pr
       end
-      else if (not pr.on_partial) && not (Vec.is_empty pr.free) then begin
+      else if (not pr.on_partial) && free_count pr > 0 then begin
         pr.on_partial <- true;
         Vec.push t.partial.(pr.cls) pr
       end)

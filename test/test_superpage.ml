@@ -75,8 +75,7 @@ let test_grow_denied () =
   check Alcotest.int "alloc_on: every cell blocked" (-1)
     (Sp.alloc_on t sp ~resident:nowhere);
   check Alcotest.bool "its free cells parked" true
-    (Repro_util.Vec.is_empty sp.Sp.free
-    && not (Repro_util.Vec.is_empty sp.Sp.blocked));
+    (Sp.free_count sp = 0 && not (Repro_util.Vec.is_empty sp.Sp.blocked));
   (* ... and alloc, refused a fresh superpage, fails with them *)
   let _, sp =
     alloc_sp t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> true)
@@ -86,7 +85,7 @@ let test_grow_denied () =
     (Sp.alloc t ~bytes:4096 ~kind:Sp.Scalar ~grow:(fun () -> false)
        ~resident:nowhere);
   check Alcotest.bool "cells parked, superpage off its partial list" true
-    (Repro_util.Vec.is_empty sp.Sp.free && not sp.Sp.on_partial)
+    (Sp.free_count sp = 0 && not sp.Sp.on_partial)
 
 let test_blocked_cells () =
   let _, t = fixture () in
@@ -114,12 +113,12 @@ let test_blocked_cells () =
   check Alcotest.bool "some cells parked" true
     (Repro_util.Vec.length sp.Sp.blocked > 0);
   (* page becomes resident again: parked cells return *)
-  let freed = Repro_util.Vec.length sp.Sp.free in
+  let freed = Sp.free_count sp in
   let reloaded = !blocked_page in
   blocked_page := -1;
   Sp.note_page_resident t reloaded ~resident:(fun _ -> true);
   check Alcotest.bool "cells unparked" true
-    (Repro_util.Vec.length sp.Sp.free > freed)
+    (Sp.free_count sp > freed)
 
 let test_cells_overlapping_page () =
   let _, t = fixture () in
