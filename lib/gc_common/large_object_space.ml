@@ -5,6 +5,7 @@ type t = {
   name : string;
   objects : Heapsim.Obj_id.t Vec.t;
   page_ranges : (int, int) Hashtbl.t;  (* first page -> npages *)
+  owned : Repro_util.Bitset.t;  (* every page of every live range *)
   mutable pages : int;
 }
 
@@ -14,6 +15,7 @@ let create heap ~name =
     name;
     objects = Vec.create ();
     page_ranges = Hashtbl.create 16;
+    owned = Repro_util.Bitset.create ();
     pages = 0;
   }
 
@@ -27,13 +29,16 @@ let alloc t ~bytes ~grow =
     Vmsim.Vmm.map_range (Heapsim.Heap.vmm t.heap)
       (Heapsim.Heap.process t.heap) ~first_page ~npages;
     Hashtbl.add t.page_ranges first_page npages;
+    for page = first_page to first_page + npages - 1 do
+      Repro_util.Bitset.set t.owned page
+    done;
     t.pages <- t.pages + npages;
     Vmsim.Page.addr_of first_page
   end
 
 let note_object t id = Vec.push t.objects id
 
-let owns_page t page = Hashtbl.mem t.page_ranges page
+let owns_page t page = Repro_util.Bitset.mem t.owned page
 
 let pages_in_use t = t.pages
 
@@ -51,6 +56,7 @@ let sweep ?(on_free = fun _ -> ()) t ~keep =
            Hashtbl.remove t.page_ranges first_page;
            t.pages <- t.pages - npages;
            for page = first_page to first_page + npages - 1 do
+             Repro_util.Bitset.clear t.owned page;
              on_free page
            done;
            false

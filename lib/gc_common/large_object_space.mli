@@ -25,6 +25,8 @@ val sweep :
     order. *)
 
 val owns_page : t -> int -> bool
+(** Whether [page] is any page of a range the space holds, from
+    {!alloc} until the sweep that frees its object. *)
 
 val pages_in_use : t -> int
 

@@ -116,6 +116,29 @@ let test_reload_clears_bookmarks () =
   c.Collector.check_invariants ();
   Oracle.check m.Mini.heap
 
+(* An eviction notice for a large object's second page is BC's to
+   handle: with no empty page to discard instead, the page is scanned,
+   its object self-bookmarked, and the page protected and relinquished
+   (the kernel reclaims it on its next pass). *)
+let test_los_page_notice_bookmarked () =
+  let m, c, _, dbg = fixture () in
+  let heap = m.Mini.heap in
+  let id = c.Collector.alloc ~size:10_000 ~nrefs:0 ~kind:`Array in
+  Heap.set_roots heap (fun f -> f id);
+  let second = Heap.first_page heap id + 1 in
+  (match Vmsim.Process.handlers m.Mini.proc with
+  | Some h -> h.Vmsim.Process.on_eviction_notice second
+  | None -> Alcotest.fail "BC registered no paging handlers");
+  check Alcotest.int "page evicted" 1 (dbg.Bc.evicted_pages ());
+  check Alcotest.bool "left BC's residency view" false
+    (Bookmarking.Residency.is_resident dbg.Bc.residency second);
+  check Alcotest.bool "page protected until it is reclaimed" true
+    (Vmsim.Vmm.is_protected m.Mini.vmm second);
+  check Alcotest.bool "object bookmarked" true
+    (OT.bookmarked (Heap.objects heap) id);
+  c.Collector.check_invariants ();
+  Oracle.check heap
+
 let test_header_pages_stay_resident () =
   let m, c, signalmem, dbg = fixture () in
   ignore (Mini.alloc_list c ~n:3000 ~size:64);
@@ -332,6 +355,8 @@ let () =
             test_resize_only_pays_faults;
           Alcotest.test_case "reload clears bookmarks" `Quick
             test_reload_clears_bookmarks;
+          Alcotest.test_case "LOS page notice bookmarked" `Quick
+            test_los_page_notice_bookmarked;
           Alcotest.test_case "header pages resident" `Quick
             test_header_pages_stay_resident;
         ] );

@@ -157,6 +157,28 @@ let test_los_alloc_sweep () =
   check (Alcotest.list Alcotest.int) "freed pages" [ first; first + 1; first + 2 ]
     (List.rev !freed)
 
+(* Ownership covers every page of a live range, not only its first, and
+   ends with the sweep that frees it. *)
+let test_los_owns_every_page () =
+  let m = Mini.machine () in
+  let heap = m.Mini.heap in
+  let objects = Heap.objects heap in
+  let los = Los.create heap ~name:"los" in
+  let addr = Los.alloc los ~bytes:10_000 ~grow:(fun ~npages:_ -> true) in
+  assert (addr >= 0);
+  let id = OT.alloc objects ~size:10_000 ~nrefs:0 ~kind:`Array in
+  Heap.place heap id ~addr;
+  Los.note_object los id;
+  let first = Vmsim.Page.of_addr addr in
+  let owned () = List.map (Los.owns_page los) [ first; first + 1; first + 2 ] in
+  check (Alcotest.list Alcotest.bool) "all three pages owned"
+    [ true; true; true ] (owned ());
+  check Alcotest.bool "the page past the range" false
+    (Los.owns_page los (first + 3));
+  Los.sweep los ~keep:(fun _ -> false);
+  check (Alcotest.list Alcotest.bool) "none once freed" [ false; false; false ]
+    (owned ())
+
 let test_los_grow_denied () =
   let m = Mini.machine () in
   let los = Los.create m.Mini.heap ~name:"los" in
@@ -263,6 +285,7 @@ let () =
       ( "large objects",
         [
           Alcotest.test_case "alloc/sweep" `Quick test_los_alloc_sweep;
+          Alcotest.test_case "owns every page" `Quick test_los_owns_every_page;
           Alcotest.test_case "grow denied" `Quick test_los_grow_denied;
         ] );
       ( "remembered sets",
