@@ -42,7 +42,9 @@ let check_placements heap =
 (* The bucket of each indexed page hosting live objects lists live
    objects that span the page, each once; an object whose first page it
    is has its page_slot at its entry. Its length then equals the number
-   of live objects spanning the page exactly when none is missing. *)
+   of live objects spanning the page exactly when none is missing. Any
+   other page's bucket is empty: a page no live object spans lists
+   nothing, dead or alive. *)
 let check_buckets heap spanning =
   let objects = Heap.objects heap in
   let page_map = Heap.page_map heap in
@@ -58,34 +60,36 @@ let check_buckets heap spanning =
           fail "live object #%d spans page %d but is not in the page map" id
             page)
   in
-  Hashtbl.iter
-    (fun page count ->
-      if Page_map.indexed page_map page then begin
-        Page_map.objects_on page_map page on_page;
-        Hashtbl.reset listed;
-        Vec.iter
-          (fun id ->
-            if not (Object_table.is_live objects id) then
-              fail "page %d lists dead object #%d" page id;
-            let first = Heap.first_page heap id in
-            if page < first || page > last_page objects id then
-              fail "page %d lists object #%d which does not span it" page id;
-            if Hashtbl.mem listed id then
-              fail "page %d lists object #%d twice" page id;
-            Hashtbl.add listed id ())
-          on_page;
-        (* after the duplicates: a listed-twice object's slot names only
-           one of its entries *)
-        Vec.iteri
-          (fun slot id ->
-            let stored = Object_table.page_slot objects id in
-            if Heap.first_page heap id = page && stored <> slot then
-              fail "live object #%d has page_slot %d but is at slot %d on page %d"
-                id stored slot page)
-          on_page;
-        if Vec.length on_page <> count then missing page
-      end)
-    spanning
+  let check_page page count =
+    if Page_map.indexed page_map page then begin
+      Page_map.objects_on page_map page on_page;
+      Hashtbl.reset listed;
+      Vec.iter
+        (fun id ->
+          if not (Object_table.is_live objects id) then
+            fail "page %d lists dead object #%d" page id;
+          let first = Heap.first_page heap id in
+          if page < first || page > last_page objects id then
+            fail "page %d lists object #%d which does not span it" page id;
+          if Hashtbl.mem listed id then
+            fail "page %d lists object #%d twice" page id;
+          Hashtbl.add listed id ())
+        on_page;
+      (* after the duplicates: a listed-twice object's slot names only
+         one of its entries *)
+      Vec.iteri
+        (fun slot id ->
+          let stored = Object_table.page_slot objects id in
+          if Heap.first_page heap id = page && stored <> slot then
+            fail "live object #%d has page_slot %d but is at slot %d on page %d"
+              id stored slot page)
+        on_page;
+      if Vec.length on_page <> count then missing page
+    end
+  in
+  Hashtbl.iter check_page spanning;
+  Page_map.iter_populated page_map (fun page ->
+      if not (Hashtbl.mem spanning page) then check_page page 0)
 
 (* Every page hosting live objects is mapped in the VMM and owned by the
    heap's process. *)

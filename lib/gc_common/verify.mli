@@ -22,6 +22,10 @@ val heap : Heapsim.Heap.t -> unit
       is and whose [page_slot] does not name its entry there
       ({!Heapsim.Page_map.remove} trusts that slot); a live object that
       spans the page but is missing from its bucket;
+    - on an indexed page that no live object spans, any entry: the
+      check walks every populated bucket
+      ({!Heapsim.Page_map.iter_populated}), so a stale entry left on a
+      page whose objects all died is caught too;
     - two live objects overlapping in the address space;
     - a page hosting live objects that is unmapped, or owned by a
       process other than the heap's;
@@ -30,4 +34,5 @@ val heap : Heapsim.Heap.t -> unit
       bookmark covers too early).
 
     Each bucket is read once, so the page-map checks cost time linear in
-    the live objects and their pages' entries. *)
+    the live objects and their pages' entries, plus a walk over the
+    page map's populated chunks. *)

@@ -144,6 +144,19 @@ let count_on t page =
     match slot_of t page with None -> 0 | Some v -> Vec.length v
   end
 
+(* Materialised chunks only: a never-touched chunk is the sentinel. *)
+let iter_populated t f =
+  Array.iteri
+    (fun c chunk ->
+      if chunk != sentinel then
+        Array.iteri
+          (fun i slot ->
+            match slot with
+            | Some v when not (Vec.is_empty v) -> f ((c lsl chunk_shift) + i)
+            | _ -> ())
+          chunk)
+    t.chunks
+
 (* [Vec.iter] fixes its bound at entry and a swap-remove writes only the
    vacated slot and the length, so removing the visited entry (or an
    earlier one) leaves every later entry where the loop will read it. *)

@@ -68,6 +68,12 @@ val count_on : t -> int -> int
 (** The number of objects registered on [page]: 0 on a negative page;
     [Invalid_argument] on an unindexed one. *)
 
+val iter_populated : t -> (int -> unit) -> unit
+(** [iter_populated t f] applies [f] to every page whose bucket holds an
+    entry, in increasing page order. Its cost is proportional to the
+    4096-page chunks the map has ever written to. [f] must not add to or
+    remove from the map. *)
+
 val iter_on : t -> int -> (Obj_id.t -> unit) -> unit
 (** [iter_on t page f] applies [f] to each object registered on [page]
     at entry, once each, in bucket order, without a copy. [f] may remove

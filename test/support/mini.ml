@@ -50,3 +50,11 @@ let alloc_list (c : Gc_common.Collector.t) ~n ~size =
     ids := id :: !ids
   done;
   List.rev !ids
+
+let host_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)

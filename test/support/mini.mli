@@ -29,3 +29,12 @@ val alloc_list :
   Gc_common.Collector.t -> n:int -> size:int -> Heapsim.Obj_id.t list
 (** Allocate [n] scalar objects of [size] bytes with one ref slot each,
     chained together, and root the chain head on the heap. *)
+
+val host_words : (unit -> unit) -> float
+(** Host words [f] allocates: minor words plus the words allocated
+    straight into the major heap (major words less promoted ones, which
+    were counted as minor words). [Gc.minor_words] counts the current
+    minor heap at once, where [Gc.counters] and [Gc.quick_stat] lag until
+    the next minor collection; [Gc.counters]' major words count a direct
+    major allocation at once, where [Gc.quick_stat]'s may lag until the
+    next major slice. *)

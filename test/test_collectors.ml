@@ -295,6 +295,25 @@ let test_verify_missing_entry () =
        page)
     msg
 
+(* A free that skips the page map leaves a stale entry. Alone on its
+   page, where no live object spans it, the entry fails Verify.heap as it
+   does beside a live neighbour. *)
+let test_verify_stale_entry_alone () =
+  let m = Mini.machine () in
+  let heap = m.Mini.heap in
+  let page = Heapsim.Address_space.reserve (Heap.address_space heap) ~npages:1 in
+  Vmsim.Vmm.map_range m.Mini.vmm m.Mini.proc ~first_page:page ~npages:1;
+  let id = OT.alloc (Heap.objects heap) ~size:64 ~nrefs:0 ~kind:`Scalar in
+  Heap.place heap id ~addr:(Vmsim.Page.addr_of page);
+  Gc_common.Verify.heap heap;
+  OT.free (Heap.objects heap) id;
+  match Gc_common.Verify.heap heap with
+  | () -> Alcotest.fail "verify passed over a stale entry on an empty page"
+  | exception Failure msg ->
+      check Alcotest.string "stale entry alone"
+        (Printf.sprintf "verify: page %d lists dead object #%d" page id)
+        msg
+
 (* An object must not cross between an indexed and an unindexed page:
    one pair of mapped pages, the first or the second unindexed, and an
    object straddling them. *)
@@ -558,6 +577,8 @@ let () =
               test_verify_duplicate_entry;
             Alcotest.test_case "missing entry" `Quick
               test_verify_missing_entry;
+            Alcotest.test_case "stale entry alone on its page" `Quick
+              test_verify_stale_entry_alone;
             Alcotest.test_case "object crosses a range" `Quick
               test_verify_range_crossing;
           ] );

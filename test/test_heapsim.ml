@@ -200,20 +200,7 @@ let test_row_field_widths () =
      OT.iter_refs t b (fun f x -> seen := (f, x) :: !seen);
      !seen)
 
-(* Host words [f] allocates: minor words plus the words allocated
-   straight into the major heap (major words less promoted ones, which
-   were counted as minor words). [Gc.minor_words] counts the current
-   minor heap at once, where [Gc.counters] and [Gc.quick_stat] lag until
-   the next minor collection; [Gc.counters]' major words count a direct
-   major allocation at once, where [Gc.quick_stat]'s may lag until the
-   next major slice. *)
-let host_words f =
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  f ();
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)
+let host_words = Test_support.Mini.host_words
 
 (* A row is 32 bytes and a reference slot 4, so a two-field object costs
    5 host words of chunk, plus a little for the chunks' headers and root
@@ -249,6 +236,73 @@ let test_alloc_free_host_words () =
         (Printf.sprintf "%.0f host words for %d %s" words n what)
         true (words = 0.))
     [ ("frees", free_all); ("reallocations", alloc_all); ("second frees", free_all) ]
+
+(* ----------------------------------------------------------------- *)
+(* Id_list                                                            *)
+
+module IL = Heapsim.Id_list
+
+let id_list_contents l =
+  let seen = ref [] in
+  IL.iter (fun id -> seen := id :: !seen) l;
+  List.rev !seen
+
+let test_id_list () =
+  let l = IL.create () in
+  let n = (2 * IL.chunk_ids) + 5 in
+  for i = 0 to n - 1 do
+    IL.push l (3 * i)
+  done;
+  check Alcotest.int "length" n (IL.length l);
+  check Alcotest.int "first" 0 (IL.get l 0);
+  check Alcotest.int "first of the second chunk" (3 * IL.chunk_ids)
+    (IL.get l IL.chunk_ids);
+  check Alcotest.int "last" (3 * (n - 1)) (IL.get l (n - 1));
+  raises "get past the end" (fun () -> IL.get l n);
+  raises "get below zero" (fun () -> IL.get l (-1));
+  (* the signed 32-bit range is kept exactly; values outside it change
+     nothing *)
+  List.iter (IL.push l) [ max31; Heapsim.Obj_id.null; -(1 lsl 31) ];
+  raises "push 2^31" (fun () -> IL.push l (max31 + 1));
+  raises "push below -2^31" (fun () -> IL.push l (-(1 lsl 31) - 1));
+  check (Alcotest.list Alcotest.int) "32-bit extremes"
+    [ max31; Heapsim.Obj_id.null; -(1 lsl 31) ]
+    (List.map (IL.get l) [ n; n + 1; n + 2 ]);
+  check Alcotest.int "refused pushes" (n + 3) (IL.length l);
+  IL.filter_in_place (fun id -> id >= 0 && id mod 2 = 0) l;
+  check (Alcotest.list Alcotest.int) "filter keeps order"
+    (List.filter (fun id -> id mod 2 = 0) (List.init n (fun i -> 3 * i)))
+    (id_list_contents l);
+  IL.clear l;
+  check Alcotest.int "cleared" 0 (IL.length l);
+  check (Alcotest.list Alcotest.int) "nothing to visit" [] (id_list_contents l);
+  IL.push l 7;
+  check (Alcotest.list Alcotest.int) "refilled" [ 7 ] (id_list_contents l)
+
+(* The young list's chunks are never copied and outlive [clear]: pushing
+   past the first chunk allocates one fresh chunk and nothing else, and
+   refilling a cleared list allocates nothing. Holds in the dev and the
+   release build alike. *)
+let test_id_list_host_words () =
+  let l = IL.create () in
+  let fill n =
+    for i = 0 to n - 1 do
+      IL.push l i
+    done
+  in
+  fill IL.chunk_ids;
+  let chunk =
+    host_words (fun () ->
+        ignore (Sys.opaque_identity (Bytes.create (4 * IL.chunk_ids))))
+  in
+  let past = host_words (fun () -> IL.push l IL.chunk_ids) in
+  check (Alcotest.float 0.)
+    (Printf.sprintf "push past the first chunk: %.0f words, a chunk %.0f" past
+       chunk)
+    chunk past;
+  IL.clear l;
+  check (Alcotest.float 0.) "refill after clear" 0.
+    (host_words (fun () -> fill (IL.chunk_ids + 1)))
 
 (* ----------------------------------------------------------------- *)
 (* Address_space and Page_map                                         *)
@@ -787,6 +841,11 @@ let () =
           Alcotest.test_case "row fields at their widths" `Quick test_row_field_widths;
           Alcotest.test_case "alloc and free host words" `Quick
             test_alloc_free_host_words;
+        ] );
+      ( "id list",
+        [
+          Alcotest.test_case "push/get/filter/clear" `Quick test_id_list;
+          Alcotest.test_case "host words" `Quick test_id_list_host_words;
         ] );
       ( "layout",
         [

@@ -104,6 +104,23 @@ let test_ms_owns_page () =
   check Alcotest.bool "owns" true (Ms.owns_page ms (Vmsim.Page.of_addr addr));
   check Alcotest.bool "not owns" false (Ms.owns_page ms 99999)
 
+(* Carving writes no cell list: once the space's own tables exist, the
+   first allocation of a class on a fresh page costs the same host words
+   for the 8-byte class (512 cells) as for the space's largest (2 cells
+   of 2048 bytes). Holds in the dev and the release build alike. *)
+let test_ms_carve_host_words () =
+  let carve bytes =
+    let _, ms = ms_fixture () in
+    ignore (Ms.alloc ms ~bytes:64 ~grow:(fun () -> true));
+    Mini.host_words (fun () ->
+        ignore (Ms.alloc ms ~bytes ~grow:(fun () -> true)))
+  in
+  let small = carve 8 and large = carve 2048 in
+  check (Alcotest.float 0.)
+    (Printf.sprintf "carving host words: 8-byte class %.0f, largest %.0f"
+       small large)
+    large small
+
 (* Accounting property: alloc/sweep cycles keep free_bytes consistent
    with what a reference count says. *)
 let prop_ms_accounting =
@@ -128,6 +145,196 @@ let prop_ms_accounting =
       in
       Ms.sweep ms ~keep:(fun id -> List.assoc id placed);
       List.for_all (fun (id, keep) -> OT.is_live objects id = keep) placed)
+
+(* The eager carve, kept as the reference for the space's cell order:
+   acquiring a page lists every cell in address order before the first
+   allocation, allocation pops the list, and a sweep pushes each freed
+   cell. Pages come from an address space of its own that starts where
+   the machine's does, so the reference reserves the same page numbers. *)
+module Eager_ms = struct
+  module Vec = Repro_util.Vec
+  module SC = Gc_common.Size_class
+
+  type page = {
+    page : int;
+    mutable cls : int;
+    mutable cells : int;
+    free : int Vec.t;
+    mutable on_partial : bool;
+  }
+
+  type t = {
+    space : Heapsim.Address_space.t;
+    partial : page Vec.t array;
+    empty_pool : page Vec.t;
+    pages : page Vec.t;
+    mutable free_bytes : int;
+  }
+
+  let create () =
+    {
+      space = Heapsim.Address_space.create ();
+      partial = Array.init SC.count (fun _ -> Vec.create ());
+      empty_pool = Vec.create ();
+      pages = Vec.create ();
+      free_bytes = 0;
+    }
+
+  let carve t pr cls =
+    let cell = SC.cell_size cls in
+    pr.cls <- cls;
+    pr.cells <- Vmsim.Page.size / cell;
+    Vec.clear pr.free;
+    for i = 0 to pr.cells - 1 do
+      Vec.push pr.free (Vmsim.Page.addr_of pr.page + (i * cell))
+    done;
+    t.free_bytes <- t.free_bytes + (pr.cells * cell)
+
+  let acquire t cls ~grow =
+    if not (Vec.is_empty t.empty_pool) then begin
+      let pr = Vec.pop t.empty_pool in
+      t.free_bytes <- t.free_bytes - Vmsim.Page.size;
+      carve t pr cls;
+      Some pr
+    end
+    else if grow () then begin
+      let page = Heapsim.Address_space.reserve t.space ~npages:1 in
+      let pr = { page; cls; cells = 0; free = Vec.create (); on_partial = false } in
+      Vec.push t.pages pr;
+      carve t pr cls;
+      Some pr
+    end
+    else None
+
+  let rec has_partial t cls =
+    let v = t.partial.(cls) in
+    (not (Vec.is_empty v))
+    &&
+    let pr = Vec.top v in
+    if pr.cls <> cls || Vec.is_empty pr.free then begin
+      ignore (Vec.pop v);
+      pr.on_partial <- false;
+      has_partial t cls
+    end
+    else true
+
+  let alloc t ~bytes ~grow =
+    let cls = SC.class_of_size bytes in
+    let ready =
+      has_partial t cls
+      ||
+      match acquire t cls ~grow with
+      | Some pr ->
+          pr.on_partial <- true;
+          Vec.push t.partial.(cls) pr;
+          true
+      | None -> false
+    in
+    if not ready then -1
+    else begin
+      let v = t.partial.(cls) in
+      let pr = Vec.top v in
+      let addr = Vec.pop pr.free in
+      t.free_bytes <- t.free_bytes - SC.cell_size cls;
+      if Vec.is_empty pr.free then begin
+        pr.on_partial <- false;
+        ignore (Vec.pop v)
+      end;
+      addr
+    end
+
+  (* [freed] lists the cells the sweep under test returned, in the order
+     it freed them; each page takes its own, in that order. *)
+  let sweep t freed =
+    Vec.iter
+      (fun pr ->
+        List.iter
+          (fun addr ->
+            if Vmsim.Page.of_addr addr = pr.page then begin
+              Vec.push pr.free addr;
+              t.free_bytes <- t.free_bytes + SC.cell_size pr.cls
+            end)
+          freed;
+        if Vec.length pr.free = pr.cells && pr.cells > 0 then begin
+          t.free_bytes <-
+            t.free_bytes - (pr.cells * SC.cell_size pr.cls) + Vmsim.Page.size;
+          Vec.clear pr.free;
+          pr.cells <- 0;
+          pr.on_partial <- false;
+          Vec.push t.empty_pool pr
+        end
+        else if (not pr.on_partial) && not (Vec.is_empty pr.free) then begin
+          pr.on_partial <- true;
+          Vec.push t.partial.(pr.cls) pr
+        end)
+      t.pages
+end
+
+type ms_op = Ms_alloc of int | Ms_sweep of int
+
+let ms_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun s -> Ms_alloc s) (oneofl [ 8; 16; 24; 100; 500; 1024; 2048 ]));
+        (1, map (fun k -> Ms_sweep k) (int_range 0 1000));
+      ])
+
+let ms_op_print = function
+  | Ms_alloc s -> Printf.sprintf "alloc %d" s
+  | Ms_sweep k -> Printf.sprintf "sweep %d" k
+
+(* Random allocations and sweeps, under a page budget that forces
+   recycling and refusals: the space hands out the reference's address
+   for every allocation and keeps its free bytes and page count. *)
+let prop_ms_matches_eager_carve =
+  QCheck.Test.make ~name:"ms_space hands out the eager carve's cells"
+    ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list ms_op_print)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 300) ms_op_gen))
+    (fun ops ->
+      let m, ms = ms_fixture () in
+      let heap = m.Mini.heap in
+      let objects = Heap.objects heap in
+      let model = Eager_ms.create () in
+      let budget = 6 in
+      let same what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s: %d, reference %d" what a b
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Ms_alloc size ->
+              let addr =
+                Ms.alloc ms ~bytes:size ~grow:(fun () -> Ms.pages_acquired ms < budget)
+              in
+              let expected =
+                Eager_ms.alloc model ~bytes:size ~grow:(fun () ->
+                    Repro_util.Vec.length model.Eager_ms.pages < budget)
+              in
+              same (Printf.sprintf "alloc %d" size) addr expected;
+              if addr >= 0 then begin
+                let id = OT.alloc objects ~size ~nrefs:0 ~kind:`Scalar in
+                Heap.place heap id ~addr
+              end
+          | Ms_sweep k ->
+              let freed = ref [] in
+              (* a fifth of the sweeps free everything, the others two
+                 objects in three *)
+              Ms.sweep ms ~keep:(fun id ->
+                  (k mod 5 <> 0 && ((id * 7) + k) mod 3 = 0)
+                  || begin
+                       freed := OT.addr objects id :: !freed;
+                       false
+                     end);
+              Eager_ms.sweep model (List.rev !freed));
+          same "free bytes" (Ms.free_bytes ms) model.Eager_ms.free_bytes;
+          same "pages" (Ms.pages_acquired ms)
+            (Repro_util.Vec.length model.Eager_ms.pages))
+        ops;
+      true)
 
 (* ----------------------------------------------------------------- *)
 (* Large_object_space                                                 *)
@@ -281,6 +488,7 @@ let () =
           Alcotest.test_case "sweep" `Quick test_ms_sweep_frees_rejected;
           Alcotest.test_case "page recycling" `Quick test_ms_empty_page_recycled;
           Alcotest.test_case "ownership" `Quick test_ms_owns_page;
+          Alcotest.test_case "carve host words" `Quick test_ms_carve_host_words;
         ] );
       ( "large objects",
         [
@@ -300,5 +508,7 @@ let () =
           Alcotest.test_case "nested pause folds" `Quick
             test_nested_pause_single_interval;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_ms_accounting ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_ms_accounting; prop_ms_matches_eager_carve ] );
     ]
