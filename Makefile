@@ -44,6 +44,9 @@ oracle-check:
 # with the heap verified after every BC collection. The wall-clock
 # perf-guard runs last: it depends on how busy the machine is, so a
 # failure there must not hide the deterministic checks before it.
+# Every step writes its scratch files under .ci_scratch/ in the checkout
+# (git-ignored), never to fixed names in /tmp, so two checkouts, such as
+# a parent and a change being compared, can run `make ci` side by side.
 ci:
 	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) oracle-check && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
@@ -116,13 +119,14 @@ global-check:
 # fails here as `file: name'. grep exits 0 on a match and 1 on none; any
 # other status (grep's own error) fails the target.
 export-check:
+	@mkdir -p .ci_scratch
 	@grep -roE --include='*.ml' "[A-Z][A-Za-z0-9_']*\.[a-z_][A-Za-z0-9_']*" \
-	  lib bin test examples bench perfbench > /tmp/bcgc-ci-export-uses.txt; \
+	  lib bin test examples bench perfbench > .ci_scratch/export-uses.txt; \
 	status=$$?; \
 	if [ $$status -gt 1 ]; then \
 	  echo "export-check: grep failed with status $$status" >&2; exit 1; \
 	fi; \
-	grep -rE --include='*.mli' '^ *val [a-z_]' lib > /tmp/bcgc-ci-export-vals.txt; \
+	grep -rE --include='*.mli' '^ *val [a-z_]' lib > .ci_scratch/export-vals.txt; \
 	status=$$?; \
 	if [ $$status -gt 1 ]; then \
 	  echo "export-check: grep failed with status $$status" >&2; exit 1; \
@@ -133,7 +137,7 @@ export-check:
 	           own = $$1; sub(/\.mli$$/, ".ml", own); \
 	           if (n[name] - ((name, own) in seen) < 1) { print $$1 ": " name > "/dev/stderr"; bad = 1 } } \
 	         END { if (bad) print "export-check: exports above have no caller outside their own module" > "/dev/stderr"; exit bad }' \
-	  /tmp/bcgc-ci-export-uses.txt /tmp/bcgc-ci-export-vals.txt
+	  .ci_scratch/export-uses.txt .ci_scratch/export-vals.txt
 
 # Bench check: the quick-mode text of `bcgc bench all', `control', `slo'
 # and `trace', in that order, must match test/golden/bench_quick.txt byte
@@ -141,50 +145,55 @@ export-check:
 # CSV_DIR and CHARTS are cleared: they add output lines. A non-zero exit
 # from bcgc fails the target too.
 bench-check:
-	rm -f /tmp/bcgc-ci-bench.txt
+	mkdir -p .ci_scratch
+	rm -f .ci_scratch/bench.txt
 	for t in all control slo trace; do \
 	  env -u CSV_DIR -u CHARTS ./_build/default/bin/bcgc.exe bench $$t \
-	    -j $(JOBS) >> /tmp/bcgc-ci-bench.txt || exit 1; \
+	    -j $(JOBS) >> .ci_scratch/bench.txt || exit 1; \
 	done
-	diff test/golden/bench_quick.txt /tmp/bcgc-ci-bench.txt
+	diff test/golden/bench_quick.txt .ci_scratch/bench.txt
 
 # Examples check: the five built examples, in the order the `examples'
 # target runs them, must print test/golden/examples.txt byte for byte.
 # quickstart prints Gc_stats.pp and Vm_stats.pp, so this pins the
 # counter records as users see them. A non-zero exit fails the target.
 examples-check:
-	rm -f /tmp/bcgc-ci-examples.txt
+	mkdir -p .ci_scratch
+	rm -f .ci_scratch/examples.txt
 	for e in quickstart pressure_spike multi_jvm custom_workload trace_compare; do \
-	  ./_build/default/examples/$$e.exe >> /tmp/bcgc-ci-examples.txt || exit 1; \
+	  ./_build/default/examples/$$e.exe >> .ci_scratch/examples.txt || exit 1; \
 	done
-	diff test/golden/examples.txt /tmp/bcgc-ci-examples.txt
+	diff test/golden/examples.txt .ci_scratch/examples.txt
 
 # Trace smoke: a small pressured run known (deterministically) to exercise
 # minor, full, compacting and every BC sub-phase; `bcgc trace` re-parses
 # the emitted JSON and fails if any expected span kind is missing.
 trace-smoke:
+	mkdir -p .ci_scratch
 	./_build/default/bin/bcgc.exe run -c BC -w _201_compress \
 	  --volume 0.1 --heap-kb 1536 --frames 500 --pin 250 \
-	  --trace /tmp/bcgc-ci-trace.json
-	./_build/default/bin/bcgc.exe trace /tmp/bcgc-ci-trace.json \
+	  --trace .ci_scratch/trace.json
+	./_build/default/bin/bcgc.exe trace .ci_scratch/trace.json \
 	  --expect-phases minor,full,compacting,mark,sweep,evacuate,bookmark-scan,reconcile
 
 # Multiproc smoke: BC and a competing GenMS instance share one tight
 # machine; the primary must still complete every phase kind, and the
 # trace must carry the per-process progress counter.
 multiproc-smoke:
+	mkdir -p .ci_scratch
 	./_build/default/bin/bcgc.exe run -c BC --coworker GenMS -w _201_compress \
 	  --volume 0.1 --heap-kb 1536 --frames 500 \
-	  --trace /tmp/bcgc-ci-multiproc.json
-	./_build/default/bin/bcgc.exe trace /tmp/bcgc-ci-multiproc.json \
+	  --trace .ci_scratch/multiproc.json
+	./_build/default/bin/bcgc.exe trace .ci_scratch/multiproc.json \
 	  --expect-phases minor,full,compacting,mark,sweep,evacuate,bookmark-scan,reconcile
 
-# Perf smoke: one repetition of the wall-clock suite, written to /tmp and
+# Perf smoke: one repetition of the wall-clock suite, written to .ci_scratch and
 # schema-validated by `bcgc bench perf` itself. Guards the benchmark
 # plumbing, not the numbers — wall-clock throughput is machine-dependent.
 perf-smoke:
+	mkdir -p .ci_scratch
 	./_build/default/bin/bcgc.exe bench perf --perf-reps 1 \
-	  --perf-out /tmp/bcgc-ci-perf.json
+	  --perf-out .ci_scratch/perf.json
 
 # Perf guard: re-run the suite and fail if any median regresses by more
 # than 20% against the committed BENCH_perf.json baseline. Three
@@ -199,13 +208,14 @@ perf-guard:
 # cell's outcome digest to match perfbench/expected_digests.txt byte for
 # byte. Only reads perfbench/.
 perfbench-check:
+	mkdir -p .ci_scratch
 	DUNE_CACHE=disabled dune build --root . --profile release \
 	  --build-dir .bench_build ./perfbench/main.exe
 	./.bench_build/default/perfbench/main.exe \
-	  --write-expected /tmp/bcgc-ci-perfbench-digests.txt
-	grep -v '^#' /tmp/bcgc-ci-perfbench-digests.txt > /tmp/bcgc-ci-perfbench-cells.txt
+	  --write-expected .ci_scratch/perfbench-digests.txt
+	grep -v '^#' .ci_scratch/perfbench-digests.txt > .ci_scratch/perfbench-cells.txt
 	grep -v '^#' perfbench/expected_digests.txt \
-	  | diff - /tmp/bcgc-ci-perfbench-cells.txt
+	  | diff - .ci_scratch/perfbench-cells.txt
 
 # Campaign smoke: interruption drill on the 8-cell example campaign.
 # Run three cells and stop (exit 3), resume to completion, re-run the whole
@@ -213,17 +223,18 @@ perfbench-check:
 # consolidated reports to be byte-identical; then once more under
 # chaos (workers randomly SIGKILLed), same requirement.
 campaign-smoke:
-	rm -f /tmp/bcgc-ci-campaign.journal* /tmp/bcgc-ci-campaign-fresh.journal* /tmp/bcgc-ci-campaign-chaos.journal*
+	mkdir -p .ci_scratch
+	rm -f .ci_scratch/campaign.journal* .ci_scratch/campaign-fresh.journal* .ci_scratch/campaign-chaos.journal*
 	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 2 --journal /tmp/bcgc-ci-campaign.journal --stop-after 3; test $$? -eq 3
+	  -j 2 --journal .ci_scratch/campaign.journal --stop-after 3; test $$? -eq 3
 	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 2 --journal /tmp/bcgc-ci-campaign.journal --resume
+	  -j 2 --journal .ci_scratch/campaign.journal --resume
 	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 4 --journal /tmp/bcgc-ci-campaign-fresh.journal
-	cmp /tmp/bcgc-ci-campaign.journal.report.json /tmp/bcgc-ci-campaign-fresh.journal.report.json
+	  -j 4 --journal .ci_scratch/campaign-fresh.journal
+	cmp .ci_scratch/campaign.journal.report.json .ci_scratch/campaign-fresh.journal.report.json
 	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 3 --journal /tmp/bcgc-ci-campaign-chaos.journal --chaos kill-workers --chaos-seed 11
-	cmp /tmp/bcgc-ci-campaign.journal.report.json /tmp/bcgc-ci-campaign-chaos.journal.report.json
+	  -j 3 --journal .ci_scratch/campaign-chaos.journal --chaos kill-workers --chaos-seed 11
+	cmp .ci_scratch/campaign.journal.report.json .ci_scratch/campaign-chaos.journal.report.json
 
 # Domains smoke: the same example campaign on the fork backend and on the
 # shared-memory domain pool, in separate process invocations (Unix.fork is
@@ -231,12 +242,13 @@ campaign-smoke:
 # cannot share a process in that order). The consolidated reports must be
 # byte-identical; jobs exceed the 8 cells to exercise the clamp.
 domains-smoke:
-	rm -f /tmp/bcgc-ci-domains-fork.journal* /tmp/bcgc-ci-domains-pool.journal*
+	mkdir -p .ci_scratch
+	rm -f .ci_scratch/domains-fork.journal* .ci_scratch/domains-pool.journal*
 	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 4 --backend fork --journal /tmp/bcgc-ci-domains-fork.journal
+	  -j 4 --backend fork --journal .ci_scratch/domains-fork.journal
 	./_build/default/bin/bcgc.exe campaign run examples/campaign_smoke.json \
-	  -j 4 --backend domains --journal /tmp/bcgc-ci-domains-pool.journal
-	cmp /tmp/bcgc-ci-domains-fork.journal.report.json /tmp/bcgc-ci-domains-pool.journal.report.json
+	  -j 4 --backend domains --journal .ci_scratch/domains-pool.journal
+	cmp .ci_scratch/domains-fork.journal.report.json .ci_scratch/domains-pool.journal.report.json
 
 # SLO smoke: the quick request-serving matrix (shaped + flash load, three
 # collectors). `bench slo` self-validates the written report against the
@@ -244,10 +256,11 @@ domains-smoke:
 # before the file lands; the greps assert the percentile columns reached
 # the table and the schema tag reached the file.
 slo-smoke:
+	mkdir -p .ci_scratch
 	./_build/default/bin/bcgc.exe bench slo \
-	  --slo-out /tmp/bcgc-ci-slo.json | tee /tmp/bcgc-ci-slo.txt
-	grep -q "p999(ms)" /tmp/bcgc-ci-slo.txt
-	grep -q "bcgc-slo-report/1" /tmp/bcgc-ci-slo.json
+	  --slo-out .ci_scratch/slo.json | tee .ci_scratch/slo.txt
+	grep -q "p999(ms)" .ci_scratch/slo.txt
+	grep -q "bcgc-slo-report/1" .ci_scratch/slo.json
 
 # Control smoke: the threshold controller's staged-degradation FSM across
 # two fault plans, 1 ms decision windows. Deterministic per seed+plan. On
@@ -256,18 +269,19 @@ slo-smoke:
 # 256-page transient bursts on tight frames) the run must degrade AND
 # recover — end in Normal with no forced failsafe collections.
 control-smoke:
+	mkdir -p .ci_scratch
 	./_build/default/bin/bcgc.exe run -c BC -w _202_jess --volume 0.36 \
 	  --heap-kb 3072 --frames 960 --pin 307 --controller threshold \
 	  --control-window 1 --faults 'drop-evict=0.1,delay=0.05' \
-	  | tee /tmp/bcgc-ci-control-benign.txt
-	grep -q "control: threshold" /tmp/bcgc-ci-control-benign.txt
-	! grep -E "peak=failsafe|forced-failsafes=[1-9]" /tmp/bcgc-ci-control-benign.txt
+	  | tee .ci_scratch/control-benign.txt
+	grep -q "control: threshold" .ci_scratch/control-benign.txt
+	! grep -E "peak=failsafe|forced-failsafes=[1-9]" .ci_scratch/control-benign.txt
 	./_build/default/bin/bcgc.exe run -c BC -w _202_jess --volume 0.36 \
 	  --heap-kb 3072 --frames 960 --controller threshold \
 	  --control-window 1 --faults 'drop-evict=0.3,spikes=3,spike-pages=256' \
-	  | tee /tmp/bcgc-ci-control-spike.txt
-	grep -q "control: threshold" /tmp/bcgc-ci-control-spike.txt
-	grep -qE "peak=(pressure|emergency) .*final=normal forced-failsafes=0" /tmp/bcgc-ci-control-spike.txt
+	  | tee .ci_scratch/control-spike.txt
+	grep -q "control: threshold" .ci_scratch/control-spike.txt
+	grep -qE "peak=(pressure|emergency) .*final=normal forced-failsafes=0" .ci_scratch/control-spike.txt
 
 # Full wall-clock suite; refreshes the committed baseline at the repo root.
 perf:
@@ -291,3 +305,4 @@ doc:
 
 clean:
 	dune clean
+	rm -rf .ci_scratch
