@@ -27,9 +27,9 @@ type sp = {
       (** how many cells have not been handed out since the carve: the
           lowest [fresh] cells, all free *)
   free : int Repro_util.Vec.t;
-      (** addresses of cells given back since the carve (by a sweep, a
-          compaction or a reload), free and resident, popped last in
-          first out before any fresh cell *)
+      (** addresses of free cells given back since the carve (by a
+          sweep, a compaction or a reload), popped last in, first out,
+          before any fresh cell *)
   blocked : int Repro_util.Vec.t;  (** free cells on non-resident pages *)
   mutable on_partial : bool;
   mutable incoming : int;  (** # evicted pages with pointers into this sp *)
@@ -69,7 +69,8 @@ val free_cell : t -> sp -> addr:int -> unit
 (** Return a cell to its superpage's free list. *)
 
 val free_count : sp -> int
-(** Allocatable free cells: the [free] list plus the [fresh] count. *)
+(** Free cells not parked on [blocked]: the [free] list plus the
+    [fresh] count. *)
 
 val alloc_on : t -> sp -> resident:(int -> bool) -> int
 (** Pop a usable cell from a specific superpage (compaction targets), or

@@ -17,8 +17,6 @@ type t = { mutable chunks : Bytes.t array; mutable len : int; mutable cap : int 
 
 let create () = { chunks = Array.make 4 Bytes.empty; len = 0; cap = 0 }
 
-let length t = t.len
-
 let[@inline] slot t i =
   Int32.to_int
     (get32u (Array.unsafe_get t.chunks (i lsr chunk_shift)) ((i land chunk_mask) lsl 2))
@@ -48,11 +46,6 @@ let push t id =
   if t.len = t.cap then add_chunk t;
   set_slot t t.len id;
   t.len <- t.len + 1
-
-let get t i =
-  if i < 0 || i >= t.len then
-    invalid_arg (Printf.sprintf "Id_list.get: index %d out of bounds (len %d)" i t.len);
-  slot t i
 
 let clear t = t.len <- 0
 

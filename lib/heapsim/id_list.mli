@@ -15,12 +15,6 @@ val chunk_ids : int
 val create : unit -> t
 (** An empty list. Its first chunk is allocated by the first {!push}. *)
 
-val length : t -> int
-
-val get : t -> int -> Obj_id.t
-(** [get t i] is the [i]th id pushed since the last {!clear}. Raises
-    [Invalid_argument] unless [0 <= i < length t]. *)
-
 val push : t -> Obj_id.t -> unit
 (** Append an id. Raises [Invalid_argument] on a value outside the
     signed 32-bit range, which every id and {!Obj_id.null} lie in. *)

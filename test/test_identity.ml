@@ -11,9 +11,10 @@
    the failure diagnostics and a digest of the exported Chrome trace are
    byte-identical to that capture.
 
-   Regenerate (only when a PR intentionally changes simulated results)
-   with:  BCGC_WRITE_GOLDEN=1 dune exec test/test_identity.exe
-   then copy _build/default/test/golden/matrix.golden back into test/. *)
+   Regenerate (only when a change intentionally moves simulated
+   results) from the test/ directory, where the goldens are written in
+   place under golden/:
+     cd test && BCGC_WRITE_GOLDEN=1 ../_build/default/test/test_identity.exe *)
 
 module Metrics = Harness.Metrics
 module Registry = Harness.Registry
