@@ -18,12 +18,14 @@ let set v i x =
   check v i;
   v.data.(i) <- x
 
+(* Doubling appends the array to itself rather than filling a fresh one
+   with [x]: [Array.make] of more than 256 words filled with a young
+   block runs a minor collection first, so a vector of records would
+   force one at every doubling past 256 slots. [Array.append] copies the
+   elements without one. *)
 let grow v x =
-  let cap = Array.length v.data in
-  let cap' = if cap = 0 then 8 else cap * 2 in
-  let data' = Array.make cap' x in
-  Array.blit v.data 0 data' 0 v.len;
-  v.data <- data'
+  if Array.length v.data = 0 then v.data <- Array.make 8 x
+  else v.data <- Array.append v.data v.data
 
 let push v x =
   if v.len = Array.length v.data then grow v x;

@@ -33,6 +33,24 @@ let test_vec_growth () =
     assert (Vec.get v i = i)
   done
 
+type cell = { key : int; value : int }
+
+(* Doubling past 256 slots must not run a minor collection. OCaml's
+   [Array.make] runs one before it fills an array of more than 256 words
+   with a young block, so growing by filling with the element being
+   pushed forced one at each doubling of a vector of fresh records. *)
+let test_vec_growth_no_minor_gc () =
+  let v = Vec.create () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for i = 0 to 999 do
+    Vec.push v { key = i; value = -i }
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check Alcotest.int "minor collections while pushing" 0 (after - before);
+  check Alcotest.int "last pushed" (-999) (Vec.get v 999).value;
+  check Alcotest.int "first kept" 0 (Vec.get v 0).key
+
 let test_vec_swap_remove () =
   let v = Vec.of_list [ 10; 20; 30; 40 ] in
   let removed = Vec.swap_remove v 1 in
@@ -335,6 +353,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_vec_basic;
           Alcotest.test_case "growth" `Quick test_vec_growth;
+          Alcotest.test_case "growth runs no minor gc" `Quick
+            test_vec_growth_no_minor_gc;
           Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
