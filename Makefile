@@ -1,4 +1,4 @@
-.PHONY: all build test test-release oracle-check ci alloc-path-check sched-path-check mark-path-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release oracle-check ci alloc-path-check sched-path-check mark-path-check sparse-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -34,7 +34,8 @@ oracle-check:
 
 # Full CI gate: everything compiles (including examples and benches), every
 # collector allocates through Gc_common.Alloc, only the scheduler starts
-# workers, only the tracer marks, no module holds mutable state of its
+# workers, only the tracer marks, only Repro_util.Sparse tells a chunk
+# from its sentinel, no module holds mutable state of its
 # own, every export has a caller, the whole suite passes — test_faults
 # runs the fault-plan smoke tests with fixed seeds, so regressions in the
 # degradation paths fail here — the quick experiment text and the
@@ -48,7 +49,7 @@ oracle-check:
 # (git-ignored), never to fixed names in /tmp, so two checkouts, such as
 # a parent and a change being compared, can run `make ci` side by side.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) oracle-check && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) sparse-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) oracle-check && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls
@@ -94,6 +95,21 @@ mark-path-check:
 	  echo "mark-path-check: Object_table.scratch outside tracer.ml in:" $$files >&2; exit 1; \
 	elif [ $$status -ne 1 ]; then \
 	  echo "mark-path-check: grep failed with status $$status" >&2; exit 1; \
+	fi
+
+# One sparse table: Repro_util.Sparse is the only two-level table over
+# int keys, so only sparse.ml may tell a chunk from its sentinel. A chunk
+# compared (== or !=) against a sentinel or zero_chunk anywhere else under
+# lib/ or bin/ is a hand-rolled copy of the table and fails here, named.
+# grep exits 1 when nothing matches; any other status (a match, or grep's
+# own error) fails the target.
+sparse-check:
+	@files=$$(grep -rlE --include='*.ml' --exclude=sparse.ml '(==|!=)[[:space:]]*([A-Z][A-Za-z0-9_]*\.)*(sentinel|zero_chunk)\b' lib bin); \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then \
+	  echo "sparse-check: chunk compared against a sentinel outside sparse.ml in:" $$files >&2; exit 1; \
+	elif [ $$status -ne 1 ]; then \
+	  echo "sparse-check: grep failed with status $$status" >&2; exit 1; \
 	fi
 
 # No module state: machines run concurrently on the domain pool and OCaml 5

@@ -72,9 +72,9 @@ type t = {
   mutable epoch : int;
   mutable in_gc : bool;
   mutable gc_requested : bool;
-  sp_deferred : (int, Heapsim.Obj_id.t list ref) Hashtbl.t;
-      (* superpage index -> self-covers waiting for its incoming counter
-         to reach zero (§3.4.2's deferred conservative clearing) *)
+  mutable scans : int;
+      (* eviction scans so far: each takes the next count as the stamp
+         it leaves in [Superpage.sp.scan] *)
   nonsp_deferred : Heapsim.Obj_id.t Vec.t;
   mutable nonsp_incoming : int;
       (* evicted pages with pointers to non-resident nursery/LOS targets *)
@@ -294,14 +294,21 @@ let bookmark_unref t id =
 (* Scan a victim page, bookmark the targets of its outgoing references,
    bump the targets' superpage incoming counters (once per target
    superpage), conservatively bookmark the page's own objects, then
-   surrender the page. *)
+   surrender the page.
+
+   A superpage counted once by this scan carries the scan's stamp. The
+   stamp is taken after the victim's touch, and nothing between it and
+   the ledger write touches a page, so no eviction notice, and no scan
+   nested in one, can stamp a superpage in between. *)
 let bookmark_and_evict t victim =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
   let vmm = Heapsim.Heap.vmm heap in
   (* scanning reads the victim page (still resident) *)
   Vmsim.Vmm.touch vmm ~write:false victim;
-  let incremented : (int, Superpage.sp) Hashtbl.t = Hashtbl.create 8 in
+  t.scans <- t.scans + 1;
+  let stamp = t.scans in
+  let incremented = ref [] in
   let counted = ref [] in
   let selves = ref [] in
   let nonsp = ref false in
@@ -317,8 +324,9 @@ let bookmark_and_evict t victim =
       (match Superpage.sp_of_addr t.sp_space
                (Heapsim.Object_table.addr objects target)
        with
-      | Some tsp when not (Hashtbl.mem incremented tsp.Superpage.index) ->
-          Hashtbl.add incremented tsp.Superpage.index tsp;
+      | Some tsp when tsp.Superpage.scan <> stamp ->
+          tsp.Superpage.scan <- stamp;
+          incremented := tsp :: !incremented;
           tsp.Superpage.incoming <- tsp.Superpage.incoming + 1
       | Some _ -> ()
       | None ->
@@ -358,7 +366,7 @@ let bookmark_and_evict t victim =
         t.nonsp_incoming <- t.nonsp_incoming - 1);
   Hashtbl.replace t.ledger victim
     {
-      sps = Hashtbl.fold (fun _ sp acc -> sp :: acc) incremented [];
+      sps = !incremented;
       targets = !counted;
       self = !selves;
       nonsp = !nonsp;
@@ -428,12 +436,11 @@ let page_reloaded t page =
               t.failsafe_needed <- true;
             (* a superpage whose incoming count reaches zero releases its
                deferred conservative bookmarks (§3.4.2) *)
-            if sp.Superpage.incoming = 0 then
-              match Hashtbl.find_opt t.sp_deferred sp.Superpage.index with
-              | None -> ()
-              | Some ids ->
-                  Hashtbl.remove t.sp_deferred sp.Superpage.index;
-                  List.iter (bookmark_unref t) !ids)
+            if sp.Superpage.incoming = 0 then begin
+              let ids = sp.Superpage.deferred in
+              sp.Superpage.deferred <- [];
+              List.iter (bookmark_unref t) ids
+            end)
           entry.sps;
         if entry.nonsp then begin
           if t.nonsp_incoming > 0 then
@@ -453,17 +460,7 @@ let page_reloaded t page =
           | Some sp ->
               if sp.Superpage.incoming = 0 then
                 List.iter (bookmark_unref t) entry.self
-              else begin
-                let ids =
-                  match Hashtbl.find_opt t.sp_deferred sp.Superpage.index with
-                  | Some ids -> ids
-                  | None ->
-                      let ids = ref [] in
-                      Hashtbl.add t.sp_deferred sp.Superpage.index ids;
-                      ids
-                in
-                ids := entry.self @ !ids
-              end
+              else sp.Superpage.deferred <- entry.self @ sp.Superpage.deferred
           | None ->
               if t.nonsp_incoming = 0 then
                 List.iter (bookmark_unref t) entry.self
@@ -860,19 +857,17 @@ let plan_compaction t ~resident =
           end
           else if not (Heapsim.Object_table.bookmarked objects id) then
             dead_on.(i) <- dead_on.(i) + 1));
-  (* select the minimum target set per (class, kind) *)
-  let by_idx = Hashtbl.create 32 in
+  (* select the minimum target set per (class, kind); each is chosen
+     apart from the others *)
+  let by_idx = Array.make nclasses [] in
   Superpage.iter_sps t.sp_space (fun sp ->
       if sp.Superpage.cells_total > 0 then begin
         let key = idx_of sp in
-        let existing =
-          Option.value (Hashtbl.find_opt by_idx key) ~default:[]
-        in
-        Hashtbl.replace by_idx key (sp :: existing)
+        by_idx.(key) <- sp :: by_idx.(key)
       end);
   let no_pool = Vec.create () in
   let target_pools = Array.make nclasses no_pool in
-  Hashtbl.iter
+  Array.iteri
     (fun key sps ->
       let capacity (sp : Superpage.sp) =
         marked_on.(sp.Superpage.index)
@@ -940,9 +935,10 @@ let forget_bookmarks t =
   Heapsim.Object_table.iter_live objects (fun id ->
       Heapsim.Object_table.set_bookmarked objects id false);
   Hashtbl.reset t.bookmark_counts;
-  Superpage.iter_sps t.sp_space (fun sp -> sp.Superpage.incoming <- 0);
+  Superpage.iter_sps t.sp_space (fun sp ->
+      sp.Superpage.incoming <- 0;
+      sp.Superpage.deferred <- []);
   Hashtbl.reset t.ledger;
-  Hashtbl.reset t.sp_deferred;
   Vec.clear t.nonsp_deferred;
   t.nonsp_incoming <- 0
 
@@ -1369,7 +1365,7 @@ let factory config heap =
       discarded = Bitset.create ();
       ledger = Hashtbl.create 64;
       bookmark_counts = Hashtbl.create 64;
-      sp_deferred = Hashtbl.create 16;
+      scans = 0;
       nonsp_deferred = Vec.create ();
       nonsp_incoming = 0;
       empty_candidates = Vec.create ();

@@ -1,4 +1,5 @@
 module Vec = Repro_util.Vec
+module Sparse = Repro_util.Sparse
 
 type kind = Scalar | Array
 
@@ -14,17 +15,31 @@ type sp = {
   mutable on_partial : bool;
   mutable incoming : int;
   mutable evicted_data_pages : int;
+  mutable deferred : Heapsim.Obj_id.t list;
+  mutable scan : int;
 }
 
 let header_bytes = 24
 
 let usable_bytes = Vmsim.Page.superpage_size - header_bytes
 
+(* quad -> superpage, where a page's quad is its superpage-aligned group
+   of [pages_per_superpage]: 1024 quads, 4096 pages, per chunk. A slot
+   holds the [Some sp] made once at acquisition, so a lookup allocates
+   nothing. *)
+let quad_shift = 10
+
+let quad_mask = (1 lsl quad_shift) - 1
+
+let fresh_quads () : sp option array = Array.make (1 lsl quad_shift) None
+
+let no_quads = fresh_quads ()
+
 type t = {
   heap : Heapsim.Heap.t;
   mutable on_acquire : sp -> unit;
   sps : sp Vec.t;
-  by_quad : (int, sp) Hashtbl.t;  (* page / pages_per_superpage -> sp *)
+  by_quad : sp option array Sparse.t;
   partial : sp Vec.t array;  (* class * 2 + kind *)
   empty_pool : sp Vec.t;
   mutable free_cell_bytes : int;
@@ -39,7 +54,7 @@ let create ?(on_acquire = fun _ -> ()) heap =
     heap;
     on_acquire;
     sps = Vec.create ();
-    by_quad = Hashtbl.create 64;
+    by_quad = Sparse.create ~shift:quad_shift ~sentinel:no_quads;
     partial = Array.init (Gc_common.Size_class.count * 2) (fun _ -> Vec.create ());
     empty_pool = Vec.create ();
     free_cell_bytes = 0;
@@ -49,11 +64,13 @@ let set_on_acquire t f = t.on_acquire <- f
 
 let quad page = page / Vmsim.Page.pages_per_superpage
 
-let sp_of_page t page = Hashtbl.find_opt t.by_quad (quad page)
+let sp_of_page t page =
+  let q = quad page in
+  (Sparse.chunk t.by_quad q).(q land quad_mask)
 
 let sp_of_addr t addr = sp_of_page t (Vmsim.Page.of_addr addr)
 
-let owns_page t page = Hashtbl.mem t.by_quad (quad page)
+let owns_page t page = Option.is_some (sp_of_page t page)
 
 let is_header_page t page =
   match sp_of_page t page with
@@ -121,10 +138,13 @@ let acquire t cls kind ~grow =
         on_partial = false;
         incoming = 0;
         evicted_data_pages = 0;
+        deferred = [];
+        scan = 0;
       }
     in
     Vec.push t.sps sp;
-    Hashtbl.add t.by_quad (quad first_page) sp;
+    let q = quad first_page in
+    (Sparse.materialize t.by_quad q fresh_quads).(q land quad_mask) <- Some sp;
     assign_class t sp cls kind;
     t.on_acquire sp;
     Some sp

@@ -34,6 +34,12 @@ type sp = {
   mutable on_partial : bool;
   mutable incoming : int;  (** # evicted pages with pointers into this sp *)
   mutable evicted_data_pages : int;
+  mutable deferred : Heapsim.Obj_id.t list;
+      (** BC's conservative self-bookmarks waiting for [incoming] to
+          reach zero (§3.4.2's deferred clearing) *)
+  mutable scan : int;
+      (** the stamp of the last eviction scan that counted a reference
+          into this superpage in [incoming]; 0 before any *)
 }
 
 type t
@@ -77,6 +83,9 @@ val alloc_on : t -> sp -> resident:(int -> bool) -> int
     [-1] when every free cell on it is blocked. *)
 
 val sp_of_page : t -> int -> sp option
+(** The superpage holding [page]: one read of a {!Repro_util.Sparse}
+    table indexed by the page's superpage-aligned quad, which allocates
+    nothing. *)
 
 val sp_of_addr : t -> int -> sp option
 

@@ -20,8 +20,8 @@ type t = {
   max_cell : int;
   partial : page_rec Vec.t array;  (* per class: pages with free cells *)
   empty_pool : page_rec Vec.t;
-  page_recs : (int, page_rec) Hashtbl.t;
-  pages : int Vec.t;  (* acquisition order *)
+  pages : page_rec Vec.t;  (* acquisition order *)
+  owned : Repro_util.Bitset.t;  (* their page numbers *)
   on_page : Heapsim.Obj_id.t Vec.t;  (* the sweep's copy of a page's objects *)
   mutable free_bytes : int;
 }
@@ -35,21 +35,21 @@ let create heap ~name ~max_cell =
     max_cell;
     partial = Array.init Size_class.count (fun _ -> Vec.create ());
     empty_pool = Vec.create ();
-    page_recs = Hashtbl.create 64;
     pages = Vec.create ();
+    owned = Repro_util.Bitset.create ();
     on_page = Vec.create ();
     free_bytes = 0;
   }
 
 let max_cell t = t.max_cell
 
-let owns_page t page = Hashtbl.mem t.page_recs page
+let owns_page t page = Repro_util.Bitset.mem t.owned page
 
 let pages_acquired t = Vec.length t.pages
 
 let free_bytes t = t.free_bytes
 
-let iter_pages t f = Vec.iter f t.pages
+let iter_pages t f = Vec.iter (fun pr -> f pr.page) t.pages
 
 let free_count pr = Vec.length pr.free + pr.fresh
 
@@ -86,8 +86,8 @@ let acquire_page t cls ~grow =
         on_partial = false;
       }
     in
-    Hashtbl.add t.page_recs first_page pr;
-    Vec.push t.pages first_page;
+    Vec.push t.pages pr;
+    Repro_util.Bitset.set t.owned first_page;
     assign_class pr cls;
     t.free_bytes <- t.free_bytes + (pr.cells_total * Size_class.cell_size cls);
     Some pr
@@ -153,10 +153,10 @@ let sweep t ~keep =
   let vmm = Heapsim.Heap.vmm heap in
   let on_page = t.on_page in
   Vec.iter
-    (fun page ->
+    (fun pr ->
+      let page = pr.page in
       Charge.page_sweep heap;
       Vmsim.Vmm.touch vmm ~write:true page;
-      let pr = Hashtbl.find t.page_recs page in
       Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page on_page;
       for i = 0 to Vec.length on_page - 1 do
         let id = Vec.get on_page i in

@@ -1,10 +1,10 @@
 module Vec = Repro_util.Vec
+module Sparse = Repro_util.Sparse
 
-(* page -> bucket of the objects on that page, stored as a two-level
-   chunked table so sparse address spaces (first pages near 2^30) cost
-   memory proportional to populated 4096-page chunks. Never-touched chunks
-   alias one shared all-None sentinel, which is never written: [bucket]
-   materialises a private chunk before inserting.
+(* page -> bucket of the objects on that page, in 4096-page chunks of a
+   [Sparse] table, so sparse address spaces (first pages near 2^30) cost
+   memory proportional to populated chunks. Never-written chunks read the
+   all-None [sentinel]; [bucket] materialises a chunk before inserting.
 
    [unindexed] holds the registered unindexed ranges as flat
    [first; last] page pairs; most heaps have none. *)
@@ -15,14 +15,17 @@ let chunk_pages = 1 lsl chunk_shift
 
 let chunk_mask = chunk_pages - 1
 
-let sentinel : int Vec.t option array = Array.make chunk_pages None
+let fresh () : int Vec.t option array = Array.make chunk_pages None
+
+let sentinel = fresh ()
 
 type t = {
-  mutable chunks : int Vec.t option array array;
+  chunks : int Vec.t option array Sparse.t;
   mutable unindexed : int array;
 }
 
-let create () = { chunks = Array.make 1 sentinel; unindexed = [||] }
+let create () =
+  { chunks = Sparse.create ~shift:chunk_shift ~sentinel; unindexed = [||] }
 
 let unindex_range t ~first ~npages =
   if first < 0 || npages < 1 then
@@ -57,24 +60,10 @@ let[@inline never] unindexed_read reader page =
 let[@inline] check_indexed t page reader =
   if not (indexed t page) then unindexed_read reader page
 
-let ensure t page =
-  let c = page lsr chunk_shift in
-  if c >= Array.length t.chunks then begin
-    let len' = max (c + 1) (2 * Array.length t.chunks) in
-    let chunks' = Array.make len' sentinel in
-    Array.blit t.chunks 0 chunks' 0 (Array.length t.chunks);
-    t.chunks <- chunks'
-  end;
-  if t.chunks.(c) == sentinel then t.chunks.(c) <- Array.make chunk_pages None
-
-let slot_of t page =
-  let c = page lsr chunk_shift in
-  if c < Array.length t.chunks then t.chunks.(c).(page land chunk_mask)
-  else None
+let slot_of t page = (Sparse.chunk t.chunks page).(page land chunk_mask)
 
 let bucket t page =
-  ensure t page;
-  let chunk = t.chunks.(page lsr chunk_shift) in
+  let chunk = Sparse.materialize t.chunks page fresh in
   match chunk.(page land chunk_mask) with
   | Some v -> v
   | None ->
@@ -144,18 +133,14 @@ let count_on t page =
     match slot_of t page with None -> 0 | Some v -> Vec.length v
   end
 
-(* Materialised chunks only: a never-touched chunk is the sentinel. *)
 let iter_populated t f =
-  Array.iteri
-    (fun c chunk ->
-      if chunk != sentinel then
-        Array.iteri
-          (fun i slot ->
-            match slot with
-            | Some v when not (Vec.is_empty v) -> f ((c lsl chunk_shift) + i)
-            | _ -> ())
-          chunk)
-    t.chunks
+  Sparse.iter t.chunks (fun c chunk ->
+      Array.iteri
+        (fun i slot ->
+          match slot with
+          | Some v when not (Vec.is_empty v) -> f ((c lsl chunk_shift) + i)
+          | _ -> ())
+        chunk)
 
 (* [Vec.iter] fixes its bound at entry and a swap-remove writes only the
    vacated slot and the length, so removing the visited entry (or an

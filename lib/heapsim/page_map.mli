@@ -20,7 +20,11 @@
 
     The map also owns each indexed object's {!Object_table.page_slot}:
     its slot in its first page's bucket, which makes removal from that
-    page O(1). *)
+    page O(1).
+
+    The buckets sit in 4096-page chunks of a {!Repro_util.Sparse} table,
+    so a page anywhere in the [int] range costs memory only once its
+    chunk holds a bucket, and a page never written reads as empty. *)
 
 type t
 
@@ -71,7 +75,8 @@ val count_on : t -> int -> int
 val iter_populated : t -> (int -> unit) -> unit
 (** [iter_populated t f] applies [f] to every page whose bucket holds an
     entry, in increasing page order. Its cost is proportional to the
-    4096-page chunks the map has ever written to. [f] must not add to or
+    4096-page chunks the map has ever written to (the materialised
+    chunks of its {!Repro_util.Sparse} table). [f] must not add to or
     remove from the map. *)
 
 val iter_on : t -> int -> (Obj_id.t -> unit) -> unit

@@ -1,15 +1,15 @@
 (** Growable sparse bit sets indexed by non-negative integers.
 
-    Used for page residency maps (BC's bit array of §3.3.1), card tables and
-    mark bitmaps. Storage is a two-level chunked array: memory is
-    proportional to the number of ~32 Kbit chunks actually containing set
-    bits, so giant sparse index spaces (page numbers near 2^30) are cheap.
-    The set grows automatically on [set]; [mem] on an index beyond the
-    current capacity is [false]. *)
+    Used for page residency maps (BC's bit array of §3.3.1), card tables,
+    the large object space's pages and the swap device's copies. Storage
+    is a {!Sparse} table of 512-word chunks keyed by 63-bit word: memory
+    is proportional to the ~32 Kbit chunks ever written, so giant sparse
+    index spaces (page numbers near 2^30) are cheap. The set grows on
+    [set]; [mem] on an index never written is [false]. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 
 val set : t -> int -> unit
 

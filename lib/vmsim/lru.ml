@@ -1,17 +1,16 @@
+module Sparse = Repro_util.Sparse
+
 type list_kind = Active | Inactive
 
 (* Intrusive doubly-linked lists over page numbers. -1 is the null link.
    [where_] holds 0 = on no list, 1 = active, 2 = inactive.
 
-   Storage is a two-level chunked table so that page numbers near 2^30
-   cost memory proportional to the pages actually queued, not the address
-   space: a root array of chunks, each chunk holding parallel [next]/
-   [prev]/[where_] arrays for a 4096-page span. Never-touched chunks alias
-   one shared all-empty sentinel ([where_] all zero, links all -1), so
-   reads anywhere report "on no list" without allocating. The sentinel is
-   never written: [ensure] materialises a private chunk before any push,
-   and links are only ever written for pages already on a list (hence
-   already materialised). *)
+   The links are parallel [next]/[prev]/[where_] arrays in 4096-page
+   chunks of a [Sparse] table, so page numbers near 2^30 cost memory
+   proportional to the pages queued. Never-written chunks read the
+   all-empty [sentinel] ([where_] all zero, links all -1): "on no list".
+   A push materialises the page's chunk first, and links are only ever
+   written for pages already on a list, hence already materialised. *)
 
 let chunk_shift = 12
 
@@ -21,15 +20,17 @@ let chunk_mask = chunk_pages - 1
 
 type chunk = { next : int array; prev : int array; where_ : Bytes.t }
 
-let sentinel =
+let fresh () =
   {
     next = Array.make chunk_pages (-1);
     prev = Array.make chunk_pages (-1);
     where_ = Bytes.make chunk_pages '\000';
   }
 
+let sentinel = fresh ()
+
 type t = {
-  mutable chunks : chunk array;
+  chunks : chunk Sparse.t;
   mutable active_head : int;
   mutable active_tail : int;
   mutable inactive_head : int;
@@ -40,7 +41,7 @@ type t = {
 
 let create () =
   {
-    chunks = Array.make 1 sentinel;
+    chunks = Sparse.create ~shift:chunk_shift ~sentinel;
     active_head = -1;
     active_tail = -1;
     inactive_head = -1;
@@ -49,31 +50,10 @@ let create () =
     inactive_size = 0;
   }
 
-let ensure t page =
-  let c = page lsr chunk_shift in
-  if c >= Array.length t.chunks then begin
-    let len' = max (c + 1) (2 * Array.length t.chunks) in
-    let chunks' = Array.make len' sentinel in
-    Array.blit t.chunks 0 chunks' 0 (Array.length t.chunks);
-    t.chunks <- chunks'
-  end;
-  if t.chunks.(c) == sentinel then
-    t.chunks.(c) <-
-      {
-        next = Array.make chunk_pages (-1);
-        prev = Array.make chunk_pages (-1);
-        where_ = Bytes.make chunk_pages '\000';
-      }
+let chunk_of t page = Sparse.chunk t.chunks page
 
-let chunk_of t page =
-  let c = page lsr chunk_shift in
-  if c < Array.length t.chunks then Array.unsafe_get t.chunks c else sentinel
-
-let where t page = Char.code (Bytes.get (chunk_of t page).where_ (page land chunk_mask))
-
-let set_where t page w = Bytes.set (chunk_of t page).where_ (page land chunk_mask) (Char.chr w)
-
-let nxt t page = (chunk_of t page).next.(page land chunk_mask)
+let where t page =
+  Char.code (Bytes.get (chunk_of t page).where_ (page land chunk_mask))
 
 let prv t page = (chunk_of t page).prev.(page land chunk_mask)
 
@@ -88,50 +68,55 @@ let membership t page =
   | 2 -> Some Inactive
   | _ -> assert false
 
+(* Each operation looks the page's own slot, [i] of chunk [c], up once;
+   a neighbour's link costs one lookup of its own. *)
+
+let link c i ~prev ~next w =
+  c.prev.(i) <- prev;
+  c.next.(i) <- next;
+  Bytes.set c.where_ i (Char.chr w)
+
+(* The page's chunk, materialised, once the page is known to be on no
+   list. *)
+let unlisted t page =
+  let c = Sparse.materialize t.chunks page fresh in
+  if Bytes.get c.where_ (page land chunk_mask) <> '\000' then
+    invalid_arg "Lru: page already on a list";
+  c
+
 (* Link [page] at the head of the list described by [kind]. *)
 
 let push_head t page ~kind =
-  ensure t page;
-  if where t page <> 0 then invalid_arg "Lru: page already on a list";
-  begin
-    match kind with
-    | Active ->
-        set_prv t page (-1);
-        set_nxt t page t.active_head;
-        if t.active_head >= 0 then set_prv t t.active_head page
-        else t.active_tail <- page;
-        t.active_head <- page;
-        t.active_size <- t.active_size + 1;
-        set_where t page 1
-    | Inactive ->
-        set_prv t page (-1);
-        set_nxt t page t.inactive_head;
-        if t.inactive_head >= 0 then set_prv t t.inactive_head page
-        else t.inactive_tail <- page;
-        t.inactive_head <- page;
-        t.inactive_size <- t.inactive_size + 1;
-        set_where t page 2
-  end
+  let c = unlisted t page and i = page land chunk_mask in
+  match kind with
+  | Active ->
+      link c i ~prev:(-1) ~next:t.active_head 1;
+      if t.active_head >= 0 then set_prv t t.active_head page
+      else t.active_tail <- page;
+      t.active_head <- page;
+      t.active_size <- t.active_size + 1
+  | Inactive ->
+      link c i ~prev:(-1) ~next:t.inactive_head 2;
+      if t.inactive_head >= 0 then set_prv t t.inactive_head page
+      else t.inactive_tail <- page;
+      t.inactive_head <- page;
+      t.inactive_size <- t.inactive_size + 1
 
 let push_active_head t page = push_head t page ~kind:Active
 
 let push_inactive_head t page = push_head t page ~kind:Inactive
 
 let push_inactive_tail t page =
-  ensure t page;
-  if where t page <> 0 then invalid_arg "Lru: page already on a list";
-  set_nxt t page (-1);
-  set_prv t page t.inactive_tail;
+  let c = unlisted t page in
+  link c (page land chunk_mask) ~prev:t.inactive_tail ~next:(-1) 2;
   if t.inactive_tail >= 0 then set_nxt t t.inactive_tail page
   else t.inactive_head <- page;
   t.inactive_tail <- page;
-  t.inactive_size <- t.inactive_size + 1;
-  set_where t page 2
+  t.inactive_size <- t.inactive_size + 1
 
-let remove t page =
-  let w = where t page in
-  if w = 0 then invalid_arg "Lru.remove: page not on a list";
-  let np = nxt t page and pp = prv t page in
+(* Unlink [page], at slot [i] of chunk [c], from list [w]. *)
+let unlink t c i page w =
+  let np = c.next.(i) and pp = c.prev.(i) in
   if pp >= 0 then set_nxt t pp np;
   if np >= 0 then set_prv t np pp;
   begin
@@ -146,19 +131,25 @@ let remove t page =
         t.inactive_size <- t.inactive_size - 1
     | _ -> assert false
   end;
-  set_nxt t page (-1);
-  set_prv t page (-1);
-  set_where t page 0
+  link c i ~prev:(-1) ~next:(-1) 0
+
+let remove t page =
+  let c = chunk_of t page and i = page land chunk_mask in
+  let w = Char.code (Bytes.get c.where_ i) in
+  if w = 0 then invalid_arg "Lru.remove: page not on a list";
+  unlink t c i page w
 
 (* Remove a page that may or may not be listed in a single [where_]
    probe; the membership-then-remove idiom at call sites paid for that
    lookup twice. *)
 let remove_if_present t page =
-  if where t page = 0 then false
-  else begin
-    remove t page;
-    true
-  end
+  let c = chunk_of t page and i = page land chunk_mask in
+  let w = Char.code (Bytes.get c.where_ i) in
+  w <> 0
+  && begin
+       unlink t c i page w;
+       true
+     end
 
 let active_tail t = if t.active_tail >= 0 then Some t.active_tail else None
 

@@ -1,5 +1,5 @@
 (* One packed status byte per page, the flag half of the VMM's
-   struct-of-arrays page table. Keeping all six booleans in a single
+   struct-of-arrays page table. Keeping all five booleans in a single
    Bytes.t means the touch fast path reads and writes exactly one byte
    per access instead of dereferencing a boxed record.
 
@@ -18,11 +18,9 @@ let protected_ = 4
 
 let pinned = 8
 
-let in_swap = 16
-
 let surrendered = 32
 
-let all = [ dirty; referenced; protected_; pinned; in_swap; surrendered ]
+let all = [ dirty; referenced; protected_; pinned; surrendered ]
 
 let create n = Bytes.make n '\000'
 

@@ -1,8 +1,10 @@
 (** Packed per-page status flags.
 
-    One byte per page holds the six page-state booleans the VMM tracks
-    (dirty, referenced, protected, pinned, in-swap, surrendered), so the
-    touch fast path touches exactly one byte of flag state per access.
+    One byte per page holds the five page-state booleans the VMM tracks
+    (dirty, referenced, protected, pinned, surrendered), so the touch
+    fast path touches exactly one byte of flag state per access. Whether
+    a page has a swap copy is the swap device's record ({!Swap.has_copy}),
+    not a flag.
 
     Accessors use unchecked byte access for speed: callers must keep
     [page] below {!length} (the VMM bounds-checks once at the top of
@@ -23,8 +25,6 @@ val referenced : int
 val protected_ : int
 
 val pinned : int
-
-val in_swap : int
 
 val surrendered : int
 

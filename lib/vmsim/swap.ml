@@ -1,7 +1,10 @@
+module Bitset = Repro_util.Bitset
+
 type t = {
   capacity_pages : int option;
   faults : Faults.Fault_plan.t option;
-  slots : (int, unit) Hashtbl.t;
+  copies : Bitset.t;  (* pages with a swap copy *)
+  mutable occupancy : int;  (* how many *)
   mutable high_water : int;
   mutable reads : int;
 }
@@ -13,12 +16,13 @@ let create ?capacity_pages ?faults () =
   {
     capacity_pages;
     faults;
-    slots = Hashtbl.create 256;
+    copies = Bitset.create ();
+    occupancy = 0;
     high_water = 0;
     reads = 0;
   }
 
-let occupancy_pages t = Hashtbl.length t.slots
+let occupancy_pages t = t.occupancy
 
 let write t page =
   (match t.faults with
@@ -28,16 +32,17 @@ let write t page =
       | Faults.Fault_plan.Proceed -> ()
       | Faults.Fault_plan.Io_error -> raise Io_error
       | Faults.Fault_plan.Device_full -> raise Full));
-  if not (Hashtbl.mem t.slots page) then begin
+  if not (Bitset.mem t.copies page) then begin
     (match t.capacity_pages with
-    | Some cap when occupancy_pages t >= cap -> raise Full
+    | Some cap when t.occupancy >= cap -> raise Full
     | Some _ | None -> ());
-    Hashtbl.add t.slots page ()
+    Bitset.set t.copies page;
+    t.occupancy <- t.occupancy + 1
   end;
-  if occupancy_pages t > t.high_water then t.high_water <- occupancy_pages t
+  if t.occupancy > t.high_water then t.high_water <- t.occupancy
 
 let read t page =
-  if not (Hashtbl.mem t.slots page) then
+  if not (Bitset.mem t.copies page) then
     invalid_arg (Printf.sprintf "Swap.read: page %d has no swap copy" page);
   (match t.faults with
   | None -> ()
@@ -47,9 +52,13 @@ let read t page =
       | Faults.Fault_plan.Io_error -> raise Io_error));
   t.reads <- t.reads + 1
 
-let drop t page = Hashtbl.remove t.slots page
+let drop t page =
+  if Bitset.mem t.copies page then begin
+    Bitset.clear t.copies page;
+    t.occupancy <- t.occupancy - 1
+  end
 
-let has_copy t page = Hashtbl.mem t.slots page
+let has_copy t page = Bitset.mem t.copies page
 
 let high_water_pages t = t.high_water
 

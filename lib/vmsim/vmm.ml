@@ -1,6 +1,7 @@
 exception Thrashing of string
 
 module Fault_plan = Faults.Fault_plan
+module Sparse = Repro_util.Sparse
 
 (* Page states, one byte per page in the struct-of-arrays table. *)
 let st_unmapped = 0
@@ -11,20 +12,12 @@ let st_resident = 2
 
 let st_swapped = 3
 
-(* The sparse two-level page table.
-
-   PR 4's flat struct-of-arrays table made the touch fast path cheap but
-   still cost O(address-space) memory: one state byte, one flag byte and
-   one owner word per *addressable* page. That caps machines well below
-   the paper's "run the big benchmark in a big heap" regime — a 2^30-page
-   space would eat gigabytes before the first touch. Pages are therefore
-   grouped into fixed 4096-page chunks hanging off a root array; a chunk
-   keeps the struct-of-arrays layout (state bytes + packed Page_flags +
-   owner pids) and is materialised on the first [map] inside its span, so
-   memory is proportional to *touched* chunks. Never-touched chunks all
-   alias one shared all-zero sentinel: reads anywhere report
-   state = unmapped / owner = 0 with plain array indexing, and the
-   sentinel is NEVER written (every writer materialises first). *)
+(* The page table: per-page state bytes, packed Page_flags bytes and
+   owner pids in 4096-page chunks of a [Sparse] table, so memory follows
+   the pages mapped, not how high their numbers reach. Never-mapped pages
+   read the all-zero [sentinel]: state unmapped, owner 0, flags clear.
+   [map] materialises a page's chunk, and every other writer runs only on
+   mapped pages, asserted below. *)
 module Page_table = struct
   let chunk_shift = 12
 
@@ -38,27 +31,20 @@ module Page_table = struct
     owners : int array;
   }
 
-  let sentinel =
+  let fresh () =
     {
       states = Bytes.make chunk_pages '\000';
       flags = Page_flags.create chunk_pages;
       owners = Array.make chunk_pages 0;
     }
 
-  type t = { mutable chunks : chunk array; mutable materialized : int }
+  let sentinel = fresh ()
 
-  let create () = { chunks = Array.make 1 sentinel; materialized = 0 }
+  type t = chunk Sparse.t
 
-  (* Total pages covered by materialised chunks — the table's actual
-     memory footprint, independent of how high the page numbers go. *)
-  let materialized_chunks t = t.materialized
+  let create () = Sparse.create ~shift:chunk_shift ~sentinel
 
-  let[@inline] chunk_of t page =
-    let c = page lsr chunk_shift in
-    if c < Array.length t.chunks then Array.unsafe_get t.chunks c
-    else sentinel
-
-  let[@inline] is_materialized t page = chunk_of t page != sentinel
+  let[@inline] chunk_of t page = Sparse.chunk t page
 
   let[@inline] state t page =
     Char.code (Bytes.unsafe_get (chunk_of t page).states (page land chunk_mask))
@@ -69,43 +55,14 @@ module Page_table = struct
   let[@inline] flag t page bit =
     Page_flags.get (chunk_of t page).flags (page land chunk_mask) bit
 
-  let materialize t page =
-    let c = page lsr chunk_shift in
-    if c >= Array.length t.chunks then begin
-      let len' = max (c + 1) (2 * Array.length t.chunks) in
-      let chunks' = Array.make len' sentinel in
-      Array.blit t.chunks 0 chunks' 0 (Array.length t.chunks);
-      t.chunks <- chunks'
-    end;
-    let chunk = t.chunks.(c) in
-    if chunk == sentinel then begin
-      let fresh =
-        {
-          states = Bytes.make chunk_pages '\000';
-          flags = Page_flags.create chunk_pages;
-          owners = Array.make chunk_pages 0;
-        }
-      in
-      t.chunks.(c) <- fresh;
-      t.materialized <- t.materialized + 1;
-      fresh
-    end
-    else chunk
-
   (* Low-level mapping: stamp [page] untouched with owner [pid],
      materialising its chunk. No already-mapped check — [Vmm.map_range]
      owns validation and error wording. *)
   let map t ~page ~pid =
-    let chunk = materialize t page in
+    let chunk = Sparse.materialize t page fresh in
     let s = page land chunk_mask in
     Bytes.unsafe_set chunk.states s (Char.unsafe_chr st_untouched);
     Array.unsafe_set chunk.owners s pid
-
-  let iter_chunks t f =
-    Array.iteri
-      (fun chunk_index chunk ->
-        if chunk != sentinel then f ~chunk_index chunk)
-      t.chunks
 end
 
 type t = {
@@ -196,7 +153,7 @@ let costs t = t.costs
 
 let swap t = t.swap
 
-let page_table t = t.pt
+let table_chunks t = Sparse.materialized t.pt
 
 let create_process t =
   let p = Process.create ~pid:t.next_pid in
@@ -223,15 +180,22 @@ let pinned_count t = t.pinned
    Reads go through the chunk table and are safe for any page number:
    out-of-root or never-materialised pages read the shared sentinel
    (state unmapped, owner 0, flags clear). Writers must only run on pages
-   whose chunk is materialised — which every call site guarantees by
-   checking mapped-ness first (mapping materialises) — asserted below. *)
+   that were mapped — which every call site guarantees by checking
+   mapped-ness first — so [mapped_chunk] asserts an owner: the sentinel
+   has none, so it is never written. *)
 
 let[@inline] pstate t page = Page_table.state t.pt page
 
+let[@inline] mapped_chunk t page =
+  let chunk = Page_table.chunk_of t.pt page in
+  assert (
+    Array.unsafe_get chunk.Page_table.owners (page land Page_table.chunk_mask)
+    <> 0);
+  chunk
+
 let[@inline] set_pstate t page s =
-  assert (Page_table.is_materialized t.pt page);
   Bytes.unsafe_set
-    (Page_table.chunk_of t.pt page).Page_table.states
+    (mapped_chunk t page).Page_table.states
     (page land Page_table.chunk_mask)
     (Char.unsafe_chr s)
 
@@ -259,16 +223,14 @@ let check_mapped t page =
 let[@inline] fget t page bit = Page_table.flag t.pt page bit
 
 let[@inline] fset t page bit =
-  assert (Page_table.is_materialized t.pt page);
   Page_flags.set
-    (Page_table.chunk_of t.pt page).Page_table.flags
+    (mapped_chunk t page).Page_table.flags
     (page land Page_table.chunk_mask)
     bit
 
 let[@inline] fclear t page bit =
-  assert (Page_table.is_materialized t.pt page);
   Page_flags.clear
-    (Page_table.chunk_of t.pt page).Page_table.flags
+    (mapped_chunk t page).Page_table.flags
     (page land Page_table.chunk_mask)
     bit
 
@@ -305,13 +267,13 @@ let note_residency t page delta =
   t.resident <- t.resident + delta;
   Vm_stats.add_resident (owner_stats t page) delta
 
-(* Drop a page's frame without writeback. The page must be resident and
-   unpinned. *)
+(* Drop a page's frame without writeback, and any swap copy with it: the
+   page's next touch zero-fills. The page must be resident and unpinned. *)
 let release_frame t page =
   ignore (Lru.remove_if_present t.lru page : bool);
   set_pstate t page st_untouched;
+  Swap.drop t.swap page;
   fclear t page Page_flags.dirty;
-  fclear t page Page_flags.in_swap;
   fclear t page Page_flags.surrendered;
   note_residency t page (-1)
 
@@ -344,14 +306,12 @@ let swap_write_retrying t page =
 let swap_out t page =
   assert (pstate t page = st_resident && not (fget t page Page_flags.pinned));
   let wrote =
-    if fget t page Page_flags.dirty || not (fget t page Page_flags.in_swap)
-    then begin
+    if fget t page Page_flags.dirty || not (Swap.has_copy t.swap page) then begin
       if swap_write_retrying t page then begin
         let pstats = owner_stats t page in
         Clock.advance t.clock t.costs.Costs.swap_write_ns;
         ev t Telemetry.Event.Swap_write page (Process.pid (owner_proc t page));
         pstats.Vm_stats.swap_outs <- pstats.Vm_stats.swap_outs + 1;
-        fset t page Page_flags.in_swap;
         true
       end
       else false
@@ -703,8 +663,8 @@ let () =
    pending notices and the fast path below carries no notices test at
    all), install the page's chunk and take one touch step on it. Only
    materialised chunks are ever cached — a materialised chunk is never
-   replaced, so the cached bytes cannot go stale. A sentinel
-   (never-mapped) chunk means the page was never mapped.
+   replaced, so the cached bytes cannot go stale. An unmaterialised
+   chunk means the page was never mapped.
 
    The single touch step is taken directly on the chunk rather than by
    retrying through the cache: a flush may itself enqueue fresh notices
@@ -713,8 +673,8 @@ let () =
    when the flush left nothing pending. *)
 let touch_miss t ~write page =
   if t.notices_pending then flush_pending_notices t;
-  let chunk = Page_table.chunk_of t.pt page in
-  if chunk != Page_table.sentinel then begin
+  if Sparse.is_materialized t.pt page then begin
+    let chunk = Page_table.chunk_of t.pt page in
     let states = chunk.Page_table.states
     and flags = chunk.Page_table.flags in
     if not t.notices_pending then begin
@@ -777,7 +737,6 @@ let unmap_range t ~first_page ~npages =
       end;
       Swap.drop t.swap p;
       set_pstate t p st_unmapped;
-      fclear t p Page_flags.in_swap;
       fclear t p Page_flags.protected_
     end
   done
@@ -797,7 +756,6 @@ let madvise_dontneed t page =
     else if s = st_swapped then begin
       Swap.drop t.swap page;
       set_pstate t page st_untouched;
-      fclear t page Page_flags.in_swap;
       fclear t page Page_flags.dirty;
       ev t Telemetry.Event.Discard page (Process.pid (owner_proc t page));
       let pstats = owner_stats t page in
@@ -872,7 +830,7 @@ let coldest_pages t ~owner ~n =
 let debug_count_resident_owned t proc =
   let pid = Process.pid proc in
   let n = ref 0 in
-  Page_table.iter_chunks t.pt (fun ~chunk_index:_ chunk ->
+  Sparse.iter t.pt (fun _ chunk ->
       for s = 0 to Page_table.chunk_pages - 1 do
         if
           Char.code (Bytes.unsafe_get chunk.Page_table.states s) = st_resident

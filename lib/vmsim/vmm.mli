@@ -11,81 +11,16 @@
     single point where reference bits, dirty bits, faults and the disk
     penalty are accounted.
 
-    The address space is backed by {!Page_table}, a sparse two-level
-    chunked table: memory is proportional to the pages actually mapped,
-    so giant (2^30-page) address spaces are cheap.
+    The address space is backed by a page table of 4096-page chunks in a
+    {!Repro_util.Sparse} table (state byte, packed {!Page_flags} and
+    owner pid per page): memory is proportional to the chunks holding
+    mapped pages, so giant (2^30-page) address spaces are cheap, and a
+    page never mapped reads as unmapped, owned by no one, anywhere in the
+    [int] range. A materialised chunk is never replaced, so {!touch}
+    keeps the last chunk it used and a hit needs no lookup at all.
 
     Every paging event is counted once, in the {!Vm_stats} record of the
     process that owns the page ({!Process.stats}). *)
-
-(** The sparse two-level page table.
-
-    A root array of chunk pointers; each chunk holds the struct-of-arrays
-    page metadata (state bytes, packed {!Page_flags}, owner pids) for a
-    fixed [chunk_pages]-page span and is materialised lazily on first
-    {!Page_table.map}. Never-materialised chunks all alias one shared
-    all-zero {!Page_table.sentinel}, so lookups anywhere in the address
-    space are plain array indexing and never allocate.
-
-    Invariants:
-    - [owner_pid t page = 0] means the page was {e never} mapped (pid 0 is
-      reserved); a page unmapped after use keeps its last owner with state
-      unmapped, preserving the "never mapped" / "unmapped after use"
-      distinction the error paths rely on.
-    - The sentinel is never written; every writer materialises first.
-    - A chunk, once materialised, is never replaced — pointers into its
-      arrays (e.g. the VMM's touch-path chunk cache) stay valid for the
-      table's lifetime.
-
-    The module is exported for introspection and tests. Treat the chunk
-    arrays as read-only outside [Vmm]: like {!Page_flags.set}, they are
-    exposed raw so hot paths can index them without a cross-module
-    call. *)
-module Page_table : sig
-  type t
-
-  type chunk = {
-    states : Bytes.t;  (** one state byte per page *)
-    flags : Page_flags.set;  (** one packed flag byte per page *)
-    owners : int array;  (** owner pid per page; 0 = never mapped *)
-  }
-
-  val chunk_shift : int
-  (** [page lsr chunk_shift] is the chunk index. *)
-
-  val sentinel : chunk
-  (** The shared all-zero chunk that never-materialised slots alias. *)
-
-  val create : unit -> t
-
-  val state : t -> int -> int
-  (** Page state byte; 0 (unmapped) for any never-materialised page,
-      including pages beyond the root array and negative pages. *)
-
-  val owner_pid : t -> int -> int
-  (** Owning pid, or 0 if the page was never mapped. *)
-
-  val chunk_of : t -> int -> chunk
-  (** The chunk covering a page — possibly {!sentinel}. Total for every
-      [int], so lookups need no bounds check of their own. *)
-
-  val is_materialized : t -> int -> bool
-
-  val map : t -> page:int -> pid:int -> unit
-  (** Low-level mapping: stamp the page untouched with the given owner,
-      materialising its chunk. Validation (already-mapped checks,
-      accounting) is the caller's job — [Vmm.map_range] is the checked
-      entry point. *)
-
-  val materialized_chunks : t -> int
-  (** Number of materialised chunks — the table's real memory footprint
-      ([1 lsl chunk_shift] pages of metadata each) regardless of how
-      high the page numbers reach. *)
-
-  val iter_chunks : t -> (chunk_index:int -> chunk -> unit) -> unit
-  (** Iterate materialised chunks in address order; sentinel (never
-      touched) chunks are skipped, so iteration is O(touched pages). *)
-end
 
 type t
 
@@ -157,7 +92,8 @@ val is_dirty : t -> int -> bool
 
 val madvise_dontneed : t -> int -> unit
 (** Discard the page's contents: its frame (if any) is freed without
-    writeback and its next touch zero-fills. No-op on unmapped pages. *)
+    writeback, its swap copy (if any) is dropped, and its next touch
+    zero-fills. No-op on unmapped pages. *)
 
 val vm_relinquish : t -> int list -> unit
 (** The paper's new system call: voluntarily surrender pages. They move to
@@ -205,10 +141,10 @@ val count_resident_owned : t -> Process.t -> int
     maintains. Debug builds cross-check it against a scan of the
     materialised chunks. *)
 
-val page_table : t -> Page_table.t
-(** The backing sparse page table, for introspection (e.g. asserting that
-    a giant address space materialised only O(touched) chunks). Mutate it
-    only through the [Vmm] entry points. *)
+val table_chunks : t -> int
+(** How many 4096-page chunks the page table has materialised: its
+    memory, which follows the pages mapped, not how high their numbers
+    reach. *)
 
 val coldest_pages : t -> owner:Process.t -> n:int -> int list
 (** Up to [n] of the owner's reclaim-coldest resident pages, coldest

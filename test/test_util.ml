@@ -1,5 +1,6 @@
 module Vec = Repro_util.Vec
 module Bitset = Repro_util.Bitset
+module Sparse = Repro_util.Sparse
 module Rng = Repro_util.Rng
 module Summary = Repro_util.Summary
 
@@ -338,6 +339,96 @@ let prop_bitset_model =
            (fun (_, i) -> Bitset.mem b i = Hashtbl.mem reference i)
            ops)
 
+(* Sparse against a hash table: random materialisations, writes and reads
+   over small, giant (2^30 and up) and negative keys. *)
+type sparse_op = Materialize of int | Write of int * int | Read of int
+
+let sparse_shift = 12
+
+let sparse_op =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [
+        int_range 0 20_000;
+        map (( + ) (1 lsl 30)) (int_range 0 20_000);
+        int_range (-20_000) (-1);
+      ]
+  in
+  QCheck.make
+    ~print:(function
+      | Materialize k -> Printf.sprintf "materialize %d" k
+      | Write (k, v) -> Printf.sprintf "write %d %d" k v
+      | Read k -> Printf.sprintf "read %d" k)
+    (oneof
+       [
+         map (fun k -> Materialize k) key;
+         map2 (fun k v -> Write (k, v)) key (int_range 1 1000);
+         map (fun k -> Read k) key;
+       ])
+
+let prop_sparse_model =
+  QCheck.Test.make ~name:"sparse agrees with a hash table" ~count:200
+    QCheck.(small_list sparse_op)
+    (fun ops ->
+      let size = 1 lsl sparse_shift in
+      let sentinel = Array.make size 0 in
+      let fresh () = Array.make size 0 in
+      let t = Sparse.create ~shift:sparse_shift ~sentinel in
+      let values = Hashtbl.create 16 and chunks = Hashtbl.create 16 in
+      let expected k = Option.value (Hashtbl.find_opt values k) ~default:0 in
+      let read k = (Sparse.chunk t k).(k land (size - 1)) in
+      let step = function
+        | Materialize k | Write (k, _) when k < 0 -> (
+            match Sparse.materialize t k fresh with
+            | _ -> false
+            | exception Invalid_argument _ -> true)
+        | Materialize k ->
+            ignore (Sparse.materialize t k fresh : int array);
+            Hashtbl.replace chunks (k lsr sparse_shift) ();
+            true
+        | Write (k, v) ->
+            (Sparse.materialize t k fresh).(k land (size - 1)) <- v;
+            Hashtbl.replace values k v;
+            Hashtbl.replace chunks (k lsr sparse_shift) ();
+            true
+        | Read k -> read k = expected k
+      in
+      let key_of = function Materialize k | Write (k, _) | Read k -> k in
+      let consistent k =
+        read k = expected k
+        && Sparse.is_materialized t k
+           = (k >= 0 && Hashtbl.mem chunks (k lsr sparse_shift))
+      in
+      let steps_ok =
+        List.for_all
+          (fun op ->
+            step op
+            && Array.for_all (fun x -> x = 0) sentinel
+            && consistent (key_of op))
+          ops
+      in
+      let materialized =
+        List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) chunks [])
+      in
+      let walked = ref [] in
+      Sparse.iter t (fun c _ -> walked := c :: !walked);
+      let next_from k =
+        let c = if k < 0 then 0 else k lsr sparse_shift in
+        match List.find_opt (fun m -> m >= c) materialized with
+        | Some m -> m
+        | None -> -1
+      in
+      steps_ok
+      && List.rev !walked = materialized
+      && Sparse.materialized t = List.length materialized
+      && Hashtbl.fold (fun k v ok -> ok && read k = v) values true
+      && List.for_all
+           (fun op ->
+             let k = key_of op in
+             Sparse.next_materialized t k = next_from k)
+           ops)
+
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"rng ints within bounds" ~count:200
     QCheck.(pair small_int (int_range 1 10_000))
@@ -382,5 +473,11 @@ let () =
       ("summary", [ Alcotest.test_case "stats" `Quick test_summary ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_vec_model; prop_vec_push_pop; prop_bitset_model; prop_rng_int_bounds ] );
+          [
+            prop_vec_model;
+            prop_vec_push_pop;
+            prop_bitset_model;
+            prop_sparse_model;
+            prop_rng_int_bounds;
+          ] );
     ]

@@ -121,8 +121,8 @@ let test_page_flags_roundtrip () =
     Page_flags.all
 
 let test_page_flags_layout () =
-  check Alcotest.int "six flags" 6 (List.length Page_flags.all);
-  check Alcotest.int "distinct bits" 6
+  check Alcotest.int "five flags" 5 (List.length Page_flags.all);
+  check Alcotest.int "distinct bits" 5
     (List.length (List.sort_uniq compare Page_flags.all));
   List.iter
     (fun bit ->
@@ -136,11 +136,11 @@ let test_page_flags_layout () =
 let test_page_flags_grow () =
   let b = Page_flags.create 2 in
   Page_flags.set b 1 Page_flags.pinned;
-  Page_flags.set b 1 Page_flags.in_swap;
+  Page_flags.set b 1 Page_flags.surrendered;
   let b = Page_flags.grow b 8 in
   check Alcotest.int "grown length" 8 (Page_flags.length b);
   check Alcotest.int "contents preserved"
-    (Page_flags.pinned lor Page_flags.in_swap)
+    (Page_flags.pinned lor Page_flags.surrendered)
     (Page_flags.byte b 1);
   check Alcotest.int "new pages clear" 0 (Page_flags.byte b 7)
 
@@ -508,6 +508,33 @@ let test_swap_capacity () =
   (* rewriting an existing copy is fine at capacity *)
   Vmsim.Swap.write s 1
 
+(* A page read back from swap is clean and keeps its copy; discarding it
+   drops the copy with the frame, or the dead copy would hold a slot of a
+   bounded device until the page is unmapped. *)
+let test_discard_drops_clean_copy () =
+  let clock = Clock.create () in
+  let vmm =
+    Vmm.create ~reclaim_batch:1 ~swap_capacity_pages:2 ~clock ~frames:2 ()
+  in
+  let proc = Vmm.create_process vmm in
+  Vmm.map_range vmm proc ~first_page:0 ~npages:3;
+  for p = 0 to 2 do
+    Vmm.touch vmm ~write:true p
+  done;
+  check Alcotest.bool "page 0 swapped" true (Vmm.is_swapped vmm 0);
+  Vmm.touch vmm 0;
+  let swap = Vmm.swap vmm in
+  check Alcotest.bool "read back: resident and clean" true
+    (Vmm.is_resident vmm 0 && not (Vmm.is_dirty vmm 0));
+  check Alcotest.bool "read back keeps the copy" true
+    (Vmsim.Swap.has_copy swap 0);
+  Vmm.madvise_dontneed vmm 0;
+  check Alcotest.bool "discard drops the copy" false
+    (Vmsim.Swap.has_copy swap 0);
+  check Alcotest.int "occupancy counts only swapped pages"
+    (List.length (List.filter (Vmm.is_swapped vmm) [ 0; 1; 2 ]))
+    (Vmsim.Swap.occupancy_pages swap)
+
 let test_swap_tracks_evictions () =
   let _, vmm, proc = machine ~frames:8 () in
   Vmm.map_range vmm proc ~first_page:0 ~npages:32;
@@ -619,37 +646,55 @@ let test_swap_full_during_eviction () =
 (* ----------------------------------------------------------------- *)
 (* Sparse page table and giant address spaces                        *)
 
-module Page_table = Vmm.Page_table
+module Sparse = Repro_util.Sparse
 
+let owner_pid vmm page =
+  match Vmm.owner vmm page with Some p -> Process.pid p | None -> 0
+
+(* The page table is a Sparse table of 4096-page chunks: the layout half
+   of each assertion is made on Sparse with the table's shift, and the
+   VMM half through Vmm's own functions. *)
 let test_page_table_api () =
-  let pt = Page_table.create () in
+  let _, vmm, proc = machine () in
   let giant = (1 lsl 30) + 3 in
-  check Alcotest.int "fresh table: no chunks" 0
-    (Page_table.materialized_chunks pt);
+  let pid = Process.pid proc in
+  check Alcotest.int "fresh table: no chunks" 0 (Vmm.table_chunks vmm);
   (* reads are total anywhere in the address space, without allocating *)
-  check Alcotest.int "unmapped state" 0 (Page_table.state pt giant);
-  check Alcotest.int "owner 0 = never mapped" 0 (Page_table.owner_pid pt giant);
+  check Alcotest.bool "unmapped state" false
+    (Vmm.is_resident vmm giant || Vmm.is_swapped vmm giant);
+  check Alcotest.int "owner 0 = never mapped" 0 (owner_pid vmm giant);
+  check Alcotest.int "negative pages never mapped" 0 (owner_pid vmm (-5));
+  check Alcotest.int "reads materialised nothing" 0 (Vmm.table_chunks vmm);
+  Vmm.map_range vmm proc ~first_page:giant ~npages:1;
+  check Alcotest.int "exactly one chunk" 1 (Vmm.table_chunks vmm);
+  check Alcotest.int "owner recorded" pid (owner_pid vmm giant);
+  check Alcotest.int "chunk-mate still never mapped" 0
+    (owner_pid vmm (giant + 1));
+  Alcotest.check_raises "chunk-mate unmapped"
+    (Invalid_argument (Printf.sprintf "Vmm: page %d is unmapped" (giant + 1)))
+    (fun () -> Vmm.touch vmm (giant + 1));
+  let sentinel = Array.make 4096 0 in
+  let pt = Sparse.create ~shift:12 ~sentinel in
   check Alcotest.bool "sentinel covers untouched pages" true
-    (Page_table.chunk_of pt giant == Page_table.sentinel);
+    (Sparse.chunk pt giant == sentinel);
   check Alcotest.bool "negative pages answer sentinel" true
-    (Page_table.chunk_of pt (-5) == Page_table.sentinel);
-  check Alcotest.int "reads materialised nothing" 0
-    (Page_table.materialized_chunks pt);
-  Page_table.map pt ~page:giant ~pid:7;
+    (Sparse.chunk pt (-5) == sentinel);
+  (Sparse.materialize pt giant (fun () -> Array.make 4096 0)).(giant land 4095)
+  <- pid;
   check Alcotest.bool "mapped page materialised" true
-    (Page_table.is_materialized pt giant);
-  check Alcotest.int "exactly one chunk" 1 (Page_table.materialized_chunks pt);
-  check Alcotest.int "owner recorded" 7 (Page_table.owner_pid pt giant);
-  check Alcotest.bool "chunk-mate still never mapped" true
-    (Page_table.owner_pid pt (giant + 1) = 0);
+    (Sparse.is_materialized pt giant);
+  check Alcotest.int "exactly one Sparse chunk" 1 (Sparse.materialized pt);
+  check Alcotest.int "owner written" pid
+    (Sparse.chunk pt giant).(giant land 4095);
+  check Alcotest.int "chunk-mate unwritten" 0
+    (Sparse.chunk pt (giant + 1)).((giant + 1) land 4095);
+  check Alcotest.bool "sentinel unwritten" true
+    (Array.for_all (fun x -> x = 0) sentinel);
   let visited = ref [] in
-  Page_table.iter_chunks pt (fun ~chunk_index _ ->
-      visited := chunk_index :: !visited);
+  Sparse.iter pt (fun c _ -> visited := c :: !visited);
   check
     (Alcotest.list Alcotest.int)
-    "iter_chunks visits only the materialised chunk"
-    [ giant lsr Page_table.chunk_shift ]
-    !visited
+    "iter visits only the materialised chunk" [ giant lsr 12 ] !visited
 
 let test_giant_sparse_touch () =
   let _, vmm, proc = machine ~frames:64 () in
@@ -662,7 +707,7 @@ let test_giant_sparse_touch () =
   check Alcotest.int "all resident" 32 (Vmm.resident_count vmm);
   check Alcotest.bool "resident at 2^30" true (Vmm.is_resident vmm (1 lsl 30));
   check Alcotest.bool "metadata stays O(touched)" true
-    (Page_table.materialized_chunks (Vmm.page_table vmm) <= 2);
+    (Vmm.table_chunks vmm <= 2);
   Alcotest.check_raises "far-away page unmapped"
     (Invalid_argument "Vmm: page 4096 is unmapped") (fun () ->
       Vmm.touch vmm 4096);
@@ -763,6 +808,8 @@ let () =
           Alcotest.test_case "accounting" `Quick test_swap_accounting;
           Alcotest.test_case "capacity" `Quick test_swap_capacity;
           Alcotest.test_case "tracks evictions" `Quick test_swap_tracks_evictions;
+          Alcotest.test_case "discard drops clean copy" `Quick
+            test_discard_drops_clean_copy;
         ] );
       ( "capacity",
         [
