@@ -17,13 +17,28 @@ let los_threshold = Gc_common.Size_class.max_cell
 (* Never shrink the target footprint below this many pages. *)
 let footprint_floor_pages = 32
 
+(* Each array lists what one eviction scan did, newest first. *)
 type ledger_entry = {
-  sps : Superpage.sp list;  (* incoming counters incremented *)
-  targets : Heapsim.Obj_id.t list;  (* resident targets whose bookmark
-                                       count we incremented *)
-  self : Heapsim.Obj_id.t list;  (* conservative self-bookmarks *)
+  sps : Superpage.sp array;  (* incoming counters incremented *)
+  targets : Heapsim.Obj_id.t array;  (* resident targets whose bookmark
+                                        count we incremented *)
+  self : Heapsim.Obj_id.t array;  (* conservative self-bookmarks *)
   nonsp : bool;  (* counted one global cover for non-resident targets
                     outside the superpage space (nursery / LOS) *)
+}
+
+(* Compaction's census, indexed by superpage: the marked and dead
+   objects on each, whether it must be a target and whether it was
+   chosen, plus the marked objects ([demand]) and the chosen targets
+   ([pools]) of each (size class, kind). Each instance owns one, which
+   [plan_compaction] grows to the superpage count and resets. *)
+type census = {
+  mutable marked_on : int array;
+  mutable dead_on : int array;
+  mutable forced : bool array;
+  mutable is_target : bool array;
+  demand : int array;
+  pools : Superpage.sp Vec.t array;
 }
 
 type t = {
@@ -55,10 +70,24 @@ type t = {
       (* a page scan's copy of the page's objects (sweep, eviction and
          reload scans). A scan fills it after touching the page: the
          touch can deliver eviction notices, whose scans refill it. *)
+  scan_sps : Superpage.sp Vec.t;
+  scan_targets : Heapsim.Obj_id.t Vec.t;
+  scan_self : Heapsim.Obj_id.t Vec.t;
+      (* an eviction scan's records, in the order it made them, until
+         they are copied into its ledger entry. Filled after the
+         victim's touch, like [on_page]. *)
+  peers : int Vec.t;  (* an aggressive discard's candidate pages *)
+  census : census;  (* compaction's per-superpage counts *)
+  cards_requeued : int Vec.t;
+      (* a nursery collection's cards on evicted pages, marked again
+         once the card table is drained *)
   pending_roots : Heapsim.Obj_id.t Vec.t;
       (* objects bookmarked while a trace is running; re-seeded so mid-GC
          evictions cannot hide connectivity *)
-  mutable target_footprint : int option;  (* pages; None = config limit *)
+  pending_round : Heapsim.Obj_id.t Vec.t;
+      (* the pending roots one further trace round starts from *)
+  usable : int -> bool;  (* [resident_ok t], built once *)
+  mutable target_footprint : int;  (* pages; -1 = the config limit *)
   mutable controller_cap : int option;
       (* external footprint cap (controller knob); composes with
          [target_footprint] by [min] so §3.3.3's own adaptation keeps
@@ -165,9 +194,9 @@ let track_new_superpage t (sp : Superpage.sp) =
 let effective_heap_pages t =
   let config_pages = Gc_config.heap_pages t.config in
   let own =
-    match t.target_footprint with
-    | None -> config_pages
-    | Some target -> Int.min config_pages (Int.max target footprint_floor_pages)
+    if t.target_footprint < 0 then config_pages
+    else
+      Int.min config_pages (Int.max t.target_footprint footprint_floor_pages)
   in
   match t.controller_cap with
   | None -> own
@@ -198,7 +227,7 @@ let grow_sp t () =
     if needed <= config_pages - min_nursery_pages then begin
       (* growing past the footprint target "when this is necessary for
          program completion" (§3.3.3) — at the price of paging *)
-      t.target_footprint <- Some (needed + min_nursery_pages);
+      t.target_footprint <- needed + min_nursery_pages;
       true
     end
     else false
@@ -208,7 +237,7 @@ let shrink_target t =
   (* "uses the new estimate as the target footprint" (§3.3.3): the target
      tracks the current footprint rather than ratcheting monotonically *)
   let current = Residency.footprint_pages t.residency in
-  t.target_footprint <- Some (max footprint_floor_pages (current - 1))
+  t.target_footprint <- max footprint_floor_pages (current - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Empty-page discarding (§3.3.2, §3.4.3)                              *)
@@ -236,26 +265,38 @@ let discard_page t page =
   Bitset.set t.discarded page
 
 (* Discard [page] and, aggressively, every discardable page sharing its
-   residency-bitmap word (§3.4.3). Returns how many pages were freed. *)
+   residency-bitmap word (§3.4.3). Returns how many pages were freed.
+   Every peer is judged before any is discarded, in ascending order. *)
 let discard_with_peers t page =
   if t.opts.Gc_config.aggressive_discard then begin
-    let peers =
-      Residency.word_empty_peers t.residency page (discardable t)
-    in
-    List.iter (discard_page t) peers;
-    List.length peers
+    let peers = t.peers in
+    Vec.clear peers;
+    Residency.word_resident t.residency page peers;
+    let kept = ref 0 in
+    for i = 0 to Vec.length peers - 1 do
+      let peer = Vec.get peers i in
+      if discardable t peer then begin
+        Vec.set peers !kept peer;
+        incr kept
+      end
+    done;
+    for i = 0 to !kept - 1 do
+      discard_page t (Vec.get peers i)
+    done;
+    !kept
   end
   else begin
     discard_page t page;
     1
   end
 
-(* Pop a validated empty page from the candidate store. *)
+(* Pop a validated empty page from the candidate store; -1 when none is
+   left. *)
 let rec find_discardable t =
-  if Vec.is_empty t.empty_candidates then None
+  if Vec.is_empty t.empty_candidates then -1
   else begin
     let page = Vec.pop t.empty_candidates in
-    if discardable t page then Some page else find_discardable t
+    if discardable t page then page else find_discardable t
   end
 
 let count_valid_candidates t ~limit =
@@ -270,10 +311,15 @@ let count_valid_candidates t ~limit =
 (* ------------------------------------------------------------------ *)
 (* Bookmarking (§3.4)                                                  *)
 
-(* Add one evicted-page cover to an object's bookmark. *)
+(* Add one evicted-page cover to an object's bookmark. The lookups
+   below catch [Not_found] rather than box a [find_opt] result. *)
 let bookmark_ref t id =
   let objects = Heapsim.Heap.objects t.heap in
-  let n = Option.value (Hashtbl.find_opt t.bookmark_counts id) ~default:0 in
+  let n =
+    match Hashtbl.find t.bookmark_counts id with
+    | n -> n
+    | exception Not_found -> 0
+  in
   Hashtbl.replace t.bookmark_counts id (n + 1);
   if n = 0 then begin
     Heapsim.Object_table.set_bookmarked objects id true;
@@ -284,12 +330,37 @@ let bookmark_ref t id =
 let bookmark_unref t id =
   let objects = Heapsim.Heap.objects t.heap in
   if Heapsim.Object_table.is_live objects id then
-    match Hashtbl.find_opt t.bookmark_counts id with
-    | Some n when n > 1 -> Hashtbl.replace t.bookmark_counts id (n - 1)
-    | Some _ ->
+    match Hashtbl.find t.bookmark_counts id with
+    | n when n > 1 -> Hashtbl.replace t.bookmark_counts id (n - 1)
+    | _ ->
         Hashtbl.remove t.bookmark_counts id;
         Heapsim.Object_table.set_bookmarked objects id false
-    | None -> ()
+    | exception Not_found -> ()
+
+let unref_all t ids =
+  for i = 0 to Array.length ids - 1 do
+    bookmark_unref t ids.(i)
+  done
+
+let rec unref_deferred t = function
+  | [] -> ()
+  | ids :: rest ->
+      unref_all t ids;
+      unref_deferred t rest
+
+(* A scan buffer's contents, last pushed first. Releases walk a ledger
+   entry in this order, which fixes the sequence of [bookmark_counts]
+   updates and so the table's iteration order. *)
+let newest_first v =
+  let n = Vec.length v in
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (Vec.get v (n - 1)) in
+    for i = 1 to n - 1 do
+      a.(i) <- Vec.get v (n - 1 - i)
+    done;
+    a
+  end
 
 (* Scan a victim page, bookmark the targets of its outgoing references,
    bump the targets' superpage incoming counters (once per target
@@ -299,7 +370,9 @@ let bookmark_unref t id =
    A superpage counted once by this scan carries the scan's stamp. The
    stamp is taken after the victim's touch, and nothing between it and
    the ledger write touches a page, so no eviction notice, and no scan
-   nested in one, can stamp a superpage in between. *)
+   nested in one, can stamp a superpage in between. For the same reason
+   the scan's records can go into the instance's scan buffers, which no
+   nested scan refills before the ledger entry copies them. *)
 let bookmark_and_evict t victim =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
@@ -308,9 +381,12 @@ let bookmark_and_evict t victim =
   Vmsim.Vmm.touch vmm ~write:false victim;
   t.scans <- t.scans + 1;
   let stamp = t.scans in
-  let incremented = ref [] in
-  let counted = ref [] in
-  let selves = ref [] in
+  let incremented = t.scan_sps in
+  let counted = t.scan_targets in
+  let selves = t.scan_self in
+  Vec.clear incremented;
+  Vec.clear counted;
+  Vec.clear selves;
   let nonsp = ref false in
   let visit_ref _field target =
     (* stale references out of floating garbage may dangle *)
@@ -326,7 +402,7 @@ let bookmark_and_evict t victim =
        with
       | Some tsp when tsp.Superpage.scan <> stamp ->
           tsp.Superpage.scan <- stamp;
-          incremented := tsp :: !incremented;
+          Vec.push incremented tsp;
           tsp.Superpage.incoming <- tsp.Superpage.incoming + 1
       | Some _ -> ()
       | None ->
@@ -335,7 +411,7 @@ let bookmark_and_evict t victim =
           if not resident then nonsp := true);
       if resident then begin
         bookmark_ref t target;
-        counted := target :: !counted
+        Vec.push counted target
       end
     end
   in
@@ -347,28 +423,28 @@ let bookmark_and_evict t victim =
     Heapsim.Object_table.iter_refs objects id visit_ref;
     (* conservative bookmark on the evictee itself *)
     bookmark_ref t id;
-    selves := id :: !selves
+    Vec.push selves id
   done;
   if !nonsp then t.nonsp_incoming <- t.nonsp_incoming + 1;
-  (match Hashtbl.find_opt t.ledger victim with
-  | None -> ()
-  | Some stale ->
+  (match Hashtbl.find t.ledger victim with
+  | exception Not_found -> ()
+  | stale ->
       (* the page was surrendered, reloaded behind our back and is being
          evicted again: release the previous increments first *)
-      List.iter
+      Array.iter
         (fun (sp : Superpage.sp) ->
           if sp.Superpage.incoming > 0 then
             sp.Superpage.incoming <- sp.Superpage.incoming - 1)
         stale.sps;
-      List.iter (bookmark_unref t) stale.targets;
-      List.iter (bookmark_unref t) stale.self;
+      unref_all t stale.targets;
+      unref_all t stale.self;
       if stale.nonsp && t.nonsp_incoming > 0 then
         t.nonsp_incoming <- t.nonsp_incoming - 1);
   Hashtbl.replace t.ledger victim
     {
-      sps = !incremented;
-      targets = !counted;
-      self = !selves;
+      sps = newest_first incremented;
+      targets = newest_first counted;
+      self = newest_first selves;
       nonsp = !nonsp;
     };
   note_evicted t victim;
@@ -399,7 +475,7 @@ let page_reloaded t page =
       if t.evicted_count > 0 then t.evicted_count <- t.evicted_count - 1;
       Residency.mark_resident t.residency page;
       Bitset.clear t.discarded page;
-      Superpage.note_page_resident t.sp_space page ~resident:(resident_ok t);
+      Superpage.note_page_resident t.sp_space page ~resident:t.usable;
       let on_page = t.on_page in
       Heapsim.Page_map.objects_on (Heapsim.Heap.page_map heap) page on_page;
       for i = 0 to Vec.length on_page - 1 do
@@ -421,51 +497,54 @@ let page_reloaded t page =
        notice channel the two can disagree (a duplicated reload event, or
        a handler fault that applied the residency half of a previous
        replay); a kernel-resident page never needs covers. *)
-    (match Hashtbl.find_opt t.ledger page with
-    | None -> ()
-    | Some entry ->
+    (match Hashtbl.find t.ledger page with
+    | exception Not_found -> ()
+    | entry ->
         Hashtbl.remove t.ledger page;
-        List.iter
-          (fun (sp : Superpage.sp) ->
-            if sp.Superpage.incoming > 0 then
-              sp.Superpage.incoming <- sp.Superpage.incoming - 1
-            else
-              (* counter underflow: some notice was lost or replayed out
-                 of order; schedule the fail-safe to rebuild the exact
-                 state rather than guessing *)
-              t.failsafe_needed <- true;
-            (* a superpage whose incoming count reaches zero releases its
-               deferred conservative bookmarks (§3.4.2) *)
-            if sp.Superpage.incoming = 0 then begin
-              let ids = sp.Superpage.deferred in
-              sp.Superpage.deferred <- [];
-              List.iter (bookmark_unref t) ids
-            end)
-          entry.sps;
+        let sps = entry.sps in
+        for i = 0 to Array.length sps - 1 do
+          let sp = sps.(i) in
+          if sp.Superpage.incoming > 0 then
+            sp.Superpage.incoming <- sp.Superpage.incoming - 1
+          else
+            (* counter underflow: some notice was lost or replayed out
+               of order; schedule the fail-safe to rebuild the exact
+               state rather than guessing *)
+            t.failsafe_needed <- true;
+          (* a superpage whose incoming count reaches zero releases its
+             deferred conservative bookmarks (§3.4.2) *)
+          if sp.Superpage.incoming = 0 then begin
+            let deferred = sp.Superpage.deferred in
+            sp.Superpage.deferred <- [];
+            unref_deferred t deferred
+          end
+        done;
         if entry.nonsp then begin
           if t.nonsp_incoming > 0 then
             t.nonsp_incoming <- t.nonsp_incoming - 1
           else t.failsafe_needed <- true;
           if t.nonsp_incoming = 0 then begin
-            Vec.iter (bookmark_unref t) t.nonsp_deferred;
+            for i = 0 to Vec.length t.nonsp_deferred - 1 do
+              bookmark_unref t (Vec.get t.nonsp_deferred i)
+            done;
             Vec.clear t.nonsp_deferred
           end
         end;
         (* release the covers of this page's resident targets *)
-        List.iter (bookmark_unref t) entry.targets;
+        unref_all t entry.targets;
         (* conservative self-bookmarks: released only once no evicted
            page can still point into this page's container (§3.4.2) *)
         if t.opts.Gc_config.conservative_clear then begin
           match Superpage.sp_of_page t.sp_space page with
           | Some sp ->
-              if sp.Superpage.incoming = 0 then
-                List.iter (bookmark_unref t) entry.self
-              else sp.Superpage.deferred <- entry.self @ sp.Superpage.deferred
+              if sp.Superpage.incoming = 0 then unref_all t entry.self
+              else sp.Superpage.deferred <- entry.self :: sp.Superpage.deferred
           | None ->
-              if t.nonsp_incoming = 0 then
-                List.iter (bookmark_unref t) entry.self
+              if t.nonsp_incoming = 0 then unref_all t entry.self
               else
-                List.iter (Vec.push t.nonsp_deferred) entry.self
+                for i = 0 to Array.length entry.self - 1 do
+                  Vec.push t.nonsp_deferred entry.self.(i)
+                done
         end)
   end
 
@@ -549,10 +628,15 @@ let trace t ~roots ~follow ~evacuate ~copy =
     Gc_common.Tracer.run t.heap ~epoch:t.epoch ~roots ~follow ~evacuate ~copy
   in
   run roots;
+  (* [round] holds one round's roots; what its trace bookmarks goes to
+     [t.pending_roots], for the next round *)
+  let round = t.pending_round in
+  let round_roots enqueue = Vec.iter enqueue round in
   while not (Vec.is_empty t.pending_roots) do
-    let pending = Vec.to_list t.pending_roots in
+    Vec.clear round;
+    Vec.iter (Vec.push round) t.pending_roots;
     Vec.clear t.pending_roots;
-    run (fun enqueue -> List.iter enqueue pending)
+    run round_roots
   done
 
 (* Full-heap marking: never follows references to evicted objects (their
@@ -658,7 +742,18 @@ let remembered_roots t enqueue =
     (Baselines.Gen_shared.remembered t.heap ~follow:(follow_ok t) enqueue);
   let page_map = Heapsim.Heap.page_map t.heap in
   let push _field target = enqueue target in
-  let requeue = ref [] in
+  (* one visitor for every card: [card] is the card being scanned *)
+  let card = ref 0 in
+  let scan_object id =
+    let a = Heapsim.Object_table.addr objects id in
+    let sz = Heapsim.Object_table.size objects id in
+    if a < !card + Gc_common.Card_table.card_bytes && a + sz > !card then begin
+      Charge.object_visit t.heap;
+      Heapsim.Object_table.iter_refs objects id push
+    end
+  in
+  let requeued = t.cards_requeued in
+  Vec.clear requeued;
   Gc_common.Card_table.drain t.cards (fun card_addr ->
       let page = Vmsim.Page.of_addr card_addr in
       if
@@ -666,19 +761,15 @@ let remembered_roots t enqueue =
         || resident_ok t page
       then begin
         Vmsim.Vmm.touch (Heapsim.Heap.vmm t.heap) ~write:false page;
-        Heapsim.Page_map.iter_on page_map page (fun id ->
-            let a = Heapsim.Object_table.addr objects id in
-            let sz = Heapsim.Object_table.size objects id in
-            if
-              a < card_addr + Gc_common.Card_table.card_bytes
-              && a + sz > card_addr
-            then begin
-              Charge.object_visit t.heap;
-              Heapsim.Object_table.iter_refs objects id push
-            end)
+        card := card_addr;
+        Heapsim.Page_map.iter_on page_map page scan_object
       end
-      else requeue := card_addr :: !requeue);
-  List.iter (Gc_common.Card_table.mark_addr t.cards) !requeue;
+      else Vec.push requeued card_addr);
+  (* marked once the drain is over, since it clears what is marked
+     during it; last requeued first, the order the next drain visits *)
+  for i = Vec.length requeued - 1 downto 0 do
+    Gc_common.Card_table.mark_addr t.cards (Vec.get requeued i)
+  done;
   Heapsim.Id_list.iter
     (fun id ->
       if
@@ -741,36 +832,42 @@ let minor t =
       Gc_stats.note_heap_pages t.stats (total_pages t))
 
 (* Evacuate marked nursery survivors after a full mark; the sweep that
-   just ran has refilled the mature free lists. Abort-safe: when a copy
-   fails (heap exhausted), the not-yet-moved survivors stay registered as
-   nursery objects. *)
+   just ran has refilled the mature free lists. The young list is first
+   filtered down to the survivors, freeing the rest, and then copied
+   from; nothing reads it during the copies. Abort-safe: when a copy
+   fails (heap exhausted), exactly the not-yet-moved survivors stay
+   listed as nursery objects, in order. *)
 let evacuate_nursery t =
   let objects = Heapsim.Heap.objects t.heap in
-  let keep = Vec.create () in
-  Heapsim.Id_list.iter
+  let young = t.nursery_objects in
+  Heapsim.Id_list.filter_in_place
     (fun id ->
-      if
-        Heapsim.Object_table.is_live objects id
-        && (is_marked t id || Heapsim.Object_table.bookmarked objects id)
-      then Vec.push keep id
-      else if Heapsim.Object_table.is_live objects id then
-        Heapsim.Heap.free_object t.heap id)
-    t.nursery_objects;
-  Heapsim.Id_list.clear t.nursery_objects;
+      if not (Heapsim.Object_table.is_live objects id) then false
+      else if is_marked t id || Heapsim.Object_table.bookmarked objects id
+      then true
+      else begin
+        Heapsim.Heap.free_object t.heap id;
+        false
+      end)
+    young;
   let copy = sp_copy_young t ~grow:(grow_sp t) ~resident:(resident_ok t) in
-  let n = Vec.length keep in
-  let i = ref 0 in
+  let moved = ref 0 in
   (try
-     while !i < n do
-       copy (Vec.get keep !i);
-       incr i
-     done
+     Heapsim.Id_list.iter
+       (fun id ->
+         copy id;
+         incr moved)
+       young
    with e ->
      (* the rest are still nursery residents *)
-     for j = !i to n - 1 do
-       Heapsim.Id_list.push t.nursery_objects (Vec.get keep j)
-     done;
+     let seen = ref 0 in
+     Heapsim.Id_list.filter_in_place
+       (fun _ ->
+         incr seen;
+         !seen > !moved)
+       young;
      raise e);
+  Heapsim.Id_list.clear young;
   retire_nursery_pages t
 
 let evacuate_nursery t =
@@ -808,55 +905,83 @@ let rec alloc_in_pool sp_space pool i ~resident =
     let addr = Superpage.alloc_on sp_space (Vec.get pool i) ~resident in
     if addr >= 0 then addr else alloc_in_pool sp_space pool (i + 1) ~resident
 
+(* The census arrays, each at least [nsp] long, with the first [nsp]
+   entries reset; they double when a superpage index outgrows them. *)
+let reset_census c nsp =
+  if Array.length c.marked_on < nsp then begin
+    let n = max nsp (2 * Array.length c.marked_on) in
+    c.marked_on <- Array.make n 0;
+    c.dead_on <- Array.make n 0;
+    c.forced <- Array.make n false;
+    c.is_target <- Array.make n false
+  end;
+  Array.fill c.marked_on 0 nsp 0;
+  Array.fill c.dead_on 0 nsp 0;
+  Array.fill c.forced 0 nsp false;
+  Array.fill c.is_target 0 nsp false;
+  Array.fill c.demand 0 (Array.length c.demand) 0;
+  Array.iter Vec.clear c.pools
+
 (* Compaction's census and target selection, made between the mark and
    the sweep: per (size class, kind), the superpages that cannot move
    (incoming bookmarks, evicted pages, bookmarked residents) plus the
    fullest others, until they can hold every marked object. Returns the
    move pass, which runs after the sweep: epoch marks survive it, and the
-   marked objects still on non-target superpages are forwarded. *)
+   marked objects still on non-target superpages are forwarded.
+
+   The census and the move pass each visit every object with one
+   closure, built per collection; [page], [index] and [key] say which
+   page, superpage and (class, kind) it is visiting. *)
 let plan_compaction t ~resident =
   let objects = Heapsim.Heap.objects t.heap in
   let page_map = Heapsim.Heap.page_map t.heap in
-  let nsp = Superpage.sp_count t.sp_space in
-  let marked_on = Array.make (max nsp 1) 0 in
-  let dead_on = Array.make (max nsp 1) 0 in
-  let forced = Array.make (max nsp 1) false in
-  let is_target = Array.make (max nsp 1) false in
-  let nclasses = Gc_common.Size_class.count * 2 in
-  let demand = Array.make nclasses 0 in
+  let c = t.census in
+  reset_census c (Superpage.sp_count t.sp_space);
+  let marked_on = c.marked_on and dead_on = c.dead_on in
+  let forced = c.forced and is_target = c.is_target in
+  let demand = c.demand and target_pools = c.pools in
+  let nclasses = Array.length demand in
   let idx_of (sp : Superpage.sp) =
     (sp.Superpage.cls * 2)
     + match sp.Superpage.kind with Superpage.Scalar -> 0 | Superpage.Array -> 1
   in
-  (* per-superpage census of marked and dead objects *)
-  let census (sp : Superpage.sp) f =
-    for
-      page = sp.Superpage.first_page
-      to sp.Superpage.first_page + Vmsim.Page.pages_per_superpage - 1
+  let page = ref 0 and index = ref 0 and key = ref 0 in
+  (* apply [visit] to every object whose pages may all be visited, on
+     its first page *)
+  let census (sp : Superpage.sp) visit =
+    index := sp.Superpage.index;
+    key := idx_of sp;
+    for p = sp.Superpage.first_page
+        to sp.Superpage.first_page + Vmsim.Page.pages_per_superpage - 1
     do
-      if resident page then
-        Heapsim.Page_map.iter_on page_map page (fun id ->
-            if
-              Heapsim.Heap.first_page t.heap id = page
-              && all_pages t id resident
-            then f id)
+      if resident p then begin
+        page := p;
+        Heapsim.Page_map.iter_on page_map p visit
+      end
     done
   in
+  let visitable id =
+    Heapsim.Heap.first_page t.heap id = !page && all_pages t id resident
+  in
+  (* per-superpage census of marked and dead objects *)
+  let count id =
+    if visitable id then begin
+      let i = !index in
+      if is_marked t id then begin
+        marked_on.(i) <- marked_on.(i) + 1;
+        demand.(!key) <- demand.(!key) + 1;
+        if Heapsim.Object_table.bookmarked objects id then forced.(i) <- true
+      end
+      else if not (Heapsim.Object_table.bookmarked objects id) then
+        dead_on.(i) <- dead_on.(i) + 1
+    end
+  in
   Superpage.iter_sps t.sp_space (fun sp ->
-      let i = sp.Superpage.index in
       if
         sp.Superpage.incoming > 0
         || sp.Superpage.evicted_data_pages > 0
-      then forced.(i) <- true;
-      census sp (fun id ->
-          if is_marked t id then begin
-            marked_on.(i) <- marked_on.(i) + 1;
-            demand.(idx_of sp) <- demand.(idx_of sp) + 1;
-            if Heapsim.Object_table.bookmarked objects id then
-              forced.(i) <- true
-          end
-          else if not (Heapsim.Object_table.bookmarked objects id) then
-            dead_on.(i) <- dead_on.(i) + 1));
+      then forced.(sp.Superpage.index) <- true;
+      census sp count);
   (* select the minimum target set per (class, kind); each is chosen
      apart from the others *)
   let by_idx = Array.make nclasses [] in
@@ -865,8 +990,6 @@ let plan_compaction t ~resident =
         let key = idx_of sp in
         by_idx.(key) <- sp :: by_idx.(key)
       end);
-  let no_pool = Vec.create () in
-  let target_pools = Array.make nclasses no_pool in
   Array.iteri
     (fun key sps ->
       let capacity (sp : Superpage.sp) =
@@ -875,7 +998,7 @@ let plan_compaction t ~resident =
         + Superpage.free_count sp
       in
       let covered = ref 0 in
-      let pool = Vec.create () in
+      let pool = target_pools.(key) in
       let choose sp =
         is_target.(sp.Superpage.index) <- true;
         Vec.push pool sp;
@@ -893,40 +1016,40 @@ let plan_compaction t ~resident =
       in
       List.iter
         (fun sp -> if !covered < demand.(key) then choose sp)
-        sorted;
-      target_pools.(key) <- pool)
+        sorted)
     by_idx;
   (* forward marked objects off the non-target superpages *)
   fun () ->
-    let grow = grow_sp t and usable = resident_ok t in
+    let grow = grow_sp t and usable = t.usable in
+    let move id =
+      if
+        visitable id
+        && is_marked t id
+        && not (Heapsim.Object_table.bookmarked objects id)
+      then begin
+        let addr =
+          alloc_in_pool t.sp_space target_pools.(!key) 0 ~resident:usable
+        in
+        let addr =
+          if addr >= 0 then addr
+          else
+            (* selection shortfall: fall back to a fresh cell *)
+            Superpage.alloc t.sp_space
+              ~bytes:(Heapsim.Object_table.size objects id)
+              ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
+              ~grow ~resident:usable
+        in
+        if addr < 0 then
+          raise
+            (Collector.Heap_exhausted
+               (name ^ ": compaction ran out of target space"));
+        Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
+        note_placed t id
+      end
+    in
     Superpage.iter_sps t.sp_space (fun sp ->
         if (not is_target.(sp.Superpage.index)) && sp.Superpage.cells_total > 0
-        then
-          census sp (fun id ->
-              if
-                is_marked t id
-                && not (Heapsim.Object_table.bookmarked objects id)
-              then begin
-                let addr =
-                  alloc_in_pool t.sp_space target_pools.(idx_of sp) 0
-                    ~resident:usable
-                in
-                let addr =
-                  if addr >= 0 then addr
-                  else
-                    (* selection shortfall: fall back to a fresh cell *)
-                    Superpage.alloc t.sp_space
-                      ~bytes:(Heapsim.Object_table.size objects id)
-                      ~kind:(sp_kind_of (Heapsim.Object_table.kind objects id))
-                      ~grow ~resident:usable
-                in
-                if addr < 0 then
-                  raise
-                    (Collector.Heap_exhausted
-                       (name ^ ": compaction ran out of target space"));
-                Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
-                note_placed t id
-              end))
+        then census sp move)
 
 (* The fail-safe's first step: discard every bookmark and counter. Its
    trace then rebuilds exact liveness, touching evicted pages as it goes. *)
@@ -980,7 +1103,7 @@ let mature t kind =
         if kind = Failsafe then begin
           (* not before evacuate_nursery, whose grow_sp reads the target;
              whatever inconsistency scheduled us is now rebuilt *)
-          t.target_footprint <- None;
+          t.target_footprint <- -1;
           t.failsafe_needed <- false
         end;
         oracle t;
@@ -1061,9 +1184,9 @@ let discard_batch_extra t =
   let remaining = ref (t.notice_batch - 1) in
   let exhausted = ref false in
   while !remaining > 0 && not !exhausted do
-    (match find_discardable t with
-    | Some page -> ignore (discard_with_peers t page)
-    | None -> exhausted := true);
+    let page = find_discardable t in
+    if page >= 0 then ignore (discard_with_peers t page)
+    else exhausted := true;
     decr remaining
   done
 
@@ -1105,37 +1228,39 @@ let handle_eviction_notice t victim =
         maybe_request_gc t
       end
       else begin
-        match find_discardable t with
-        | Some page ->
-            ignore (discard_with_peers t page);
-            discard_batch_extra t;
-            maybe_request_gc t
-        | None ->
-            (* no empty page in the store: ask for a collection at the
-               next allocation (the reserve discipline of §3.4.3 — a
-               collection inside the eviction path would need frames the
-               machine does not have), and deal with the victim now *)
-            t.gc_requested <- true;
-            if
-              Gc_common.Bump_space.owns_page t.nursery victim
-              && page_has_objects t victim
-            then
-              (* nursery pages are about to be reused: veto (§3.4). If
-                 everything is vetoed the kernel's desperation pass will
-                 still make progress, and the collection just requested
-                 turns these pages into discardable ones. *)
-              Vmsim.Vmm.touch vmm ~write:false victim
-            else if t.opts.Gc_config.bookmarks_enabled then begin
-              let chosen = choose_victim t victim in
-              if chosen <> victim then
-                (* keep the kernel's choice in memory instead *)
-                Vmsim.Vmm.touch vmm ~write:false victim;
-              bookmark_and_evict t chosen;
-              relinquish_beyond_victim t ~victim:chosen
-            end
-            else
-              (* resizing-only variant: let the page go to disk *)
-              note_evicted t victim
+        let page = find_discardable t in
+        if page >= 0 then begin
+          ignore (discard_with_peers t page);
+          discard_batch_extra t;
+          maybe_request_gc t
+        end
+        else begin
+          (* no empty page in the store: ask for a collection at the
+             next allocation (the reserve discipline of §3.4.3 — a
+             collection inside the eviction path would need frames the
+             machine does not have), and deal with the victim now *)
+          t.gc_requested <- true;
+          if
+            Gc_common.Bump_space.owns_page t.nursery victim
+            && page_has_objects t victim
+          then
+            (* nursery pages are about to be reused: veto (§3.4). If
+               everything is vetoed the kernel's desperation pass will
+               still make progress, and the collection just requested
+               turns these pages into discardable ones. *)
+            Vmsim.Vmm.touch vmm ~write:false victim
+          else if t.opts.Gc_config.bookmarks_enabled then begin
+            let chosen = choose_victim t victim in
+            if chosen <> victim then
+              (* keep the kernel's choice in memory instead *)
+              Vmsim.Vmm.touch vmm ~write:false victim;
+            bookmark_and_evict t chosen;
+            relinquish_beyond_victim t ~victim:chosen
+          end
+          else
+            (* resizing-only variant: let the page go to disk *)
+            note_evicted t victim
+        end
       end
     end
   end
@@ -1155,20 +1280,17 @@ let mature_can_absorb t =
    batched), so reclaim the slack the kernel is no longer using: raise the
    target by the machine's free frames (§7 sketches this regrowth). *)
 let maybe_regrow t =
-  if not t.opts.Gc_config.regrow then ()
-  else
-    match t.target_footprint with
-    | None -> ()
-    | Some target ->
-      let free = Vmsim.Vmm.free_frames (Heapsim.Heap.vmm t.heap) in
-      if free > 32 then t.target_footprint <- Some (target + free - 16)
+  if t.opts.Gc_config.regrow && t.target_footprint >= 0 then begin
+    let free = Vmsim.Vmm.free_frames (Heapsim.Heap.vmm t.heap) in
+    if free > 32 then t.target_footprint <- t.target_footprint + free - 16
+  end
 
 (* Under memory pressure, the space-minimising collection is the
    compacting one (§2: BC "minimizes space consumption by performing
    compaction when under memory pressure"). *)
 let full_or_compact t =
   mature t
-    (if t.target_footprint <> None && t.opts.Gc_config.compaction_enabled
+    (if t.target_footprint >= 0 && t.opts.Gc_config.compaction_enabled
      then Compact
      else Full)
 
@@ -1202,8 +1324,8 @@ let escalations t =
     (fun () -> mature t Full);
     (fun () -> if t.opts.Gc_config.compaction_enabled then mature t Compact);
     (fun () ->
-      if t.target_footprint <> None then begin
-        t.target_footprint <- None;
+      if t.target_footprint >= 0 then begin
+        t.target_footprint <- -1;
         mature t Full
       end);
     (fun () ->
@@ -1224,7 +1346,7 @@ let check_invariants t =
   let expected = Hashtbl.create 16 in
   Hashtbl.iter
     (fun _page entry ->
-      List.iter
+      Array.iter
         (fun (sp : Superpage.sp) ->
           let i = sp.Superpage.index in
           Hashtbl.replace expected i
@@ -1321,9 +1443,11 @@ let make_debug t =
         !n);
     ledger_total =
       (fun () ->
-        Hashtbl.fold (fun _ e acc -> acc + List.length e.sps) t.ledger 0);
+        Hashtbl.fold (fun _ e acc -> acc + Array.length e.sps) t.ledger 0);
     failsafe_count = (fun () -> t.failsafe_count);
-    target_footprint = (fun () -> t.target_footprint);
+    target_footprint =
+      (fun () ->
+        if t.target_footprint < 0 then None else Some t.target_footprint);
     spurious_resident = (fun () -> t.spurious_resident);
     reconciled = (fun () -> t.reconciled);
     handler_faults = (fun () -> t.handler_faults);
@@ -1346,7 +1470,7 @@ let factory config heap =
         && Heapsim.Object_table.space objects id <> Space_tag.nursery)
       ()
   in
-  let t =
+  let rec t =
     {
       heap;
       config;
@@ -1370,8 +1494,25 @@ let factory config heap =
       nonsp_incoming = 0;
       empty_candidates = Vec.create ();
       on_page = Vec.create ();
+      scan_sps = Vec.create ();
+      scan_targets = Vec.create ();
+      scan_self = Vec.create ();
+      peers = Vec.create ();
+      census =
+        {
+          marked_on = [||];
+          dead_on = [||];
+          forced = [||];
+          is_target = [||];
+          demand = Array.make (Gc_common.Size_class.count * 2) 0;
+          pools =
+            Array.init (Gc_common.Size_class.count * 2) (fun _ -> Vec.create ());
+        };
+      cards_requeued = Vec.create ();
       pending_roots = Vec.create ();
-      target_footprint = None;
+      pending_round = Vec.create ();
+      usable = (fun page -> resident_ok t page);
+      target_footprint = -1;
       controller_cap = None;
       notice_batch = 1;
       relinquish_extra = 0;

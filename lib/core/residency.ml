@@ -22,5 +22,4 @@ let footprint_pages t = t.footprint
 
 let iter_resident t f = Bitset.iter f t.bits
 
-let word_empty_peers t page is_empty =
-  List.filter is_empty (Bitset.word_peers t.bits page)
+let word_resident t page buf = Bitset.word_members t.bits page buf

@@ -23,8 +23,8 @@ val iter_resident : t -> (int -> unit) -> unit
 (** Visit every page believed resident — the belief side of the
     kernel-reconciliation pass run when notices may have been lost. *)
 
-val word_empty_peers : t -> int -> (int -> bool) -> int list
-(** [word_empty_peers t page is_empty] lists the pages sharing [page]'s
-    bit-array word that are resident and satisfy [is_empty] — the
-    aggressive-discard granularity of §3.4.3. [page] itself is included
-    when it qualifies. *)
+val word_resident : t -> int -> int Repro_util.Vec.t -> unit
+(** [word_resident t page buf] pushes onto [buf], in increasing order,
+    the pages believed resident that share [page]'s bit-array word — the
+    aggressive-discard granularity of §3.4.3. [page] itself is among
+    them when it is believed resident. *)

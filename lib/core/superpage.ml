@@ -15,7 +15,7 @@ type sp = {
   mutable on_partial : bool;
   mutable incoming : int;
   mutable evicted_data_pages : int;
-  mutable deferred : Heapsim.Obj_id.t list;
+  mutable deferred : Heapsim.Obj_id.t array list;
   mutable scan : int;
 }
 

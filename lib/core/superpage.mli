@@ -34,9 +34,10 @@ type sp = {
   mutable on_partial : bool;
   mutable incoming : int;  (** # evicted pages with pointers into this sp *)
   mutable evicted_data_pages : int;
-  mutable deferred : Heapsim.Obj_id.t list;
+  mutable deferred : Heapsim.Obj_id.t array list;
       (** BC's conservative self-bookmarks waiting for [incoming] to
-          reach zero (§3.4.2's deferred clearing) *)
+          reach zero (§3.4.2's deferred clearing): one array per
+          reloaded page, the latest first *)
   mutable scan : int;
       (** the stamp of the last eviction scan that counted a reference
           into this superpage in [incoming]; 0 before any *)

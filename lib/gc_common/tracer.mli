@@ -26,7 +26,13 @@ val run :
     is not yet marked with [epoch], tested in that order. It is then
     marked; [copy] moves it if [evacuate] accepts it, and otherwise it is
     touched for writing and charged one visit; finally its non-null
-    fields are pushed in field order. *)
+    fields are pushed in field order.
+
+    The grey stack is the heap's ({!Heapsim.Heap.grey_stack}), cleared
+    on entry, so a steady collection allocates none. A call made while
+    another trace of the same heap is running (from its [roots],
+    [follow], [evacuate] or [copy]) raises [Invalid_argument]; an
+    exception out of a trace ends it. *)
 
 val marked : Heapsim.Heap.t -> epoch:int -> Heapsim.Obj_id.t -> bool
 (** Whether the trace with [epoch] marked the object. *)

@@ -9,6 +9,8 @@ type t = {
   address_space : Address_space.t;
   mutable barrier : write_barrier;
   mutable roots : (Obj_id.t -> unit) -> unit;
+  grey : Obj_id.t Repro_util.Vec.t;
+  mutable tracing : bool;
 }
 
 let no_barrier ~src:_ ~field:_ ~old_target:_ ~target:_ = ()
@@ -22,6 +24,8 @@ let create_with vmm proc ~address_space =
     address_space;
     barrier = no_barrier;
     roots = (fun _ -> ());
+    grey = Repro_util.Vec.create ();
+    tracing = false;
   }
 
 let create vmm proc = create_with vmm proc ~address_space:(Address_space.create ())
@@ -39,6 +43,12 @@ let address_space t = t.address_space
 let clock t = Vmsim.Vmm.clock t.vmm
 
 let costs t = Vmsim.Vmm.costs t.vmm
+
+let grey_stack t = t.grey
+
+let tracing t = t.tracing
+
+let set_tracing t b = t.tracing <- b
 
 (* Page arithmetic is hand-inlined: dev-profile builds pass -opaque, so
    [Vmsim.Page.of_addr] is a real call (with a division by a loaded

@@ -35,6 +35,19 @@ val clock : t -> Vmsim.Clock.t
 
 val costs : t -> Vmsim.Costs.t
 
+(** {1 Tracer state} *)
+
+val grey_stack : t -> Obj_id.t Repro_util.Vec.t
+(** The heap's one grey stack. {!Gc_common.Tracer.run} owns it: it
+    clears it on entry and keeps its capacity, so a steady collection
+    does not regrow it. *)
+
+val tracing : t -> bool
+(** Whether a trace of this heap is running. *)
+
+val set_tracing : t -> bool -> unit
+(** Set by {!Gc_common.Tracer.run} for the length of a trace. *)
+
 (** {1 Object placement (collector side)} *)
 
 val first_page : t -> Obj_id.t -> int

@@ -82,11 +82,11 @@ let first_set_from t i =
   let i = max i 0 in
   scan t (i / bits_per_word) (i mod bits_per_word)
 
-let word_peers t i =
-  let w = i / bits_per_word in
-  let word = word t w in
-  let acc = ref [] in
-  for b = bits_per_word - 1 downto 0 do
-    if word land (1 lsl b) <> 0 then acc := ((w * bits_per_word) + b) :: !acc
-  done;
-  !acc
+let word_members t i buf =
+  if i >= 0 then begin
+    let w = i / bits_per_word in
+    let word = word t w in
+    for b = 0 to bits_per_word - 1 do
+      if word land (1 lsl b) <> 0 then Vec.push buf ((w * bits_per_word) + b)
+    done
+  end

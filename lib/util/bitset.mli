@@ -29,6 +29,8 @@ val iter : (int -> unit) -> t -> unit
 val first_set_from : t -> int -> int option
 (** [first_set_from t i] is the smallest set index [>= i], if any. *)
 
-val word_peers : t -> int -> int list
-(** [word_peers t i] lists all set indices sharing [i]'s 64-bit word —
-    BC's aggressive same-word discarding granularity (§3.4.3). *)
+val word_members : t -> int -> int Vec.t -> unit
+(** [word_members t i buf] pushes onto [buf], in increasing order, every
+    set index sharing [i]'s 63-bit word — BC's aggressive same-word
+    discarding granularity (§3.4.3). It allocates only when [buf]
+    grows. *)

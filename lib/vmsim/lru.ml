@@ -151,10 +151,9 @@ let remove_if_present t page =
        true
      end
 
-let active_tail t = if t.active_tail >= 0 then Some t.active_tail else None
+let active_tail t = t.active_tail
 
-let inactive_tail t =
-  if t.inactive_tail >= 0 then Some t.inactive_tail else None
+let inactive_tail t = t.inactive_tail
 
 let active_size t = t.active_size
 

@@ -35,11 +35,12 @@ val remove_if_present : t -> int -> bool
 
 val membership : t -> int -> list_kind option
 
-val active_tail : t -> int option
-(** Least-recently-used end of the active list. *)
+val active_tail : t -> int
+(** Least-recently-used end of the active list, or [-1] when it is
+    empty. *)
 
-val inactive_tail : t -> int option
-(** Next reclaim victim. *)
+val inactive_tail : t -> int
+(** Next reclaim victim, or [-1] when the inactive list is empty. *)
 
 val active_size : t -> int
 

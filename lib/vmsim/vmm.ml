@@ -346,17 +346,24 @@ let deliver_eviction_notice t h victim =
   pstats.Vm_stats.eviction_notices <- pstats.Vm_stats.eviction_notices + 1;
   h.Process.on_eviction_notice victim
 
-(* Route a notice through the fault plan: deliver it, drop it, queue it
-   for late delivery, or deliver now and again later. [deliver] performs
-   the immediate delivery (and its accounting). *)
-let route_notice t kind page deliver =
+(* Deliver a notice of [kind] to the page owner's handlers [h], now. *)
+let deliver t h kind page =
+  match kind with
+  | Fault_plan.Eviction -> deliver_eviction_notice t h page
+  | Fault_plan.Resident ->
+      ev t Telemetry.Event.Made_resident page (Process.pid (owner_proc t page));
+      h.Process.on_resident page
+
+(* Route a notice for handlers [h] through the fault plan: deliver it,
+   drop it, queue it for late delivery, or deliver now and again later. *)
+let route_notice t h kind page =
   let decision =
     match t.faults with
     | None -> Fault_plan.Deliver
     | Some plan -> Fault_plan.on_notice plan kind
   in
   match decision with
-  | Fault_plan.Deliver -> deliver ()
+  | Fault_plan.Deliver -> deliver t h kind page
   | Fault_plan.Drop ->
       ev_inject t
         (match kind with
@@ -372,7 +379,7 @@ let route_notice t kind page deliver =
       t.fast_ci <- -1
   | Fault_plan.Duplicate ->
       ev_inject t Telemetry.Event.Duplicated_notice page;
-      deliver ();
+      deliver t h kind page;
       Queue.add (kind, page) t.pending_notices;
       t.notices_pending <- true;
       t.fast_ci <- -1
@@ -385,128 +392,135 @@ let refill_inactive t n =
   let budget = (2 * Lru.active_size t.lru) + 2 in
   while !moved < n && !attempts < budget do
     incr attempts;
-    match Lru.active_tail t.lru with
-    | None -> attempts := budget
-    | Some page ->
-        check_mapped t page;
-        Lru.remove t.lru page;
-        if fget t page Page_flags.referenced then begin
-          fclear t page Page_flags.referenced;
-          Lru.push_active_head t.lru page
-        end
-        else begin
-          Lru.push_inactive_head t.lru page;
-          incr moved
-        end
+    let page = Lru.active_tail t.lru in
+    if page < 0 then attempts := budget
+    else begin
+      check_mapped t page;
+      Lru.remove t.lru page;
+      if fget t page Page_flags.referenced then begin
+        fclear t page Page_flags.referenced;
+        Lru.push_active_head t.lru page
+      end
+      else begin
+        Lru.push_inactive_head t.lru page;
+        incr moved
+      end
+    end
   done;
   !moved
+
+let lru_tail t ~inactive =
+  if inactive then Lru.inactive_tail t.lru else Lru.active_tail t.lru
+
+(* Desperation: evict the coldest unpinned pages of one list, from its
+   tail, without notices, until [required] frames are free. A failed swap
+   write re-queues the victim, so [attempts] bounds the tries across both
+   lists. *)
+let steal t ~required ~inactive attempts max_attempts =
+  while
+    free_frames t < required && !attempts < max_attempts
+    && lru_tail t ~inactive >= 0
+  do
+    let victim = lru_tail t ~inactive in
+    incr attempts;
+    check_mapped t victim;
+    Lru.remove t.lru victim;
+    fclear t victim Page_flags.referenced;
+    if swap_out t victim then begin
+      ev t Telemetry.Event.Forced_eviction victim
+        (Process.pid (owner_proc t victim));
+      let pstats = owner_stats t victim in
+      pstats.Vm_stats.forced_evictions <- pstats.Vm_stats.forced_evictions + 1
+    end
+  done
+
+(* The body of [reclaim], run with [in_reclaim] set. *)
+let reclaim_frames t ~required ~target =
+  let budget = (4 * (Lru.active_size t.lru + Lru.inactive_size t.lru)) + 64 in
+  let scanned = ref 0 in
+  while free_frames t < target && !scanned < budget do
+    incr scanned;
+    if Lru.inactive_size t.lru = 0 then begin
+      if refill_inactive t t.reclaim_batch = 0 then
+        raise
+          (Thrashing
+             (Printf.sprintf
+                "need %d free frames but all %d resident pages are pinned or \
+                 unreclaimable"
+                target t.resident))
+    end
+    else begin
+      let victim = Lru.inactive_tail t.lru in
+      if victim >= 0 then begin
+        check_mapped t victim;
+        Lru.remove t.lru victim;
+        if fget t victim Page_flags.referenced then begin
+          (* second chance; a touch also cancels a pending surrender
+             (the page's owner was already told it reloaded) *)
+          fclear t victim Page_flags.referenced;
+          fclear t victim Page_flags.surrendered;
+          Lru.push_active_head t.lru victim
+        end
+        else if fget t victim Page_flags.surrendered then
+          ignore (swap_out t victim)
+        else begin
+          (* Pre-eviction notice: the page is still resident and its
+             owner may react before the PTE is unmapped. Only
+             registered owners receive (and are billed for) one; the
+             fault plan may lose or hold the signal, in which case the
+             eviction proceeds as if the owner stayed silent. *)
+          (match Process.handlers (owner_proc t victim) with
+          | Some h -> route_notice t h Fault_plan.Eviction victim
+          | None -> ());
+          if Lru.membership t.lru victim <> None then
+            (* handler repositioned the page (vm_relinquish) *)
+            ()
+          else if pstate t victim <> st_resident then
+            (* handler discarded it *)
+            ()
+          else if
+            free_frames t >= target || fget t victim Page_flags.referenced
+          then begin
+            (* pressure relieved, or the owner vetoed by touching *)
+            fclear t victim Page_flags.referenced;
+            Lru.push_active_head t.lru victim
+          end
+          else ignore (swap_out t victim)
+        end
+      end
+    end
+  done;
+  (* Desperation: the cooperative pass failed (every candidate vetoed or
+     re-referenced). A real kernel overrides user hints under severe
+     pressure: evict the coldest unpinned pages without notices. *)
+  if free_frames t < required then begin
+    let attempts = ref 0 in
+    let max_attempts = (2 * t.resident) + 16 in
+    steal t ~required ~inactive:true attempts max_attempts;
+    steal t ~required ~inactive:false attempts max_attempts
+  end;
+  if free_frames t < required then
+    raise
+      (Thrashing
+         (Printf.sprintf "reclaim gave up: %d free of %d required"
+            (free_frames t) required));
+  ev t Telemetry.Event.Gauge_resident t.resident (free_frames t)
 
 (* Reclaim frames until [free_frames t >= target], raising only when even
    [required] frames cannot be freed (the batch beyond [required] is
    opportunistic clustering). Delivers pre-eviction notices to registered
    owners; handlers may veto (touch), discard (madvise) or surrender
-   (vm_relinquish) pages, all of which this loop observes. *)
+   (vm_relinquish) pages, all of which this loop observes. A reclaim
+   started from a handler is a no-op. *)
 let reclaim t ~required ~target =
-  if t.in_reclaim then ()
-  else begin
+  if not t.in_reclaim then begin
     t.in_reclaim <- true;
-    Fun.protect ~finally:(fun () -> t.in_reclaim <- false) @@ fun () ->
-    let budget =
-      (4 * (Lru.active_size t.lru + Lru.inactive_size t.lru)) + 64
-    in
-    let scanned = ref 0 in
-    while free_frames t < target && !scanned < budget do
-      incr scanned;
-      if Lru.inactive_size t.lru = 0 then begin
-        if refill_inactive t t.reclaim_batch = 0 then
-          raise
-            (Thrashing
-               (Printf.sprintf
-                  "need %d free frames but all %d resident pages are pinned \
-                   or unreclaimable"
-                  target t.resident))
-      end
-      else begin
-        match Lru.inactive_tail t.lru with
-        | None -> ()
-        | Some victim ->
-            check_mapped t victim;
-            Lru.remove t.lru victim;
-            if fget t victim Page_flags.referenced then begin
-              (* second chance; a touch also cancels a pending surrender
-                 (the page's owner was already told it reloaded) *)
-              fclear t victim Page_flags.referenced;
-              fclear t victim Page_flags.surrendered;
-              Lru.push_active_head t.lru victim
-            end
-            else if fget t victim Page_flags.surrendered then
-              ignore (swap_out t victim)
-            else begin
-              (* Pre-eviction notice: the page is still resident and its
-                 owner may react before the PTE is unmapped. Only
-                 registered owners receive (and are billed for) one; the
-                 fault plan may lose or hold the signal, in which case the
-                 eviction proceeds as if the owner stayed silent. *)
-              (match Process.handlers (owner_proc t victim) with
-              | Some h ->
-                  route_notice t Fault_plan.Eviction victim (fun () ->
-                      deliver_eviction_notice t h victim)
-              | None -> ());
-              if Lru.membership t.lru victim <> None then
-                (* handler repositioned the page (vm_relinquish) *)
-                ()
-              else if pstate t victim <> st_resident then
-                (* handler discarded it *)
-                ()
-              else if
-                free_frames t >= target || fget t victim Page_flags.referenced
-              then begin
-                (* pressure relieved, or the owner vetoed by touching *)
-                fclear t victim Page_flags.referenced;
-                Lru.push_active_head t.lru victim
-              end
-              else ignore (swap_out t victim)
-            end
-      end
-    done;
-    (* Desperation: the cooperative pass failed (every candidate vetoed or
-       re-referenced). A real kernel overrides user hints under severe
-       pressure: evict the coldest unpinned pages without notices. *)
-    if free_frames t < required then begin
-      (* A failed swap write re-queues the victim, so bound the number of
-         attempts or a permanently full device would spin forever. *)
-      let attempts = ref 0 in
-      let max_attempts = (2 * t.resident) + 16 in
-      let steal tail remove =
-        while
-          free_frames t < required && !attempts < max_attempts
-          && tail () <> None
-        do
-          match tail () with
-          | None -> ()
-          | Some victim ->
-              incr attempts;
-              check_mapped t victim;
-              remove victim;
-              fclear t victim Page_flags.referenced;
-              if swap_out t victim then begin
-                ev t Telemetry.Event.Forced_eviction victim
-                  (Process.pid (owner_proc t victim));
-                let pstats = owner_stats t victim in
-                pstats.Vm_stats.forced_evictions <-
-                  pstats.Vm_stats.forced_evictions + 1
-              end
-        done
-      in
-      steal (fun () -> Lru.inactive_tail t.lru) (Lru.remove t.lru);
-      steal (fun () -> Lru.active_tail t.lru) (Lru.remove t.lru)
-    end;
-    if free_frames t < required then
-      raise
-        (Thrashing
-           (Printf.sprintf "reclaim gave up: %d free of %d required"
-              (free_frames t) required));
-    ev t Telemetry.Event.Gauge_resident t.resident (free_frames t)
+    match reclaim_frames t ~required ~target with
+    | () -> t.in_reclaim <- false
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        t.in_reclaim <- false;
+        Printexc.raise_with_backtrace e bt
   end
 
 (* Make room for one more resident page, freeing a cluster when memory is
@@ -598,11 +612,7 @@ let rec do_touch t ~write page =
        protection upcall below is the reliable backstop), then any
        protection upcall *)
     (match Process.handlers (owner_proc t page) with
-    | Some h ->
-        route_notice t Fault_plan.Resident page (fun () ->
-            ev t Telemetry.Event.Made_resident page
-              (Process.pid (owner_proc t page));
-            h.Process.on_resident page)
+    | Some h -> route_notice t h Fault_plan.Resident page
     | None -> ());
     if fget t page Page_flags.protected_ then deliver_protection_fault t page
   end
@@ -637,13 +647,7 @@ let flush_pending_notices t =
       (fun (kind, page) ->
         if ever_mapped t page && pstate t page <> st_unmapped then
           match Process.handlers (owner_proc t page) with
-          | Some h -> (
-              match kind with
-              | Fault_plan.Eviction -> deliver_eviction_notice t h page
-              | Fault_plan.Resident ->
-                  ev t Telemetry.Event.Made_resident page
-                    (Process.pid (owner_proc t page));
-                  h.Process.on_resident page)
+          | Some h -> deliver t h kind page
           | None -> ())
       items
   end

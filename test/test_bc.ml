@@ -159,6 +159,128 @@ let test_footprint_target_shrinks () =
   check Alcotest.bool "target set under pressure" true
     (dbg.Bc.target_footprint () <> None)
 
+(* -- BC's paging path allocates O(1) host words ---------------------- *)
+
+let notice m page =
+  match Vmsim.Process.handlers m.Mini.proc with
+  | Some h -> h.Vmsim.Process.on_eviction_notice page
+  | None -> Alcotest.fail "BC registered no paging handlers"
+
+let words f = int_of_float (Mini.host_words f)
+
+(* A notice the handler answers by discarding empty pages, and one it
+   vetoes by touching the page, allocate nothing once the handler's
+   buffers have grown. *)
+let test_notices_allocate_nothing () =
+  let m, c, _, dbg = fixture () in
+  let heap = m.Mini.heap in
+  let resident page = Bookmarking.Residency.is_resident dbg.Bc.residency page in
+  (* garbage: once collected, its nursery pages are empty *)
+  let garbage = Mini.alloc_list c ~n:6000 ~size:64 in
+  let pages = List.sort_uniq compare (List.map (Heap.first_page heap) garbage) in
+  Heap.set_roots heap (fun _ -> ());
+  c.Collector.collect ();
+  (* each discard also takes the empty pages sharing its residency word *)
+  let discard_next () =
+    match List.find_opt resident pages with
+    | Some page ->
+        let w = words (fun () -> notice m page) in
+        check Alcotest.bool "discarded" false (resident page);
+        w
+    | None -> Alcotest.fail "no empty page left to discard"
+  in
+  ignore (discard_next ());
+  check Alcotest.int "discarding notice" 0 (discard_next ());
+  (* a populated nursery page, once the store has no empty page left *)
+  let page = Heap.first_page heap (List.hd (Mini.alloc_list c ~n:10 ~size:64)) in
+  let discards () = (Vmsim.Process.stats m.Mini.proc).Vm_stats.discards in
+  let rec drain () =
+    let before = discards () in
+    notice m page;
+    if discards () > before then drain ()
+  in
+  drain ();
+  check Alcotest.int "vetoed notice" 0 (words (fun () -> notice m page));
+  check Alcotest.bool "vetoed page stays" true
+    (resident page && Vmsim.Vmm.is_resident m.Mini.vmm page)
+
+(* A bookmark scan allocates its ledger entry, one word per superpage
+   and object it records, and a constant. The scan measured re-evicts a
+   page whose reload the collector never heard of (the page was
+   unprotected behind its back), so every count it bumps already
+   exists. *)
+let test_bookmark_scan_allocates_its_entry () =
+  let m, c, _, dbg = fixture () in
+  let heap = m.Mini.heap in
+  let objects = Heap.objects heap in
+  let sps = dbg.Bc.superpages in
+  let resident page = Bookmarking.Residency.is_resident dbg.Bc.residency page in
+  let ids = Mini.alloc_list c ~n:3000 ~size:64 in
+  c.Collector.collect ();
+  let victim =
+    List.map (Heap.first_page heap) ids
+    |> List.find (fun page ->
+           resident page && not (Bookmarking.Superpage.is_header_page sps page))
+  in
+  (* notices discard the store's empty pages first; then one scans *)
+  while resident victim do
+    notice m victim
+  done;
+  Vmsim.Vmm.mprotect m.Mini.vmm victim ~protect:false;
+  let w = words (fun () -> notice m victim) in
+  (* what the scan records: the page's objects, their resident targets
+     and the targets' superpages *)
+  let on_page = Repro_util.Vec.create () in
+  Heapsim.Page_map.objects_on (Heap.page_map heap) victim on_page;
+  let targets = ref [] in
+  Repro_util.Vec.iter
+    (fun id -> OT.iter_refs objects id (fun _ t -> targets := t :: !targets))
+    on_page;
+  let target_sps =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun t ->
+           Option.map
+             (fun sp -> sp.Bookmarking.Superpage.index)
+             (Bookmarking.Superpage.sp_of_addr sps (OT.addr objects t)))
+         !targets)
+  in
+  let recorded =
+    Repro_util.Vec.length on_page + List.length !targets
+    + List.length target_sps
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%d host words for %d records" w recorded)
+    true
+    (w <= recorded + 64);
+  check Alcotest.bool "evicted again" false (resident victim)
+
+(* A steady collection's host words do not grow with the grey stack: the
+   stack is the heap's, and keeps its capacity. Every object is a root,
+   so the stack is as deep as the heap is large. BC_ORACLE=1 verifies
+   the heap after every collection, which allocates per object, so the
+   check is skipped there. *)
+let test_steady_collection_flat_in_stack_depth () =
+  if Sys.getenv_opt "BC_ORACLE" <> None then Alcotest.skip ();
+  let m, c, _, _ = fixture ~heap_bytes:(4 * 1024 * 1024) ~frames:4096 () in
+  let roots = ref [||] in
+  Heap.set_roots m.Mini.heap (fun f -> Array.iter f !roots);
+  let steady_words n =
+    let more =
+      Array.init n (fun _ -> c.Collector.alloc ~size:64 ~nrefs:0 ~kind:`Scalar)
+    in
+    roots := Array.append !roots more;
+    c.Collector.collect ();
+    c.Collector.collect ();
+    words (fun () -> c.Collector.collect ())
+  in
+  let shallow = steady_words 500 in
+  let deep = steady_words 4000 in
+  check Alcotest.bool
+    (Printf.sprintf "%d host words at depth 500, %d at 4500" shallow deep)
+    true
+    (deep <= shallow + 64)
+
 let test_discards_empty_pages_first () =
   let m, c, signalmem, dbg = fixture () in
   (* allocate garbage, collect: the heap now holds many empty pages *)
@@ -208,6 +330,59 @@ let test_compaction_shrinks_superpages () =
   c.Collector.check_invariants ();
   ignore dbg;
   Oracle.check m.Mini.heap
+
+(* A full collection whose evacuation runs out of mature space part-way
+   through leaves the survivors it has not moved on the young list, in
+   order: the next collection moves exactly those, in that order, into a
+   freshly carved superpage, which hands its cells out highest address
+   first. *)
+let test_evacuation_abort_keeps_survivors () =
+  let m, c, _, _ = fixture ~heap_bytes:(512 * 1024) ~frames:2048 () in
+  let heap = m.Mini.heap in
+  let objects = Heap.objects heap in
+  let fill = ref [] and survivors = ref [] in
+  Heap.set_roots heap (fun f ->
+      List.iter f !fill;
+      List.iter f !survivors);
+  let alloc size = c.Collector.alloc ~size ~nrefs:0 ~kind:`Scalar in
+  (* 29 of the 30 superpages the heap can hold, full of 1 KB cells *)
+  for _ = 1 to 435 do
+    fill := alloc 1024 :: !fill
+  done;
+  c.Collector.collect ();
+  (* more 64-byte survivors than the last superpage holds *)
+  for _ = 1 to 450 do
+    survivors := alloc 64 :: !survivors
+  done;
+  let ids = List.rev !survivors in
+  (match c.Collector.collect () with
+  | () -> Alcotest.fail "the evacuation found room for every survivor"
+  | exception Collector.Heap_exhausted _ -> ());
+  Gc_common.Verify.heap heap;
+  let young id = OT.space objects id = Gc_common.Space_tag.nursery in
+  let moved = List.filter (fun id -> not (young id)) ids in
+  let unmoved = List.filter young ids in
+  check Alcotest.bool "some survivors moved, some not" true
+    (moved <> [] && unmoved <> []);
+  check (Alcotest.list Alcotest.int) "the moved ones come first" ids
+    (moved @ unmoved);
+  let moved_at = List.map (OT.addr objects) moved in
+  (* with the large cells dead there is room for the rest *)
+  fill := [];
+  c.Collector.collect ();
+  Gc_common.Verify.heap heap;
+  check Alcotest.bool "every survivor moved" true
+    (List.for_all (fun id -> not (young id)) ids);
+  check (Alcotest.list Alcotest.int) "moved ones stay put" moved_at
+    (List.map (OT.addr objects) moved);
+  let rec descending = function
+    | a :: (b :: _ as rest) -> a > b && descending rest
+    | _ -> true
+  in
+  check Alcotest.bool "the rest moved in list order" true
+    (descending (List.map (OT.addr objects) unmoved));
+  c.Collector.check_invariants ();
+  Oracle.check heap
 
 let test_failsafe_preserves_completeness () =
   (* exhaust the heap while pages are evicted: BC must discard bookmarks,
@@ -366,6 +541,12 @@ let () =
             test_footprint_target_shrinks;
           Alcotest.test_case "discards empty pages" `Quick
             test_discards_empty_pages_first;
+          Alcotest.test_case "notices allocate nothing" `Quick
+            test_notices_allocate_nothing;
+          Alcotest.test_case "bookmark scan allocates its entry" `Quick
+            test_bookmark_scan_allocates_its_entry;
+          Alcotest.test_case "steady collection flat in stack depth" `Quick
+            test_steady_collection_flat_in_stack_depth;
           Alcotest.test_case "pointer-aware victims" `Quick
             test_pointer_aware_victims;
           Alcotest.test_case "Cooper-style discard-only" `Quick
@@ -375,6 +556,8 @@ let () =
         [
           Alcotest.test_case "compaction" `Quick
             test_compaction_shrinks_superpages;
+          Alcotest.test_case "evacuation abort keeps survivors" `Quick
+            test_evacuation_abort_keeps_survivors;
           Alcotest.test_case "fail-safe completeness" `Quick
             test_failsafe_preserves_completeness;
         ] );

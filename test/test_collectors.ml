@@ -212,6 +212,29 @@ let test_steady_collect_allocates_o1 name () =
     true
     (words < live / 4)
 
+(* -- the tracer ---------------------------------------------------------- *)
+
+(* The grey stack is the heap's, so a trace started from inside a running
+   trace's [copy] is refused with one line, which ends the outer trace
+   too; the heap then traces again. *)
+let test_nested_trace_refused () =
+  let m, c = Mini.collector "MarkSweep" in
+  let heap = m.Mini.heap in
+  let ids = Mini.alloc_list c ~n:10 ~size:64 in
+  let run ~epoch ~copy =
+    Gc_common.Tracer.run heap ~epoch ~roots:(Heap.iter_roots heap)
+      ~follow:(fun _ -> true)
+      ~evacuate:(fun _ -> true)
+      ~copy
+  in
+  Alcotest.check_raises "nested run"
+    (Invalid_argument "Tracer.run: a trace of this heap is already running")
+    (fun () ->
+      run ~epoch:1_000_000 ~copy:(fun _ -> run ~epoch:1_000_001 ~copy:ignore));
+  run ~epoch:1_000_002 ~copy:ignore;
+  check Alcotest.bool "the next trace marks every object" true
+    (List.for_all (Gc_common.Tracer.marked heap ~epoch:1_000_002) ids)
+
 (* -- the heap verifier, mid-run and on planted faults -------------------- *)
 
 (* Collectors whose bump-pointer spaces keep no page index. *)
@@ -582,6 +605,11 @@ let () =
             Alcotest.test_case "object crosses a range" `Quick
               test_verify_range_crossing;
           ] );
+      ( "tracer",
+        [
+          Alcotest.test_case "nested run refused" `Quick
+            test_nested_trace_refused;
+        ] );
       ( "policies",
         [
           Alcotest.test_case "whole-heap only" `Quick

@@ -178,7 +178,7 @@ let test_serving_matrix () =
 let sparse_golden_path = "golden/sparse.golden"
 
 (* Just past 2^30, chosen congruent to the default base (16) mod 63 so
-   [Bitset.word_peers] groups pages into the same 63-bit words: BC's
+   [Bitset.word_members] groups pages into the same 63-bit words: BC's
    residency clustering reasons in word granules, so a base that shifts
    word boundaries legitimately changes which pages get discarded
    together (and nothing else). With the alignment pinned, every

@@ -13,25 +13,21 @@ let test_lru_push_remove () =
   let l = Lru.create () in
   Lru.push_active_head l 1;
   Lru.push_active_head l 2;
-  check (Alcotest.option Alcotest.int) "active tail is first pushed" (Some 1)
-    (Lru.active_tail l);
+  check Alcotest.int "active tail is first pushed" 1 (Lru.active_tail l);
   check Alcotest.int "active size" 2 (Lru.active_size l);
   Lru.remove l 1;
-  check (Alcotest.option Alcotest.int) "tail after remove" (Some 2)
-    (Lru.active_tail l);
+  check Alcotest.int "tail after remove" 2 (Lru.active_tail l);
   Lru.remove l 2;
-  check (Alcotest.option Alcotest.int) "empty" None (Lru.active_tail l)
+  check Alcotest.int "empty" (-1) (Lru.active_tail l)
 
 let test_lru_inactive_order () =
   let l = Lru.create () in
   Lru.push_inactive_head l 1;
   Lru.push_inactive_head l 2;
   (* reclaim happens at the tail: 1 went in first, sits at tail *)
-  check (Alcotest.option Alcotest.int) "fifo victim" (Some 1)
-    (Lru.inactive_tail l);
+  check Alcotest.int "fifo victim" 1 (Lru.inactive_tail l);
   Lru.push_inactive_tail l 3;
-  check (Alcotest.option Alcotest.int) "tail insert is next victim" (Some 3)
-    (Lru.inactive_tail l)
+  check Alcotest.int "tail insert is next victim" 3 (Lru.inactive_tail l)
 
 let test_lru_membership () =
   let l = Lru.create () in
@@ -81,8 +77,7 @@ let test_lru_giant_pages () =
   Lru.push_inactive_head l (giant + 100_000);
   check Alcotest.bool "giant active member" true
     (Lru.membership l giant = Some Lru.Active);
-  check (Alcotest.option Alcotest.int) "giant inactive ordering" (Some 3)
-    (Lru.inactive_tail l);
+  check Alcotest.int "giant inactive ordering" 3 (Lru.inactive_tail l);
   Lru.remove l giant;
   check Alcotest.bool "giant removed" true (Lru.membership l giant = None);
   check Alcotest.bool "untouched giant region absent" false
