@@ -1,4 +1,4 @@
-.PHONY: all build test test-release oracle-check ci alloc-path-check sched-path-check mark-path-check sparse-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release oracle-check profile ci alloc-path-check sched-path-check mark-path-check sparse-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -298,6 +298,26 @@ control-smoke:
 	  | tee .ci_scratch/control-spike.txt
 	grep -q "control: threshold" .ci_scratch/control-spike.txt
 	grep -qE "peak=(pressure|emergency) .*final=normal forced-failsafes=0" .ci_scratch/control-spike.txt
+
+# Profile: where the host time of one run goes, by symbol. The run is a
+# release build's (PROFILE_CMD, default the `paging' perfbench workload
+# at seed 1), sampled from outside by tools/profile/sampler: a
+# perf_event_open task-clock sampler, a software event, so no hardware
+# PMU is needed, though the kernel must allow perf_event_open
+# (perf_event_paranoid at most 2). tools/profile/symbolize.py charges the
+# samples to PROFILE_EXE's symbols with nm. Not part of `ci': the table
+# depends on timing. Samples go to .ci_scratch/profile.txt; the run's
+# own output to .ci_scratch/profile-run.txt.
+PROFILE_EXE ?= ./.bench_build/default/perfbench/main.exe
+PROFILE_CMD ?= $(PROFILE_EXE) --workload paging --seed 1 --seconds 10 --trace 0
+profile:
+	mkdir -p .ci_scratch
+	DUNE_CACHE=disabled dune build --root . --profile release \
+	  --build-dir .bench_build ./perfbench/main.exe ./bin/bcgc.exe
+	$(CC) -O2 -Wall -o .ci_scratch/sampler tools/profile/sampler.c
+	.ci_scratch/sampler -o .ci_scratch/profile.txt -- $(PROFILE_CMD) \
+	  > .ci_scratch/profile-run.txt
+	python3 tools/profile/symbolize.py .ci_scratch/profile.txt $(PROFILE_EXE)
 
 # Full wall-clock suite; refreshes the committed baseline at the repo root.
 perf:

@@ -39,6 +39,9 @@ type census = {
   mutable is_target : bool array;
   demand : int array;
   pools : Superpage.sp Vec.t array;
+  covered : int array;  (* per (class, kind): the chosen targets' room *)
+  cands : Superpage.sp Vec.t;  (* superpages with cells, in index order *)
+  order : int Vec.t;  (* the order the non-forced ones are chosen in *)
 }
 
 type t = {
@@ -67,9 +70,10 @@ type t = {
          counts keep clearing sound in every interleaving. *)
   empty_candidates : int Vec.t;
   on_page : Heapsim.Obj_id.t Vec.t;
-      (* a page scan's copy of the page's objects (sweep, eviction and
-         reload scans). A scan fills it after touching the page: the
-         touch can deliver eviction notices, whose scans refill it. *)
+      (* a page scan's copy of the page's objects (eviction, reload and
+         pointer-score scans), or the dead ones (the sweep). A scan
+         fills it after touching the page: the touch can deliver
+         eviction notices, whose scans refill it. *)
   scan_sps : Superpage.sp Vec.t;
   scan_targets : Heapsim.Obj_id.t Vec.t;
   scan_self : Heapsim.Obj_id.t Vec.t;
@@ -77,6 +81,9 @@ type t = {
          they are copied into its ledger entry. Filled after the
          victim's touch, like [on_page]. *)
   peers : int Vec.t;  (* an aggressive discard's candidate pages *)
+  cold : int Vec.t;
+      (* victim candidates from [Vmm.coldest_pages], each caller's above
+         the entries of the callers it is nested in *)
   census : census;  (* compaction's per-superpage counts *)
   cards_requeued : int Vec.t;
       (* a nursery collection's cards on evicted pages, marked again
@@ -130,7 +137,8 @@ let resident_ok t page =
 
 (* The object predicates below run once per marked, swept, scanned or
    placed object, so they walk the object's pages in loops, as
-   [Heap.touch_object] does, and build no closure. *)
+   [Heap.touch_object] does, and build no closure. Each reads the
+   object's pages from its row once ([span]). *)
 
 (* Whether [ok] holds for every page from [page] to [last]. *)
 let rec pages_ok ok page last =
@@ -140,32 +148,33 @@ let rec pages_ok ok page last =
 let rec pages_resident t page last =
   page > last || (resident_ok t page && pages_resident t (page + 1) last)
 
-(* The placed object's address, and its last page. *)
-let placed_addr t id =
-  let addr = Heapsim.Object_table.addr (Heapsim.Heap.objects t.heap) id in
-  assert (addr >= 0);
-  addr
-
-let last_page t id addr =
-  Vmsim.Page.of_addr
-    (addr + Heapsim.Object_table.size (Heapsim.Heap.objects t.heap) id - 1)
+(* The placed object's pages, in one checked read of its row. *)
+let[@inline] span t id =
+  Heapsim.Object_table.span (Heapsim.Heap.objects t.heap) id
 
 (* Whether [ok] holds for every page the object spans. *)
 let all_pages t id ok =
-  let addr = placed_addr t id in
-  pages_ok ok (Vmsim.Page.of_addr addr) (last_page t id addr)
+  let s = span t id in
+  pages_ok ok (Heapsim.Object_table.span_first s)
+    (Heapsim.Object_table.span_last s)
 
 let obj_resident t id =
-  let addr = placed_addr t id in
-  pages_resident t (Vmsim.Page.of_addr addr) (last_page t id addr)
+  let s = span t id in
+  pages_resident t (Heapsim.Object_table.span_first s)
+    (Heapsim.Object_table.span_last s)
 
-(* Track the pages of a freshly placed object in the residency map. *)
-let note_placed t id =
-  let addr = placed_addr t id in
-  for page = Vmsim.Page.of_addr addr to last_page t id addr do
+(* Track pages [first] to [last], now holding a freshly placed object,
+   in the residency map. *)
+let note_pages t first last =
+  for page = first to last do
     Bitset.clear t.discarded page;
     Residency.mark_resident t.residency page
   done
+
+let note_placed t id =
+  let s = span t id in
+  note_pages t (Heapsim.Object_table.span_first s)
+    (Heapsim.Object_table.span_last s)
 
 (* A page left memory with its objects still on it. *)
 let note_evicted t page =
@@ -618,7 +627,7 @@ let bookmark_roots t enqueue =
       t.bookmark_counts
   end
 
-let is_marked t id = Gc_common.Tracer.marked t.heap ~epoch:t.epoch id
+let[@inline] is_marked t id = Gc_common.Tracer.marked t.heap ~epoch:t.epoch id
 
 (* One collection's trace. Objects bookmarked while it runs (a mid-GC
    eviction) are traced in further rounds from just those objects, so the
@@ -652,43 +661,54 @@ let mark_heap t ~follow =
 
 (* Sweep the mature superpages, visiting only pages allowed by
    [resident]; evicted pages are left untouched, their objects preserved
-   (§3.4.1). Newly empty data pages become discard candidates. *)
+   (§3.4.1). Newly empty data pages become discard candidates.
+
+   A page's bucket is scanned in place into [on_page], the dead objects
+   it lists, and they are freed afterwards in scan order: the order a
+   walk of a copy of the bucket would free them in, though each free
+   swap-removes an entry. No object's test reads what a free writes.
+   The scan's one visitor, built per sweep, reads the page it is on
+   from [page]. *)
 let sweep_superpages t ~resident =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
   let page_map = Heapsim.Heap.page_map heap in
   let vmm = Heapsim.Heap.vmm heap in
-  let on_page = t.on_page in
+  let dead = t.on_page in
+  let page = ref 0 in
+  (* process each object from its first page only, and only when every
+     page it spans may be visited; the page's own test is repeated, as
+     the touch before the scan may have changed it *)
+  let scan id =
+    let s = span t id in
+    if
+      Heapsim.Object_table.span_first s = !page
+      && pages_ok resident !page (Heapsim.Object_table.span_last s)
+      && (not (is_marked t id))
+      && not (Heapsim.Object_table.bookmarked objects id)
+    then Vec.push dead id
+  in
   Superpage.iter_sps t.sp_space (fun sp ->
       for
-        page = sp.Superpage.first_page
+        p = sp.Superpage.first_page
         to sp.Superpage.first_page + Vmsim.Page.pages_per_superpage - 1
       do
-        if resident page && Heapsim.Page_map.count_on page_map page > 0 then begin
+        if resident p && Heapsim.Page_map.count_on page_map p > 0 then begin
           Charge.page_sweep heap;
-          Vmsim.Vmm.touch vmm ~write:true page;
-          (* each free swap-removes an entry from the page's bucket, so
-             the sweep walks a copy *)
-          Heapsim.Page_map.objects_on page_map page on_page;
-          for i = 0 to Vec.length on_page - 1 do
-            let id = Vec.get on_page i in
-            (* process each object from its first page only, and only
-               when every page it spans may be visited *)
-            if
-              Heapsim.Heap.first_page heap id = page
-              && all_pages t id resident
-              && (not (is_marked t id))
-              && not (Heapsim.Object_table.bookmarked objects id)
-            then begin
-              let addr = Heapsim.Object_table.addr objects id in
-              Heapsim.Heap.free_object heap id;
-              Superpage.free_cell t.sp_space sp ~addr
-            end
+          Vmsim.Vmm.touch vmm ~write:true p;
+          page := p;
+          Vec.clear dead;
+          Heapsim.Page_map.iter_on page_map p scan;
+          for i = 0 to Vec.length dead - 1 do
+            let id = Vec.get dead i in
+            let addr = Heapsim.Object_table.addr objects id in
+            Heapsim.Heap.free_object heap id;
+            Superpage.free_cell t.sp_space sp ~addr
           done;
           if
-            Heapsim.Page_map.count_on page_map page = 0
-            && page <> sp.Superpage.first_page
-          then Vec.push t.empty_candidates page
+            Heapsim.Page_map.count_on page_map p = 0
+            && p <> sp.Superpage.first_page
+          then Vec.push t.empty_candidates p
         end
       done)
 
@@ -718,7 +738,8 @@ let sp_kind_of = function `Scalar -> Superpage.Scalar | `Array -> Superpage.Arra
 
 (* Copy one nursery object into a mature cell. A collection builds the
    copier once, [sp_copy_young t ~grow:(grow_sp t) ~resident:(resident_ok t)],
-   and applies it to each survivor. *)
+   and applies it to each survivor. The size read for the cell also
+   gives the pages the copy lands on. *)
 let sp_copy_young t ~grow ~resident id =
   let objects = Heapsim.Heap.objects t.heap in
   let size = Heapsim.Object_table.size objects id in
@@ -730,7 +751,7 @@ let sp_copy_young t ~grow ~resident id =
          (name ^ ": mature space cannot absorb nursery survivors"));
   Baselines.Gen_shared.copy_object t.heap id ~new_addr:addr;
   Heapsim.Object_table.set_space objects id Space_tag.mature;
-  note_placed t id
+  note_pages t (Vmsim.Page.of_addr addr) (Vmsim.Page.of_addr (addr + size - 1))
 
 (* Seeds for a nursery collection: the filtered write buffer, the card
    table (skipping — and re-marking — cards on evicted pages; their
@@ -960,12 +981,20 @@ let plan_compaction t ~resident =
       end
     done
   in
-  let visitable id =
-    Heapsim.Heap.first_page t.heap id = !page && all_pages t id resident
+  (* whether an object is visited: only from its first page, and only
+     when every page it spans may be visited. The census tests a page
+     just before visiting its objects, with no [Vmm] call in between, so
+     its visitor skips that page's test; the move pass copies, and a
+     copy's touches may deliver notices that change residency, so it
+     tests every page. *)
+  let visitable ~from id =
+    let s = span t id in
+    Heapsim.Object_table.span_first s = !page
+    && pages_ok resident from (Heapsim.Object_table.span_last s)
   in
   (* per-superpage census of marked and dead objects *)
   let count id =
-    if visitable id then begin
+    if visitable ~from:(!page + 1) id then begin
       let i = !index in
       if is_marked t id then begin
         marked_on.(i) <- marked_on.(i) + 1;
@@ -982,48 +1011,53 @@ let plan_compaction t ~resident =
         || sp.Superpage.evicted_data_pages > 0
       then forced.(sp.Superpage.index) <- true;
       census sp count);
-  (* select the minimum target set per (class, kind); each is chosen
-     apart from the others *)
-  let by_idx = Array.make nclasses [] in
+  (* select the minimum target set per (class, kind): the forced
+     superpages, highest index first, then the others with the most
+     marked objects first (ties: highest index first) until they can
+     hold the class's marked objects. The classes are independent, so
+     one pass chooses for all of them. Each non-forced candidate's
+     place in that order is one int, its position [pos] among the
+     candidates ([cands], in index order) in the low digits, and
+     [order] sorts them without allocating. *)
+  let covered = c.covered and cands = c.cands and order = c.order in
+  Array.fill covered 0 nclasses 0;
+  Vec.clear cands;
+  Vec.clear order;
   Superpage.iter_sps t.sp_space (fun sp ->
-      if sp.Superpage.cells_total > 0 then begin
-        let key = idx_of sp in
-        by_idx.(key) <- sp :: by_idx.(key)
-      end);
-  Array.iteri
-    (fun key sps ->
-      let capacity (sp : Superpage.sp) =
-        marked_on.(sp.Superpage.index)
-        + dead_on.(sp.Superpage.index)
-        + Superpage.free_count sp
-      in
-      let covered = ref 0 in
-      let pool = target_pools.(key) in
-      let choose sp =
-        is_target.(sp.Superpage.index) <- true;
-        Vec.push pool sp;
-        covered := !covered + capacity sp
-      in
-      let forced_sps, others =
-        List.partition (fun (sp : Superpage.sp) -> forced.(sp.Superpage.index)) sps
-      in
-      List.iter choose forced_sps;
-      let sorted =
-        List.sort
-          (fun (a : Superpage.sp) (b : Superpage.sp) ->
-            compare marked_on.(b.Superpage.index) marked_on.(a.Superpage.index))
-          others
-      in
-      List.iter
-        (fun sp -> if !covered < demand.(key) then choose sp)
-        sorted)
-    by_idx;
+      if sp.Superpage.cells_total > 0 then Vec.push cands sp);
+  let choose (sp : Superpage.sp) =
+    let i = sp.Superpage.index and key = idx_of sp in
+    is_target.(i) <- true;
+    Vec.push target_pools.(key) sp;
+    covered.(key) <-
+      covered.(key) + marked_on.(i) + dead_on.(i) + Superpage.free_count sp
+  in
+  let n = Vec.length cands in
+  let m = ref 1 in
+  for pos = n - 1 downto 0 do
+    let sp = Vec.get cands pos in
+    if forced.(sp.Superpage.index) then choose sp
+    else m := Int.max !m (marked_on.(sp.Superpage.index) + 1)
+  done;
+  let m = !m in
+  for pos = 0 to n - 1 do
+    let sp = Vec.get cands pos in
+    let i = sp.Superpage.index in
+    if not forced.(i) then
+      Vec.push order
+        ((((idx_of sp * m) + (m - 1 - marked_on.(i))) * n) + (n - 1 - pos))
+  done;
+  Vec.sort Int.compare order;
+  for j = 0 to Vec.length order - 1 do
+    let sp = Vec.get cands (n - 1 - (Vec.get order j mod n)) in
+    if covered.(idx_of sp) < demand.(idx_of sp) then choose sp
+  done;
   (* forward marked objects off the non-target superpages *)
   fun () ->
     let grow = grow_sp t and usable = t.usable in
     let move id =
       if
-        visitable id
+        visitable ~from:!page id
         && is_marked t id
         && not (Heapsim.Object_table.bookmarked objects id)
       then begin
@@ -1141,40 +1175,72 @@ let evictable t page =
 (* §7: the victim's outgoing-pointer count, used to prefer evicting
    pointer-free pages (no false garbage, nothing to bookmark). Objects
    without reference fields need no scan (the superpage header says so),
-   so only pointer-bearing objects are charged. *)
+   so only pointer-bearing objects are charged. The page's objects are
+   read into [on_page], which no caller is walking: notices, and so
+   this, arrive only inside touches, and every walk of [on_page] is
+   free of them. *)
 let pointer_score t page =
   let objects = Heapsim.Heap.objects t.heap in
+  let on_page = t.on_page in
+  Heapsim.Page_map.objects_on (Heapsim.Heap.page_map t.heap) page on_page;
   let score = ref 0 in
-  Heapsim.Page_map.iter_on (Heapsim.Heap.page_map t.heap) page (fun id ->
-      if Heapsim.Object_table.nrefs objects id > 0 then begin
-        Charge.object_visit t.heap;
-        Heapsim.Object_table.iter_refs objects id (fun _ _ -> incr score)
-      end);
+  for i = 0 to Vec.length on_page - 1 do
+    let id = Vec.get on_page i in
+    let nrefs = Heapsim.Object_table.nrefs objects id in
+    if nrefs > 0 then begin
+      Charge.object_visit t.heap;
+      for field = 0 to nrefs - 1 do
+        let target = Heapsim.Object_table.get_ref objects id field in
+        if not (Heapsim.Obj_id.is_null target) then incr score
+      done
+    end
+  done;
   !score
+
+(* Push the owner's [n] coldest pages onto [t.cold] above its [base]
+   entries, keep the evictable ones, and [victim] when [keep_victim],
+   in order, and return [base]. A caller reads the entries from [base]
+   and then truncates [t.cold] back to [base], so a handler nested in
+   its touches works above them and leaves them as they were. *)
+let cold_candidates t ~n ~victim ~keep_victim =
+  let cold = t.cold in
+  let base = Vec.length cold in
+  Vmsim.Vmm.coldest_pages (Heapsim.Heap.vmm t.heap)
+    ~owner:(Heapsim.Heap.process t.heap) ~n cold;
+  let kept = ref base in
+  for i = base to Vec.length cold - 1 do
+    let page = Vec.get cold i in
+    let keep = if page = victim then keep_victim else evictable t page in
+    if keep then begin
+      Vec.set cold !kept page;
+      incr kept
+    end
+  done;
+  Vec.truncate cold !kept;
+  base
 
 (* Pick the eviction victim among the kernel's choice and the next
    coldest candidates, minimising outgoing pointers; ties keep the
-   kernel's (LRU) preference. *)
+   kernel's (LRU) preference. The candidates are judged evictable
+   before any is scored. *)
 let choose_victim t victim =
   let n = t.opts.Gc_config.pointer_aware_victims in
   if n <= 0 then victim
   else begin
-    let candidates =
-      victim
-      :: List.filter
-           (fun page -> page = victim || evictable t page)
-           (Vmsim.Vmm.coldest_pages (Heapsim.Heap.vmm t.heap)
-              ~owner:(Heapsim.Heap.process t.heap) ~n)
-    in
-    let best, _ =
-      List.fold_left
-        (fun (best, best_score) page ->
-          let score = pointer_score t page in
-          if score < best_score then (page, score) else (best, best_score))
-        (victim, pointer_score t victim)
-        candidates
-    in
-    best
+    let base = cold_candidates t ~n ~victim ~keep_victim:true in
+    let best = ref victim and best_score = ref (pointer_score t victim) in
+    (* the victim heads the candidates too: its scan is charged again *)
+    ignore (pointer_score t victim : int);
+    for i = base to Vec.length t.cold - 1 do
+      let page = Vec.get t.cold i in
+      let score = pointer_score t page in
+      if score < !best_score then begin
+        best := page;
+        best_score := score
+      end
+    done;
+    Vec.truncate t.cold base;
+    !best
   end
 
 (* Controller batching: after a notice's first discard, surrender up to
@@ -1196,21 +1262,20 @@ let discard_batch_extra t =
    before the kernel has to ask again. A no-op at the default of 0. *)
 let relinquish_beyond_victim t ~victim =
   if t.relinquish_extra > 0 && t.opts.Gc_config.bookmarks_enabled then begin
-    let cold =
-      List.filter
-        (fun page -> page <> victim && evictable t page)
-        (Vmsim.Vmm.coldest_pages (Heapsim.Heap.vmm t.heap)
-           ~owner:(Heapsim.Heap.process t.heap)
-           ~n:(2 * t.relinquish_extra))
+    let base =
+      cold_candidates t ~n:(2 * t.relinquish_extra) ~victim ~keep_victim:false
     in
-    let rec evict n = function
-      | page :: rest when n > 0 ->
-          if Residency.is_resident t.residency page then
-            bookmark_and_evict t page;
-          evict (n - 1) rest
-      | _ -> ()
-    in
-    evict t.relinquish_extra cold
+    let stop = Int.min (Vec.length t.cold) (base + t.relinquish_extra) in
+    match
+      for i = base to stop - 1 do
+        let page = Vec.get t.cold i in
+        if Residency.is_resident t.residency page then bookmark_and_evict t page
+      done
+    with
+    | () -> Vec.truncate t.cold base
+    | exception e ->
+        Vec.truncate t.cold base;
+        raise e
   end
 
 let handle_eviction_notice t victim =
@@ -1419,6 +1484,7 @@ type debug = {
   spurious_resident : unit -> int;
   reconciled : unit -> int;
   handler_faults : unit -> int;
+  compact : unit -> unit;
 }
 
 type Collector.debug += Debug of debug
@@ -1451,6 +1517,7 @@ let make_debug t =
     spurious_resident = (fun () -> t.spurious_resident);
     reconciled = (fun () -> t.reconciled);
     handler_faults = (fun () -> t.handler_faults);
+    compact = (fun () -> mature t Compact);
   }
 
 let debug_of (c : Collector.t) =
@@ -1498,6 +1565,7 @@ let factory config heap =
       scan_targets = Vec.create ();
       scan_self = Vec.create ();
       peers = Vec.create ();
+      cold = Vec.create ();
       census =
         {
           marked_on = [||];
@@ -1507,6 +1575,9 @@ let factory config heap =
           demand = Array.make (Gc_common.Size_class.count * 2) 0;
           pools =
             Array.init (Gc_common.Size_class.count * 2) (fun _ -> Vec.create ());
+          covered = Array.make (Gc_common.Size_class.count * 2) 0;
+          cands = Vec.create ();
+          order = Vec.create ();
         };
       cards_requeued = Vec.create ();
       pending_roots = Vec.create ();

@@ -51,6 +51,9 @@ type debug = {
       (** lost notices detected and replayed at collection entry *)
   handler_faults : unit -> int;
       (** exceptions swallowed inside paging-signal handlers *)
+  compact : unit -> unit;
+      (** run a compacting collection now, as the escalation ladder's
+          third rung does *)
 }
 
 val debug_of : Gc_common.Collector.t -> debug

@@ -295,9 +295,7 @@ let note_page_evicted t page =
           incr kept
         end
       done;
-      while Vec.length sp.free > !kept do
-        ignore (Vec.pop sp.free)
-      done
+      Vec.truncate sp.free !kept
 
 let note_page_resident t page ~resident =
   match sp_of_page t page with
@@ -317,9 +315,7 @@ let note_page_resident t page ~resident =
           incr kept
         end
       done;
-      while Vec.length sp.blocked > !kept do
-        ignore (Vec.pop sp.blocked)
-      done
+      Vec.truncate sp.blocked !kept
 
 let live_count t sp =
   let page_map = Heapsim.Heap.page_map t.heap in

@@ -2,8 +2,12 @@ module Vec = Repro_util.Vec
 module Heap = Heapsim.Heap
 module Object_table = Heapsim.Object_table
 
-let marked heap ~epoch id = Object_table.scratch (Heap.objects heap) id = epoch
+let[@inline] marked heap ~epoch id = Object_table.scratch (Heap.objects heap) id = epoch
 
+(* [follow] is asked last, so it is never asked about a marked object:
+   a test per reached object, not per edge. Every collector's [follow]
+   is a pure read, so the order decides nothing, since a marked object
+   has no effect whatever [follow] answers. *)
 let drain heap objects stack ~epoch ~follow ~evacuate ~copy =
   (* [iter_refs] skips null fields, so the scan pushes unfiltered *)
   let scan _field target = Vec.push stack target in
@@ -11,8 +15,8 @@ let drain heap objects stack ~epoch ~follow ~evacuate ~copy =
     let id = Vec.pop stack in
     if
       Object_table.is_live objects id
-      && follow id
       && Object_table.scratch objects id <> epoch
+      && follow id
     then begin
       Object_table.set_scratch objects id epoch;
       if evacuate id then copy id

@@ -22,8 +22,10 @@ val run :
   unit
 (** [run heap ~epoch ~roots ~follow ~evacuate ~copy] pushes the non-null
     ids [roots] yields onto a LIFO grey stack and drains it. A popped
-    object has no effect unless it is live, [follow] accepts it and it
-    is not yet marked with [epoch], tested in that order. It is then
+    object has no effect unless it is live, not yet marked with [epoch]
+    and accepted by [follow], tested in that order: [follow] is never
+    asked about an object this trace has marked, and must not change
+    what the trace reads (every collector's is a pure test). It is then
     marked; [copy] moves it if [evacuate] accepts it, and otherwise it is
     touched for writing and charged one visit; finally its non-null
     fields are pushed in field order.

@@ -58,16 +58,11 @@ let () = assert (Vmsim.Page.size = 4096)
 
 let[@inline] page_of_addr addr = addr lsr 12
 
-let first_page t id = page_of_addr (Object_table.addr t.objects id)
-
-let last_page t id =
-  let addr = Object_table.addr t.objects id in
-  page_of_addr (addr + Object_table.size t.objects id - 1)
+let first_page t id = Object_table.span_first (Object_table.span t.objects id)
 
 let iter_pages t id f =
-  let addr = Object_table.addr t.objects id in
-  assert (addr >= 0);
-  for page = page_of_addr addr to last_page t id do
+  let span = Object_table.span t.objects id in
+  for page = Object_table.span_first span to Object_table.span_last span do
     f page
   done
 
@@ -99,15 +94,13 @@ let free_object t id =
 
 (* Object accesses are the next-hottest path after Vmm.touch. Walk the
    object's pages directly rather than through the [iter_pages] closure;
-   almost every object fits on one page. [~write] goes on as a constant:
-   passing the variable on would box a fresh [Some write] per page where
-   -opaque keeps [Vmm.touch]'s wrapper from being inlined. *)
+   almost every object fits on one page. The span is one checked read of
+   the row. [~write] goes on as a constant: passing the variable on
+   would box a fresh [Some write] per page where -opaque keeps
+   [Vmm.touch]'s wrapper from being inlined. *)
 let touch_object t ?(write = false) id =
-  let objs = t.objects in
-  let addr = Object_table.addr objs id in
-  assert (addr >= 0);
-  let last = page_of_addr (addr + Object_table.size objs id - 1) in
-  for page = page_of_addr addr to last do
+  let span = Object_table.span t.objects id in
+  for page = Object_table.span_first span to Object_table.span_last span do
     if write then Vmsim.Vmm.touch t.vmm ~write:true page
     else Vmsim.Vmm.touch t.vmm ~write:false page
   done

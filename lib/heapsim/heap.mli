@@ -51,6 +51,10 @@ val set_tracing : t -> bool -> unit
 (** {1 Object placement (collector side)} *)
 
 val first_page : t -> Obj_id.t -> int
+(** The first page the placed object spans. Like {!iter_pages} and
+    {!touch_object}, it reads the object's row once
+    ({!Object_table.span}) and raises [Invalid_argument] on a dead or
+    unplaced object. *)
 
 val iter_pages : t -> Obj_id.t -> (int -> unit) -> unit
 (** Pages spanned by the object at its current address. *)

@@ -291,6 +291,48 @@ let[@inline] set_addr t id a = if is_live t id then set_addr_raw t id a else dea
 
 let[@inline] nrefs t id = get_checked t id w_nrefs
 
+(* A span packs an object's first page above its page count, which
+   takes [span_bits]: an object under 2^31 bytes spans at most 2^19 + 1
+   pages. The packed first page then fits while the address is below
+   2^54. *)
+let page_shift = 12
+
+let () = assert (Vmsim.Page.size = 1 lsl page_shift)
+
+let span_bits = 20
+
+let span_mask = (1 lsl span_bits) - 1
+
+let[@inline never] no_span t id =
+  let addr = addr_raw t id in
+  if addr < 0 then
+    invalid_arg (Printf.sprintf "Object_table.span: object #%d is unplaced" id)
+  else
+    invalid_arg
+      (Printf.sprintf "Object_table.span: object #%d at address %d, past 2^54"
+         id addr)
+
+(* One liveness check, one chunk load, and the address and size read
+   from the same row. [addr lsr 54 <> 0] catches an unplaced object
+   (address -1) and one too high to pack alike. *)
+let[@inline] span t id =
+  if is_live t id then begin
+    let c = chunk t id and row = at id 0 in
+    let addr = Int64.to_int (get64u c (row + w_addr)) in
+    if addr lsr 54 <> 0 then no_span t id
+    else
+      let first = addr lsr page_shift in
+      let last =
+        (addr + Int32.to_int (get32u c (row + w_size)) - 1) lsr page_shift
+      in
+      (first lsl span_bits) lor (last - first + 1)
+  end
+  else dead id
+
+let[@inline] span_first s = s lsr span_bits
+
+let[@inline] span_last s = (s lsr span_bits) + (s land span_mask) - 1
+
 let[@inline] get_ref t id field = slot t (check_field t id field)
 
 let[@inline] set_ref t id field target =

@@ -64,6 +64,21 @@ val set_addr : t -> Obj_id.t -> int -> unit
 
 val nrefs : t -> Obj_id.t -> int
 
+(** {1 Page spans} *)
+
+val span : t -> Obj_id.t -> int
+(** The pages a placed object spans, read from its row under one
+    liveness check and packed in one int; {!span_first} and {!span_last}
+    unpack it. Page [p] holds bytes [[4096 p, 4096 (p + 1))]. Raises
+    [Invalid_argument] on a dead id, an unplaced object, or an address at
+    or past [2^54]. *)
+
+val span_first : int -> int
+(** The first page of a {!span}. *)
+
+val span_last : int -> int
+(** The last page of a {!span}. *)
+
 val get_ref : t -> Obj_id.t -> int -> Obj_id.t
 (** [get_ref t o field] reads a reference field; a fresh field is
     {!Obj_id.null}. Raises [Invalid_argument] unless

@@ -41,7 +41,7 @@ let clear t i =
     if chunk.(cw) land bit <> 0 then chunk.(cw) <- chunk.(cw) land lnot bit
   end
 
-let mem t i =
+let[@inline] mem t i =
   i >= 0 && word t (i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
 let popcount x =

@@ -43,6 +43,8 @@ let top v =
 
 let clear v = v.len <- 0
 
+let truncate v n = if n >= 0 && n < v.len then v.len <- n
+
 let swap_remove v i =
   check v i;
   let x = v.data.(i) in
@@ -93,7 +95,28 @@ let of_list l =
 
 let to_array v = Array.sub v.data 0 v.len
 
+(* Heapsort of the live prefix, in place, so that it allocates nothing:
+   [sift] moves [a.(i)] down the heap of the first [n] slots. *)
+let rec sift cmp a i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && cmp a.(l + 1) a.(l) > 0 then l + 1 else l in
+    if cmp a.(c) a.(i) > 0 then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift cmp a c n
+    end
+  end
+
 let sort cmp v =
-  let a = to_array v in
-  Array.sort cmp a;
-  Array.blit a 0 v.data 0 v.len
+  let a = v.data in
+  for i = (v.len / 2) - 1 downto 0 do
+    sift cmp a i v.len
+  done;
+  for n = v.len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(n);
+    a.(n) <- x;
+    sift cmp a 0 n
+  done

@@ -33,6 +33,10 @@ val clear : 'a t -> unit
 (** Logical clear; capacity is retained. Elements are dropped (no explicit
     zeroing, callers must not rely on finalisation timing). *)
 
+val truncate : 'a t -> int -> unit
+(** [truncate v n] keeps the first [n] elements, like {!clear} for the
+    rest; a no-op unless [0 <= n < length v]. *)
+
 val swap_remove : 'a t -> int -> 'a
 (** [swap_remove v i] removes index [i] in O(1) by moving the last element
     into its place, and returns the removed element. *)
@@ -56,4 +60,4 @@ val of_list : 'a list -> 'a t
 val to_array : 'a t -> 'a array
 
 val sort : ('a -> 'a -> int) -> 'a t -> unit
-(** In-place sort of the live prefix. *)
+(** In-place sort of the live prefix. Not stable; allocates nothing. *)

@@ -159,16 +159,4 @@ let active_size t = t.active_size
 
 let inactive_size t = t.inactive_size
 
-let iter_from_tail tail t f =
-  let rec loop p =
-    if p >= 0 then begin
-      let prev = prv t p in
-      f p;
-      loop prev
-    end
-  in
-  loop tail
-
-let iter_inactive_from_tail t f = iter_from_tail t.inactive_tail t f
-
-let iter_active_from_tail t f = iter_from_tail t.active_tail t f
+let prev = prv

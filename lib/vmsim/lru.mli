@@ -46,10 +46,6 @@ val active_size : t -> int
 
 val inactive_size : t -> int
 
-val iter_inactive_from_tail : t -> (int -> unit) -> unit
-(** Iterate inactive pages from reclaim end to head. The callback must not
-    mutate the lists. *)
-
-val iter_active_from_tail : t -> (int -> unit) -> unit
-(** Iterate active pages from the least-recently-used end. The callback
-    must not mutate the lists. *)
+val prev : t -> int -> int
+(** The page one step from a listed page towards its list's head, or
+    [-1] at the head: from a tail, the walk from the reclaim end. *)

@@ -2,6 +2,7 @@ exception Thrashing of string
 
 module Fault_plan = Faults.Fault_plan
 module Sparse = Repro_util.Sparse
+module Vec = Repro_util.Vec
 
 (* Page states, one byte per page in the struct-of-arrays table. *)
 let st_unmapped = 0
@@ -814,19 +815,20 @@ let set_capacity t frames =
   t.capacity <- frames;
   if free_frames t < 0 then reclaim t ~required:0 ~target:0
 
-let coldest_pages t ~owner ~n =
+(* Push the owner's pages met walking from [page] towards the head,
+   while fewer than [n] are pushed; returns how many are. *)
+let rec push_owned t pid page ~n count buf =
+  if page < 0 || count >= n then count
+  else if opid t page = pid then begin
+    Vec.push buf page;
+    push_owned t pid (Lru.prev t.lru page) ~n (count + 1) buf
+  end
+  else push_owned t pid (Lru.prev t.lru page) ~n count buf
+
+let coldest_pages t ~owner ~n buf =
   let pid = Process.pid owner in
-  let acc = ref [] in
-  let count = ref 0 in
-  let consider page =
-    if !count < n && opid t page = pid then begin
-      acc := page :: !acc;
-      incr count
-    end
-  in
-  Lru.iter_inactive_from_tail t.lru consider;
-  Lru.iter_active_from_tail t.lru consider;
-  List.rev !acc
+  let count = push_owned t pid (Lru.inactive_tail t.lru) ~n 0 buf in
+  ignore (push_owned t pid (Lru.active_tail t.lru) ~n count buf : int)
 
 (* O(materialised pages) scan, kept as the debug cross-check for the
    gauge below. Only materialised chunks are visited, so the scan stays

@@ -146,9 +146,10 @@ val table_chunks : t -> int
     memory, which follows the pages mapped, not how high their numbers
     reach. *)
 
-val coldest_pages : t -> owner:Process.t -> n:int -> int list
-(** Up to [n] of the owner's reclaim-coldest resident pages, coldest
-    first (inactive list from its tail, then the active list from its
-    tail). Supports the paper's §7 exploration of smarter victim
-    selection: the collector may prefer a slightly warmer page whose
-    eviction creates less false garbage. *)
+val coldest_pages : t -> owner:Process.t -> n:int -> int Repro_util.Vec.t -> unit
+(** Push up to [n] of the owner's reclaim-coldest resident pages onto
+    the buffer, coldest first (inactive list from its tail, then the
+    active list from its tail); the walk stops at the [n]th. Supports
+    the paper's §7 exploration of smarter victim selection: the
+    collector may prefer a slightly warmer page whose eviction creates
+    less false garbage. *)

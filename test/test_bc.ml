@@ -208,9 +208,10 @@ let test_notices_allocate_nothing () =
    and object it records, and a constant. The scan measured re-evicts a
    page whose reload the collector never heard of (the page was
    unprotected behind its back), so every count it bumps already
-   exists. *)
-let test_bookmark_scan_allocates_its_entry () =
-  let m, c, _, dbg = fixture () in
+   exists. BC-ptraware first scores the victim against the coldest
+   pages, which must allocate nothing either. *)
+let test_bookmark_scan_allocates_its_entry name () =
+  let m, c, _, dbg = fixture ~name () in
   let heap = m.Mini.heap in
   let objects = Heap.objects heap in
   let sps = dbg.Bc.superpages in
@@ -281,6 +282,44 @@ let test_steady_collection_flat_in_stack_depth () =
     true
     (deep <= shallow + 64)
 
+(* A compacting collection at steady state allocates O(1) host words:
+   its census, target selection, sweep and move pass allocate nothing
+   per object, page or superpage, so a heap four times as large costs
+   no more. BC_ORACLE=1 verifies the heap after every collection, which
+   allocates per object, so the check is skipped there. *)
+let test_steady_compaction_allocates_o1 () =
+  if Sys.getenv_opt "BC_ORACLE" <> None then Alcotest.skip ();
+  let steady_words ~immortal_bytes =
+    let m, c = Mini.collector ~heap_bytes:(8 * 1024 * 1024) "BC" in
+    let dbg = Bc.debug_of c in
+    let spec =
+      {
+        (Mini.spec ~volume:2_400_000 ()) with
+        Workload.Spec.immortal_bytes;
+        window_bytes = 240_000;
+      }
+    in
+    Mini.drive (Workload.Mutator.create spec c);
+    let compactions () = Gc_stats.count c.Collector.stats Gc_stats.Compacting in
+    let before = compactions () in
+    dbg.Bc.compact ();
+    dbg.Bc.compact ();
+    let w = words (fun () -> dbg.Bc.compact ()) in
+    check Alcotest.int "three compactions" (before + 3) (compactions ());
+    (w, OT.live_count (Heap.objects m.Mini.heap),
+     Bookmarking.Superpage.sp_count dbg.Bc.superpages)
+  in
+  let small, small_live, small_sps = steady_words ~immortal_bytes:400_000 in
+  let large, large_live, large_sps = steady_words ~immortal_bytes:1_600_000 in
+  check Alcotest.bool "the larger heap has more to visit" true
+    (large_live > 2 * small_live && large_sps > 2 * small_sps);
+  check Alcotest.bool
+    (Printf.sprintf
+       "%d host words for %d objects on %d superpages, %d for %d on %d"
+       small small_live small_sps large large_live large_sps)
+    true
+    (large <= small + 64)
+
 let test_discards_empty_pages_first () =
   let m, c, signalmem, dbg = fixture () in
   (* allocate garbage, collect: the heap now holds many empty pages *)
@@ -330,6 +369,96 @@ let test_compaction_shrinks_superpages () =
   c.Collector.check_invariants ();
   ignore dbg;
   Oracle.check m.Mini.heap
+
+(* The sweep frees a page's dead objects in the order its bucket lists
+   them, as a sweep walking a copy of the bucket would, even once
+   earlier frees' swap-removes have permuted the bucket. Each free
+   pushes the object's cell on its superpage's free list, so the next
+   cells handed out are the freed ones, last freed first. *)
+let test_sweep_frees_in_bucket_order () =
+  let m, c, _, dbg = fixture ~frames:4096 () in
+  let heap = m.Mini.heap in
+  let objects = Heap.objects heap in
+  let page_map = Heap.page_map heap in
+  let sps = dbg.Bc.superpages in
+  let roots = ref [] in
+  Heap.set_roots heap (fun f -> List.iter f !roots);
+  roots :=
+    List.init 200 (fun _ -> c.Collector.alloc ~size:64 ~nrefs:0 ~kind:`Scalar);
+  c.Collector.collect ();
+  let sp =
+    match Bookmarking.Superpage.sp_of_addr sps (OT.addr objects (List.hd !roots)) with
+    | Some sp -> sp
+    | None -> Alcotest.fail "survivor outside the superpages"
+  in
+  let first = sp.Bookmarking.Superpage.first_page in
+  let pages = List.init Vmsim.Page.pages_per_superpage (fun i -> first + i) in
+  check Alcotest.bool "one superpage holds them all" true
+    (List.for_all
+       (fun id ->
+         match Bookmarking.Superpage.sp_of_addr sps (OT.addr objects id) with
+         | Some other -> other == sp
+         | None -> false)
+       !roots);
+  let buckets () =
+    List.map
+      (fun page ->
+        let v = Repro_util.Vec.create () in
+        Heapsim.Page_map.objects_on page_map page v;
+        Repro_util.Vec.to_list v)
+      pages
+  in
+  let drop keep = roots := List.filteri (fun i _ -> keep i) !roots in
+  let placed = buckets () in
+  (* a first sweep's frees permute the buckets *)
+  drop (fun i -> i mod 3 <> 0);
+  c.Collector.collect ();
+  let permuted = buckets () in
+  check Alcotest.bool "some bucket permuted" true
+    (List.exists2
+       (fun before after ->
+         after <> List.filter (fun id -> List.mem id after) before)
+       placed permuted);
+  (* a copying sweep, run on copies of the buckets: page by page, it
+     walks a copy of the page's bucket as it stands then and frees each
+     dead object from its first page, and a free swap-removes the object
+     from the bucket of every page it spans, as Page_map.remove does, so
+     an object spanning two pages permutes the next page's bucket *)
+  drop (fun i -> i mod 2 = 0);
+  let dead id = not (List.mem id !roots) in
+  let model = Array.of_list (List.map Repro_util.Vec.of_list permuted) in
+  let bucket page = model.(page - first) in
+  let remove page id =
+    let v = bucket page in
+    let rec find i = if Repro_util.Vec.get v i = id then i else find (i + 1) in
+    ignore (Repro_util.Vec.swap_remove v (find 0) : int)
+  in
+  let last_freed_first = ref [] and straddlers = ref 0 in
+  List.iter
+    (fun page ->
+      List.iter
+        (fun id ->
+          let span = OT.span objects id in
+          if dead id && OT.span_first span = page then begin
+            last_freed_first := OT.addr objects id :: !last_freed_first;
+            if OT.span_last span > page then incr straddlers;
+            for p = page to OT.span_last span do
+              remove p id
+            done
+          end)
+        (Repro_util.Vec.to_list (bucket page)))
+    pages;
+  check Alcotest.bool "dead objects span two pages" true (!straddlers > 0);
+  c.Collector.collect ();
+  let cells =
+    List.map
+      (fun _ ->
+        Bookmarking.Superpage.alloc sps ~bytes:64 ~kind:Bookmarking.Superpage.Scalar
+          ~grow:(fun () -> false) ~resident:(fun _ -> true))
+      !last_freed_first
+  in
+  check (Alcotest.list Alcotest.int) "cells come back last freed first"
+    !last_freed_first cells
 
 (* A full collection whose evacuation runs out of mature space part-way
    through leaves the survivors it has not moved on the young list, in
@@ -544,9 +673,14 @@ let () =
           Alcotest.test_case "notices allocate nothing" `Quick
             test_notices_allocate_nothing;
           Alcotest.test_case "bookmark scan allocates its entry" `Quick
-            test_bookmark_scan_allocates_its_entry;
+            (test_bookmark_scan_allocates_its_entry "BC");
+          Alcotest.test_case "ptraware: bookmark scan allocates its entry"
+            `Quick
+            (test_bookmark_scan_allocates_its_entry "BC-ptraware");
           Alcotest.test_case "steady collection flat in stack depth" `Quick
             test_steady_collection_flat_in_stack_depth;
+          Alcotest.test_case "steady compaction allocates O(1)" `Quick
+            test_steady_compaction_allocates_o1;
           Alcotest.test_case "pointer-aware victims" `Quick
             test_pointer_aware_victims;
           Alcotest.test_case "Cooper-style discard-only" `Quick
@@ -556,6 +690,8 @@ let () =
         [
           Alcotest.test_case "compaction" `Quick
             test_compaction_shrinks_superpages;
+          Alcotest.test_case "sweep frees in bucket order" `Quick
+            test_sweep_frees_in_bucket_order;
           Alcotest.test_case "evacuation abort keeps survivors" `Quick
             test_evacuation_abort_keeps_survivors;
           Alcotest.test_case "fail-safe completeness" `Quick

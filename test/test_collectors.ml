@@ -235,6 +235,34 @@ let test_nested_trace_refused () =
   check Alcotest.bool "the next trace marks every object" true
     (List.for_all (Gc_common.Tracer.marked heap ~epoch:1_000_002) ids)
 
+(* [follow] is asked about an object only while it is unmarked: on a
+   diamond, the bottom object reached along both sides is asked about
+   once, so the test runs once per object, not once per edge. *)
+let test_follow_after_mark () =
+  let m, c = Mini.collector "MarkSweep" in
+  let heap = m.Mini.heap in
+  let alloc () = c.Collector.alloc ~size:64 ~nrefs:2 ~kind:`Scalar in
+  let top = alloc () in
+  Heap.set_roots heap (fun f -> f top);
+  let left = alloc () and right = alloc () and bottom = alloc () in
+  Heap.write_ref heap top 0 left;
+  Heap.write_ref heap top 1 right;
+  Heap.write_ref heap left 0 bottom;
+  Heap.write_ref heap right 0 bottom;
+  let epoch = 1_000_000 in
+  let asked = ref [] in
+  Gc_common.Tracer.run heap ~epoch ~roots:(Heap.iter_roots heap)
+    ~follow:(fun id ->
+      if Gc_common.Tracer.marked heap ~epoch id then
+        Alcotest.failf "follow asked about #%d, already marked" id;
+      asked := id :: !asked;
+      true)
+    ~evacuate:(fun _ -> false)
+    ~copy:ignore;
+  check (Alcotest.list Alcotest.int) "each object asked about once"
+    (List.sort compare [ top; left; right; bottom ])
+    (List.sort compare !asked)
+
 (* -- the heap verifier, mid-run and on planted faults -------------------- *)
 
 (* Collectors whose bump-pointer spaces keep no page index. *)
@@ -609,6 +637,8 @@ let () =
         [
           Alcotest.test_case "nested run refused" `Quick
             test_nested_trace_refused;
+          Alcotest.test_case "follow asked after the mark" `Quick
+            test_follow_after_mark;
         ] );
       ( "policies",
         [

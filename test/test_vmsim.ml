@@ -49,9 +49,9 @@ let test_lru_double_insert_rejected () =
 let test_lru_iterate () =
   let l = Lru.create () in
   List.iter (Lru.push_inactive_head l) [ 1; 2; 3 ];
-  let order = ref [] in
-  Lru.iter_inactive_from_tail l (fun p -> order := p :: !order);
-  check (Alcotest.list Alcotest.int) "tail-to-head" [ 3; 2; 1 ] !order
+  let rec walk p order = if p < 0 then order else walk (Lru.prev l p) (p :: order) in
+  check (Alcotest.list Alcotest.int) "tail-to-head" [ 3; 2; 1 ]
+    (walk (Lru.inactive_tail l) [])
 
 let test_lru_remove_if_present () =
   let l = Lru.create () in
@@ -468,12 +468,19 @@ let test_coldest_pages () =
   Vmm.map_range vmm proc ~first_page:0 ~npages:4;
   Vmm.map_range vmm other ~first_page:10 ~npages:2;
   List.iter (fun p -> Vmm.touch vmm p) [ 0; 1; 10; 2; 11; 3 ];
-  let cold = Vmm.coldest_pages vmm ~owner:proc ~n:3 in
+  (* the pages go after what the buffer already holds *)
+  let buf = Repro_util.Vec.of_list [ -7 ] in
+  Vmm.coldest_pages vmm ~owner:proc ~n:3 buf;
+  let cold = List.tl (Repro_util.Vec.to_list buf) in
+  check Alcotest.int "buffer kept" (-7) (Repro_util.Vec.get buf 0);
   check Alcotest.int "n respected" 3 (List.length cold);
   check Alcotest.bool "only owner's pages" true
     (List.for_all (fun p -> p < 4) cold);
   (* coldest = least recently faulted in: page 0 first *)
-  check Alcotest.int "coldest first" 0 (List.hd cold)
+  check Alcotest.int "coldest first" 0 (List.hd cold);
+  Repro_util.Vec.clear buf;
+  Vmm.coldest_pages vmm ~owner:proc ~n:0 buf;
+  check Alcotest.int "none for n = 0" 0 (Repro_util.Vec.length buf)
 
 (* ----------------------------------------------------------------- *)
 (* Swap device                                                        *)
