@@ -40,8 +40,7 @@ type census = {
   demand : int array;
   pools : Superpage.sp Vec.t array;
   covered : int array;  (* per (class, kind): the chosen targets' room *)
-  cands : Superpage.sp Vec.t;  (* superpages with cells, in index order *)
-  order : int Vec.t;  (* the order the non-forced ones are chosen in *)
+  cands : Superpage.sp Vec.t;  (* superpages with cells, in choosing order *)
 }
 
 type t = {
@@ -1015,42 +1014,36 @@ let plan_compaction t ~resident =
      superpages, highest index first, then the others with the most
      marked objects first (ties: highest index first) until they can
      hold the class's marked objects. The classes are independent, so
-     one pass chooses for all of them. Each non-forced candidate's
-     place in that order is one int, its position [pos] among the
-     candidates ([cands], in index order) in the low digits, and
-     [order] sorts them without allocating. *)
-  let covered = c.covered and cands = c.cands and order = c.order in
+     one pass over the candidates, sorted into that order, chooses for
+     all of them. *)
+  let covered = c.covered and cands = c.cands in
   Array.fill covered 0 nclasses 0;
   Vec.clear cands;
-  Vec.clear order;
   Superpage.iter_sps t.sp_space (fun sp ->
       if sp.Superpage.cells_total > 0 then Vec.push cands sp);
-  let choose (sp : Superpage.sp) =
+  Vec.sort
+    (fun (a : Superpage.sp) (b : Superpage.sp) ->
+      let i = a.Superpage.index and j = b.Superpage.index in
+      if forced.(i) || forced.(j) then
+        if not forced.(j) then -1
+        else if not forced.(i) then 1
+        else Int.compare j i
+      else
+        let by_key = Int.compare (idx_of a) (idx_of b) in
+        if by_key <> 0 then by_key
+        else
+          let by_marked = Int.compare marked_on.(j) marked_on.(i) in
+          if by_marked <> 0 then by_marked else Int.compare j i)
+    cands;
+  for pos = 0 to Vec.length cands - 1 do
+    let sp = Vec.get cands pos in
     let i = sp.Superpage.index and key = idx_of sp in
-    is_target.(i) <- true;
-    Vec.push target_pools.(key) sp;
-    covered.(key) <-
-      covered.(key) + marked_on.(i) + dead_on.(i) + Superpage.free_count sp
-  in
-  let n = Vec.length cands in
-  let m = ref 1 in
-  for pos = n - 1 downto 0 do
-    let sp = Vec.get cands pos in
-    if forced.(sp.Superpage.index) then choose sp
-    else m := Int.max !m (marked_on.(sp.Superpage.index) + 1)
-  done;
-  let m = !m in
-  for pos = 0 to n - 1 do
-    let sp = Vec.get cands pos in
-    let i = sp.Superpage.index in
-    if not forced.(i) then
-      Vec.push order
-        ((((idx_of sp * m) + (m - 1 - marked_on.(i))) * n) + (n - 1 - pos))
-  done;
-  Vec.sort Int.compare order;
-  for j = 0 to Vec.length order - 1 do
-    let sp = Vec.get cands (n - 1 - (Vec.get order j mod n)) in
-    if covered.(idx_of sp) < demand.(idx_of sp) then choose sp
+    if forced.(i) || covered.(key) < demand.(key) then begin
+      is_target.(i) <- true;
+      Vec.push target_pools.(key) sp;
+      covered.(key) <-
+        covered.(key) + marked_on.(i) + dead_on.(i) + Superpage.free_count sp
+    end
   done;
   (* forward marked objects off the non-target superpages *)
   fun () ->
@@ -1186,13 +1179,9 @@ let pointer_score t page =
   let score = ref 0 in
   for i = 0 to Vec.length on_page - 1 do
     let id = Vec.get on_page i in
-    let nrefs = Heapsim.Object_table.nrefs objects id in
-    if nrefs > 0 then begin
+    if Heapsim.Object_table.nrefs objects id > 0 then begin
       Charge.object_visit t.heap;
-      for field = 0 to nrefs - 1 do
-        let target = Heapsim.Object_table.get_ref objects id field in
-        if not (Heapsim.Obj_id.is_null target) then incr score
-      done
+      score := !score + Heapsim.Object_table.non_null_refs objects id
     end
   done;
   !score
@@ -1577,7 +1566,6 @@ let factory config heap =
             Array.init (Gc_common.Size_class.count * 2) (fun _ -> Vec.create ());
           covered = Array.make (Gc_common.Size_class.count * 2) 0;
           cands = Vec.create ();
-          order = Vec.create ();
         };
       cards_requeued = Vec.create ();
       pending_roots = Vec.create ();

@@ -347,6 +347,15 @@ let iter_refs t id f =
     if not (Obj_id.is_null target) then f field target
   done
 
+let non_null_refs t id =
+  check t id;
+  let base = get t id w_refs_base in
+  let n = ref 0 in
+  for field = 0 to get t id w_nrefs - 1 do
+    if not (Obj_id.is_null (slot t (base + field))) then incr n
+  done;
+  !n
+
 let[@inline] get_bit t id bit =
   if is_live t id then get16 t id w_flags land bit <> 0 else dead id
 

@@ -91,6 +91,9 @@ val set_ref : t -> Obj_id.t -> int -> Obj_id.t -> unit
 val iter_refs : t -> Obj_id.t -> (int -> Obj_id.t -> unit) -> unit
 (** [iter_refs t o f] calls [f field target] for each non-null field. *)
 
+val non_null_refs : t -> Obj_id.t -> int
+(** The number of non-null fields, read under one liveness check. *)
+
 (** {1 Header bits} *)
 
 val bookmarked : t -> Obj_id.t -> bool

@@ -1,22 +1,24 @@
 /* An out-of-process instruction-pointer sampler that needs no PMU.
 
-   Usage: sampler [-p PERIOD_US] -o OUT -- COMMAND [ARG...]
+   Usage: sampler -o OUT -- COMMAND [ARG...]
 
    Runs COMMAND as a forked child and samples its user-mode instruction
-   pointer every PERIOD_US microseconds (default 100) of the CPU time it
-   uses. The clock is PERF_COUNT_SW_TASK_CLOCK, a software event, so a
-   virtual machine without a hardware PMU can run it. Counting starts at
-   the child's exec (enable_on_exec) and follows the processes it forks
-   (inherit, which the kernel allows to map only per CPU: one counter
-   and ring per CPU). OUT gets, in hex, one "mmap ADDR LEN PGOFF PATH"
-   line per executable mapping (PERF_RECORD_MMAP, which gives an
-   executable's load address) and one "ip ADDR" line per sample;
+   pointer every PERIOD_US (100) microseconds of the CPU time it uses.
+   The clock is PERF_COUNT_SW_TASK_CLOCK, a software event, so a virtual
+   machine without a hardware PMU can run it. Counting starts at the
+   child's exec (enable_on_exec) and follows the processes it forks
+   (inherit, which the kernel allows to map only per CPU: one counter and
+   ring for each CPU the child may run on, from the sampler's affinity
+   mask, which the child inherits). OUT gets, in hex, one "mmap ADDR LEN
+   PGOFF PATH" line per executable mapping (PERF_RECORD_MMAP, which gives
+   an executable's load address) and one "ip ADDR" line per sample;
    symbolize.py turns it into a table of symbols. The sample and
    lost-sample counts go to stderr, and the sampler exits with COMMAND's
    status. */
 #define _GNU_SOURCE
 #include <linux/perf_event.h>
 #include <poll.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -28,6 +30,7 @@
 
 #define DATA_PAGES 128 /* a power of two: a 512 KB ring per CPU */
 #define MAX_CPUS 64
+#define PERIOD_US 100
 
 struct ring {
   struct perf_event_mmap_page *meta;
@@ -77,18 +80,28 @@ static void drain(const struct ring *r, FILE *out) {
 }
 
 int main(int argc, char **argv) {
-  long period_us = 100;
-  const char *out_path = NULL;
-  int opt;
-  while ((opt = getopt(argc, argv, "+p:o:")) != -1) {
-    if (opt == 'p') period_us = atol(optarg);
-    else if (opt == 'o') out_path = optarg;
-    else break;
-  }
-  if (!out_path || period_us <= 0 || optind >= argc) {
-    fprintf(stderr, "usage: %s [-p PERIOD_US] -o OUT -- COMMAND [ARG...]\n",
-            argv[0]);
+  if (argc < 5 || strcmp(argv[1], "-o") != 0 || strcmp(argv[3], "--") != 0) {
+    fprintf(stderr, "usage: %s -o OUT -- COMMAND [ARG...]\n", argv[0]);
     return 2;
+  }
+  const char *out_path = argv[2];
+  char **command = argv + 4;
+
+  /* The child inherits this mask, so it and its forks run on these CPUs
+     alone unless they widen it; the kernel leaves inactive CPUs out. */
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+    die("sched_getaffinity");
+  int cpu_of[MAX_CPUS];
+  int cpus = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE; cpu++) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    if (cpus == MAX_CPUS) {
+      fprintf(stderr, "sampler: more than %d CPUs; raise MAX_CPUS\n",
+              MAX_CPUS);
+      return 2;
+    }
+    cpu_of[cpus++] = cpu;
   }
   FILE *out = fopen(out_path, "w");
   if (!out) die(out_path);
@@ -102,8 +115,8 @@ int main(int argc, char **argv) {
     char byte;
     close(go[1]);
     if (read(go[0], &byte, 1) != 1) _exit(127);
-    execvp(argv[optind], argv + optind);
-    perror(argv[optind]);
+    execvp(command[0], command);
+    perror(command[0]);
     _exit(127);
   }
   close(go[0]);
@@ -113,7 +126,7 @@ int main(int argc, char **argv) {
   attr.size = sizeof attr;
   attr.type = PERF_TYPE_SOFTWARE;
   attr.config = PERF_COUNT_SW_TASK_CLOCK;
-  attr.sample_period = (uint64_t)period_us * 1000; /* ns of task clock */
+  attr.sample_period = (uint64_t)PERIOD_US * 1000; /* ns of task clock */
   attr.sample_type = PERF_SAMPLE_IP;
   attr.disabled = 1;
   attr.enable_on_exec = 1;
@@ -122,13 +135,11 @@ int main(int argc, char **argv) {
   attr.exclude_kernel = 1;
   attr.exclude_hv = 1;
   attr.wakeup_events = 256;
-  long cpus = sysconf(_SC_NPROCESSORS_CONF);
-  if (cpus > MAX_CPUS) cpus = MAX_CPUS;
   long page = sysconf(_SC_PAGESIZE);
   struct ring rings[MAX_CPUS];
   struct pollfd fds[MAX_CPUS];
-  for (int cpu = 0; cpu < cpus; cpu++) {
-    int fd = (int)syscall(SYS_perf_event_open, &attr, child, cpu, -1,
+  for (int i = 0; i < cpus; i++) {
+    int fd = (int)syscall(SYS_perf_event_open, &attr, child, cpu_of[i], -1,
                           PERF_FLAG_FD_CLOEXEC);
     void *base = fd < 0 ? MAP_FAILED
                         : mmap(NULL, (DATA_PAGES + 1) * page,
@@ -137,11 +148,11 @@ int main(int argc, char **argv) {
       kill(child, SIGKILL);
       die(fd < 0 ? "perf_event_open" : "mmap");
     }
-    rings[cpu].meta = base;
-    rings[cpu].data = (unsigned char *)base + page;
-    rings[cpu].size = (uint64_t)DATA_PAGES * page;
-    fds[cpu].fd = fd;
-    fds[cpu].events = POLLIN;
+    rings[i].meta = base;
+    rings[i].data = (unsigned char *)base + page;
+    rings[i].size = (uint64_t)DATA_PAGES * page;
+    fds[i].fd = fd;
+    fds[i].events = POLLIN;
   }
   if (write(go[1], "g", 1) != 1) die("write");
   close(go[1]);
@@ -149,12 +160,12 @@ int main(int argc, char **argv) {
   int status = 0;
   for (;;) {
     poll(fds, cpus, 50);
-    for (int cpu = 0; cpu < cpus; cpu++) drain(&rings[cpu], out);
+    for (int i = 0; i < cpus; i++) drain(&rings[i], out);
     pid_t r = waitpid(child, &status, WNOHANG);
     if (r == child) break;
     if (r < 0) die("waitpid");
   }
-  for (int cpu = 0; cpu < cpus; cpu++) drain(&rings[cpu], out);
+  for (int i = 0; i < cpus; i++) drain(&rings[i], out);
   fclose(out);
   fprintf(stderr, "sampler: %lu samples, %lu lost\n", samples, lost);
   return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);

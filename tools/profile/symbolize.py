@@ -3,7 +3,7 @@
 
 Run from anywhere:
 
-    python3 tools/profile/symbolize.py SAMPLES EXE [--top N] [--libraries]
+    python3 tools/profile/symbolize.py SAMPLES EXE [--libraries]
 
 SAMPLES is what tools/profile/sampler wrote; EXE is the executable the
 samples are charged to, such as a release bcgc.exe or perfbench's
@@ -13,9 +13,10 @@ stripped), and its load address from the sampler's mmap lines for
 EXE together with EXE's ELF program headers. A sample in another mapping
 is charged to that mapping's file, and one in no mapping to [unknown].
 OCaml names print as Module.function: camlHeapsim__Heap.touch_object_530
-prints as Heapsim.Heap.touch_object. With --libraries the table sums the
-samples by library instead (Heapsim, Vmsim, ...; [C] for the OCaml
-runtime and other C code in EXE).
+prints as Heapsim.Heap.touch_object. The table lists the TOP (40)
+hottest. With --libraries it sums the samples by library instead
+(Heapsim, Vmsim, ...; [C] for the OCaml runtime and other C code in
+EXE).
 
 The sampler does not record which process a sample came from, so a trace
 should hold one image of EXE: one exec of it, and any processes it forks.
@@ -32,6 +33,7 @@ import sys
 
 PT_LOAD = 1
 PAGE_MASK = ~0xFFF
+TOP = 40
 
 
 def load_segments(exe):
@@ -88,7 +90,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("samples")
     ap.add_argument("exe")
-    ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--libraries", action="store_true")
     args = ap.parse_args()
 
@@ -130,7 +131,7 @@ def main():
     if total == 0:
         sys.exit("symbolize: no samples in %s" % args.samples)
     print("%d samples" % total)
-    for where, n in counts.most_common(args.top):
+    for where, n in counts.most_common(TOP):
         print("%7d %5.1f%%  %s" % (n, 100.0 * n / total, where))
 
 
