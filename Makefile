@@ -1,4 +1,4 @@
-.PHONY: all build test test-release oracle-check profile ci alloc-path-check sched-path-check mark-path-check sparse-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
+.PHONY: all build test test-release oracle-check profile ci alloc-path-check sched-path-check mark-path-check bookmark-path-check sparse-check global-check export-check bench-check examples-check trace-smoke multiproc-smoke perf-smoke perf-guard perfbench-check campaign-smoke domains-smoke slo-smoke control-smoke perf examples doc clean bench bench-full
 
 # Worker processes for the experiment matrices; results are byte-identical
 # whatever the fan-out (the simulation runs in virtual time).
@@ -34,8 +34,9 @@ oracle-check:
 
 # Full CI gate: everything compiles (including examples and benches), every
 # collector allocates through Gc_common.Alloc, only the scheduler starts
-# workers, only the tracer marks, only Repro_util.Sparse tells a chunk
-# from its sentinel, no module holds mutable state of its
+# workers, only the tracer marks, only Bookmarking.Bookmarks sets a
+# bookmark bit, only Repro_util.Sparse tells a chunk from its sentinel,
+# no module holds mutable state of its
 # own, every export has a caller, the whole suite passes — test_faults
 # runs the fault-plan smoke tests with fixed seeds, so regressions in the
 # degradation paths fail here — the quick experiment text and the
@@ -49,7 +50,7 @@ oracle-check:
 # (git-ignored), never to fixed names in /tmp, so two checkouts, such as
 # a parent and a change being compared, can run `make ci` side by side.
 ci:
-	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) sparse-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) oracle-check && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
+	dune build @all && $(MAKE) alloc-path-check && $(MAKE) sched-path-check && $(MAKE) mark-path-check && $(MAKE) bookmark-path-check && $(MAKE) sparse-check && $(MAKE) global-check && $(MAKE) export-check && dune runtest && $(MAKE) bench-check && $(MAKE) examples-check && $(MAKE) trace-smoke && $(MAKE) multiproc-smoke && $(MAKE) perf-smoke && $(MAKE) perfbench-check && $(MAKE) test-release && $(MAKE) oracle-check && $(MAKE) campaign-smoke && $(MAKE) domains-smoke && $(MAKE) slo-smoke && $(MAKE) control-smoke && $(MAKE) perf-guard
 
 # One allocation path: Gc_common.Alloc is the only code that registers a new
 # object, so a collector under lib/baselines or lib/core that calls
@@ -95,6 +96,21 @@ mark-path-check:
 	  echo "mark-path-check: Object_table.scratch outside tracer.ml in:" $$files >&2; exit 1; \
 	elif [ $$status -ne 1 ]; then \
 	  echo "mark-path-check: grep failed with status $$status" >&2; exit 1; \
+	fi
+
+# One bookmark owner: Bookmarking.Bookmarks keeps each object's exact
+# cover count and sets the object's bookmark bit exactly when the count
+# is positive, so only bookmarks.ml may write that bit. A call to
+# Object_table.set_bookmarked anywhere else under lib/ or bin/ fails
+# here, named. grep exits 1 when nothing matches; any other status (a
+# match, or grep's own error) fails the target.
+bookmark-path-check:
+	@files=$$(grep -rlE --include='*.ml' --exclude=bookmarks.ml 'Object_table\.set_bookmarked\b' lib bin); \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then \
+	  echo "bookmark-path-check: Object_table.set_bookmarked outside bookmarks.ml in:" $$files >&2; exit 1; \
+	elif [ $$status -ne 1 ]; then \
+	  echo "bookmark-path-check: grep failed with status $$status" >&2; exit 1; \
 	fi
 
 # One sparse table: Repro_util.Sparse is the only two-level table over
@@ -158,13 +174,15 @@ export-check:
 # Bench check: the quick-mode text of `bcgc bench all', `control', `slo'
 # and `trace', in that order, must match test/golden/bench_quick.txt byte
 # for byte. Cells run in virtual time, so the text is the same at any -j.
-# CSV_DIR and CHARTS are cleared: they add output lines. A non-zero exit
-# from bcgc fails the target too.
+# They run under OCAMLRUNPARAM=R, which seeds every randomisable Hashtbl
+# afresh per process, so a simulated result that depends on a hash
+# table's fold order fails here. CSV_DIR and CHARTS are cleared: they
+# add output lines. A non-zero exit from bcgc fails the target too.
 bench-check:
 	mkdir -p .ci_scratch
 	rm -f .ci_scratch/bench.txt
 	for t in all control slo trace; do \
-	  env -u CSV_DIR -u CHARTS ./_build/default/bin/bcgc.exe bench $$t \
+	  env -u CSV_DIR -u CHARTS OCAMLRUNPARAM=R ./_build/default/bin/bcgc.exe bench $$t \
 	    -j $(JOBS) >> .ci_scratch/bench.txt || exit 1; \
 	done
 	diff test/golden/bench_quick.txt .ci_scratch/bench.txt

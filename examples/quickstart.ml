@@ -50,5 +50,5 @@ let () =
     ((Vmsim.Process.stats proc).Vmsim.Vm_stats.major_faults - faults_before);
   let dbg = Bookmarking.Bc.debug_of bc in
   Format.printf "bookmarked objects: %d, evicted pages: %d@."
-    (dbg.Bookmarking.Bc.bookmarked_count ())
+    (Bookmarking.Bookmarks.covered dbg.Bookmarking.Bc.bookmarks)
     (dbg.Bookmarking.Bc.evicted_pages ())

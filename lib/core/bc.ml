@@ -17,16 +17,6 @@ let los_threshold = Gc_common.Size_class.max_cell
 (* Never shrink the target footprint below this many pages. *)
 let footprint_floor_pages = 32
 
-(* Each array lists what one eviction scan did, newest first. *)
-type ledger_entry = {
-  sps : Superpage.sp array;  (* incoming counters incremented *)
-  targets : Heapsim.Obj_id.t array;  (* resident targets whose bookmark
-                                        count we incremented *)
-  self : Heapsim.Obj_id.t array;  (* conservative self-bookmarks *)
-  nonsp : bool;  (* counted one global cover for non-resident targets
-                    outside the superpage space (nursery / LOS) *)
-}
-
 (* Compaction's census, indexed by superpage: the marked and dead
    objects on each, whether it must be a target and whether it was
    chosen, plus the marked objects ([demand]) and the chosen targets
@@ -56,29 +46,16 @@ type t = {
   wbuf : Gc_common.Write_buffer.t;
   residency : Residency.t;
   discarded : Bitset.t;  (* madvised pages: non-resident but cheap to reuse *)
-  ledger : (int, ledger_entry) Hashtbl.t;
-      (* evicted page -> exactly which superpage counters and which
-         objects' bookmark counts its eviction scan incremented. The paper
-         recomputes this from the reloaded page's pointers; we keep an
-         exact ledger so the invariants survive object motion between
-         eviction and reload. *)
-  bookmark_counts : (int, int) Hashtbl.t;
-      (* object id -> number of evicted pages whose summary covers it;
-         the object-header bookmark bit is set iff the count is positive.
-         The paper stores only the bit and clears approximately; exact
-         counts keep clearing sound in every interleaving. *)
+  bookmarks : Bookmarks.t;
+      (* the exact covers and counts behind the bookmark bits (DESIGN
+         §5.1): the paper recomputes them from the reloaded page's
+         pointers, which objects moved since its eviction defeat *)
   empty_candidates : int Vec.t;
   on_page : Heapsim.Obj_id.t Vec.t;
       (* a page scan's copy of the page's objects (eviction, reload and
          pointer-score scans), or the dead ones (the sweep). A scan
          fills it after touching the page: the touch can deliver
          eviction notices, whose scans refill it. *)
-  scan_sps : Superpage.sp Vec.t;
-  scan_targets : Heapsim.Obj_id.t Vec.t;
-  scan_self : Heapsim.Obj_id.t Vec.t;
-      (* an eviction scan's records, in the order it made them, until
-         they are copied into its ledger entry. Filled after the
-         victim's touch, like [on_page]. *)
   peers : int Vec.t;  (* an aggressive discard's candidate pages *)
   cold : int Vec.t;
       (* victim candidates from [Vmm.coldest_pages], each caller's above
@@ -107,12 +84,6 @@ type t = {
   mutable epoch : int;
   mutable in_gc : bool;
   mutable gc_requested : bool;
-  mutable scans : int;
-      (* eviction scans so far: each takes the next count as the stamp
-         it leaves in [Superpage.sp.scan] *)
-  nonsp_deferred : Heapsim.Obj_id.t Vec.t;
-  mutable nonsp_incoming : int;
-      (* evicted pages with pointers to non-resident nursery/LOS targets *)
   mutable evicted_count : int;
   mutable failsafe_count : int;
   mutable failsafe_needed : bool;
@@ -122,10 +93,6 @@ type t = {
   mutable spurious_resident : int;
       (* made-resident signals for pages the kernel does not actually
          hold — acting on one would release covers still needed *)
-  mutable reconciled : int;
-      (* lost notices detected and replayed against kernel truth *)
-  mutable handler_faults : int;
-      (* exceptions swallowed inside paging-signal handlers *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -319,83 +286,34 @@ let count_valid_candidates t ~limit =
 (* ------------------------------------------------------------------ *)
 (* Bookmarking (§3.4)                                                  *)
 
-(* Add one evicted-page cover to an object's bookmark. The lookups
-   below catch [Not_found] rather than box a [find_opt] result. *)
-let bookmark_ref t id =
-  let objects = Heapsim.Heap.objects t.heap in
-  let n =
-    match Hashtbl.find t.bookmark_counts id with
-    | n -> n
-    | exception Not_found -> 0
-  in
-  Hashtbl.replace t.bookmark_counts id (n + 1);
-  if n = 0 then begin
-    Heapsim.Object_table.set_bookmarked objects id true;
-    if t.in_gc then Vec.push t.pending_roots id
-  end
+(* The container of the objects on [page]: its superpage's index, or
+   [Bookmarks.other] outside the superpages. *)
+let container_of_page t page =
+  match Superpage.sp_of_page t.sp_space page with
+  | Some sp -> sp.Superpage.index
+  | None -> Bookmarks.other
 
-(* Release one cover; the bit clears when the last cover goes (§3.4.2). *)
-let bookmark_unref t id =
-  let objects = Heapsim.Heap.objects t.heap in
-  if Heapsim.Object_table.is_live objects id then
-    match Hashtbl.find t.bookmark_counts id with
-    | n when n > 1 -> Hashtbl.replace t.bookmark_counts id (n - 1)
-    | _ ->
-        Hashtbl.remove t.bookmark_counts id;
-        Heapsim.Object_table.set_bookmarked objects id false
-    | exception Not_found -> ()
-
-let unref_all t ids =
-  for i = 0 to Array.length ids - 1 do
-    bookmark_unref t ids.(i)
-  done
-
-let rec unref_deferred t = function
-  | [] -> ()
-  | ids :: rest ->
-      unref_all t ids;
-      unref_deferred t rest
-
-(* A scan buffer's contents, last pushed first. Releases walk a ledger
-   entry in this order, which fixes the sequence of [bookmark_counts]
-   updates and so the table's iteration order. *)
-let newest_first v =
-  let n = Vec.length v in
-  if n = 0 then [||]
-  else begin
-    let a = Array.make n (Vec.get v (n - 1)) in
-    for i = 1 to n - 1 do
-      a.(i) <- Vec.get v (n - 1 - i)
-    done;
-    a
-  end
+(* Cover an object once more; a first cover while a trace runs makes it
+   a root of the trace's next round. *)
+let cover t id ~self =
+  if Bookmarks.cover t.bookmarks id ~self && t.in_gc then
+    Vec.push t.pending_roots id
 
 (* Scan a victim page, bookmark the targets of its outgoing references,
-   bump the targets' superpage incoming counters (once per target
-   superpage), conservatively bookmark the page's own objects, then
-   surrender the page.
+   count the targets' containers (once per container), conservatively
+   bookmark the page's own objects, then surrender the page.
 
-   A superpage counted once by this scan carries the scan's stamp. The
-   stamp is taken after the victim's touch, and nothing between it and
-   the ledger write touches a page, so no eviction notice, and no scan
-   nested in one, can stamp a superpage in between. For the same reason
-   the scan's records can go into the instance's scan buffers, which no
-   nested scan refills before the ledger entry copies them. *)
+   The scan begins after the victim's touch, and nothing between it and
+   its [Bookmarks.record] touches a page, so no eviction notice, and no
+   scan nested in one, can begin a scan of its own in between. *)
 let bookmark_and_evict t victim =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
   let vmm = Heapsim.Heap.vmm heap in
+  let bookmarks = t.bookmarks in
   (* scanning reads the victim page (still resident) *)
   Vmsim.Vmm.touch vmm ~write:false victim;
-  t.scans <- t.scans + 1;
-  let stamp = t.scans in
-  let incremented = t.scan_sps in
-  let counted = t.scan_targets in
-  let selves = t.scan_self in
-  Vec.clear incremented;
-  Vec.clear counted;
-  Vec.clear selves;
-  let nonsp = ref false in
+  Bookmarks.begin_scan bookmarks;
   let visit_ref _field target =
     (* stale references out of floating garbage may dangle *)
     if Heapsim.Object_table.is_live objects target then begin
@@ -408,19 +326,12 @@ let bookmark_and_evict t victim =
       (match Superpage.sp_of_addr t.sp_space
                (Heapsim.Object_table.addr objects target)
        with
-      | Some tsp when tsp.Superpage.scan <> stamp ->
-          tsp.Superpage.scan <- stamp;
-          Vec.push incremented tsp;
-          tsp.Superpage.incoming <- tsp.Superpage.incoming + 1
-      | Some _ -> ()
+      | Some tsp -> Bookmarks.count bookmarks tsp.Superpage.index
       | None ->
-          (* nursery / LOS target: one global cover per victim page
-             keeps their conservative self-bookmarks deferred *)
-          if not resident then nonsp := true);
-      if resident then begin
-        bookmark_ref t target;
-        Vec.push counted target
-      end
+          (* nursery / LOS target: one count per victim page keeps their
+             conservative self-bookmarks deferred *)
+          if not resident then Bookmarks.count bookmarks Bookmarks.other);
+      if resident then cover t target ~self:false
     end
   in
   let on_page = t.on_page in
@@ -430,31 +341,12 @@ let bookmark_and_evict t victim =
     Charge.object_visit heap;
     Heapsim.Object_table.iter_refs objects id visit_ref;
     (* conservative bookmark on the evictee itself *)
-    bookmark_ref t id;
-    Vec.push selves id
+    cover t id ~self:true
   done;
-  if !nonsp then t.nonsp_incoming <- t.nonsp_incoming + 1;
-  (match Hashtbl.find t.ledger victim with
-  | exception Not_found -> ()
-  | stale ->
-      (* the page was surrendered, reloaded behind our back and is being
-         evicted again: release the previous increments first *)
-      Array.iter
-        (fun (sp : Superpage.sp) ->
-          if sp.Superpage.incoming > 0 then
-            sp.Superpage.incoming <- sp.Superpage.incoming - 1)
-        stale.sps;
-      unref_all t stale.targets;
-      unref_all t stale.self;
-      if stale.nonsp && t.nonsp_incoming > 0 then
-        t.nonsp_incoming <- t.nonsp_incoming - 1);
-  Hashtbl.replace t.ledger victim
-    {
-      sps = newest_first incremented;
-      targets = newest_first counted;
-      self = newest_first selves;
-      nonsp = !nonsp;
-    };
+  (* a page surrendered, reloaded behind our back and evicted again has
+     its previous scan's covers released here *)
+  if not (Bookmarks.record bookmarks victim ~own:(container_of_page t victim))
+  then t.failsafe_needed <- true;
   note_evicted t victim;
   (* prevent the eviction race (§3.4), then surrender the page *)
   Vmsim.Vmm.mprotect vmm victim ~protect:true;
@@ -465,8 +357,9 @@ let bookmark_and_evict t victim =
       bookmark_and_evict t victim)
 
 (* A page of ours came back (mutator fault or protection-fault upcall):
-   update residency, release its ledger entry, clear now-unnecessary
-   bookmarks (§3.4.2) and re-remember its old-to-young pointers. *)
+   update residency, release the covers its eviction scan recorded,
+   clear now-unnecessary bookmarks (§3.4.2) and re-remember its
+   old-to-young pointers. *)
 let page_reloaded t page =
   let heap = t.heap in
   let objects = Heapsim.Heap.objects heap in
@@ -474,7 +367,7 @@ let page_reloaded t page =
   if not (Vmsim.Vmm.is_resident vmm page) then
     (* A made-resident signal for a page the kernel does not hold: a
        duplicated or badly delayed notice from an unreliable channel.
-       Releasing the ledger entry of a page that is still on disk would
+       Releasing the covers of a page that is still on disk would
        drop covers the next trace needs, so ignore it — the genuine
        reload will raise its own (reliable) protection-fault upcall. *)
     t.spurious_resident <- t.spurious_resident + 1
@@ -500,91 +393,43 @@ let page_reloaded t page =
       (* protection-fault race window (§3.4), or the normal unprotect on
          the reload path *)
       Vmsim.Vmm.mprotect vmm page ~protect:false;
-    (* The ledger entry goes whenever the kernel confirms the page back,
+    (* The page's covers go whenever the kernel confirms the page back,
        even if our own belief already said resident — under an unreliable
        notice channel the two can disagree (a duplicated reload event, or
        a handler fault that applied the residency half of a previous
        replay); a kernel-resident page never needs covers. *)
-    (match Hashtbl.find t.ledger page with
-    | exception Not_found -> ()
-    | entry ->
-        Hashtbl.remove t.ledger page;
-        let sps = entry.sps in
-        for i = 0 to Array.length sps - 1 do
-          let sp = sps.(i) in
-          if sp.Superpage.incoming > 0 then
-            sp.Superpage.incoming <- sp.Superpage.incoming - 1
-          else
-            (* counter underflow: some notice was lost or replayed out
-               of order; schedule the fail-safe to rebuild the exact
-               state rather than guessing *)
-            t.failsafe_needed <- true;
-          (* a superpage whose incoming count reaches zero releases its
-             deferred conservative bookmarks (§3.4.2) *)
-          if sp.Superpage.incoming = 0 then begin
-            let deferred = sp.Superpage.deferred in
-            sp.Superpage.deferred <- [];
-            unref_deferred t deferred
-          end
-        done;
-        if entry.nonsp then begin
-          if t.nonsp_incoming > 0 then
-            t.nonsp_incoming <- t.nonsp_incoming - 1
-          else t.failsafe_needed <- true;
-          if t.nonsp_incoming = 0 then begin
-            for i = 0 to Vec.length t.nonsp_deferred - 1 do
-              bookmark_unref t (Vec.get t.nonsp_deferred i)
-            done;
-            Vec.clear t.nonsp_deferred
-          end
-        end;
-        (* release the covers of this page's resident targets *)
-        unref_all t entry.targets;
-        (* conservative self-bookmarks: released only once no evicted
-           page can still point into this page's container (§3.4.2) *)
-        if t.opts.Gc_config.conservative_clear then begin
-          match Superpage.sp_of_page t.sp_space page with
-          | Some sp ->
-              if sp.Superpage.incoming = 0 then unref_all t entry.self
-              else sp.Superpage.deferred <- entry.self :: sp.Superpage.deferred
-          | None ->
-              if t.nonsp_incoming = 0 then unref_all t entry.self
-              else
-                for i = 0 to Array.length entry.self - 1 do
-                  Vec.push t.nonsp_deferred entry.self.(i)
-                done
-        end)
+    if not (Bookmarks.release t.bookmarks page ~own:(container_of_page t page))
+    then
+      (* counter underflow: some notice was lost or replayed out of
+         order; schedule the fail-safe to rebuild the exact state rather
+         than guessing *)
+      t.failsafe_needed <- true
   end
 
 (* Reconcile BC's residency beliefs with kernel truth (§3.3.1 keeps them
    "synchronised from eviction notices and reload events" — under an
    unreliable channel those events can be lost, so a collection first
    replays whatever the kernel did behind our back). Lost made-resident
-   notices become late ledger releases; lost eviction notices become late
+   notices become late releases; lost eviction notices become late
    bookmark-and-evict scans (paying the reload fault the paper's prompt
    notice would have avoided) or, for pages that must stay resident, a
    veto touch. *)
 let reconcile_with_kernel t =
   let vmm = Heapsim.Heap.vmm t.heap in
-  (* lost made-resident notices: ledger pages the kernel reloaded *)
+  (* lost made-resident notices: recorded pages the kernel reloaded *)
   let reloaded =
-    Hashtbl.fold
-      (fun page _ acc ->
+    Bookmarks.fold_pages t.bookmarks
+      (fun page acc ->
         if Vmsim.Vmm.is_resident vmm page then page :: acc else acc)
-      t.ledger []
+      []
   in
-  List.iter
-    (fun page ->
-      t.reconciled <- t.reconciled + 1;
-      page_reloaded t page)
-    reloaded;
+  List.iter (page_reloaded t) reloaded;
   (* lost eviction notices: pages believed resident the kernel swapped *)
   let stale = ref [] in
   Residency.iter_resident t.residency (fun page ->
       if Vmsim.Vmm.is_swapped vmm page then stale := page :: !stale);
   List.iter
     (fun page ->
-      t.reconciled <- t.reconciled + 1;
       if
         header_in_use t page
         || (Gc_common.Bump_space.owns_page t.nursery page
@@ -614,16 +459,11 @@ let follow_ok t id =
    per candidate, which models the same scan cost without re-deriving the
    set from page contents. *)
 let bookmark_roots t enqueue =
-  if
-    t.opts.Gc_config.bookmarks_enabled
-    && Hashtbl.length t.bookmark_counts > 0
-  then begin
+  if t.opts.Gc_config.bookmarks_enabled then begin
     let objects = Heapsim.Heap.objects t.heap in
-    Hashtbl.iter
-      (fun id _count ->
+    Bookmarks.iter_roots t.bookmarks (fun id ->
         Charge.object_visit t.heap;
         if Heapsim.Object_table.is_live objects id then enqueue id)
-      t.bookmark_counts
   end
 
 let[@inline] is_marked t id = Gc_common.Tracer.marked t.heap ~epoch:t.epoch id
@@ -901,7 +741,9 @@ let clear_remembered t =
 (* Recycle empty superpages and offer all their pages — headers included —
    for discarding. *)
 let recycle_and_offer t =
-  Superpage.recycle_empty t.sp_space ~resident:(resident_ok t);
+  Superpage.recycle_empty t.sp_space ~resident:(resident_ok t)
+    ~pointed_into:(fun sp ->
+      Bookmarks.pointed_into t.bookmarks sp.Superpage.index);
   Superpage.iter_sps t.sp_space (fun sp ->
       if sp.Superpage.cells_total = 0 then
         for
@@ -1006,7 +848,7 @@ let plan_compaction t ~resident =
   in
   Superpage.iter_sps t.sp_space (fun sp ->
       if
-        sp.Superpage.incoming > 0
+        Bookmarks.pointed_into t.bookmarks sp.Superpage.index
         || sp.Superpage.evicted_data_pages > 0
       then forced.(sp.Superpage.index) <- true;
       census sp count);
@@ -1078,20 +920,6 @@ let plan_compaction t ~resident =
         if (not is_target.(sp.Superpage.index)) && sp.Superpage.cells_total > 0
         then census sp move)
 
-(* The fail-safe's first step: discard every bookmark and counter. Its
-   trace then rebuilds exact liveness, touching evicted pages as it goes. *)
-let forget_bookmarks t =
-  let objects = Heapsim.Heap.objects t.heap in
-  Heapsim.Object_table.iter_live objects (fun id ->
-      Heapsim.Object_table.set_bookmarked objects id false);
-  Hashtbl.reset t.bookmark_counts;
-  Superpage.iter_sps t.sp_space (fun sp ->
-      sp.Superpage.incoming <- 0;
-      sp.Superpage.deferred <- []);
-  Hashtbl.reset t.ledger;
-  Vec.clear t.nonsp_deferred;
-  t.nonsp_incoming <- 0
-
 let mature t kind =
   let phase = if kind = Compact then Gc_stats.Compacting else Gc_stats.Full in
   Gc_common.Pause.run t.stats t.heap phase (fun () ->
@@ -1104,7 +932,9 @@ let mature t kind =
         end;
         Charge.setup t.heap;
         reconcile_with_kernel t;
-        if kind = Failsafe then forget_bookmarks t;
+        (* the fail-safe discards every bookmark and counter; its trace
+           then rebuilds exact liveness, touching evicted pages *)
+        if kind = Failsafe then Bookmarks.forget t.bookmarks;
         (* bookmarks stand in for evicted pages, which the trace and the
            sweeps leave alone; without them, or to rebuild them, every
            page is visited *)
@@ -1395,41 +1225,7 @@ let check_invariants t =
      between collections; repair it before judging the invariants *)
   if t.failsafe_needed && t.opts.Gc_config.bookmarks_enabled then
     mature t Failsafe;
-  let objects = Heapsim.Heap.objects t.heap in
-  (* incoming counters equal the ledger's per-superpage totals *)
-  let expected = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _page entry ->
-      Array.iter
-        (fun (sp : Superpage.sp) ->
-          let i = sp.Superpage.index in
-          Hashtbl.replace expected i
-            (1 + Option.value (Hashtbl.find_opt expected i) ~default:0))
-        entry.sps)
-    t.ledger;
-  Superpage.iter_sps t.sp_space (fun sp ->
-      let want =
-        Option.value (Hashtbl.find_opt expected sp.Superpage.index) ~default:0
-      in
-      if sp.Superpage.incoming <> want then
-        failwith
-          (Printf.sprintf
-             "BC invariant: superpage %d incoming=%d but ledger says %d"
-             sp.Superpage.index sp.Superpage.incoming want));
-  (* evicted pages tracked by the ledger are indeed non-resident *)
-  Hashtbl.iter
-    (fun page _ ->
-      if Residency.is_resident t.residency page then
-        failwith (Printf.sprintf "BC invariant: ledger page %d is resident" page))
-    t.ledger;
-  (* the bookmark bit mirrors a positive bookmark count *)
-  Heapsim.Object_table.iter_live objects (fun id ->
-      let bit = Heapsim.Object_table.bookmarked objects id in
-      let counted = Hashtbl.mem t.bookmark_counts id in
-      if bit <> counted then
-        failwith
-          (Printf.sprintf "BC invariant: object #%d bit=%b counted=%b" id bit
-             counted));
+  Bookmarks.check t.bookmarks ~resident:(Residency.is_resident t.residency);
   (* per-superpage cell accounting: free + blocked + live occupants never
      exceed the carved cell count *)
   Superpage.iter_sps t.sp_space (fun sp ->
@@ -1447,6 +1243,7 @@ let check_invariants t =
       end);
   (* every live object has a placement, and mature objects sit on a
      superpage of their own size class *)
+  let objects = Heapsim.Heap.objects t.heap in
   Heapsim.Object_table.iter_live objects (fun id ->
       let addr = Heapsim.Object_table.addr objects id in
       assert (addr >= 0);
@@ -1464,15 +1261,11 @@ let check_invariants t =
 type debug = {
   superpages : Superpage.t;
   residency : Residency.t;
+  bookmarks : Bookmarks.t;
   evicted_pages : unit -> int;
-  bookmarked_count : unit -> int;
-  incoming_total : unit -> int;
-  ledger_total : unit -> int;
   failsafe_count : unit -> int;
   target_footprint : unit -> int option;
   spurious_resident : unit -> int;
-  reconciled : unit -> int;
-  handler_faults : unit -> int;
   compact : unit -> unit;
 }
 
@@ -1482,30 +1275,13 @@ let make_debug t =
   {
     superpages = t.sp_space;
     residency = t.residency;
+    bookmarks = t.bookmarks;
     evicted_pages = (fun () -> t.evicted_count);
-    bookmarked_count =
-      (fun () ->
-        let objects = Heapsim.Heap.objects t.heap in
-        let n = ref 0 in
-        Heapsim.Object_table.iter_live objects (fun id ->
-            if Heapsim.Object_table.bookmarked objects id then incr n);
-        !n);
-    incoming_total =
-      (fun () ->
-        let n = ref 0 in
-        Superpage.iter_sps t.sp_space (fun sp ->
-            n := !n + sp.Superpage.incoming);
-        !n);
-    ledger_total =
-      (fun () ->
-        Hashtbl.fold (fun _ e acc -> acc + Array.length e.sps) t.ledger 0);
     failsafe_count = (fun () -> t.failsafe_count);
     target_footprint =
       (fun () ->
         if t.target_footprint < 0 then None else Some t.target_footprint);
     spurious_resident = (fun () -> t.spurious_resident);
-    reconciled = (fun () -> t.reconciled);
-    handler_faults = (fun () -> t.handler_faults);
     compact = (fun () -> mature t Compact);
   }
 
@@ -1543,16 +1319,11 @@ let factory config heap =
       wbuf;
       residency = Residency.create ();
       discarded = Bitset.create ();
-      ledger = Hashtbl.create 64;
-      bookmark_counts = Hashtbl.create 64;
-      scans = 0;
-      nonsp_deferred = Vec.create ();
-      nonsp_incoming = 0;
+      bookmarks =
+        Bookmarks.create objects
+          ~conservative_clear:opts.Gc_config.conservative_clear;
       empty_candidates = Vec.create ();
       on_page = Vec.create ();
-      scan_sps = Vec.create ();
-      scan_targets = Vec.create ();
-      scan_self = Vec.create ();
       peers = Vec.create ();
       cold = Vec.create ();
       census =
@@ -1582,22 +1353,19 @@ let factory config heap =
       failsafe_count = 0;
       failsafe_needed = false;
       spurious_resident = 0;
-      reconciled = 0;
-      handler_faults = 0;
     }
   in
   Superpage.set_on_acquire t.sp_space (fun sp -> track_new_superpage t sp);
   Baselines.Gen_shared.install_barrier heap
     (Gc_common.Write_buffer.record t.wbuf);
   (* register for paging signals (§4.1). A signal handler must never
-     take down the mutator: programming-error exceptions are swallowed,
-     counted, and converted into a scheduled fail-safe collection, which
-     rebuilds exact state. Resource exceptions (Thrashing, heap
-     exhaustion) still propagate — they are the caller's to handle. *)
+     take down the mutator: programming-error exceptions are swallowed
+     and converted into a scheduled fail-safe collection, which rebuilds
+     exact state. Resource exceptions (Thrashing, heap exhaustion) still
+     propagate — they are the caller's to handle. *)
   let guarded f page =
     try f page
     with Failure _ | Invalid_argument _ | Assert_failure _ | Not_found ->
-      t.handler_faults <- t.handler_faults + 1;
       t.failsafe_needed <- true
   in
   Vmsim.Process.register (Heapsim.Heap.process heap)

@@ -39,18 +39,12 @@ val factory : Gc_common.Collector.factory
 type debug = {
   superpages : Superpage.t;
   residency : Residency.t;
+  bookmarks : Bookmarks.t;  (** the covers and counts behind the bits *)
   evicted_pages : unit -> int;
-  bookmarked_count : unit -> int;
-  incoming_total : unit -> int;
-  ledger_total : unit -> int;
   failsafe_count : unit -> int;
   target_footprint : unit -> int option;
   spurious_resident : unit -> int;
       (** made-resident signals ignored because the kernel disagreed *)
-  reconciled : unit -> int;
-      (** lost notices detected and replayed at collection entry *)
-  handler_faults : unit -> int;
-      (** exceptions swallowed inside paging-signal handlers *)
   compact : unit -> unit;
       (** run a compacting collection now, as the escalation ladder's
           third rung does *)

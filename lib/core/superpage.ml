@@ -13,10 +13,7 @@ type sp = {
   free : int Vec.t;
   blocked : int Vec.t;
   mutable on_partial : bool;
-  mutable incoming : int;
   mutable evicted_data_pages : int;
-  mutable deferred : Heapsim.Obj_id.t array list;
-  mutable scan : int;
 }
 
 let header_bytes = 24
@@ -136,10 +133,7 @@ let acquire t cls kind ~grow =
         free = Vec.create ();
         blocked = Vec.create ();
         on_partial = false;
-        incoming = 0;
         evicted_data_pages = 0;
-        deferred = [];
-        scan = 0;
       }
     in
     Vec.push t.sps sp;
@@ -342,10 +336,12 @@ let vacant t sp =
   done;
   !empty
 
-let recycle_empty t ~resident =
+let recycle_empty t ~resident ~pointed_into =
   iter_sps t (fun sp ->
       if
-        sp.cells_total > 0 && sp.incoming = 0 && sp.evicted_data_pages = 0
+        sp.cells_total > 0
+        && (not (pointed_into sp))
+        && sp.evicted_data_pages = 0
         && vacant t sp
         && pages_ok resident (sp.first_page + 1) (sp.first_page + 3)
       then begin

@@ -1,10 +1,10 @@
 (** BC's mature space: segregated size classes over superpages (§3, §3.4).
 
     A superpage is four contiguous, 16 KB-aligned pages. Its first
-    {!header_bytes} hold metadata (size class, scalar/array tag, the
-    incoming-bookmark counter) locatable by bit-masking; because the
-    metadata lives on the first page, that {e header page} is never
-    evicted, keeping counter updates fault-free. Superpages hold either
+    {!header_bytes} hold metadata (size class, scalar/array tag and, in
+    the paper, the superpage's counters) locatable by bit-masking;
+    because the metadata lives on the first page, that {e header page}
+    is never evicted, keeping counter updates fault-free. Superpages hold either
     only scalars or only arrays (§4: Jikes places scalar and array headers
     at opposite ends, so BC segregates them to locate objects on a page).
 
@@ -32,15 +32,7 @@ type sp = {
           before any fresh cell *)
   blocked : int Repro_util.Vec.t;  (** free cells on non-resident pages *)
   mutable on_partial : bool;
-  mutable incoming : int;  (** # evicted pages with pointers into this sp *)
   mutable evicted_data_pages : int;
-  mutable deferred : Heapsim.Obj_id.t array list;
-      (** BC's conservative self-bookmarks waiting for [incoming] to
-          reach zero (§3.4.2's deferred clearing): one array per
-          reloaded page, the latest first *)
-  mutable scan : int;
-      (** the stamp of the last eviction scan that counted a reference
-          into this superpage in [incoming]; 0 before any *)
 }
 
 type t
@@ -117,9 +109,11 @@ val note_page_resident : t -> int -> resident:(int -> bool) -> unit
 (** Track a reloaded data page and un-park blocked cells that are now
     fully usable under the [resident] predicate. *)
 
-val recycle_empty : t -> resident:(int -> bool) -> unit
-(** Move superpages with no live objects, no evicted pages and no incoming
-    bookmarks to the empty pool for reassignment to any class. *)
+val recycle_empty :
+  t -> resident:(int -> bool) -> pointed_into:(sp -> bool) -> unit
+(** Move superpages with no live objects and no evicted pages, whose data
+    pages are all [resident] and that no evicted page is [pointed_into],
+    to the empty pool for reassignment to any class. *)
 
 val cells_overlapping_page : sp -> int -> int
 (** How many of the superpage's cell slots overlap the given page. *)

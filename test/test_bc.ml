@@ -9,6 +9,7 @@ module Heap = Heapsim.Heap
 module Collector = Gc_common.Collector
 module Gc_stats = Gc_common.Gc_stats
 module Bc = Bookmarking.Bc
+module Bookmarks = Bookmarking.Bookmarks
 module Vm_stats = Vmsim.Vm_stats
 
 let check = Alcotest.check
@@ -57,9 +58,11 @@ let test_eviction_creates_bookmarks () =
   c.Collector.collect ();
   squeeze m signalmem ~leave:40;
   check Alcotest.bool "pages evicted" true (dbg.Bc.evicted_pages () > 0);
-  check Alcotest.bool "bookmarks set" true (dbg.Bc.bookmarked_count () > 0);
+  check Alcotest.bool "bookmarks set" true
+    (Bookmarks.covered dbg.Bc.bookmarks > 0);
   check Alcotest.bool "ledger mirrors counters" true
-    (dbg.Bc.incoming_total () = dbg.Bc.ledger_total ());
+    (Bookmarks.incoming_total dbg.Bc.bookmarks
+    = Bookmarks.ledger_total dbg.Bc.bookmarks);
   c.Collector.check_invariants ();
   Oracle.check m.Mini.heap
 
@@ -88,7 +91,7 @@ let test_resize_only_pays_faults () =
   squeeze m signalmem ~leave:40;
   check Alcotest.bool "pages evicted" true (dbg.Bc.evicted_pages () > 0);
   check Alcotest.int "no bookmarks without the mechanism" 0
-    (dbg.Bc.bookmarked_count ());
+    (Bookmarks.covered dbg.Bc.bookmarks);
   let before = (Vmsim.Process.stats m.Mini.proc).Vm_stats.major_faults in
   c.Collector.collect ();
   let faults =
@@ -101,7 +104,8 @@ let test_reload_clears_bookmarks () =
   let ids = Mini.alloc_list c ~n:3000 ~size:64 in
   c.Collector.collect ();
   squeeze m signalmem ~leave:40;
-  check Alcotest.bool "bookmarks set" true (dbg.Bc.bookmarked_count () > 0);
+  check Alcotest.bool "bookmarks set" true
+    (Bookmarks.covered dbg.Bc.bookmarks > 0);
   (* release the pressure and touch every object: all pages reload *)
   Workload.Signalmem.unpin_all signalmem;
   List.iter
@@ -110,9 +114,11 @@ let test_reload_clears_bookmarks () =
         Heap.access m.Mini.heap id)
     ids;
   check Alcotest.int "all pages back" 0 (dbg.Bc.evicted_pages ());
-  check Alcotest.int "all bookmarks cleared" 0 (dbg.Bc.bookmarked_count ());
-  check Alcotest.int "all counters released" 0 (dbg.Bc.incoming_total ());
-  check Alcotest.int "ledger empty" 0 (dbg.Bc.ledger_total ());
+  check Alcotest.int "all bookmarks cleared" 0
+    (Bookmarks.covered dbg.Bc.bookmarks);
+  check Alcotest.int "all counters released" 0
+    (Bookmarks.incoming_total dbg.Bc.bookmarks);
+  check Alcotest.int "ledger empty" 0 (Bookmarks.ledger_total dbg.Bc.bookmarks);
   c.Collector.check_invariants ();
   Oracle.check m.Mini.heap
 
@@ -138,6 +144,74 @@ let test_los_page_notice_bookmarked () =
     (OT.bookmarked (Heap.objects heap) id);
   c.Collector.check_invariants ();
   Oracle.check heap
+
+(* A made-resident notice for a page the kernel still holds on disk (a
+   duplicated or badly delayed notice) is ignored: the page keeps its
+   ledger entry, so nothing its scan covered is released. *)
+let test_spurious_resident_keeps_covers () =
+  let m, c, signalmem, dbg = fixture () in
+  ignore (Mini.alloc_list c ~n:3000 ~size:64);
+  c.Collector.collect ();
+  squeeze m signalmem ~leave:40;
+  let b = dbg.Bc.bookmarks in
+  let in_ledger page =
+    Bookmarks.fold_pages b (fun p acc -> acc || p = page) false
+  in
+  let page =
+    Bookmarks.fold_pages b
+      (fun p acc ->
+        if acc < 0 && not (Vmsim.Vmm.is_resident m.Mini.vmm p) then p else acc)
+      (-1)
+  in
+  check Alcotest.bool "a ledger page is on disk" true (page >= 0);
+  let state () =
+    ( Bookmarks.ledger_total b,
+      Bookmarks.incoming_total b,
+      Bookmarks.covered b,
+      dbg.Bc.evicted_pages () )
+  in
+  let before = state () in
+  check Alcotest.int "no spurious notice yet" 0 (dbg.Bc.spurious_resident ());
+  (match Vmsim.Process.handlers m.Mini.proc with
+  | Some h -> h.Vmsim.Process.on_resident page
+  | None -> Alcotest.fail "BC registered no paging handlers");
+  check Alcotest.int "counted as spurious" 1 (dbg.Bc.spurious_resident ());
+  check Alcotest.bool "the page keeps its ledger entry" true (in_ledger page);
+  check Alcotest.bool "counts, covers and residency unchanged" true
+    (state () = before);
+  c.Collector.check_invariants ();
+  Oracle.check m.Mini.heap
+
+(* A release that finds a container's count already at zero (a lost
+   counter update) schedules the §3.5 fail-safe, which rebuilds exact
+   state; [check_invariants] runs a scheduled one first. *)
+let test_underflow_schedules_failsafe () =
+  let m, c, signalmem, dbg = fixture () in
+  let ids = Mini.alloc_list c ~n:3000 ~size:64 in
+  c.Collector.collect ();
+  squeeze m signalmem ~leave:40;
+  let b = dbg.Bc.bookmarks in
+  check Alcotest.bool "pages point into containers" true
+    (Bookmarks.ledger_total b > 0);
+  (* every count update is lost *)
+  List.iter
+    (fun container ->
+      while Bookmarks.incoming b container > 0 do
+        Bookmarks.drop_count b container
+      done)
+    (Bookmarks.other
+    :: List.init (Bookmarking.Superpage.sp_count dbg.Bc.superpages) Fun.id);
+  let failsafes = dbg.Bc.failsafe_count () in
+  Workload.Signalmem.unpin_all signalmem;
+  List.iter
+    (fun id ->
+      if OT.is_live (Heap.objects m.Mini.heap) id then
+        Heap.access m.Mini.heap id)
+    ids;
+  c.Collector.check_invariants ();
+  check Alcotest.int "the fail-safe ran" (failsafes + 1)
+    (dbg.Bc.failsafe_count ());
+  Oracle.check m.Mini.heap
 
 let test_header_pages_stay_resident () =
   let m, c, signalmem, dbg = fixture () in
@@ -589,7 +663,7 @@ let test_pointer_aware_victims () =
     squeeze m signalmem ~leave:36;
     Oracle.check heap;
     c.Collector.check_invariants ();
-    (dbg.Bc.evicted_pages (), dbg.Bc.incoming_total ())
+    (dbg.Bc.evicted_pages (), Bookmarks.incoming_total dbg.Bc.bookmarks)
   in
   let evicted_plain, incoming_plain = scenario "BC" in
   let evicted_aware, incoming_aware = scenario "BC-ptraware" in
@@ -642,6 +716,253 @@ let prop_bc_random_pressure =
       c.Collector.check_invariants ();
       true)
 
+(* -- Bookmarks against a naive model ---------------------------------- *)
+
+(* One record of an eviction scan: a container counted, or an object
+   (by its index in the fixture) covered as a resident target or as one
+   of the page's own objects. *)
+type record = Count of int | Target of int | Self of int
+
+type step =
+  | Evict of int * record list  (* a scan of the page, then its record *)
+  | Reload of int
+  | Reload_twice of int  (* a duplicated made-resident notice *)
+  | Forget
+  | Lose of int  (* a lost update of the container's count *)
+
+let model_objects = 8
+
+(* pages 0-5 may be evicted, 6 and 7 never; each page's container is
+   fixed, as a page's superpage is *)
+let model_pages = 8
+
+let evictable_pages = 6
+
+let containers = [| Bookmarks.other; 0; 1; 2 |]
+
+let own_of page = containers.(page mod Array.length containers)
+
+let slot c = c + 1
+
+let show_step = function
+  | Evict (page, records) ->
+      Printf.sprintf "evict %d [%s]" page
+        (String.concat "; "
+           (List.map
+              (function
+                | Count c -> Printf.sprintf "count %d" c
+                | Target i -> Printf.sprintf "target %d" i
+                | Self i -> Printf.sprintf "self %d" i)
+              records))
+  | Reload page -> Printf.sprintf "reload %d" page
+  | Reload_twice page -> Printf.sprintf "reload %d twice" page
+  | Forget -> "forget"
+  | Lose c -> Printf.sprintf "lose %d" c
+
+let gen_steps =
+  let open QCheck.Gen in
+  let container = map (fun i -> containers.(i)) (int_bound 3) in
+  let obj = int_bound (model_objects - 1) in
+  let record =
+    frequency
+      [
+        (2, map (fun c -> Count c) container);
+        (3, map (fun i -> Target i) obj);
+        (3, map (fun i -> Self i) obj);
+      ]
+  in
+  let page = int_bound (model_pages - 1) in
+  let step =
+    frequency
+      [
+        ( 6,
+          map2
+            (fun p rs -> Evict (p, rs))
+            (int_bound (evictable_pages - 1))
+            (list_size (int_bound 6) record) );
+        (4, map (fun p -> Reload p) page);
+        (1, map (fun p -> Reload_twice p) page);
+        (1, return Forget);
+        (1, map (fun c -> Lose c) container);
+      ]
+  in
+  pair bool (list_size (int_range 1 40) step)
+
+(* The model keeps what the module keeps, naively: the ledger as a list
+   of entries, each container's deferred self-covers, the count updates
+   lost, and (without conservative clearing) the self-covers never
+   released. Every count is recomputed from those. *)
+type entry = { cs : int list; targets : int list; selves : int list }
+
+type model = {
+  mutable ledger : (int * entry) list;
+  deferred : int list list array;
+  lost : int array;
+  leaked : int array;
+}
+
+let model_count m c =
+  List.length (List.filter (fun (_, e) -> List.mem c e.cs) m.ledger)
+  - m.lost.(slot c)
+
+let occurrences i l = List.length (List.filter (( = ) i) l)
+
+let model_cover m i =
+  List.fold_left
+    (fun n (_, e) -> n + occurrences i e.targets + occurrences i e.selves)
+    0 m.ledger
+  + Array.fold_left
+      (List.fold_left (fun n ids -> n + occurrences i ids))
+      0 m.deferred
+  + m.leaked.(i)
+
+(* Release [e], already off the model's ledger; false on an underflow,
+   whose count stays at zero. *)
+let model_release m e ~own ~conservative =
+  let consistent = ref true in
+  List.iter
+    (fun c ->
+      if model_count m c < 0 then begin
+        consistent := false;
+        m.lost.(slot c) <- m.lost.(slot c) - 1
+      end;
+      if model_count m c = 0 then m.deferred.(slot c) <- [])
+    e.cs;
+  if not conservative then
+    List.iter (fun i -> m.leaked.(i) <- m.leaked.(i) + 1) e.selves
+  else if model_count m own > 0 then
+    m.deferred.(slot own) <- e.selves :: m.deferred.(slot own);
+  !consistent
+
+let prop_bookmarks_model =
+  QCheck.Test.make ~name:"bookmarks agree with a naive model" ~count:500
+    (QCheck.make gen_steps ~print:(fun (conservative, steps) ->
+         Printf.sprintf "conservative_clear=%b: %s" conservative
+           (String.concat ", " (List.map show_step steps))))
+    (fun (conservative, steps) ->
+      let objects = OT.create () in
+      let ids =
+        Array.init model_objects (fun _ ->
+            OT.alloc objects ~size:16 ~nrefs:0 ~kind:`Scalar)
+      in
+      let b = Bookmarks.create objects ~conservative_clear:conservative in
+      let n = Array.length containers in
+      let m =
+        {
+          ledger = [];
+          deferred = Array.make n [];
+          lost = Array.make n 0;
+          leaked = Array.make model_objects 0;
+        }
+      in
+      let expect what ok =
+        if not ok then QCheck.Test.fail_reportf "%s" what
+      in
+      let release page =
+        let own = own_of page in
+        let want =
+          match List.assoc_opt page m.ledger with
+          | None -> true
+          | Some e ->
+              m.ledger <- List.remove_assoc page m.ledger;
+              model_release m e ~own ~conservative
+        in
+        expect
+          (Printf.sprintf "release %d reports an underflow iff one happened"
+             page)
+          (Bookmarks.release b page ~own = want)
+      in
+      let apply = function
+        | Evict (page, records) ->
+            Bookmarks.begin_scan b;
+            let scanned = Array.make model_objects 0 in
+            let cs = ref [] and targets = ref [] and selves = ref [] in
+            List.iter
+              (function
+                | Count c ->
+                    Bookmarks.count b c;
+                    if not (List.mem c !cs) then cs := c :: !cs
+                | (Target i | Self i) as r ->
+                    let self = match r with Self _ -> true | _ -> false in
+                    let first = model_cover m i + scanned.(i) = 0 in
+                    expect
+                      (Printf.sprintf "cover of %d reports a first cover" i)
+                      (Bookmarks.cover b ids.(i) ~self = first);
+                    scanned.(i) <- scanned.(i) + 1;
+                    if self then selves := i :: !selves
+                    else targets := i :: !targets)
+              records;
+            let own = own_of page in
+            let stale = List.assoc_opt page m.ledger in
+            m.ledger <-
+              (page, { cs = !cs; targets = !targets; selves = !selves })
+              :: List.remove_assoc page m.ledger;
+            let want =
+              match stale with
+              | None -> true
+              | Some e -> model_release m e ~own ~conservative
+            in
+            expect
+              (Printf.sprintf "record %d reports an underflow iff one happened"
+                 page)
+              (Bookmarks.record b page ~own = want)
+        | Reload page -> release page
+        | Reload_twice page ->
+            release page;
+            release page
+        | Forget ->
+            Bookmarks.forget b;
+            m.ledger <- [];
+            Array.fill m.deferred 0 n [];
+            Array.fill m.lost 0 n 0;
+            Array.fill m.leaked 0 model_objects 0
+        | Lose c ->
+            Bookmarks.drop_count b c;
+            if model_count m c > 0 then m.lost.(slot c) <- m.lost.(slot c) + 1
+      in
+      let agrees () =
+        Array.iter
+          (fun c ->
+            expect
+              (Printf.sprintf "container %d count" c)
+              (Bookmarks.incoming b c = model_count m c))
+          containers;
+        Array.iteri
+          (fun i id ->
+            let want = model_cover m i in
+            expect
+              (Printf.sprintf "object %d cover count %d, model %d" i
+                 (Bookmarks.cover_count b id) want)
+              (Bookmarks.cover_count b id = want);
+            expect
+              (Printf.sprintf "object %d bit" i)
+              (OT.bookmarked objects id = (want > 0)))
+          ids;
+        expect "ledger pages"
+          (List.sort compare (Bookmarks.fold_pages b List.cons [])
+          = List.sort compare (List.map fst m.ledger));
+        let roots = ref [] in
+        Bookmarks.iter_roots b (fun id -> roots := id :: !roots);
+        expect "roots are the covered objects"
+          (List.sort compare !roots
+          = List.sort compare
+              (List.filteri
+                 (fun i _ -> model_cover m i > 0)
+                 (Array.to_list ids)));
+        let consistent = Array.for_all (( = ) 0) m.lost in
+        expect "check passes iff no update is lost"
+          ((match Bookmarks.check b ~resident:(fun _ -> false) with
+           | () -> true
+           | exception Failure _ -> false)
+          = consistent)
+      in
+      List.iter
+        (fun step ->
+          apply step;
+          agrees ())
+        steps;
+      true)
+
 let () =
   Alcotest.run "bc"
     [
@@ -661,6 +982,10 @@ let () =
             test_reload_clears_bookmarks;
           Alcotest.test_case "LOS page notice bookmarked" `Quick
             test_los_page_notice_bookmarked;
+          Alcotest.test_case "spurious resident notice keeps covers" `Quick
+            test_spurious_resident_keeps_covers;
+          Alcotest.test_case "counter underflow schedules the fail-safe"
+            `Quick test_underflow_schedules_failsafe;
           Alcotest.test_case "header pages resident" `Quick
             test_header_pages_stay_resident;
         ] );
@@ -702,5 +1027,9 @@ let () =
           Alcotest.test_case "invariants through pressure" `Quick
             test_invariants_hold_through_pressure_workload;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_bc_random_pressure ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_bc_random_pressure;
+          QCheck_alcotest.to_alcotest prop_bookmarks_model;
+        ] );
     ]

@@ -147,7 +147,7 @@ let test_free_cell_and_recycle () =
   let before = Sp.free_bytes t in
   Sp.free_cell t sp ~addr;
   check Alcotest.bool "free bytes grew" true (Sp.free_bytes t > before);
-  Sp.recycle_empty t ~resident:(fun _ -> true);
+  Sp.recycle_empty t ~resident:(fun _ -> true) ~pointed_into:(fun _ -> false);
   check Alcotest.int "empty superpage recycled" 0 sp.Sp.cells_total;
   (* reassignable to a different class *)
   let _, sp2 =
@@ -207,7 +207,7 @@ let test_recycle_keeps_occupied () =
   let assigned = cells () in
   check Alcotest.bool "distinct superpages" true
     (List.for_all (fun n -> n > 0) assigned);
-  Sp.recycle_empty t ~resident:(fun _ -> true);
+  Sp.recycle_empty t ~resident:(fun _ -> true) ~pointed_into:(fun _ -> false);
   check (Alcotest.list Alcotest.int) "occupied superpages kept" assigned
     (cells ());
   List.iter
@@ -215,7 +215,7 @@ let test_recycle_keeps_occupied () =
       Heapsim.Heap.displace heap id;
       Sp.free_cell t sp ~addr)
     placed;
-  Sp.recycle_empty t ~resident:(fun _ -> true);
+  Sp.recycle_empty t ~resident:(fun _ -> true) ~pointed_into:(fun _ -> false);
   check (Alcotest.list Alcotest.int) "vacated superpages recycled" [ 0; 0 ]
     (cells ())
 
@@ -567,7 +567,7 @@ let prop_matches_eager_carve =
                     <> first_page / Vmsim.Page.pages_per_superpage)
                   !live
               in
-              Sp.recycle_empty t ~resident;
+              Sp.recycle_empty t ~resident ~pointed_into:(fun _ -> false);
               Eager_sp.recycle_empty model ~resident ~vacant);
           same "superpages" (Sp.sp_count t)
             (Repro_util.Vec.length model.Eager_sp.sps);
